@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--granularity", choices=("line", "set"), default="line")
 
     p.add_argument("--bit-budget", type=int, default=20,
-                   help="max symbolic bits per enumeration query")
+                   help="max symbolic bits per independent slice of a query")
     p.add_argument("--step-limit", type=int, default=200_000)
     p.add_argument("--report", metavar="FILE",
                    help="write findings as JSON")

@@ -308,8 +308,7 @@ class Engine:
 
         # straight-line instruction
         event, obs, err = self._exec_data_inst(
-            inst, s.regs, s.mem, s.path_cond, speculative=False,
-            diagnostics=diagnostics, unknown=unknown, pc=s.pc)
+            inst, s.regs, s.mem, s.path_cond, False, s.pc, ctx)
         if err is not None:
             findings.append(Finding("error", None, ((s.pc, op, False),),
                                     self._path_str(s), self._config_str(), None))
@@ -342,8 +341,7 @@ class Engine:
                         tuple(s.path_cond) + (c,), self.bit_budget,
                         self.snapshots))
                 except solver.BudgetExceeded:
-                    stats.budget_exceeded += 1
-                    unknown[0] = True
+                    self._overrun(ctx)
                     findings.append(Finding(
                         "unknown", None, ((pc, "br", False),),
                         self._path_str(s), self._config_str(), None))
@@ -496,8 +494,7 @@ class Engine:
                 continue
 
             event, obs, err = self._exec_data_inst(
-                inst, box.regs, box.mem, s.path_cond, speculative=True,
-                diagnostics=diagnostics, unknown=unknown, pc=box.pc)
+                inst, box.regs, box.mem, s.path_cond, True, box.pc, ctx)
             self._emit(s, event, obs, ctx)
             if err is not None:
                 break
@@ -512,12 +509,11 @@ class Engine:
 
     def _exec_data_inst(self, inst: Instruction, regs: Dict[str, ex.Expr],
                         mem: Dict[int, ex.Expr], path_cond: List[ex.Expr],
-                        speculative: bool, diagnostics: List[str],
-                        unknown: List[bool], pc: Optional[int] = None):
+                        speculative: bool, pc: int, ctx):
         """Execute const/sym/addrof/binop/load/store against the given
         register file and memory.  Returns (event, cache_obs, error)."""
+        stats, findings, seen, diagnostics, unknown, baseline = ctx
         op = inst.opcode
-        assert pc is not None
         obs: Optional[CacheObservation] = None
 
         if op == "const":
@@ -561,10 +557,10 @@ class Engine:
             rd, addr_op = inst.operands
             addr = ex.coerce(self._operand_value(addr_op, regs), 32)
             value, info = self._do_load(addr, inst.width, mem, path_cond,
-                                        diagnostics, unknown, pc, speculative)
+                                        pc, speculative, ctx)
             regs[rd.name] = value
             taint = addr.taint.join(value.taint)
-            obs = self._cache_route(addr, info, path_cond, unknown)
+            obs = self._cache_route(addr, info, path_cond, ctx)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
                           mem=info), obs, None)
 
@@ -574,15 +570,15 @@ class Engine:
             value = ex.coerce(self._operand_value(val_op, regs), inst.width)
             info = self._do_store(addr, value, inst.width, mem, diagnostics, pc)
             taint = addr.taint.join(value.taint)
-            obs = self._cache_route(addr, info, path_cond, unknown)
+            obs = self._cache_route(addr, info, path_cond, ctx)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
                           mem=info), obs, None)
 
         raise EngineError(f"unhandled opcode {op!r}")
 
     def _do_load(self, addr: ex.Expr, width: int, mem: Dict[int, ex.Expr],
-                 path_cond, diagnostics, unknown, pc: int,
-                 speculative: bool = False):
+                 path_cond, pc: int, speculative: bool, ctx):
+        stats, findings, seen, diagnostics, unknown, baseline = ctx
         if isinstance(addr, ex.Const):
             base = addr.value
             if self.program.region_at(base) is None:
@@ -605,7 +601,7 @@ class Engine:
             return value, info
         # symbolic address: freeze the memory snapshot it reads from
         version = self._freeze(mem, speculative)
-        secret = self._may_touch_secret(addr, path_cond, unknown)
+        secret = self._may_touch_secret(addr, path_cond, ctx)
         value = ex.mk_memread(version, addr, width, secret)
         return value, MemoryInfo(addr, None, None, write=False)
 
@@ -627,7 +623,7 @@ class Engine:
         line = base // self.cache_cfg.line_size
         return MemoryInfo(addr, base, line, write=True)
 
-    def _may_touch_secret(self, addr: ex.Expr, path_cond, unknown) -> bool:
+    def _may_touch_secret(self, addr: ex.Expr, path_cond, ctx) -> bool:
         """May-analysis lift of the load taint rule: a symbolic address is
         secret-reaching if some model consistent with the path condition
         lands it in a secret region."""
@@ -643,7 +639,7 @@ class Engine:
                     tuple(path_cond) + (lo, hi), self.bit_budget,
                     self.snapshots))
             except solver.BudgetExceeded:
-                unknown[0] = True
+                self._overrun(ctx)
                 return True  # conservative
             if m is not None:
                 return True
@@ -669,6 +665,8 @@ class Engine:
             return cached
         init: Dict[int, ex.Expr] = {}
         for region in self.program.regions:
+            if region.init is None and not region.secret:
+                continue  # uninitialised public bytes read as zero
             for i in range(region.size):
                 if region.init is not None and i < len(region.init):
                     init[region.base + i] = ex.const(region.init[i], 8)
@@ -685,14 +683,14 @@ class Engine:
     # --------------------------------------------------------------- events
 
     def _cache_route(self, addr: ex.Expr, info: MemoryInfo, path_cond,
-                     unknown) -> CacheObservation:
+                     ctx) -> CacheObservation:
         hit = None
         leak: Optional[LeakResult] = None
         if addr.taint.secret and self._needs_cache_check:
             leak = cache_mod.leak_check(addr, path_cond, self.snapshots,
                                         self.cache_cfg, self.bit_budget)
             if leak.status == "unknown":
-                unknown[0] = True
+                self._overrun(ctx)
         return CacheObservation(leak=leak, hit=hit)
 
     def _emit(self, s: ExecState, event: Event,
@@ -725,8 +723,7 @@ class Engine:
                 witness = solver.is_sat(solver.Query(
                     tuple(s.path_cond), self.bit_budget, self.snapshots))
             except solver.BudgetExceeded:
-                stats.budget_exceeded += 1
-                unknown[0] = True
+                self._overrun(ctx)
                 kind = "unknown"
         findings.append(Finding(kind, match.pattern, match.chain,
                                 self._path_str(s), self._config_str(),
@@ -735,6 +732,14 @@ class Engine:
                                 constraints=tuple(s.path_cond)))
 
     # -------------------------------------------------------------- helpers
+
+    @staticmethod
+    def _overrun(ctx) -> None:
+        """A solver query exceeded the bit budget: count it, and the
+        verdict can no longer be leakage-free."""
+        stats, findings, seen, diagnostics, unknown, baseline = ctx
+        stats.budget_exceeded += 1
+        unknown[0] = True
 
     def _operand_value(self, operand, regs: Dict[str, ex.Expr]) -> ex.Expr:
         if isinstance(operand, Imm):

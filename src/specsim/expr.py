@@ -10,7 +10,7 @@ oracle in :mod:`specsim.solver`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Tuple
 
 
 class ExprError(Exception):
@@ -298,9 +298,11 @@ def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> in
     raise ExprError(f"cannot evaluate {e!r}")
 
 
-def syntactic_syms(exprs: Iterable[Expr]) -> dict:
-    """Collect the Sym nodes appearing syntactically in `exprs`, by name."""
+def references(exprs: Iterable[Expr]) -> Tuple[dict, set]:
+    """The Sym nodes appearing syntactically in `exprs`, by name, and the
+    snapshot versions their MemRead nodes read."""
     out: dict = {}
+    versions: set = set()
     stack = list(exprs)
     while stack:
         e = stack.pop()
@@ -313,8 +315,14 @@ def syntactic_syms(exprs: Iterable[Expr]) -> dict:
         elif isinstance(e, Ite):
             stack.extend((e.cond, e.a, e.b))
         elif isinstance(e, MemRead):
+            versions.add(e.version)
             stack.append(e.addr)
-    return out
+    return out, versions
+
+
+def syntactic_syms(exprs: Iterable[Expr]) -> dict:
+    """Collect the Sym nodes appearing syntactically in `exprs`, by name."""
+    return references(exprs)[0]
 
 
 def to_str(e: Expr) -> str:

@@ -5,18 +5,24 @@ referenced only through memory snapshots (a symbolic load can touch
 secret bytes that do not appear syntactically in the query) are
 discovered on demand: evaluation under a probing model records every
 symbol it reads, and enumeration restarts with the enlarged set until a
-fixpoint is reached.  The per-stage bit total is checked against the
-budget; exceeding it raises, it is never truncated silently.
+fixpoint is reached.
+
+Each query is first split into independent slices (constraint
+independence, as in KLEE): groups of constraints that share no symbol,
+counting every symbol a `MemRead` can reach through its snapshot's bytes.
+Slices are enumerated one at a time, so k unrelated 8-bit checks cost
+k * 2^8 probes rather than 2^(8k).  The bit budget applies to each slice
+and each enumeration stage within it; exceeding it raises, it is never
+truncated silently.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .expr import (Expr, Model, Snapshots, Sym, evaluate, mask,
-                   syntactic_syms)
+from .expr import Expr, Model, Snapshots, Sym, evaluate, mask, references
 
 
 class BudgetExceeded(Exception):
@@ -60,37 +66,162 @@ def _truthy(exprs: Sequence[Expr], model: Model, snapshots: Snapshots) -> bool:
     return all(evaluate(e, model, snapshots) != 0 for e in exprs)
 
 
-def is_sat(q: Query) -> Optional[Model]:
-    """Return the first satisfying Model in enumeration order, or None.
+def _reach(versions: Set[int], snapshots: Snapshots,
+           memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]]) -> Set[str]:
+    """Every symbol name in the bytes of these snapshot versions, following
+    MemReads nested in those bytes to the versions they read.  `memo`
+    caches each version's own references."""
+    names: Set[str] = set()
+    todo, done = list(versions), set()
+    while todo:
+        v = todo.pop()
+        if v in done:
+            continue
+        done.add(v)
+        if v not in memo:
+            memo[v] = references(snapshots.get(v, {}).values())
+        v_syms, inner = memo[v]
+        names.update(v_syms)
+        todo.extend(inner)
+    return names
 
-    A returned witness assigns every symbol its evaluation touched;
-    symbols discovered mid-enumeration default to 0 in the witness.
-    """
-    syms = syntactic_syms(q.constraints)
+
+def _group(keys: Sequence[Set[str]]) -> List[List[int]]:
+    """Connected components of indices whose key sets share a name,
+    ordered by their first index."""
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: Dict[str, int] = {}
+    for i, names in enumerate(keys):
+        for n in names:
+            a, b = find(i), find(owner.setdefault(n, i))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups: Dict[int, List[int]] = {}
+    for i in range(len(keys)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _slices(exprs: Sequence[Expr], snapshots: Snapshots
+            ) -> List[Tuple[List[int], Dict[str, Sym]]]:
+    """Split `exprs` into independent slices: (indices, syntactic symbols).
+
+    Snapshot reach only ever merges syntactic groups, so it is computed
+    only when there is more than one of them to merge."""
+    refs = [references((e,)) for e in exprs]
+    groups = _group([set(syms) for syms, _ in refs])
+    if len(groups) > 1 and any(versions for _, versions in refs):
+        memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]] = {}
+        groups = _group([set(syms) | _reach(versions, snapshots, memo)
+                         for syms, versions in refs])
+    out = []
+    for members in groups:
+        syms: Dict[str, Sym] = {}
+        for i in members:
+            syms.update(refs[i][0])
+        out.append((members, syms))
+    return out
+
+
+def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
+           snapshots: Snapshots) -> Optional[Dict[str, int]]:
+    """First satisfying assignment of one slice in enumeration order, or
+    None.  It assigns every symbol its evaluation touched; symbols
+    discovered mid-enumeration default to 0."""
     while True:
         seen: Dict[str, Sym] = {}
-        for assignment in _assignments(syms, q.bit_budget):
+        for assignment in _assignments(syms, budget):
             probe = _ProbeModel(assignment, seen)
-            if _truthy(q.constraints, probe, q.snapshots):
+            if _truthy(exprs, probe, snapshots):
                 full = dict(assignment)
                 for name in seen:
                     full.setdefault(name, 0)
-                return Model(full)
+                return full
         if set(seen) - set(syms):
             syms = {**syms, **seen}
             continue
         return None
 
 
+def _solve_all(exprs: Sequence[Expr], slices, budget: int,
+               snapshots: Snapshots) -> Optional[Dict[str, int]]:
+    """Union of the slices' witnesses, or None if any slice is unsat.
+
+    An unsat slice decides the query even when another slice overran the
+    budget; the overrun is raised only if every other slice is sat."""
+    witness: Dict[str, int] = {}
+    overrun: Optional[BudgetExceeded] = None
+    for members, syms in slices:
+        try:
+            part = _solve([exprs[i] for i in members], syms, budget, snapshots)
+        except BudgetExceeded as e:
+            overrun = overrun or e
+            continue
+        if part is None:
+            return None
+        witness.update(part)
+    if overrun is not None:
+        raise overrun
+    return witness
+
+
+def is_sat(q: Query) -> Optional[Model]:
+    """Return the first satisfying Model in enumeration order, or None.
+
+    The witness is the union of each slice's first witness.  Independent
+    slices form a product space, so while no slice has to enumerate
+    symbols found behind a MemRead, this is the query's lexicographically
+    first witness.  A returned witness assigns every symbol its
+    evaluation touched; symbols discovered mid-enumeration default to 0.
+    """
+    witness = _solve_all(q.constraints, _slices(q.constraints, q.snapshots),
+                         q.bit_budget, q.snapshots)
+    return None if witness is None else Model(witness)
+
+
 def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     """Find two models satisfying `q` that agree on all non-secret symbols,
     differ in secret assignments, and give distinct values of `observable`.
 
-    Returns None when no such pair exists, i.e. the observable reveals
-    nothing about the secrets within the enumerated space.
+    Only the slice holding the observable is searched for the pair; every
+    other slice must still be satisfiable, and its witness is shared by
+    both models.  Returns None when no such pair exists, i.e. the
+    observable reveals nothing about the secrets within the enumerated
+    space.
     """
     exprs = list(q.constraints) + [observable]
-    known = syntactic_syms(exprs)
+    slices = _slices(exprs, q.snapshots)
+    obs_index = len(exprs) - 1
+    (members, syms), = [sl for sl in slices if sl[0][-1] == obs_index]
+    others = [sl for sl in slices if sl[0][-1] != obs_index]
+    overrun: Optional[BudgetExceeded] = None
+    try:
+        shared = _solve_all(exprs, others, q.bit_budget, q.snapshots)
+    except BudgetExceeded as e:
+        shared, overrun = {}, e
+    if shared is None:
+        return None
+    own = Query(tuple(exprs[i] for i in members[:-1]), q.bit_budget,
+                q.snapshots)
+    pair = _slice_leak_pair(own, observable, syms)
+    if pair is None:
+        return None
+    if overrun is not None:
+        raise overrun
+    m1, m2 = pair
+    return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
+
+
+def _slice_leak_pair(q: Query, observable: Expr, known: Dict[str, Sym]
+                     ) -> Optional[Tuple[Model, Model]]:
+    """find_leak_pair within one slice whose syntactic symbols are `known`."""
     public = {n: s for n, s in known.items() if not s.taint.secret}
     secret = {n: s for n, s in known.items() if s.taint.secret}
 

@@ -213,3 +213,70 @@ class TestDeterminism:
             s = states[0]
             states = e.step(s)
         assert s.regs["r3"].value == 5
+
+
+# v01's gadget without its bounds check: the first load's address is
+# public, the second one's is secret
+_UNGUARDED = """region array1 16 init=000102030405060708090a0b0c0d0e0f
+region secret 64 secret
+region array2 16384
+  sym.8 rx, x
+  addrof ra1, array1
+  add ra, ra1, rx
+  load.8 rv, ra
+  const r64, 64
+  mul rm, rv, r64
+  addrof ra2, array2
+  add rb, ra2, rm
+  load.8 rw, rb
+  halt
+"""
+
+
+class TestBudgetAccounting:
+    def test_may_touch_and_leak_check_overruns_are_counted(self):
+        pattern = load_pattern_fixture("br-ld-ld.json")
+        r = build(_UNGUARDED, patterns=[pattern], bit_budget=4).run()
+        # no branch and no match: one may-touch query at the first load and
+        # one leak check at the second, each over 8 bits
+        assert r.unknown and r.verdict == "unknown"
+        assert r.stats.budget_exceeded == 2
+        r = build(_UNGUARDED, patterns=[pattern]).run()
+        assert not r.unknown and r.stats.budget_exceeded == 0
+
+
+def chained_v01(bounds):
+    """len(bounds) v01 gadgets in a row, each on its own 8-bit public
+    symbol.  Returns the SIR text and the pcs of the transmitting loads."""
+    lines = ["region array1 16 init=000102030405060708090a0b0c0d0e0f",
+             "region secret 64 secret",
+             "region array2 16384"]
+    sites, pc = [], 0
+    for j, bound in enumerate(bounds):
+        head = [f"sym.8 rx, x{j}", "addrof ra1, array1", f"const rsz, {bound}",
+                "lt rc, rx, rsz", f"br rc, body{j}, end{j}"]
+        body = ["add ra, ra1, rx", "load.8 rv, ra", "const r64, 64",
+                "mul rm, rv, r64", "addrof ra2, array2", "add rb, ra2, rm",
+                "load.8 rw, rb"]
+        lines += [f"  {i}" for i in head] + [f"body{j}:"]
+        lines += [f"  {i}" for i in body] + [f"end{j}:"]
+        pc += len(head) + len(body)
+        sites.append(pc - 1)
+    lines.append("  halt")
+    return "\n".join(lines) + "\n", sites
+
+
+class TestChainedChecks:
+    def test_three_chained_checks_report_every_gadget(self):
+        # three independent 8-bit checks: 24 bits in all, but each solver
+        # query splits into slices of at most 8 bits plus secret bytes
+        text, sites = chained_v01([5, 16, 9])
+        patterns = [load_pattern_fixture(n) for n in
+                    ("br-ld-ld.json", "icall-ld-ld.json", "ld-br-ld.json")]
+        r = build(text, predictor_cfg=PredictorConfig(pht_bits=2, window=16),
+                  patterns=patterns).run()
+        assert not r.unknown
+        assert r.stats.budget_exceeded == 0
+        leaks = {f.chain[-1][0] for f in r.findings if f.kind == "leak"}
+        assert leaks == set(sites)
+        assert r.verdict == "leak"

@@ -1,9 +1,12 @@
 """Enumeration-based satisfiability oracle and leak-pair search."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
-from specsim.expr import Model, coerce, const, evaluate, mk_binop, mk_memread, sym
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from specsim.expr import (MemRead, Model, Sym, coerce, const, evaluate,
+                          mk_binop, mk_memread, sym)
 from specsim.solver import BudgetExceeded, Query, find_leak_pair, is_sat
 
 
@@ -42,11 +45,54 @@ class TestIsSat:
         assert m.assignment == {"x": 3, "y": 1}
 
     def test_budget_enforced(self):
-        syms = [sym(f"s{i}", 8) for i in range(3)]
-        cons = tuple(eq(s, const(1, 8)) for s in syms)
+        # one connected slice of 24 bits: the budget counts all of them
+        s0, s1, s2 = (coerce(sym(f"s{i}", 8), 32) for i in range(3))
+        cons = (eq(mk_binop("add", mk_binop("add", s0, s1), s2),
+                   const(3, 32)),)
         with pytest.raises(BudgetExceeded):
             is_sat(Query(cons, bit_budget=20))
         assert is_sat(Query(cons, bit_budget=24)) is not None
+
+    def test_budget_applies_per_independent_slice(self):
+        syms = [sym(f"s{i}", 8) for i in range(3)]
+        cons = tuple(eq(s, const(1, 8)) for s in syms)
+        m = is_sat(Query(cons, bit_budget=20))
+        assert m is not None and m.assignment == {"s0": 1, "s1": 1, "s2": 1}
+
+    def test_unsat_slice_decides_despite_overrun_elsewhere(self):
+        x = sym("x", 8)
+        y, z = sym("y", 8), sym("z", 8)
+        wide = eq(mk_binop("add", y, z), const(7, 8))  # 16 bits > 12
+        q = Query((wide, eq(x, const(3, 8)), eq(x, const(4, 8))),
+                  bit_budget=12)
+        assert is_sat(q) is None
+        with pytest.raises(BudgetExceeded):
+            is_sat(Query((wide, eq(x, const(3, 8))), bit_budget=12))
+
+    def test_snapshot_byte_links_syntactically_independent_constraints(self):
+        # a and b share no symbol, but both reads can reach the byte n
+        a, b = sym("a", 2), sym("b", 2)
+        n = sym("n", 8)
+        snaps = {0: {0: n}, 1: {2: n}}
+        ra = mk_memread(0, coerce(a, 32), 8, secret=False)
+        rb = mk_memread(1, mk_binop("add", coerce(b, 32), const(2, 32)),
+                        8, secret=False)
+        # n cannot be both 3 and 5, and only a=0 / b=0 reach it
+        assert is_sat(Query((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
+                            snapshots=snaps)) is None
+        m = is_sat(Query((eq(ra, const(3, 8)), eq(rb, const(3, 8))),
+                         snapshots=snaps))
+        assert m is not None and m.assignment == {"a": 0, "b": 0, "n": 3}
+
+    def test_nested_snapshot_read_links_constraints(self):
+        # version 1 holds a read of version 0, whose byte is n
+        a, b = sym("a", 2), sym("b", 2)
+        n = sym("n", 8)
+        snaps = {0: {0: n}, 1: {0: mk_memread(0, const(0, 32), 8, False)}}
+        ra = mk_memread(0, coerce(a, 32), 8, secret=False)
+        rb = mk_memread(1, coerce(b, 32), 8, secret=False)
+        assert is_sat(Query((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
+                            snapshots=snaps)) is None
 
     def test_discovers_symbols_behind_memread(self):
         # The secret byte appears only inside a snapshot, not in the query.
@@ -125,6 +171,19 @@ class TestFindLeakPair:
         m1, m2 = pair
         assert evaluate(obs, m1, {0: snap}) != evaluate(obs, m2, {0: snap})
 
+    def test_other_slices_are_shared_by_both_models(self):
+        x, y = sym("x", 8), sym("y", 8)
+        k = sym("k", 8, secret=True)
+        q = Query((lt(coerce(y, 32), const(3, 32)),
+                   lt(const(5, 32), coerce(y, 32))))
+        assert find_leak_pair(q, coerce(k, 32)) is None  # y is unsat
+        q = Query((eq(y, const(7, 8)), eq(x, const(2, 8))))
+        m1, m2 = find_leak_pair(q, mk_binop("add", coerce(x, 32),
+                                            coerce(k, 32)))
+        assert m1.assignment["y"] == m2.assignment["y"] == 7
+        assert m1.assignment["x"] == m2.assignment["x"] == 2
+        assert m1.assignment["k"] != m2.assignment["k"]
+
     def test_inner_budget_is_remaining_bits(self):
         # 16 public bits leave only 4 of a 20-bit budget: an 8-bit secret
         # cannot be enumerated and must raise rather than silently pass.
@@ -134,3 +193,136 @@ class TestFindLeakPair:
                        coerce(k, 32))
         with pytest.raises(BudgetExceeded):
             find_leak_pair(Query((), bit_budget=20), obs)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against a brute-force reference that knows nothing of
+# slicing: it enumerates every symbol the query can reach, snapshot bytes
+# included, and evaluates every constraint under each full assignment.
+
+_POOL = [sym("a", 2), sym("b", 2), sym("c", 2), sym("k", 2, secret=True),
+         sym("j", 2, secret=True)]
+# symbols that only ever sit in snapshot bytes, never in a query
+_HIDDEN = [sym("m", 2), sym("n", 2, secret=True)]
+
+
+def _reachable(exprs, snapshots=None):
+    """Every Sym in `exprs` and, given `snapshots`, in any byte of a
+    snapshot they can read."""
+    out, stack, versions = {}, list(exprs), set()
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Sym):
+            out[e.name] = e
+        elif isinstance(e, MemRead):
+            stack.append(e.addr)
+            if snapshots is not None and e.version not in versions:
+                versions.add(e.version)
+                stack.extend(snapshots[e.version].values())
+        else:
+            stack.extend(getattr(e, f) for f in ("a", "b", "cond")
+                         if hasattr(e, f))
+    return out
+
+
+def _all_models(syms):
+    names = sorted(syms)
+    for values in itertools.product(*(range(1 << syms[n].width)
+                                      for n in names)):
+        yield dict(zip(names, values))
+
+
+def _holds(constraints, assignment, snapshots):
+    m = Model(assignment)
+    return all(evaluate(c, m, snapshots) != 0 for c in constraints)
+
+
+def _total(model, syms):
+    return {n: model.assignment.get(n, 0) for n in syms}
+
+
+@st.composite
+def _queries(draw):
+    leaf_syms = _POOL + _HIDDEN
+
+    def byte():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return const(draw(st.integers(0, 7)), 8)
+        return coerce(draw(st.sampled_from(leaf_syms)), 8)
+
+    snapshots = {0: {i: byte() for i in range(4)},
+                 1: {i: byte() for i in range(4)}}
+    if draw(st.booleans()):  # a byte of version 1 reads version 0
+        addr = coerce(draw(st.sampled_from(_POOL)), 32)
+        snapshots[1][draw(st.integers(0, 3))] = mk_memread(0, addr, 8, False)
+
+    def term():
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return const(draw(st.integers(0, 7)), 8)
+        if kind == 1:
+            return coerce(draw(st.sampled_from(_POOL)), 8)
+        addr = mk_binop("add", coerce(draw(st.sampled_from(_POOL)), 32),
+                        const(draw(st.integers(0, 2)), 32))
+        read = mk_memread(draw(st.integers(0, 1)), addr, 8, secret=False)
+        if kind == 2:
+            return read
+        return mk_binop("add", read, coerce(draw(st.sampled_from(_POOL)), 8))
+
+    constraints = tuple(
+        mk_binop(draw(st.sampled_from(("lt", "le", "eq", "ne"))), term(), term())
+        for _ in range(draw(st.integers(1, 4))))
+    observable = coerce(term(), 32)
+    return constraints, snapshots, observable
+
+
+class TestDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(_queries())
+    def test_is_sat_matches_unsliced_reference(self, case):
+        constraints, snapshots, _obs = case
+        syms = _reachable(constraints, snapshots)
+        ref = next((a for a in _all_models(syms)
+                    if _holds(constraints, a, snapshots)), None)
+        m = is_sat(Query(constraints, snapshots=snapshots))
+        assert (m is None) == (ref is None)
+        if m is None:
+            return
+        assert set(m.assignment) <= set(syms)
+        # strict Model: the witness binds every symbol evaluation reads
+        assert all(evaluate(c, m, snapshots) != 0 for c in constraints)
+        # symbols reachable only through snapshot bytes are found on demand
+        # and held at 0 until an enumeration stage fails, so the witness is
+        # the reference's whenever that one holds them all at 0
+        hidden = [n for n in syms if n not in _reachable(constraints)]
+        if all(ref[n] == 0 for n in hidden):
+            assert _total(m, syms) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_queries())
+    def test_find_leak_pair_matches_unsliced_reference(self, case):
+        constraints, snapshots, obs = case
+        syms = _reachable(constraints + (obs,), snapshots)
+        public = [n for n, s in syms.items() if not s.taint.secret]
+        seen = {}
+        leaks = False
+        for a in _all_models(syms):
+            if not _holds(constraints, a, snapshots):
+                continue
+            key = tuple(a[n] for n in public)
+            value = evaluate(obs, Model(a), snapshots)
+            first = seen.setdefault(key, value)
+            if first != value:
+                leaks = True
+                break
+        pair = find_leak_pair(Query(constraints, snapshots=snapshots), obs)
+        assert (pair is not None) == leaks
+        if pair is None:
+            return
+        t1, t2 = (_total(m, syms) for m in pair)
+        assert _holds(constraints, t1, snapshots)
+        assert _holds(constraints, t2, snapshots)
+        assert all(t1[n] == t2[n] for n in public)
+        assert (evaluate(obs, Model(t1), snapshots)
+                != evaluate(obs, Model(t2), snapshots))
