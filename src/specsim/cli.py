@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import sir
 from .cache import CacheConfig
-from .engine import Engine, RunResult
+from .engine import Engine, EngineError, RunResult
 from .monitor import PatternError, load_pattern_file
 from .predictor import PRESETS, PredictorConfig
 
@@ -165,10 +165,14 @@ def run(argv: Optional[List[str]] = None) -> int:
                       bit_budget=args.bit_budget, step_limit=args.step_limit)
 
     results = {}
-    if args.mode in ("prediction-aware", "both"):
-        results["prediction-aware"] = make_engine().run()
-    if args.mode in ("baseline", "both"):
-        results["baseline"] = make_engine().run(baseline=True)
+    try:
+        if args.mode in ("prediction-aware", "both"):
+            results["prediction-aware"] = make_engine().run()
+        if args.mode in ("baseline", "both"):
+            results["baseline"] = make_engine().run(baseline=True)
+    except EngineError as e:  # a malformed program, e.g. an unset register
+        print(f"error: {args.program}: {e}", file=sys.stderr)
+        return EXIT_USAGE
     primary = results.get("prediction-aware") or results["baseline"]
 
     for mode, result in results.items():

@@ -212,6 +212,9 @@ class Engine:
         self._next_version = 0
         self._next_spec_version = -1
         self._symbols: Dict[str, ex.Sym] = {}
+        # slice results of every solver query this engine makes; valid for
+        # its lifetime, as a snapshot version is never reused or changed
+        self._solver_memo: dict = {}
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
 
         if any(r.base is None for r in program.regions):
@@ -339,7 +342,7 @@ class Engine:
                 try:
                     m = solver.is_sat(solver.Query(
                         tuple(s.path_cond) + (c,), self.bit_budget,
-                        self.snapshots))
+                        self.snapshots, self._solver_memo))
                 except solver.BudgetExceeded:
                     self._overrun(ctx)
                     findings.append(Finding(
@@ -398,6 +401,9 @@ class Engine:
             return "end"
         actual = target.value
         if actual >= len(self.program.instructions):
+            findings.append(Finding(
+                "error", None, ((pc, "icall", False),), self._path_str(s),
+                self._config_str(), None))
             diagnostics.append(f"pc {pc}: icall target {actual} out of range")
             return "end"
         self._emit(s, Event("icall", pc, False, False,
@@ -627,6 +633,7 @@ class Engine:
         """May-analysis lift of the load taint rule: a symbolic address is
         secret-reaching if some model consistent with the path condition
         lands it in a secret region."""
+        stats, findings, seen, diagnostics, unknown, baseline = ctx
         if addr.taint.secret:
             return True
         for region in self.program.regions:
@@ -634,10 +641,11 @@ class Engine:
                 continue
             lo = ex.mk_binop("le", ex.const(region.base, 32), addr)
             hi = ex.mk_binop("lt", addr, ex.const(region.end, 32))
+            stats.solver_queries += 1
             try:
                 m = solver.is_sat(solver.Query(
                     tuple(path_cond) + (lo, hi), self.bit_budget,
-                    self.snapshots))
+                    self.snapshots, self._solver_memo))
             except solver.BudgetExceeded:
                 self._overrun(ctx)
                 return True  # conservative
@@ -684,11 +692,14 @@ class Engine:
 
     def _cache_route(self, addr: ex.Expr, info: MemoryInfo, path_cond,
                      ctx) -> CacheObservation:
+        stats, findings, seen, diagnostics, unknown, baseline = ctx
         hit = None
         leak: Optional[LeakResult] = None
         if addr.taint.secret and self._needs_cache_check:
+            stats.solver_queries += 1  # one leak-pair search
             leak = cache_mod.leak_check(addr, path_cond, self.snapshots,
-                                        self.cache_cfg, self.bit_budget)
+                                        self.cache_cfg, self.bit_budget,
+                                        self._solver_memo)
             if leak.status == "unknown":
                 self._overrun(ctx)
         return CacheObservation(leak=leak, hit=hit)
@@ -721,7 +732,8 @@ class Engine:
             stats.solver_queries += 1
             try:
                 witness = solver.is_sat(solver.Query(
-                    tuple(s.path_cond), self.bit_budget, self.snapshots))
+                    tuple(s.path_cond), self.bit_budget, self.snapshots,
+                    self._solver_memo))
             except solver.BudgetExceeded:
                 self._overrun(ctx)
                 kind = "unknown"

@@ -14,6 +14,21 @@ Slices are enumerated one at a time, so k unrelated 8-bit checks cost
 k * 2^8 probes rather than 2^(8k).  The bit budget applies to each slice
 and each enumeration stage within it; exceeding it raises, it is never
 truncated silently.
+
+Two steps run in front of a slice's enumeration:
+
+- Interval refutation.  Every node gets unsigned bounds [lo, hi] at its
+  width; a symbol compared with a constant (directly, through `zext`, or
+  inside the engine's `ne/eq(cmp, 0)` branch constraints) is narrowed
+  first.  If a range empties or some constraint's bounds are exactly {0},
+  the slice is unsat without a single probe.  Refutation only ever
+  answers unsat and runs before the budget check, so a refuted slice
+  never overruns the budget.
+- A slice memo.  A `Query` may carry a dict (`memo`) that maps a slice's
+  constraints and bit budget to its witness, None, or its budget overrun.
+  The engine keeps one per instance: its snapshot versions are never
+  reused or changed, so a slice always has the same answer.  A stored
+  overrun is raised again on every hit.
 """
 
 from __future__ import annotations
@@ -22,7 +37,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .expr import Expr, Model, Snapshots, Sym, evaluate, mask, references
+from .expr import (CMP_OPS, BinOp, Const, Expr, Model, Snapshots, Sym, UnOp,
+                   evaluate, mask, references)
 
 
 class BudgetExceeded(Exception):
@@ -34,6 +50,9 @@ class Query:
     constraints: Tuple[Expr, ...]
     bit_budget: int = 20
     snapshots: Snapshots = field(default_factory=dict)
+    # slice results shared by queries over the same snapshots; see the
+    # module docstring
+    memo: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 class _ProbeModel(Model):
@@ -130,11 +149,136 @@ def _slices(exprs: Sequence[Expr], snapshots: Snapshots
     return out
 
 
+_Bounds = Tuple[int, int]
+
+# the comparison that holds when a comparison fails, with the same operands
+_NEGATION = {"lt": "ge", "le": "gt", "eq": "ne", "ne": "eq"}
+# the comparison that holds with its operands swapped
+_CONVERSE = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq",
+             "ne": "ne"}
+
+
+def _fact(c: Expr) -> Optional[Tuple[Sym, str, int]]:
+    """(symbol, op, constant) such that `c != 0` implies `symbol op
+    constant`, or None.  Reads a comparison of a symbol, or its zext, with
+    a constant, also under the engine's `ne/eq(cmp, 0)` branch wrapper."""
+    if not isinstance(c, BinOp) or c.op not in CMP_OPS:
+        return None
+    op, a, b = c.op, c.a, c.b
+    if (op in ("eq", "ne") and isinstance(b, Const) and b.value == 0
+            and isinstance(a, BinOp) and a.op in CMP_OPS):
+        op = a.op if op == "ne" else _NEGATION[a.op]
+        a, b = a.a, a.b
+    if isinstance(a, Const):
+        a, b, op = b, a, _CONVERSE[op]
+    while isinstance(a, UnOp) and a.op == "zext":
+        a = a.a
+    if isinstance(a, Sym) and isinstance(b, Const):
+        return a, op, b.value
+    return None
+
+
+def _narrow(lo: int, hi: int, op: str, k: int) -> _Bounds:
+    if op == "lt":
+        return lo, min(hi, k - 1)
+    if op == "le":
+        return lo, min(hi, k)
+    if op == "gt":
+        return max(lo, k + 1), hi
+    if op == "ge":
+        return max(lo, k), hi
+    if op == "eq":
+        return max(lo, k), min(hi, k)
+    return lo + (lo == k), hi - (hi == k)  # ne can only cut an endpoint
+
+
+def _compare(op: str, a: _Bounds, b: _Bounds) -> _Bounds:
+    (alo, ahi), (blo, bhi) = a, b
+    if op == "lt":
+        true, false = ahi < blo, alo >= bhi
+    elif op == "le":
+        true, false = ahi <= blo, alo > bhi
+    else:
+        same, apart = alo == ahi == blo == bhi, ahi < blo or bhi < alo
+        true, false = (same, apart) if op == "eq" else (apart, same)
+    return (1, 1) if true else (0, 0) if false else (0, 1)
+
+
+def _binop_bounds(op: str, a: _Bounds, b: _Bounds, width: int) -> _Bounds:
+    """_Bounds of `a op b` at `width`: the full range when it may wrap or
+    has no rule here."""
+    if op in CMP_OPS:
+        return _compare(op, a, b)
+    (alo, ahi), (blo, bhi) = a, b
+    full = (0, mask(width))
+    if op == "add":
+        lo, hi = alo + blo, ahi + bhi
+    elif op == "sub":
+        lo, hi = alo - bhi, ahi - blo
+    elif op == "mul":
+        lo, hi = alo * blo, ahi * bhi
+    elif op == "and":
+        lo, hi = 0, min(ahi, bhi)
+    elif op in ("or", "xor"):
+        lo, hi = 0, mask(max(ahi, bhi).bit_length())
+    elif op == "shl" and blo == bhi:
+        lo, hi = alo << (blo % width), ahi << (blo % width)
+    elif op == "lshr" and blo == bhi:
+        lo, hi = alo >> (blo % width), ahi >> (blo % width)
+    else:
+        return full
+    return (lo, hi) if 0 <= lo and hi <= full[1] else full
+
+
+def _bounds(e: Expr, env: Mapping[Sym, _Bounds], seen: Dict[int, _Bounds]
+            ) -> _Bounds:
+    """Unsigned bounds of `e` at its width, given narrowed symbols `env`.
+    A MemRead may read anything at its width from any snapshot; `seen`
+    caches shared subtrees by identity."""
+    if isinstance(e, Const):
+        return e.value, e.value
+    if isinstance(e, Sym):
+        return env.get(e, (0, mask(e.width)))
+    r = seen.get(id(e))
+    if r is not None:
+        return r
+    r = (0, mask(e.width))
+    if isinstance(e, UnOp) and e.op in ("zext", "trunc"):
+        inner = _bounds(e.a, env, seen)
+        if inner[1] <= r[1]:
+            r = inner
+    elif isinstance(e, BinOp):
+        r = _binop_bounds(e.op, _bounds(e.a, env, seen),
+                          _bounds(e.b, env, seen), e.a.width)
+    seen[id(e)] = r
+    return r
+
+
+def _refuted(exprs: Sequence[Expr]) -> bool:
+    """True if interval bounds show that no assignment satisfies every
+    constraint.  Sound but incomplete: False decides nothing."""
+    env: Dict[Sym, _Bounds] = {}
+    for c in exprs:
+        fact = _fact(c)
+        if fact is None:
+            continue
+        s, op, k = fact
+        lo, hi = _narrow(*env.get(s, (0, mask(s.width))), op, k)
+        if lo > hi:
+            return True
+        env[s] = (lo, hi)
+    seen: Dict[int, _Bounds] = {}
+    return any(_bounds(c, env, seen) == (0, 0) for c in exprs)
+
+
 def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
            snapshots: Snapshots) -> Optional[Dict[str, int]]:
     """First satisfying assignment of one slice in enumeration order, or
     None.  It assigns every symbol its evaluation touched; symbols
-    discovered mid-enumeration default to 0."""
+    discovered mid-enumeration default to 0.  A slice that interval
+    bounds refute is unsat before the budget is checked."""
+    if _refuted(exprs):
+        return None
     while True:
         seen: Dict[str, Sym] = {}
         for assignment in _assignments(syms, budget):
@@ -150,8 +294,34 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
         return None
 
 
+_MISS = object()
+
+
+def _solve_memo(exprs: Tuple[Expr, ...], syms: Dict[str, Sym], budget: int,
+                snapshots: Snapshots, memo: Optional[dict]
+                ) -> Optional[Dict[str, int]]:
+    """_solve through `memo`.  The stored witness is shared by every hit,
+    so callers must copy it, never change it."""
+    if memo is None:
+        return _solve(exprs, syms, budget, snapshots)
+    key = (exprs, budget)
+    hit = memo.get(key, _MISS)
+    if isinstance(hit, BudgetExceeded):
+        raise BudgetExceeded(*hit.args)
+    if hit is not _MISS:
+        return hit
+    try:
+        result = _solve(exprs, syms, budget, snapshots)
+    except BudgetExceeded as e:
+        memo[key] = BudgetExceeded(*e.args)  # no traceback keeps frames alive
+        raise
+    memo[key] = result
+    return result
+
+
 def _solve_all(exprs: Sequence[Expr], slices, budget: int,
-               snapshots: Snapshots) -> Optional[Dict[str, int]]:
+               snapshots: Snapshots, memo: Optional[dict] = None
+               ) -> Optional[Dict[str, int]]:
     """Union of the slices' witnesses, or None if any slice is unsat.
 
     An unsat slice decides the query even when another slice overran the
@@ -160,7 +330,8 @@ def _solve_all(exprs: Sequence[Expr], slices, budget: int,
     overrun: Optional[BudgetExceeded] = None
     for members, syms in slices:
         try:
-            part = _solve([exprs[i] for i in members], syms, budget, snapshots)
+            part = _solve_memo(tuple(exprs[i] for i in members), syms, budget,
+                               snapshots, memo)
         except BudgetExceeded as e:
             overrun = overrun or e
             continue
@@ -182,7 +353,7 @@ def is_sat(q: Query) -> Optional[Model]:
     evaluation touched; symbols discovered mid-enumeration default to 0.
     """
     witness = _solve_all(q.constraints, _slices(q.constraints, q.snapshots),
-                         q.bit_budget, q.snapshots)
+                         q.bit_budget, q.snapshots, q.memo)
     return None if witness is None else Model(witness)
 
 
@@ -203,7 +374,7 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     others = [sl for sl in slices if sl[0][-1] != obs_index]
     overrun: Optional[BudgetExceeded] = None
     try:
-        shared = _solve_all(exprs, others, q.bit_budget, q.snapshots)
+        shared = _solve_all(exprs, others, q.bit_budget, q.snapshots, q.memo)
     except BudgetExceeded as e:
         shared, overrun = {}, e
     if shared is None:

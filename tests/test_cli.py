@@ -46,6 +46,15 @@ class TestExitCodes:
     def test_bad_flag_value_is_three(self, capsys):
         assert run([V01, "--pht-bits", "99"]) == EXIT_USAGE
 
+    def test_malformed_program_is_three_without_traceback(self, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "unset.sir"
+        bad.write_text("  add r1, r1, r2\n  halt\n")  # parses, reads unset r1
+        assert run([str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unset register" in err
+        assert "Traceback" not in err
+
 
 class TestConfigMapping:
     def parse(self, *argv):

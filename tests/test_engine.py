@@ -4,7 +4,7 @@ sandboxing, taint-aware events, and the baseline mode."""
 import pytest
 
 from conftest import load_fixture, load_pattern_fixture
-from specsim import layout_regions, parse_program
+from specsim import cache, layout_regions, parse_program, solver
 from specsim.cache import CacheConfig
 from specsim.engine import Engine, EngineError
 from specsim.expr import Const
@@ -111,6 +111,14 @@ class TestControlFlow:
         e = build("  sym r1, t\n  icall r1\n  halt\n")
         r = e.run()
         assert any(f.kind == "error" for f in r.findings)
+        assert r.verdict == "unknown"
+
+    def test_icall_out_of_range_target_is_error(self):
+        e = build("  const r1, 99\n  icall r1\n  halt\n")
+        r = e.run()
+        assert [f.kind for f in r.findings] == ["error"]
+        assert r.findings[0].chain == ((1, "icall", False),)
+        assert any("out of range" in d for d in r.diagnostics)
         assert r.verdict == "unknown"
 
 
@@ -280,3 +288,48 @@ class TestChainedChecks:
         leaks = {f.chain[-1][0] for f in r.findings if f.kind == "leak"}
         assert leaks == set(sites)
         assert r.verdict == "leak"
+
+
+class TestSolverQueries:
+    def test_every_query_counts_memo_hits_included(self, monkeypatch):
+        # branch feasibility, may-touch, witness search and leak-pair
+        # searches all count, whether or not the slice memo answers them
+        calls = []
+        is_sat, find_leak_pair = solver.is_sat, cache.find_leak_pair
+        monkeypatch.setattr(solver, "is_sat",
+                            lambda q: calls.append("is_sat") or is_sat(q))
+        monkeypatch.setattr(cache, "find_leak_pair",
+                            lambda q, o: calls.append("pair")
+                            or find_leak_pair(q, o))
+        text, _sites = chained_v01([5, 16, 9])
+        patterns = [load_pattern_fixture(n) for n in
+                    ("br-ld-ld.json", "icall-ld-ld.json", "ld-br-ld.json")]
+        r = build(text, predictor_cfg=PredictorConfig(pht_bits=2, window=16),
+                  patterns=patterns).run()
+        assert "pair" in calls and len(calls) > 2 * 7  # 7 forking branches
+        assert r.stats.solver_queries == len(calls)
+
+
+class TestSolverMemo:
+    def _same_overrun_twice(self):
+        # two loads through one 8-bit symbolic address: the second
+        # may-touch query repeats the first slice, which overruns at 4 bits
+        return build("region pub 16\nregion sec 16 secret\n"
+                     "  sym.8 rx, x\n  addrof rp, pub\n  add ra, rp, rx\n"
+                     "  load.8 r1, ra\n  load.8 r2, ra\n  halt\n",
+                     bit_budget=4)
+
+    def test_memoised_overrun_counts_every_time(self, monkeypatch):
+        solves = []
+        solve = solver._solve
+        monkeypatch.setattr(solver, "_solve",
+                            lambda *a: solves.append(a) or solve(*a))
+        r = self._same_overrun_twice().run()
+        assert len(solves) == 1  # the second query is a memo hit
+        assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
+
+    def test_engines_do_not_share_a_memo(self):
+        a, b = self._same_overrun_twice(), self._same_overrun_twice()
+        a.run()
+        assert a._solver_memo and not b._solver_memo
+        assert b.run().stats.budget_exceeded == 2

@@ -5,9 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specsim import solver
 from specsim.expr import (MemRead, Model, Sym, coerce, const, evaluate,
-                          mk_binop, mk_memread, sym)
-from specsim.solver import BudgetExceeded, Query, find_leak_pair, is_sat
+                          mask, mk_binop, mk_memread, sym)
+from specsim.solver import (BudgetExceeded, Query, _binop_bounds, _bounds,
+                            _fact, _narrow, _refuted, find_leak_pair, is_sat)
 
 
 def lt(a, b):
@@ -326,3 +328,296 @@ class TestDifferential:
         assert all(t1[n] == t2[n] for n in public)
         assert (evaluate(obs, Model(t1), snapshots)
                 != evaluate(obs, Model(t2), snapshots))
+
+
+# ---------------------------------------------------------------------------
+# Interval refutation: sound, and strong enough for the engine's shapes.
+
+def zx(e):
+    return coerce(e, 32)
+
+
+def add(a, b):
+    return mk_binop("add", a, b)
+
+
+def taken(cond, direction=True):
+    """The engine's branch-direction constraint on a 32-bit condition."""
+    return mk_binop("ne" if direction else "eq", cond, const(0, 32))
+
+
+class TestRefutation:
+    def test_may_touch_after_bounds_check_is_refuted(self):
+        # x < 7 keeps array1 + x far below the secret region
+        x = sym("x", 8)
+        addr = add(const(4096, 32), zx(x))
+        cons = (taken(lt(zx(x), const(7, 32))),
+                mk_binop("le", const(4160, 32), addr),
+                lt(addr, const(4224, 32)))
+        assert _refuted(cons)
+        # refuted before the budget check: no overrun at 4 bits
+        assert is_sat(Query(cons, bit_budget=4)) is None
+
+    def test_out_of_bounds_secret_read_past_region_is_refuted(self):
+        # array2 + 64 * byte can never fall below array2's base
+        read = mk_memread(0, add(const(4096, 32), zx(sym("x", 8))), 8, True)
+        addr = add(const(4224, 32), mk_binop("mul", const(64, 32), zx(read)))
+        snaps = {0: {4096 + i: sym(f"s{i}", 8, secret=True)
+                     for i in range(64)}}
+        cons = (lt(addr, const(4224, 32)),)
+        assert _refuted(cons)
+        assert is_sat(Query(cons, bit_budget=4, snapshots=snaps)) is None
+
+    def test_negated_and_conflicting_branch_constraints(self):
+        x = sym("x", 8)
+        # not (x < 9) and x < 5
+        assert _refuted((taken(lt(zx(x), const(9, 32)), False),
+                         taken(lt(zx(x), const(5, 32)))))
+        # not (x == 3) and x == 3
+        assert _refuted((taken(eq(x, const(3, 8)), False), eq(x, const(3, 8))))
+        # x != 0 and x <= 0, constant on the left
+        assert _refuted((mk_binop("ne", x, const(0, 8)),
+                         mk_binop("le", x, const(0, 8))))
+        assert _refuted((lt(const(200, 32), zx(x)), lt(zx(x), const(201, 32))))
+
+    def test_satisfiable_and_wrapping_shapes_are_not_refuted(self):
+        x, y, z = sym("x", 8), sym("y", 8), sym("z", 8)
+        assert not _refuted((lt(zx(x), const(7, 32)),))
+        # y + z may wrap at width 8: no bounds, the slice must be enumerated
+        assert not _refuted((eq(add(y, z), const(7, 8)),))
+        assert not _refuted((lt(add(x, const(250, 8)), const(4, 8)),))
+        assert not _refuted((lt(mk_binop("mul", x, const(3, 8)),
+                                const(2, 8)),))
+
+
+_NPOOL = [sym("p", 3), sym("q", 3), sym("r", 2, secret=True)]
+_NHIDDEN = sym("h", 2)
+_NCONSTS = (0, 1, 2, 3, 5, 7, 8, 37, 64, 250, 253, 255, 256, 4096,
+            0xFFFFFFF0, 0xFFFFFFFF)
+_WIDTHS = st.sampled_from((8, 32))
+
+
+class _Draws:
+    """Pieces of a refutation case: constants near bounds and wrap points,
+    wrapping arithmetic, and 8- and 32-bit reads of one snapshot."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.snap = {i: coerce(draw(st.sampled_from(_NPOOL + [_NHIDDEN])), 8)
+                     if draw(st.booleans())
+                     else const(draw(st.integers(0, 255)), 8)
+                     for i in range(8)}
+
+    def num(self, width):
+        return const(self.draw(st.one_of(
+            st.integers(0, 9), st.sampled_from(_NCONSTS),
+            st.integers(0, mask(width)))), width)
+
+    def leaf(self, width):
+        kind = self.draw(st.integers(0, 2))
+        if kind == 0:
+            return self.num(width)
+        if kind == 1:
+            return coerce(self.draw(st.sampled_from(_NPOOL)), width)
+        addr = add(zx(self.draw(st.sampled_from(_NPOOL))),
+                   const(self.draw(st.integers(0, 2)), 32))
+        read = mk_memread(0, addr, self.draw(st.sampled_from((8, 32))), False)
+        return coerce(read, width)
+
+    def term(self, width, depth=2):
+        kind = 0 if depth == 0 else self.draw(st.integers(0, 3))
+        if kind == 0:
+            return self.leaf(width)
+        if kind == 1:  # zext or trunc of a term at the other width
+            return coerce(self.term(40 - width, depth - 1), width)
+        op = self.draw(st.sampled_from(("add", "sub", "mul", "and", "or",
+                                        "xor", "shl", "lshr")))
+        return mk_binop(op, self.term(width, depth - 1),
+                        self.term(width, depth - 1))
+
+    def compare(self, a, b):
+        """a and b compared in either order, maybe as a branch direction."""
+        op = self.draw(st.sampled_from(("lt", "le", "eq", "ne")))
+        c = mk_binop(op, *((a, b) if self.draw(st.booleans()) else (b, a)))
+        if self.draw(st.booleans()):
+            return taken(c, self.draw(st.booleans()))
+        return c
+
+    def range_of(self, s):
+        lo = self.draw(st.integers(0, mask(s.width)))
+        return lo, self.draw(st.integers(lo, mask(s.width)))
+
+    def held(self, s, lo, hi):
+        """Two constraints that hold s in [lo, hi], in the engine's forms."""
+        w = self.draw(_WIDTHS)
+        x, k = coerce(s, w), (lambda v: const(v, w))
+        lower = [mk_binop("le", k(lo), x), taken(lt(x, k(lo)), False),
+                 taken(mk_binop("le", k(lo), x))]
+        upper = [mk_binop("le", x, k(hi)), lt(x, k(hi + 1)),
+                 taken(lt(k(hi), x), False), taken(mk_binop("le", x, k(hi)))]
+        if lo > 0:
+            lower.append(lt(k(lo - 1), x))
+        return [self.draw(st.sampled_from(lower)),
+                self.draw(st.sampled_from(upper))]
+
+
+@st.composite
+def _terms(draw):
+    """(term, bounds of each pool symbol, snapshots)."""
+    d = _Draws(draw)
+    env = {s: d.range_of(s) for s in _NPOOL}
+    return d.term(draw(_WIDTHS)), env, {0: d.snap}
+
+
+@st.composite
+def _symbol_comparisons(draw):
+    """A pool symbol, maybe zero-extended once or twice, compared with a
+    constant."""
+    d = _Draws(draw)
+    x = draw(st.sampled_from(_NPOOL))
+    if draw(st.booleans()):
+        x = coerce(x, 8)
+    w = draw(_WIDTHS)
+    return d.compare(coerce(x, w), d.num(w))
+
+
+@st.composite
+def _refutable(draw):
+    """Symbols held in ranges, then comparisons of terms over them."""
+    d = _Draws(draw)
+    constraints = []
+    for s in _NPOOL:
+        if draw(st.booleans()):
+            constraints += d.held(s, *d.range_of(s))
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(_WIDTHS)
+        constraints.append(d.compare(d.term(w), d.num(w) if draw(st.booleans())
+                                     else d.term(w)))
+    return tuple(draw(st.permutations(constraints))), {0: d.snap}
+
+
+def _models_within(syms, env):
+    """Every assignment of `syms` that keeps each symbol in `env` in its
+    bounds."""
+    names = sorted(syms)
+    ranges = [range(env[syms[n]][0], env[syms[n]][1] + 1) if syms[n] in env
+              else range(1 << syms[n].width) for n in names]
+    for values in itertools.product(*ranges):
+        yield dict(zip(names, values))
+
+
+@st.composite
+def _operand_ranges(draw):
+    """(op, width, a, b): small ranges, often at a wrap point."""
+    width = draw(_WIDTHS)
+
+    def small_range():
+        lo = draw(st.one_of(st.integers(0, 16), st.sampled_from(_NCONSTS),
+                            st.integers(0, mask(width)))) & mask(width)
+        return lo, min(lo + draw(st.integers(0, 7)), mask(width))
+
+    op = draw(st.sampled_from(("add", "sub", "mul", "and", "or", "xor", "shl",
+                               "lshr", "lt", "le", "eq", "ne")))
+    return op, width, small_range(), small_range()
+
+
+class TestRefutationSoundness:
+    @settings(max_examples=500, deadline=None)
+    @given(_operand_ranges())
+    def test_operator_bounds_hold_every_value(self, case):
+        op, width, (alo, ahi), (blo, bhi) = case
+        lo, hi = _binop_bounds(op, (alo, ahi), (blo, bhi), width)
+        for x in range(alo, ahi + 1):
+            for y in range(blo, bhi + 1):
+                v = mk_binop(op, const(x, width), const(y, width)).value
+                assert lo <= v <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(_terms())
+    def test_bounds_hold_every_value(self, case):
+        term, env, snapshots = case
+        lo, hi = _bounds(term, env, {})
+        for a in _models_within(_reachable((term,), snapshots), env):
+            assert lo <= evaluate(term, Model(a), snapshots) <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(_symbol_comparisons())
+    def test_facts_hold_for_every_value(self, c):
+        fact = _fact(c)
+        if fact is None:
+            return
+        s, op, k = fact
+        lo, hi = _narrow(0, mask(s.width), op, k)
+        for v in range(1 << s.width):
+            if evaluate(c, Model({s.name: v})):
+                assert lo <= v <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(_refutable())
+    def test_refuted_queries_have_no_model(self, case):
+        constraints, snapshots = case
+        if not _refuted(constraints):
+            return
+        syms = _reachable(constraints, snapshots)
+        assert not any(_holds(constraints, a, snapshots)
+                       for a in _all_models(syms))
+
+
+# ---------------------------------------------------------------------------
+# The slice memo a Query may carry.
+
+class TestMemo:
+    def _counting(self, monkeypatch):
+        solves = []
+        solve = solver._solve
+        monkeypatch.setattr(solver, "_solve",
+                            lambda *a: solves.append(a) or solve(*a))
+        return solves
+
+    def test_memo_is_not_part_of_query_equality(self):
+        c = (lt(zx(sym("x", 8)), const(3, 32)),)
+        assert Query(c) == Query(c, memo={"anything": 1})
+
+    def test_repeated_query_returns_equal_model(self, monkeypatch):
+        solves = self._counting(monkeypatch)
+        x, y = sym("x", 8), sym("y", 8)
+        memo = {}
+        q = Query((lt(const(2, 32), zx(x)), lt(const(0, 32), zx(y))),
+                  memo=memo)
+        first = is_sat(q)
+        first.assignment["x"] = 99  # a caller's copy, not the stored witness
+        again = is_sat(q)
+        assert len(solves) == 2 and len(memo) == 2  # one solve per slice
+        assert again == Model({"x": 3, "y": 1}) == is_sat(Query(q.constraints))
+
+    def test_leak_pair_search_shares_the_memo(self, monkeypatch):
+        solves = self._counting(monkeypatch)
+        y, k = sym("y", 8), sym("k", 8, secret=True)
+        memo = {}
+        cons = (eq(y, const(7, 8)),)
+        assert is_sat(Query(cons, memo=memo)) == Model({"y": 7})
+        m1, m2 = find_leak_pair(Query(cons, memo=memo), zx(k))
+        assert len(solves) == 1
+        assert m1.assignment["y"] == m2.assignment["y"] == 7
+
+    def test_budget_is_part_of_the_key(self):
+        y, z = sym("y", 8), sym("z", 8)
+        memo = {}
+        cons = (eq(add(y, z), const(7, 8)),)
+        with pytest.raises(BudgetExceeded):
+            is_sat(Query(cons, bit_budget=12, memo=memo))
+        assert is_sat(Query(cons, bit_budget=16, memo=memo)) == Model(
+            {"y": 0, "z": 7})
+
+    def test_memoised_overrun_is_raised_again(self, monkeypatch):
+        solves = self._counting(monkeypatch)
+        y, z = sym("y", 8), sym("z", 8)
+        memo = {}
+        q = Query((eq(add(y, z), const(7, 8)),), bit_budget=12, memo=memo)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                is_sat(q)
+        assert len(solves) == 1
+        (stored,) = memo.values()
+        assert isinstance(stored, BudgetExceeded)
+        assert stored.__traceback__ is None
