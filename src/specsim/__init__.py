@@ -5,7 +5,7 @@ from .engine import (CacheObservation, Engine, Event, Finding, RunResult,
                      explore, explore_baseline)
 from .expr import Const, Expr, Model, Sym, Taint, const, evaluate, mk_binop, sym
 from .monitor import (MonitorInstance, MonitorSpec, PatternError,
-                      load_pattern, load_pattern_file, verdict)
+                      load_pattern, load_pattern_file)
 from .predictor import PRESETS, Btb, PredictorConfig, PredictorState, TwoLevel, preset
 from .sir import LayoutError, ParseError, Program, layout_regions, parse_program
 
@@ -16,7 +16,7 @@ __all__ = [
     "PredictorConfig", "PredictorState", "Program", "RunResult", "Sym",
     "Taint", "TwoLevel", "const", "evaluate", "explore", "explore_baseline",
     "layout_regions", "leak_check", "load_pattern", "load_pattern_file",
-    "mk_binop", "parse_program", "preset", "sym", "verdict",
+    "mk_binop", "parse_program", "preset", "sym",
 ]
 
 __version__ = "1.0.0"

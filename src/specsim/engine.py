@@ -3,15 +3,26 @@
 Explores every satisfiable architectural path of a SIR program (DFS,
 taken edge first), asks the predictor at each conditional branch and
 indirect call, and runs a bounded wrong-path trace whenever the
-prediction disagrees with the architectural outcome.  Speculative
-execution happens in a sandbox: registers, memory, and the return stack
-are copied, stores go to the sandbox only (with store-to-load forwarding),
-and the architectural state is untouched afterwards -- while cache state,
-monitor tokens, statistics, and findings deliberately persist.
+prediction disagrees with the architectural outcome.
+
+One step function executes both kinds of path; only conditional branches
+and indirect calls follow a policy.  Architecturally a branch forks on
+every satisfiable direction and an indirect call trains the predictor.
+On a wrong path a branch follows the shadow predictor (or falls through,
+in baseline mode) and adds no path constraint.  A wrong path runs in a
+sandbox: registers, memory, and the return stack are copied, stores go
+to the sandbox only (with store-to-load forwarding), and the
+architectural state is untouched afterwards -- checked by fingerprinting
+it around every trace -- while cache state, monitor tokens, statistics,
+and findings deliberately persist.
 
 The baseline mode reproduces the history-agnostic model of
 prediction-less tools: every conditional branch spawns a wrong-path
 trace down the not-actual direction, indirect calls spawn none.
+
+Everything one `Engine.run` learns -- findings, statistics, symbols,
+memory snapshots, the solver's slice memo -- lives in the `RunResult` it
+returns, so runs of one engine are independent.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
 from .monitor import MonitorInstance, MonitorSpec
 from .predictor import PredictorConfig, PredictorState
-from .sir import Imm, Instruction, Label, Program, Reg
+from .sir import Imm, Instruction, Program, Reg
 
 BINOP_OPCODES = frozenset(
     ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
@@ -112,10 +123,30 @@ class Finding:
 
 @dataclass
 class RunResult:
-    findings: List[Finding]
-    stats: Stats
-    diagnostics: List[str]
-    unknown: bool
+    """The state and the outcome of one `Engine.run`.
+
+    Witnesses and observables re-evaluate against `snapshots` (the memory
+    a symbolic load read from, by version) and `symbols`."""
+    findings: List[Finding] = field(default_factory=list)
+    stats: Stats = field(default_factory=Stats)
+    diagnostics: List[str] = field(default_factory=list)
+    unknown: bool = False
+    baseline: bool = False
+    snapshots: Dict[int, Dict[int, ex.Expr]] = field(default_factory=dict,
+                                                     repr=False)
+    symbols: Dict[str, ex.Sym] = field(default_factory=dict, repr=False)
+    # architectural snapshots count up, speculative ones count down, so
+    # the versions embedded in architectural expressions are identical
+    # whether or not speculation ran in between
+    next_version: int = field(default=0, compare=False, repr=False)
+    next_spec_version: int = field(default=-1, compare=False, repr=False)
+    # slice results of every solver query of this run; valid for the run,
+    # as a snapshot version is never reused or changed within it
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    # (pattern, chain, path key) of every match already reported
+    seen: Set[tuple] = field(default_factory=set, compare=False, repr=False)
+    overrun_sites: Set[Tuple[int, str]] = field(default_factory=set,
+                                                compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -125,6 +156,19 @@ class RunResult:
                                for f in self.findings):
             return "unknown"
         return "leakage-free"
+
+    def overrun(self, pc: int, kind: str,
+                err: Optional[solver.BudgetExceeded] = None) -> None:
+        """A `kind` query ("branch", "may-touch", "leak-pair" or "witness")
+        at `pc` exceeded the bit budget: count it, explain it once per
+        (pc, kind), and the verdict can no longer be leakage-free."""
+        self.stats.budget_exceeded += 1
+        self.unknown = True
+        if (pc, kind) not in self.overrun_sites:
+            self.overrun_sites.add((pc, kind))
+            why = f": {err}" if err is not None else ""
+            self.diagnostics.append(
+                f"pc {pc}: {kind} query over the bit budget{why}")
 
 
 class ExecState:
@@ -173,18 +217,19 @@ class ExecState:
 
 
 class _Sandbox:
-    """Mutable wrong-path context for one speculative trace."""
+    """Wrong-path frame of one speculative trace: copies of a path's
+    registers, memory and return stack, plus the shadow predictor that
+    steers it (None in baseline mode)."""
 
-    __slots__ = ("pc", "regs", "mem", "ret_stack", "shadow", "remaining")
+    __slots__ = ("pc", "regs", "mem", "ret_stack", "shadow")
 
-    def __init__(self, state: ExecState, start_pc: int, shadow: PredictorState,
-                 window: int):
+    def __init__(self, state: ExecState, start_pc: int,
+                 shadow: Optional[PredictorState]):
         self.pc = start_pc
         self.regs = dict(state.regs)
         self.mem = dict(state.mem)  # buffered stores land here only
         self.ret_stack = list(state.ret_stack)
         self.shadow = shadow
-        self.remaining = window
 
 
 class Engine:
@@ -193,144 +238,134 @@ class Engine:
                  cache_cfg: Optional[CacheConfig] = None,
                  patterns: Sequence[MonitorSpec] = (),
                  bit_budget: int = 20,
-                 step_limit: int = 200_000,
-                 check_rollback: bool = True,
-                 no_speculation: bool = False):
+                 step_limit: int = 200_000):
         self.program = program
         self.predictor_cfg = predictor_cfg or PredictorConfig()
         self.cache_cfg = cache_cfg or CacheConfig()
         self.patterns = list(patterns)
         self.bit_budget = bit_budget
         self.step_limit = step_limit
-        self.check_rollback = check_rollback
-        self.no_speculation = no_speculation
-
-        self.snapshots: Dict[int, Dict[int, ex.Expr]] = {}
-        # architectural snapshots count up, speculative ones count down, so
-        # the versions embedded in architectural expressions are identical
-        # whether or not speculation ran in between
-        self._next_version = 0
-        self._next_spec_version = -1
-        self._symbols: Dict[str, ex.Sym] = {}
-        # slice results of every solver query this engine makes; valid for
-        # its lifetime, as a snapshot version is never reused or changed
-        self._solver_memo: dict = {}
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
 
         if any(r.base is None for r in program.regions):
             raise EngineError("program regions are not laid out; "
                               "call sir.layout_regions first")
+        self._init_mem = self._initial_memory()
 
     # ------------------------------------------------------------------ run
 
     def run(self, baseline: bool = False) -> RunResult:
-        stats = Stats()
-        findings: List[Finding] = []
-        seen_findings: Set[tuple] = set()
-        diagnostics: List[str] = []
-        unknown = [False]
-        ctx = (stats, findings, seen_findings, diagnostics, unknown, baseline)
-
+        run = self._new_run(baseline)
         init = ExecState(self.program.entry,
                          PredictorState(self.predictor_cfg),
                          CacheState(self.cache_cfg),
                          [MonitorInstance(p) for p in self.patterns])
-        init.mem.update(self._initial_memory())
+        init.mem.update(self._init_mem)
         worklist: List[ExecState] = [init]
         steps = 0
-        while worklist:
+        while worklist and not run.stats.step_limit_hit:
             s = worklist.pop()
-            while True:
+            status = "run"
+            while status == "run":
                 if steps >= self.step_limit:
-                    stats.step_limit_hit = True
-                    diagnostics.append("step limit exceeded; exploration truncated")
-                    return self._finish(ctx)
+                    run.stats.step_limit_hit = True
+                    run.diagnostics.append(
+                        "step limit exceeded; exploration truncated")
+                    break
                 steps += 1
-                status = self._step_inplace(s, worklist, ctx)
-                if status == "run":
-                    continue
-                if status == "end":
-                    stats.paths += 1
-                    stats.path_summaries.append(
-                        (tuple(s.path_key), self._path_str(s), s.fingerprint()))
-                break  # "fork": successors are on the worklist
-        return self._finish(ctx)
+                status = self._step(run, s, s, worklist)
+            if status == "end":
+                run.stats.paths += 1
+                run.stats.path_summaries.append(
+                    (tuple(s.path_key), self._path_str(s), s.fingerprint()))
+            # "fork": successors are on the worklist
+        run.findings.sort(key=Finding.sort_key)
+        return run
 
-    def _finish(self, ctx) -> RunResult:
-        stats, findings, _seen, diagnostics, unknown, _baseline = ctx
-        findings.sort(key=Finding.sort_key)
-        return RunResult(findings, stats, diagnostics, unknown[0])
+    def _new_run(self, baseline: bool) -> RunResult:
+        """Per-run state, its symbol table seeded with the secret bytes of
+        the initial memory."""
+        return RunResult(baseline=baseline, symbols={
+            v.name: v for v in self._init_mem.values() if isinstance(v, ex.Sym)})
 
     # ----------------------------------------------------------- single step
 
-    def step(self, state: ExecState) -> List[ExecState]:
+    def step(self, state: ExecState,
+             run: Optional[RunResult] = None) -> List[ExecState]:
         """Execute one instruction of a copy of `state`; return the live
         successors.  Each successor's event_log extends the input's, so the
-        caller can diff logs to see what the step emitted."""
-        ctx = (Stats(), [], set(), [], [False], False)
+        caller can diff logs to see what the step emitted.  Symbols,
+        snapshots and findings go to `run`; pass the same one to every step
+        of an exploration (a fresh one is made when it is None)."""
         s = state.clone()
         successors: List[ExecState] = []
-        status = self._step_inplace(s, successors, ctx)
-        if status == "run":
+        if self._step(run or self._new_run(False), s, s, successors) == "run":
             successors.append(s)
         return successors
 
-    def _step_inplace(self, s: ExecState, worklist: List[ExecState],
-                      ctx) -> str:
-        """Execute the instruction at s.pc in place.  Returns "run" when
-        this state continues, "fork" when successors went onto `worklist`
-        (conditional branches), or "end" when the path terminates."""
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
-        inst = self.program.instructions[s.pc]
+    def _step(self, run: RunResult, s: ExecState, frame: ExecState | _Sandbox,
+              worklist: Optional[List[ExecState]]) -> str:
+        """Execute the instruction at frame.pc in place.
+
+        `frame` is `s` itself on the architectural path, or a `_Sandbox` of
+        `s` on a wrong path; events, the cache and the monitors are always
+        those of `s`.  Returns "run" when the frame continues, "fork" when
+        successors went onto `worklist` (architectural conditional
+        branches), or "end" when the path or the trace ends."""
+        speculative = frame is not s
+        pc = frame.pc
+        inst = self.program.instructions[pc]
         op = inst.opcode
-        stats.arch_instructions += 1
+        if speculative:
+            run.stats.spec_instructions += 1
+        else:
+            run.stats.arch_instructions += 1
 
         if op == "br":
-            self._fork_on_branch(s, inst, worklist, ctx)
+            if speculative:
+                self._follow_prediction(run, s, frame, inst)
+                return "run"
+            self._fork_on_branch(run, s, inst, worklist)
             return "fork"
         if op == "icall":
-            return self._resolve_indirect(s, inst, ctx)
-        if op == "halt":
-            self._emit(s, self._plain_event(s, inst, False), None, ctx)
-            return "end"
-        if op == "ret":
-            self._emit(s, self._plain_event(s, inst, False), None, ctx)
-            if not s.ret_stack:
+            if speculative:
+                return self._follow_indirect(run, s, frame, inst)
+            return self._resolve_indirect(run, s, inst)
+        if op in ("halt", "ret", "jmp", "call"):
+            self._emit(run, s, Event(op, pc, speculative, False, False), None)
+            if op == "halt" or (op == "ret" and not frame.ret_stack):
                 return "end"
-            s.pc = s.ret_stack.pop()
-            return "run"
-        if op == "jmp":
-            self._emit(s, self._plain_event(s, inst, False), None, ctx)
-            s.pc = self.program.labels[inst.operands[0].name]
-            return "run"
-        if op == "call":
-            self._emit(s, self._plain_event(s, inst, False), None, ctx)
-            s.ret_stack.append(s.pc + 1)
-            s.pc = self.program.labels[inst.operands[0].name]
+            if op == "ret":
+                frame.pc = frame.ret_stack.pop()
+                return "run"
+            if op == "call":
+                frame.ret_stack.append(pc + 1)
+            frame.pc = self.program.labels[inst.operands[0].name]
             return "run"
 
         # straight-line instruction
-        event, obs, err = self._exec_data_inst(
-            inst, s.regs, s.mem, s.path_cond, False, s.pc, ctx)
+        event, obs, err = self._exec_data_inst(run, inst, frame, s.path_cond,
+                                               speculative)
+        if err is not None and not speculative:
+            self._error(run, s, op, err)
+        self._emit(run, s, event, obs)
         if err is not None:
-            findings.append(Finding("error", None, ((s.pc, op, False),),
-                                    self._path_str(s), self._config_str(), None))
-            diagnostics.append(f"pc {s.pc}: {err}")
-            self._emit(s, event, obs, ctx)
             return "end"
-        self._emit(s, event, obs, ctx)
-        s.pc += 1
+        frame.pc += 1
         return "run"
 
-    # ------------------------------------------------------------- branches
+    def _error(self, run: RunResult, s: ExecState, op: str, message: str) -> None:
+        """The architectural path ends at an instruction it cannot execute."""
+        run.findings.append(Finding("error", None, ((s.pc, op, False),),
+                                    self._path_str(s), self._config_str(), None))
+        run.diagnostics.append(f"pc {s.pc}: {message}")
 
-    def _fork_on_branch(self, s: ExecState, inst: Instruction,
-                        worklist: List[ExecState], ctx) -> None:
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
+    # ------------------------------------------- branches: architectural policy
+
+    def _fork_on_branch(self, run: RunResult, s: ExecState, inst: Instruction,
+                        worklist: List[ExecState]) -> None:
         pc = s.pc
-        cond = ex.coerce(self._operand_value(inst.operands[0], s.regs), 32)
-        t_pc = self.program.labels[inst.operands[1].name]
-        f_pc = self.program.labels[inst.operands[2].name]
+        cond, t_pc, f_pc = self._branch_operands(inst, s.regs)
 
         feasible: List[bool] = []
         if isinstance(cond, ex.Const):
@@ -338,14 +373,14 @@ class Engine:
         else:
             for want in (True, False):
                 c = self._direction_constraint(cond, want)
-                stats.solver_queries += 1
+                run.stats.solver_queries += 1
                 try:
                     m = solver.is_sat(solver.Query(
                         tuple(s.path_cond) + (c,), self.bit_budget,
-                        self.snapshots, self._solver_memo))
-                except solver.BudgetExceeded:
-                    self._overrun(ctx)
-                    findings.append(Finding(
+                        run.snapshots, run.memo))
+                except solver.BudgetExceeded as e:
+                    run.overrun(pc, "branch", e)
+                    run.findings.append(Finding(
                         "unknown", None, ((pc, "br", False),),
                         self._path_str(s), self._config_str(), None))
                     continue
@@ -358,169 +393,137 @@ class Engine:
             if not isinstance(cond, ex.Const):
                 succ.path_cond.append(self._direction_constraint(cond, direction))
             succ.path_key.append((pc, direction))
-            self._emit(succ, Event("br", pc, False,
-                                   cond.taint.symbolic, cond.taint.secret),
-                       None, ctx)
+            self._emit(run, succ, Event("br", pc, False, cond.taint.symbolic,
+                                        cond.taint.secret), None)
             actual_pc = t_pc if direction else f_pc
 
-            if baseline:
+            if run.baseline:
                 wrong_pc = f_pc if direction else t_pc
-                if not self.no_speculation and self.predictor_cfg.window > 0:
-                    self._run_speculative(succ, wrong_pc, None, (pc, wrong_pc), ctx)
+                self._run_speculative(run, succ, wrong_pc, None, (pc, wrong_pc))
             else:
                 pred_taken, pred_pc = succ.predictor.predict_conditional(
                     pc, t_pc, f_pc)
-                if (not self.no_speculation and self.predictor_cfg.window > 0
-                        and pred_pc != actual_pc):
+                if pred_pc != actual_pc:
                     shadow = succ.predictor.clone()
                     shadow.spec_note_direction(pred_taken)
-                    self._run_speculative(succ, pred_pc, shadow, (pc, pred_pc), ctx)
+                    self._run_speculative(run, succ, pred_pc, shadow,
+                                          (pc, pred_pc))
                 succ.predictor.update(pc, direction, t_pc if direction else None)
-                stats.predictor_updates += 1
+                run.stats.predictor_updates += 1
 
             succ.pc = actual_pc
             worklist.append(succ)
+
+    def _branch_operands(self, inst: Instruction, regs: Dict[str, ex.Expr]):
+        """(condition, taken pc, fall-through pc) of a `br`."""
+        labels = self.program.labels
+        return (ex.coerce(self._operand_value(inst.operands[0], regs), 32),
+                labels[inst.operands[1].name], labels[inst.operands[2].name])
 
     @staticmethod
     def _direction_constraint(cond: ex.Expr, taken: bool) -> ex.Expr:
         op = "ne" if taken else "eq"
         return ex.mk_binop(op, cond, ex.const(0, cond.width))
 
-    def _resolve_indirect(self, s: ExecState, inst: Instruction, ctx) -> str:
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
+    def _resolve_indirect(self, run: RunResult, s: ExecState,
+                          inst: Instruction) -> str:
         pc = s.pc
         target = self._operand_value(inst.operands[0], s.regs)
         if not isinstance(target, ex.Const):
-            findings.append(Finding(
-                "error", None, ((pc, "icall", False),), self._path_str(s),
-                self._config_str(), None))
-            diagnostics.append(
-                f"pc {pc}: unsupported symbolic indirect target")
-            self._emit(s, Event("icall", pc, False, True,
-                                target.taint.secret), None, ctx)
+            self._error(run, s, "icall", "unsupported symbolic indirect target")
+            self._emit(run, s, Event("icall", pc, False, True,
+                                     target.taint.secret), None)
             return "end"
         actual = target.value
         if actual >= len(self.program.instructions):
-            findings.append(Finding(
-                "error", None, ((pc, "icall", False),), self._path_str(s),
-                self._config_str(), None))
-            diagnostics.append(f"pc {pc}: icall target {actual} out of range")
+            self._error(run, s, "icall", f"icall target {actual} out of range")
             return "end"
-        self._emit(s, Event("icall", pc, False, False,
-                            target.taint.secret), None, ctx)
-        if not baseline:
+        self._emit(run, s, Event("icall", pc, False, False,
+                                 target.taint.secret), None)
+        if not run.baseline:
             pred = s.predictor.predict_target(pc)
-            if (pred is not None and pred != actual
-                    and not self.no_speculation
-                    and self.predictor_cfg.window > 0):
-                shadow = s.predictor.clone()
-                self._run_speculative(s, pred, shadow, (pc, pred), ctx,
-                                      push_return=pc + 1)
+            if pred is not None and pred != actual:
+                self._run_speculative(run, s, pred, s.predictor.clone(),
+                                      (pc, pred), push_return=pc + 1)
             s.predictor.update(pc, True, actual, conditional=False)
-            stats.predictor_updates += 1
+            run.stats.predictor_updates += 1
         s.ret_stack.append(pc + 1)
         s.pc = actual
         return "run"
 
+    # -------------------------------------------- branches: wrong-path policy
+
+    def _follow_prediction(self, run: RunResult, s: ExecState, box: _Sandbox,
+                           inst: Instruction) -> None:
+        """No forking, no path constraint: follow the shadow prediction, or
+        fall through in baseline mode (history-agnostic)."""
+        cond, t_pc, f_pc = self._branch_operands(inst, box.regs)
+        self._emit(run, s, Event("br", box.pc, True, cond.taint.symbolic,
+                                 cond.taint.secret), None)
+        if box.shadow is None:
+            box.pc = f_pc
+            return
+        taken, box.pc = box.shadow.predict_conditional(box.pc, t_pc, f_pc)
+        box.shadow.spec_note_direction(taken)
+
+    def _follow_indirect(self, run: RunResult, s: ExecState, box: _Sandbox,
+                         inst: Instruction) -> str:
+        """Call the shadow BTB's target (the concrete target in baseline
+        mode); without a usable target the trace stalls out."""
+        tgt = self._operand_value(inst.operands[0], box.regs)
+        self._emit(run, s, Event("icall", box.pc, True, tgt.taint.symbolic,
+                                 tgt.taint.secret), None)
+        if box.shadow is not None:
+            pred = box.shadow.predict_target(box.pc)
+        elif isinstance(tgt, ex.Const):
+            pred = tgt.value
+        else:
+            pred = None
+        if pred is None or pred >= len(self.program.instructions):
+            return "end"
+        box.ret_stack.append(box.pc + 1)
+        box.pc = pred
+        return "run"
+
     # ----------------------------------------------------------- speculation
 
-    def _run_speculative(self, s: ExecState, start_pc: int,
+    def _run_speculative(self, run: RunResult, s: ExecState, start_pc: int,
                          shadow: Optional[PredictorState],
-                         identity_tail: Tuple[int, int], ctx,
+                         identity_tail: Tuple[int, int],
                          push_return: Optional[int] = None) -> None:
         """Run one wrong-path trace of at most `window` instructions.
 
-        `shadow` is the speculative predictor copy (None in baseline mode,
-        where inner branches simply fall through).  Cache and monitor
-        effects persist on `s`; everything architectural is untouched.
+        Cache and monitor effects persist on `s`; everything architectural
+        is untouched, which the fingerprints before and after check.
         """
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
-        before = s.fingerprint() if self.check_rollback else None
-        stats.spec_traces += 1
-        stats.trace_identities.append(
-            (tuple(s.path_key),) + identity_tail)
+        window = self.predictor_cfg.window
+        if window == 0:
+            return
+        before = s.fingerprint()
+        run.stats.spec_traces += 1
+        run.stats.trace_identities.append((tuple(s.path_key),) + identity_tail)
 
-        box = _Sandbox(s, start_pc, shadow, self.predictor_cfg.window)
+        box = _Sandbox(s, start_pc, shadow)
         if push_return is not None:
             box.ret_stack.append(push_return)
-        prog = self.program
-
-        while box.remaining > 0 and 0 <= box.pc < len(prog.instructions):
-            inst = prog.instructions[box.pc]
-            op = inst.opcode
-            box.remaining -= 1
-            stats.spec_instructions += 1
-
-            if op == "halt":
-                self._emit(s, self._plain_event_spec(box.pc, inst), None, ctx)
+        n = len(self.program.instructions)
+        for _ in range(window):
+            if not 0 <= box.pc < n or self._step(run, s, box, None) == "end":
                 break
-            if op == "ret":
-                self._emit(s, self._plain_event_spec(box.pc, inst), None, ctx)
-                if not box.ret_stack:
-                    break
-                box.pc = box.ret_stack.pop()
-                continue
-            if op == "jmp":
-                self._emit(s, self._plain_event_spec(box.pc, inst), None, ctx)
-                box.pc = prog.labels[inst.operands[0].name]
-                continue
-            if op == "call":
-                self._emit(s, self._plain_event_spec(box.pc, inst), None, ctx)
-                box.ret_stack.append(box.pc + 1)
-                box.pc = prog.labels[inst.operands[0].name]
-                continue
-            if op == "br":
-                cond = ex.coerce(self._operand_value(inst.operands[0], box.regs), 32)
-                t_pc = prog.labels[inst.operands[1].name]
-                f_pc = prog.labels[inst.operands[2].name]
-                self._emit(s, Event("br", box.pc, True, cond.taint.symbolic,
-                                    cond.taint.secret), None, ctx)
-                if box.shadow is None:  # baseline: history-agnostic fall-through
-                    box.pc = f_pc
-                    continue
-                # no forking, no path constraints: follow the shadow prediction
-                taken, nxt = box.shadow.predict_conditional(box.pc, t_pc, f_pc)
-                box.shadow.spec_note_direction(taken)
-                box.pc = nxt
-                continue
-            if op == "icall":
-                tgt = self._operand_value(inst.operands[0], box.regs)
-                self._emit(s, Event("icall", box.pc, True, tgt.taint.symbolic,
-                                    tgt.taint.secret), None, ctx)
-                if box.shadow is not None:
-                    pred = box.shadow.predict_target(box.pc)
-                elif isinstance(tgt, ex.Const):
-                    pred = tgt.value
-                else:
-                    pred = None
-                if pred is None or pred >= len(prog.instructions):
-                    break  # no usable target: the trace stalls out
-                box.ret_stack.append(box.pc + 1)
-                box.pc = pred
-                continue
 
-            event, obs, err = self._exec_data_inst(
-                inst, box.regs, box.mem, s.path_cond, True, box.pc, ctx)
-            self._emit(s, event, obs, ctx)
-            if err is not None:
-                break
-            box.pc += 1
-
-        if self.check_rollback:
-            after = s.fingerprint()
-            if before != after:
-                raise EngineError("speculation leaked into architectural state")
+        if s.fingerprint() != before:
+            raise EngineError("speculation leaked into architectural state")
 
     # -------------------------------------------------------- data movement
 
-    def _exec_data_inst(self, inst: Instruction, regs: Dict[str, ex.Expr],
-                        mem: Dict[int, ex.Expr], path_cond: List[ex.Expr],
-                        speculative: bool, pc: int, ctx):
-        """Execute const/sym/addrof/binop/load/store against the given
+    def _exec_data_inst(self, run: RunResult, inst: Instruction,
+                        frame: ExecState | _Sandbox, path_cond: List[ex.Expr],
+                        speculative: bool):
+        """Execute const/sym/addrof/binop/load/store against the frame's
         register file and memory.  Returns (event, cache_obs, error)."""
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
         op = inst.opcode
-        obs: Optional[CacheObservation] = None
+        pc = frame.pc
+        regs = frame.regs
 
         if op == "const":
             rd, imm = inst.operands
@@ -531,13 +534,13 @@ class Engine:
             rd = inst.operands[0]
             name = inst.operands[1]
             secret = len(inst.operands) > 2
-            known = self._symbols.get(name)
+            known = run.symbols.get(name)
             if known is not None and (known.width != inst.width
                                       or known.taint.secret != secret):
                 return (Event(op, pc, speculative, True, secret), None,
                         f"symbol {name!r} redeclared with different shape")
             value = known if known is not None else ex.sym(name, inst.width, secret)
-            self._symbols[name] = value
+            run.symbols[name] = value
             regs[rd.name] = value
             return Event(op, pc, speculative, True, secret), None, None
 
@@ -562,11 +565,11 @@ class Engine:
         if op == "load":
             rd, addr_op = inst.operands
             addr = ex.coerce(self._operand_value(addr_op, regs), 32)
-            value, info = self._do_load(addr, inst.width, mem, path_cond,
-                                        pc, speculative, ctx)
+            value, info = self._do_load(run, addr, inst.width, frame.mem,
+                                        path_cond, pc, speculative)
             regs[rd.name] = value
             taint = addr.taint.join(value.taint)
-            obs = self._cache_route(addr, info, path_cond, ctx)
+            obs = self._cache_route(run, addr, path_cond, pc)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
                           mem=info), obs, None)
 
@@ -574,21 +577,22 @@ class Engine:
             addr_op, val_op = inst.operands
             addr = ex.coerce(self._operand_value(addr_op, regs), 32)
             value = ex.coerce(self._operand_value(val_op, regs), inst.width)
-            info = self._do_store(addr, value, inst.width, mem, diagnostics, pc)
+            info = self._do_store(run, addr, value, inst.width, frame.mem, pc)
             taint = addr.taint.join(value.taint)
-            obs = self._cache_route(addr, info, path_cond, ctx)
+            obs = self._cache_route(run, addr, path_cond, pc)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
                           mem=info), obs, None)
 
         raise EngineError(f"unhandled opcode {op!r}")
 
-    def _do_load(self, addr: ex.Expr, width: int, mem: Dict[int, ex.Expr],
-                 path_cond, pc: int, speculative: bool, ctx):
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
+    def _do_load(self, run: RunResult, addr: ex.Expr, width: int,
+                 mem: Dict[int, ex.Expr], path_cond, pc: int,
+                 speculative: bool):
         if isinstance(addr, ex.Const):
             base = addr.value
             if self.program.region_at(base) is None:
-                diagnostics.append(f"pc {pc}: load from unmapped address {base:#x}")
+                run.diagnostics.append(
+                    f"pc {pc}: load from unmapped address {base:#x}")
             value: ex.Expr = ex.const(0, width)
             parts = []
             for i in range(width // 8):
@@ -606,20 +610,23 @@ class Engine:
             info = MemoryInfo(addr, base, line, write=False)
             return value, info
         # symbolic address: freeze the memory snapshot it reads from
-        version = self._freeze(mem, speculative)
-        secret = self._may_touch_secret(addr, path_cond, ctx)
+        version = self._freeze(run, mem, speculative)
+        secret = self._may_touch_secret(run, addr, path_cond, pc)
         value = ex.mk_memread(version, addr, width, secret)
         return value, MemoryInfo(addr, None, None, write=False)
 
-    def _do_store(self, addr: ex.Expr, value: ex.Expr, width: int,
-                  mem: Dict[int, ex.Expr], diagnostics, pc: int):
+    def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
+                  width: int, mem: Dict[int, ex.Expr], pc: int):
         if not isinstance(addr, ex.Const):
-            diagnostics.append(f"pc {pc}: symbolic store address unsupported; "
-                               "store skipped")
+            # later loads and store-to-load forwarding cannot see the store,
+            # so nothing after it is sound to call leakage-free
+            run.diagnostics.append(f"pc {pc}: symbolic store address "
+                                   "unsupported; store skipped")
+            run.unknown = True
             return MemoryInfo(addr, None, None, write=True)
         base = addr.value
         if self.program.region_at(base) is None:
-            diagnostics.append(f"pc {pc}: store to unmapped address {base:#x}")
+            run.diagnostics.append(f"pc {pc}: store to unmapped address {base:#x}")
         if width == 8:
             mem[base] = ex.coerce(value, 8)
         else:
@@ -629,11 +636,11 @@ class Engine:
         line = base // self.cache_cfg.line_size
         return MemoryInfo(addr, base, line, write=True)
 
-    def _may_touch_secret(self, addr: ex.Expr, path_cond, ctx) -> bool:
+    def _may_touch_secret(self, run: RunResult, addr: ex.Expr, path_cond,
+                          pc: int) -> bool:
         """May-analysis lift of the load taint rule: a symbolic address is
         secret-reaching if some model consistent with the path condition
         lands it in a secret region."""
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
         if addr.taint.secret:
             return True
         for region in self.program.regions:
@@ -641,36 +648,34 @@ class Engine:
                 continue
             lo = ex.mk_binop("le", ex.const(region.base, 32), addr)
             hi = ex.mk_binop("lt", addr, ex.const(region.end, 32))
-            stats.solver_queries += 1
+            run.stats.solver_queries += 1
             try:
                 m = solver.is_sat(solver.Query(
                     tuple(path_cond) + (lo, hi), self.bit_budget,
-                    self.snapshots, self._solver_memo))
-            except solver.BudgetExceeded:
-                self._overrun(ctx)
+                    run.snapshots, run.memo))
+            except solver.BudgetExceeded as e:
+                run.overrun(pc, "may-touch", e)
                 return True  # conservative
             if m is not None:
                 return True
         return False
 
-    def _freeze(self, mem: Dict[int, ex.Expr], speculative: bool = False) -> int:
+    def _freeze(self, run: RunResult, mem: Dict[int, ex.Expr],
+                speculative: bool) -> int:
         if speculative:
-            version = self._next_spec_version
-            self._next_spec_version -= 1
+            version = run.next_spec_version
+            run.next_spec_version -= 1
         else:
-            version = self._next_version
-            self._next_version += 1
-        snap = dict(self._initial_memory())
+            version = run.next_version
+            run.next_version += 1
+        snap = dict(self._init_mem)
         snap.update(mem)
-        self.snapshots[version] = snap
+        run.snapshots[version] = snap
         return version
 
     def _initial_memory(self) -> Dict[int, ex.Expr]:
         """Region-declared contents; secret regions without init are fresh
         secret symbols, one per byte."""
-        cached = getattr(self, "_init_mem", None)
-        if cached is not None:
-            return cached
         init: Dict[int, ex.Expr] = {}
         for region in self.program.regions:
             if region.init is None and not region.secret:
@@ -679,34 +684,26 @@ class Engine:
                 if region.init is not None and i < len(region.init):
                     init[region.base + i] = ex.const(region.init[i], 8)
                 elif region.secret:
-                    name = f"{region.name}[{i}]"
-                    s = self._symbols.get(name)
-                    if s is None:
-                        s = ex.sym(name, 8, secret=True)
-                        self._symbols[name] = s
-                    init[region.base + i] = s
-        self._init_mem = init
+                    init[region.base + i] = ex.sym(f"{region.name}[{i}]", 8,
+                                                   secret=True)
         return init
 
     # --------------------------------------------------------------- events
 
-    def _cache_route(self, addr: ex.Expr, info: MemoryInfo, path_cond,
-                     ctx) -> CacheObservation:
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
-        hit = None
+    def _cache_route(self, run: RunResult, addr: ex.Expr, path_cond,
+                     pc: int) -> CacheObservation:
         leak: Optional[LeakResult] = None
         if addr.taint.secret and self._needs_cache_check:
-            stats.solver_queries += 1  # one leak-pair search
-            leak = cache_mod.leak_check(addr, path_cond, self.snapshots,
+            run.stats.solver_queries += 1  # one leak-pair search
+            leak = cache_mod.leak_check(addr, path_cond, run.snapshots,
                                         self.cache_cfg, self.bit_budget,
-                                        self._solver_memo)
+                                        run.memo)
             if leak.status == "unknown":
-                self._overrun(ctx)
-        return CacheObservation(leak=leak, hit=hit)
+                run.overrun(pc, "leak-pair")
+        return CacheObservation(leak=leak)
 
-    def _emit(self, s: ExecState, event: Event,
-              obs: Optional[CacheObservation], ctx) -> None:
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
+    def _emit(self, run: RunResult, s: ExecState, event: Event,
+              obs: Optional[CacheObservation]) -> None:
         if event.mem is not None and event.mem.concrete is not None:
             result = s.cache.access(event.mem.concrete)
             obs = CacheObservation(leak=obs.leak if obs else None,
@@ -714,14 +711,13 @@ class Engine:
         s.event_log.append((event, obs or CacheObservation()))
         for m in s.monitors:
             for match in m.observe(event, obs):
-                self._record_match(s, match, obs, ctx)
+                self._record_match(run, s, match, obs)
 
-    def _record_match(self, s: ExecState, match, obs, ctx) -> None:
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
+    def _record_match(self, run: RunResult, s: ExecState, match, obs) -> None:
         key = (match.pattern, match.chain, tuple(s.path_key))
-        if key in seen:
+        if key in run.seen:
             return
-        seen.add(key)
+        run.seen.add(key)
         witness = None
         observable = None
         kind = "leak"
@@ -729,29 +725,21 @@ class Engine:
             witness = obs.leak.witness
             observable = obs.leak.observable
         else:
-            stats.solver_queries += 1
+            run.stats.solver_queries += 1
             try:
                 witness = solver.is_sat(solver.Query(
-                    tuple(s.path_cond), self.bit_budget, self.snapshots,
-                    self._solver_memo))
-            except solver.BudgetExceeded:
-                self._overrun(ctx)
+                    tuple(s.path_cond), self.bit_budget, run.snapshots,
+                    run.memo))
+            except solver.BudgetExceeded as e:
+                run.overrun(match.chain[-1][0], "witness", e)
                 kind = "unknown"
-        findings.append(Finding(kind, match.pattern, match.chain,
-                                self._path_str(s), self._config_str(),
-                                witness, event_log=tuple(s.event_log),
-                                observable=observable,
-                                constraints=tuple(s.path_cond)))
+        run.findings.append(Finding(kind, match.pattern, match.chain,
+                                    self._path_str(s), self._config_str(),
+                                    witness, event_log=tuple(s.event_log),
+                                    observable=observable,
+                                    constraints=tuple(s.path_cond)))
 
     # -------------------------------------------------------------- helpers
-
-    @staticmethod
-    def _overrun(ctx) -> None:
-        """A solver query exceeded the bit budget: count it, and the
-        verdict can no longer be leakage-free."""
-        stats, findings, seen, diagnostics, unknown, baseline = ctx
-        stats.budget_exceeded += 1
-        unknown[0] = True
 
     def _operand_value(self, operand, regs: Dict[str, ex.Expr]) -> ex.Expr:
         if isinstance(operand, Imm):
@@ -762,13 +750,6 @@ class Engine:
                 raise EngineError(f"read of unset register {operand.name!r}")
             return value
         raise EngineError(f"bad operand {operand!r}")
-
-    def _plain_event(self, s: ExecState, inst: Instruction,
-                     speculative: bool) -> Event:
-        return Event(inst.opcode, s.pc, speculative, False, False)
-
-    def _plain_event_spec(self, pc: int, inst: Instruction) -> Event:
-        return Event(inst.opcode, pc, True, False, False)
 
     def _path_str(self, s: ExecState) -> str:
         return " & ".join(ex.to_str(c) for c in s.path_cond) or "true"

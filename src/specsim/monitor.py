@@ -210,13 +210,3 @@ class MonitorInstance:
         c.node_tokens = [list(node) for node in self.node_tokens]
         c._by_id = dict(self._by_id)
         return c
-
-
-def verdict(any_match: bool, any_unknown: bool) -> str:
-    """Aggregate run verdict: no token ever reached a final node and no
-    query overran its budget means the program is leakage-free."""
-    if any_match:
-        return "leak"
-    if any_unknown:
-        return "unknown"
-    return "leakage-free"

@@ -186,10 +186,6 @@ class PredictorState:
                 return True, stored
         return self._static_fallback(pc, taken_target, fallthrough)
 
-    def predict_direction(self, pc: int, taken_target: int,
-                          fallthrough: int) -> bool:
-        return self.predict_conditional(pc, taken_target, fallthrough)[0]
-
     def predict_target(self, pc: int) -> Optional[int]:
         """Predicted target for an indirect call site; None means no prediction."""
         if self.btb is None:

@@ -26,9 +26,9 @@ Two steps run in front of a slice's enumeration:
   never overruns the budget.
 - A slice memo.  A `Query` may carry a dict (`memo`) that maps a slice's
   constraints and bit budget to its witness, None, or its budget overrun.
-  The engine keeps one per instance: its snapshot versions are never
-  reused or changed, so a slice always has the same answer.  A stored
-  overrun is raised again on every hit.
+  The engine keeps one per run: within a run its snapshot versions are
+  never reused or changed, so a slice always has the same answer.  A
+  stored overrun is raised again on every hit.
 """
 
 from __future__ import annotations

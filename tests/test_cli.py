@@ -55,6 +55,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and "unset register" in err
         assert "Traceback" not in err
 
+    def test_skipped_symbolic_store_is_two(self, tmp_path, capsys):
+        prog = tmp_path / "symstore.sir"
+        prog.write_text("region buf 16\n  sym.8 rx, x\n  addrof rb, buf\n"
+                        "  add ra, rb, rx\n  const rv, 7\n  store.8 ra, rv\n"
+                        "  halt\n")
+        assert run([str(prog)]) == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert "store skipped" in out and "verdict: unknown" in out
+
 
 class TestConfigMapping:
     def parse(self, *argv):

@@ -1,9 +1,13 @@
 """Exploration engine: architectural semantics, forking, speculation
-sandboxing, taint-aware events, and the baseline mode."""
+sandboxing, taint-aware events, the baseline mode, and per-run state."""
+
+import dataclasses
+import importlib.util
 
 import pytest
 
-from conftest import load_fixture, load_pattern_fixture
+import specsim
+from conftest import ROOT, load_fixture, load_pattern_fixture
 from specsim import cache, layout_regions, parse_program, solver
 from specsim.cache import CacheConfig
 from specsim.engine import Engine, EngineError
@@ -71,6 +75,7 @@ class TestStraightLine:
         r = e.run()
         assert any("symbolic store" in d for d in r.diagnostics)
         assert r.stats.paths == 1
+        assert r.verdict == "unknown"
 
 
 class TestControlFlow:
@@ -141,12 +146,12 @@ class TestSpeculation:
         # path conditions match a speculation-disabled engine
         for name in ("v01.sir", "v02.sir", "v09.sir", "v2.sir"):
             spec = Engine(load_fixture(name), self.CFG).run()
-            nospec = Engine(load_fixture(name), self.CFG,
-                            no_speculation=True).run()
+            nospec = Engine(load_fixture(name),
+                            dataclasses.replace(self.CFG, window=0)).run()
             assert spec.stats.path_summaries == nospec.stats.path_summaries
 
     def test_rollback_check_active_on_fixture_runs(self):
-        e = Engine(load_fixture("v01.sir"), self.CFG, check_rollback=True)
+        e = Engine(load_fixture("v01.sir"), self.CFG)
         assert e.run().stats.spec_traces == 1  # and no EngineError raised
 
     def test_speculative_events_carry_value_taint(self):
@@ -221,6 +226,21 @@ class TestDeterminism:
             s = states[0]
             states = e.step(s)
         assert s.regs["r3"].value == 5
+
+    def test_step_api_keeps_snapshots_in_the_run(self):
+        # the branch's feasibility queries read the load's snapshot
+        e = build("region m 16\n  sym.8 r1, x\n  addrof r2, m\n"
+                  "  add r3, r2, r1\n  load.8 r4, r3\n  br r4, a, a\n"
+                  "a:\n  halt\n")
+        from specsim.cache import CacheState
+        from specsim.engine import ExecState, RunResult
+        from specsim.predictor import PredictorState
+        run = RunResult()
+        states = [ExecState(0, PredictorState(e.predictor_cfg),
+                            CacheState(e.cache_cfg), [])]
+        for _ in range(5):
+            states = e.step(states[0], run)
+        assert 0 in run.snapshots and len(states) == 1
 
 
 # v01's gadget without its bounds check: the first load's address is
@@ -328,8 +348,77 @@ class TestSolverMemo:
         assert len(solves) == 1  # the second query is a memo hit
         assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
 
-    def test_engines_do_not_share_a_memo(self):
-        a, b = self._same_overrun_twice(), self._same_overrun_twice()
-        a.run()
-        assert a._solver_memo and not b._solver_memo
-        assert b.run().stats.budget_exceeded == 2
+    def test_runs_do_not_share_a_memo(self, monkeypatch):
+        solves = []
+        solve = solver._solve
+        monkeypatch.setattr(solver, "_solve",
+                            lambda *a: solves.append(a) or solve(*a))
+        e = self._same_overrun_twice()
+        for runs in (1, 2):
+            assert e.run().stats.budget_exceeded == 2
+            assert len(solves) == runs  # one enumeration per run
+
+
+class TestPerRunState:
+    @pytest.mark.parametrize("name", ["v01.sir", "v02.sir", "v09.sir"])
+    def test_second_run_of_one_engine_is_identical(self, name):
+        # symbols, snapshot versions and the slice memo start afresh
+        e = Engine(load_fixture(name), PredictorConfig(pht_bits=1, window=16),
+                   patterns=[load_pattern_fixture("br-ld-ld.json")])
+
+        def outputs(r):
+            return (r.stats.path_summaries, [f.to_dict() for f in r.findings],
+                    [f.constraints for f in r.findings])
+
+        assert outputs(e.run()) == outputs(e.run())
+
+
+class TestOverrunReasons:
+    def test_may_touch_overrun_is_explained(self):
+        r = build("region pub 16\nregion sec 16 secret\n"
+                  "  sym r1, a\n  addrof r2, pub\n  add r3, r2, r1\n"
+                  "  load.8 r4, r3\n  halt\n").run()
+        assert r.verdict == "unknown" and r.stats.budget_exceeded == 1
+        assert r.diagnostics == ["pc 3: may-touch query over the bit budget: "
+                                 "32 symbolic bits exceed budget 20"]
+
+    def test_one_note_per_site_and_kind(self):
+        # both directions of the branch overrun: two overruns, one note
+        r = build("  sym r1, a\n  const r2, 5\n  lt r3, r1, r2\n"
+                  "  br r3, t, f\nt:\n  halt\nf:\n  halt\n").run()
+        assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
+        assert r.diagnostics == ["pc 3: branch query over the bit budget: "
+                                 "32 symbolic bits exceed budget 20"]
+
+    def test_leak_pair_overrun_is_explained(self):
+        pattern = load_pattern_fixture("br-ld-ld.json")
+        r = build(_UNGUARDED, patterns=[pattern], bit_budget=4).run()
+        assert r.diagnostics == [
+            "pc 3: may-touch query over the bit budget: "
+            "8 symbolic bits exceed budget 4",
+            "pc 8: leak-pair query over the bit budget"]
+
+
+def _tracer_class():
+    """perfbench's Tracer, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+class TestTracerAttribution:
+    def test_every_is_sat_caller_is_attributed(self):
+        # the benchmark's per-layer solver metrics name the engine functions
+        # that call is_sat; renaming one must not skew them silently
+        tracer = _tracer_class()(specsim)
+        with tracer.installed():
+            Engine(load_fixture("v01.sir"), PredictorConfig(pht_bits=1, window=16),
+                   patterns=[load_pattern_fixture("br-ld-ld.json")]).run()
+            Engine(load_fixture("v2.sir"), PredictorConfig(btb_sets=4, window=16),
+                   patterns=[load_pattern_fixture("icall-ld-ld.json")]).run()
+        counts = tracer.counters()
+        assert dict(tracer.unattributed) == {}
+        assert counts["solver.branch_sat_calls"] > 0
+        assert counts["solver.may_touch_calls"] > 0

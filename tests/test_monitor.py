@@ -1,4 +1,4 @@
-"""Pattern schema, token automaton semantics, TTL, and verdicts."""
+"""Pattern schema, token automaton semantics, and TTL."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from specsim.engine import CacheObservation, Event
 from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (MonitorInstance, PatternError, load_pattern,
-                             satisfies, verdict)
+                             satisfies)
 
 
 def pat(*nodes, name="p"):
@@ -152,10 +152,3 @@ class TestAutomaton:
         assert len(c.observe(ev("load"))) == 1
         assert not m.matched()
 
-
-class TestVerdict:
-    def test_priorities(self):
-        assert verdict(True, False) == "leak"
-        assert verdict(True, True) == "leak"
-        assert verdict(False, True) == "unknown"
-        assert verdict(False, False) == "leakage-free"
