@@ -77,6 +77,7 @@ class LeakResult:
     witness: Optional[Tuple[Model, Model]] = None
     line_indices: Optional[Tuple[int, int]] = None
     observable: Optional[Expr] = None  # what the witness pair distinguishes
+    error: Optional[BudgetExceeded] = None  # why the status is "unknown"
 
     @property
     def positive(self) -> bool:
@@ -84,7 +85,6 @@ class LeakResult:
 
 
 NO_LEAK = LeakResult("none")
-UNKNOWN_LEAK = LeakResult("unknown")
 
 
 def observable_expr(addr_expr: Expr, cfg: CacheConfig) -> Expr:
@@ -111,8 +111,8 @@ def leak_check(addr_expr: Expr, path_cond, snapshots, cfg: CacheConfig,
     q = Query(tuple(path_cond), bit_budget, snapshots, memo)
     try:
         pair = find_leak_pair(q, obs)
-    except BudgetExceeded:
-        return UNKNOWN_LEAK
+    except BudgetExceeded as e:
+        return LeakResult("unknown", error=e.with_traceback(None))
     if pair is None:
         return NO_LEAK
     m1, m2 = pair

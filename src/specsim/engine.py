@@ -207,13 +207,12 @@ class ExecState:
 
     def fingerprint(self) -> tuple:
         """Architectural state only; used to assert rollback exactness."""
+        tl, btb = self.predictor.two_level, self.predictor.btb
         return (self.pc, tuple(sorted(self.regs.items(), key=lambda kv: kv[0])),
                 tuple(sorted(self.mem.items())), tuple(self.ret_stack),
-                self.predictor.two_level.bhr if self.predictor.two_level else None,
-                tuple(tuple(s) for s in self.predictor.btb.sets)
-                if self.predictor.btb else None,
-                tuple(self.predictor.two_level.pht)
-                if self.predictor.two_level else None)
+                tl.bhr if tl else None,
+                tuple(sorted(btb.sets.items())) if btb else None,
+                tuple(sorted(tl.pht.items())) if tl else None)
 
 
 class _Sandbox:
@@ -269,6 +268,7 @@ class Engine:
             while status == "run":
                 if steps >= self.step_limit:
                     run.stats.step_limit_hit = True
+                    run.unknown = True  # unexplored paths may leak
                     run.diagnostics.append(
                         "step limit exceeded; exploration truncated")
                     break
@@ -399,15 +399,13 @@ class Engine:
 
             if run.baseline:
                 wrong_pc = f_pc if direction else t_pc
-                self._run_speculative(run, succ, wrong_pc, None, (pc, wrong_pc))
+                self._run_speculative(run, succ, wrong_pc, (pc, wrong_pc))
             else:
                 pred_taken, pred_pc = succ.predictor.predict_conditional(
                     pc, t_pc, f_pc)
                 if pred_pc != actual_pc:
-                    shadow = succ.predictor.clone()
-                    shadow.spec_note_direction(pred_taken)
-                    self._run_speculative(run, succ, pred_pc, shadow,
-                                          (pc, pred_pc))
+                    self._run_speculative(run, succ, pred_pc, (pc, pred_pc),
+                                          noted=pred_taken)
                 succ.predictor.update(pc, direction, t_pc if direction else None)
                 run.stats.predictor_updates += 1
 
@@ -443,8 +441,8 @@ class Engine:
         if not run.baseline:
             pred = s.predictor.predict_target(pc)
             if pred is not None and pred != actual:
-                self._run_speculative(run, s, pred, s.predictor.clone(),
-                                      (pc, pred), push_return=pc + 1)
+                self._run_speculative(run, s, pred, (pc, pred),
+                                      push_return=pc + 1)
             s.predictor.update(pc, True, actual, conditional=False)
             run.stats.predictor_updates += 1
         s.ret_stack.append(pc + 1)
@@ -488,10 +486,12 @@ class Engine:
     # ----------------------------------------------------------- speculation
 
     def _run_speculative(self, run: RunResult, s: ExecState, start_pc: int,
-                         shadow: Optional[PredictorState],
                          identity_tail: Tuple[int, int],
+                         noted: Optional[bool] = None,
                          push_return: Optional[int] = None) -> None:
-        """Run one wrong-path trace of at most `window` instructions.
+        """Run one wrong-path trace of at most `window` instructions, steered
+        by a copy of the path's predictor (its BHR shifted by the `noted`
+        predicted direction) outside baseline mode.
 
         Cache and monitor effects persist on `s`; everything architectural
         is untouched, which the fingerprints before and after check.
@@ -503,6 +503,9 @@ class Engine:
         run.stats.spec_traces += 1
         run.stats.trace_identities.append((tuple(s.path_key),) + identity_tail)
 
+        shadow = None if run.baseline else s.predictor.clone()
+        if noted is not None:
+            shadow.spec_note_direction(noted)
         box = _Sandbox(s, start_pc, shadow)
         if push_return is not None:
             box.ret_stack.append(push_return)
@@ -699,7 +702,7 @@ class Engine:
                                         self.cache_cfg, self.bit_budget,
                                         run.memo)
             if leak.status == "unknown":
-                run.overrun(pc, "leak-pair")
+                run.overrun(pc, "leak-pair", leak.error)
         return CacheObservation(leak=leak)
 
     def _emit(self, run: RunResult, s: ExecState, event: Event,

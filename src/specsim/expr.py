@@ -208,10 +208,6 @@ def zext8to32(a: Expr) -> Expr:
     return mk_unop("zext", a, 32)
 
 
-def trunc32to8(a: Expr) -> Expr:
-    return mk_unop("trunc", a, 8)
-
-
 def coerce(a: Expr, width: int) -> Expr:
     """Zero-extend or truncate `a` to `width`."""
     if a.width == width:

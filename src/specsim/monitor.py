@@ -16,8 +16,9 @@ that demand symbolic operands must say "isConst": false.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 class PatternError(Exception):
@@ -120,12 +121,11 @@ def satisfies(np: NodeProps, event, cache_obs) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Token:
-    id: int
-    pid: Optional[int]
+    parent: Optional["Token"]
     inst: Optional[Tuple[int, str, bool]]  # (pc, name, speculative); None at Start
-    ttl: int = -1  # -1: no counter running
+    deadline: Optional[int]  # event-clock tick it expires at; None: no TTL
 
 
 @dataclass(frozen=True)
@@ -135,69 +135,61 @@ class Match:
 
 
 class MonitorInstance:
-    """One live automaton; per path, survives speculation rollback."""
+    """One live automaton; per path, survives speculation rollback.
+
+    TTLs are deadlines on an event clock, `now`, the number of events
+    observed: a `startTTL` node sets `now + startTTL`, a `stopTTL` node
+    none, and any other node keeps the source token's deadline.
+    """
 
     def __init__(self, spec: MonitorSpec):
         self.spec = spec
-        self._next_id = 1
+        self.now = 0
+        self._earliest: float = math.inf  # earliest live deadline
         # index 0 is Start; it always holds the initial token
         self.node_tokens: List[List[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
-        self.node_tokens[0].append(Token(0, None, None))
-        self._by_id: Dict[int, Token] = {0: self.node_tokens[0][0]}
+        self.node_tokens[0].append(Token(None, None, None))
 
     def observe(self, event, cache_obs=None) -> List[Match]:
         """Advance tokens for one (event, cache-state) observation.
 
         The sweep runs from the last node backwards so a single event
-        advances any token by at most one node.  After transitions, every
-        running TTL counter decrements; tokens expire at zero.
+        advances any token by at most one node.  A TTL counts the event
+        that created the token.  Once the earliest deadline has passed,
+        expired tokens are dropped, so `node_tokens` holds the live ones.
         """
         matches: List[Match] = []
         n = len(self.spec.nodes)
+        inst = (event.pc, event.name, event.speculation)
         for i in range(n - 1, -1, -1):
             np = self.spec.nodes[i]
-            if not self.node_tokens[i]:
+            if not self.node_tokens[i] or not satisfies(np, event, cache_obs):
                 continue
-            if not satisfies(np, event, cache_obs):
-                continue
+            inherit = np.start_ttl is None and not np.stop_ttl
+            deadline = None
+            if np.start_ttl is not None:
+                deadline = self.now + np.start_ttl
+                self._earliest = min(self._earliest, deadline)
             for src in self.node_tokens[i]:
-                ttl = src.ttl
-                if np.start_ttl is not None:
-                    ttl = np.start_ttl
-                elif np.stop_ttl:
-                    ttl = -1
-                tok = Token(self._next_id, src.id,
-                            (event.pc, event.name, event.speculation), ttl)
-                self._next_id += 1
-                self._by_id[tok.id] = tok
+                tok = Token(src, inst, src.deadline if inherit else deadline)
                 self.node_tokens[i + 1].append(tok)
                 if i + 1 == n:
                     matches.append(Match(self.spec.name, self._chain(tok)))
-        self._tick()
+        self.now += 1
+        if self._earliest <= self.now:
+            now = self.now
+            for node in self.node_tokens[1:]:
+                node[:] = [t for t in node if t.deadline is None or t.deadline > now]
+            self._earliest = min((t.deadline for node in self.node_tokens
+                                  for t in node if t.deadline is not None),
+                                 default=math.inf)
         return matches
-
-    def _tick(self) -> None:
-        # runs once per observed event; freshly created tokens count down too
-        for node in self.node_tokens[1:]:
-            kept: List[Token] = []
-            for tok in node:
-                if tok.ttl < 0:
-                    kept.append(tok)
-                    continue
-                ttl = tok.ttl - 1
-                if ttl == 0:
-                    continue  # expired
-                kept.append(Token(tok.id, tok.pid, tok.inst, ttl))
-            node[:] = kept
-            for tok in kept:
-                self._by_id[tok.id] = tok
 
     def _chain(self, tok: Token) -> Tuple[Tuple[int, str, bool], ...]:
         chain = []
-        cur: Optional[Token] = tok
-        while cur is not None and cur.inst is not None:
-            chain.append(cur.inst)
-            cur = self._by_id.get(cur.pid) if cur.pid is not None else None
+        while tok.inst is not None:  # the Start token has none
+            chain.append(tok.inst)
+            tok = tok.parent
         return tuple(reversed(chain))
 
     def matched(self) -> bool:
@@ -206,7 +198,7 @@ class MonitorInstance:
     def clone(self) -> "MonitorInstance":
         c = MonitorInstance.__new__(MonitorInstance)
         c.spec = self.spec
-        c._next_id = self._next_id
+        c.now = self.now
+        c._earliest = self._earliest
         c.node_tokens = [list(node) for node in self.node_tokens]
-        c._by_id = dict(self._by_id)
         return c

@@ -17,8 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class PredictorConfig:
             raise ValueError("pht_bits must be in 1..16")
         if self.btb_sets is not None and self.btb_sets & (self.btb_sets - 1):
             raise ValueError("btb_sets must be a power of two")
+        if self.btb_ways < 1:
+            raise ValueError("btb_ways must be >= 1")
         if self.fallback not in ("none", "btfnt"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
         if not 0 <= self.init_counter <= 3:
@@ -64,20 +66,26 @@ def preset(name: str) -> PredictorConfig:
 
 
 class TwoLevel:
-    """n-bit BHR plus 2^n-entry PHT of 2-bit saturating counters."""
+    """n-bit BHR plus 2^n-entry PHT of 2-bit saturating counters; `pht`
+    holds only the counters that differ from `init`."""
 
     def __init__(self, n: int, init_counter: int = 2):
         self.n = n
+        self.init = init_counter
         self.bhr = 0
-        self.pht = [init_counter] * (1 << n)
+        self.pht: Dict[int, int] = {}
+
+    def counter(self, i: int) -> int:
+        return self.pht.get(i, self.init)
 
     def predict(self) -> bool:
-        return self.pht[self.bhr] >= 2
+        return self.counter(self.bhr) >= 2
 
     def update(self, taken: bool) -> None:
-        counter = self.pht[self.bhr]
-        counter = min(3, counter + 1) if taken else max(0, counter - 1)
-        self.pht[self.bhr] = counter
+        counter = self.counter(self.bhr)
+        self.pht[self.bhr] = min(3, counter + 1) if taken else max(0, counter - 1)
+        if self.pht[self.bhr] == self.init:
+            del self.pht[self.bhr]  # keep the table canonical
         self.shift(taken)
 
     def shift(self, taken: bool) -> None:
@@ -86,20 +94,23 @@ class TwoLevel:
     def clone(self) -> "TwoLevel":
         c = TwoLevel.__new__(TwoLevel)
         c.n = self.n
+        c.init = self.init
         c.bhr = self.bhr
-        c.pht = list(self.pht)
+        c.pht = dict(self.pht)
         return c
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TwoLevel) and self.n == other.n
-                and self.bhr == other.bhr and self.pht == other.pht)
+                and self.init == other.init and self.bhr == other.bhr
+                and self.pht == other.pht)
 
 
 class Btb:
     """Set-associative tagged BTB with LRU replacement.
 
-    Each set is a list of (tag, target) pairs, most recently used first.
-    A lookup hit refreshes recency; installs happen only at resolution.
+    `sets` maps each non-empty set to its (tag, target) pairs, most recently
+    used first, as a tuple that copies share.  A lookup hit refreshes
+    recency; installs happen only at resolution.
     """
 
     def __init__(self, sets: int, ways: int = 1, tag_bits: int = 4):
@@ -107,7 +118,7 @@ class Btb:
         self.ways = ways
         self.tag_bits = tag_bits
         self.set_bits = sets.bit_length() - 1
-        self.sets: List[List[Tuple[int, int]]] = [[] for _ in range(sets)]
+        self.sets: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     def _index(self, pc: int) -> Tuple[int, int]:
         s = pc % self.num_sets
@@ -116,22 +127,18 @@ class Btb:
 
     def lookup(self, pc: int) -> Optional[int]:
         s, tag = self._index(pc)
-        entries = self.sets[s]
+        entries = self.sets.get(s, ())
         for i, (t, target) in enumerate(entries):
             if t == tag:
-                entries.insert(0, entries.pop(i))
+                if i:
+                    self.sets[s] = (entries[i],) + entries[:i] + entries[i + 1:]
                 return target
         return None
 
     def install(self, pc: int, target: int) -> None:
         s, tag = self._index(pc)
-        entries = self.sets[s]
-        for i, (t, _) in enumerate(entries):
-            if t == tag:
-                entries.pop(i)
-                break
-        entries.insert(0, (tag, target))
-        del entries[self.ways:]
+        others = tuple(e for e in self.sets.get(s, ()) if e[0] != tag)
+        self.sets[s] = ((tag, target),) + others[:self.ways - 1]
 
     def clone(self) -> "Btb":
         c = Btb.__new__(Btb)
@@ -139,7 +146,7 @@ class Btb:
         c.ways = self.ways
         c.tag_bits = self.tag_bits
         c.set_bits = self.set_bits
-        c.sets = [list(entries) for entries in self.sets]
+        c.sets = dict(self.sets)
         return c
 
     def __eq__(self, other) -> bool:

@@ -71,10 +71,12 @@ def _bits(syms: Mapping[str, Sym]) -> int:
     return sum(s.width for s in syms.values())
 
 
-def _assignments(syms: Mapping[str, Sym], budget: int):
-    """Lexicographic enumeration: sorted by name, values ascending."""
-    if _bits(syms) > budget:
-        raise BudgetExceeded(f"{_bits(syms)} symbolic bits exceed budget {budget}")
+def _assignments(syms: Mapping[str, Sym], budget: int, fixed_bits: int = 0):
+    """Lexicographic enumeration: sorted by name, values ascending.  The
+    budget also covers `fixed_bits` already fixed by an outer loop."""
+    bits = fixed_bits + _bits(syms)
+    if bits > budget:
+        raise BudgetExceeded(f"{bits} symbolic bits exceed budget {budget}")
     names = sorted(syms)
     ranges = [range(1 << syms[n].width) for n in names]
     for values in itertools.product(*ranges):
@@ -423,7 +425,7 @@ def _leak_pair_for_public(q: Query, observable: Expr,
     while True:
         seen: Dict[str, Sym] = {}
         first: Optional[Tuple[int, Dict[str, int]]] = None
-        for sec_assignment in _assignments(secret, q.bit_budget - pub_bits):
+        for sec_assignment in _assignments(secret, q.bit_budget, pub_bits):
             probe = _ProbeModel({**pub_assignment, **sec_assignment}, seen)
             if not _truthy(q.constraints, probe, q.snapshots):
                 continue

@@ -157,10 +157,10 @@ def test_7_predictor_unit_suite():
         sat = TwoLevel(1, init_counter=2)
         for _ in range(100):
             sat.update(True)
-        assert sat.pht[sat.bhr] == 3
+        assert sat.counter(sat.bhr) == 3
         for _ in range(100):
             sat.update(False)
-        assert min(sat.pht) == 0
+        assert min(sat.counter(i) for i in range(2)) == 0
 
         rng = random.Random(7)
         t = TwoLevel(6)

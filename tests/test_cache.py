@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from specsim.cache import (CacheConfig, CacheState, NO_LEAK, UNKNOWN_LEAK,
-                           leak_check, observable_expr)
+from specsim.cache import (CacheConfig, CacheState, NO_LEAK, leak_check,
+                           observable_expr)
 from specsim.expr import Const, coerce, const, evaluate, mk_binop, sym
+from specsim.solver import BudgetExceeded
 
 
 class TestCacheState:
@@ -132,7 +133,11 @@ class TestLeakCheck:
             addr = mk_binop("add", addr, coerce(k, 32))
         addr = mk_binop("mul", addr, const(64, 32))
         r = leak_check(addr, (), {}, self.CFG, bit_budget=16)
-        assert r is UNKNOWN_LEAK
+        assert r.status == "unknown" and not r.positive and r.witness is None
+        # the solver's overrun travels with the result, without a traceback
+        assert isinstance(r.error, BudgetExceeded)
+        assert str(r.error) == "32 symbolic bits exceed budget 16"
+        assert r.error.__traceback__ is None
 
     def test_path_condition_restricts_pairs(self):
         k = sym("k", 8, secret=True)

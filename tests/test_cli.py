@@ -29,6 +29,21 @@ class TestExitCodes:
                     "--bit-budget", "4"])
         assert code == EXIT_UNKNOWN
 
+    def test_step_limit_truncation_is_two(self, capsys):
+        code = run([V02, "--pht-bits", "1", "--pattern", BRLDLD,
+                    "--step-limit", "3"])
+        assert code == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert "exploration truncated" in out and "verdict: unknown" in out
+
+    def test_leak_pair_overrun_note_counts_bits(self, capsys):
+        # x plus the first secret byte the enumeration reaches: 16 bits
+        code = run([V01, "--pht-bits", "1", "--pattern", BRLDLD,
+                    "--bit-budget", "8"])
+        assert code == EXIT_UNKNOWN
+        assert ("note: pc 11: leak-pair query over the bit budget: "
+                "16 symbolic bits exceed budget 8") in capsys.readouterr().out
+
     def test_missing_file_is_three(self, capsys):
         assert run(["/nonexistent.sir"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err

@@ -3,6 +3,7 @@ sandboxing, taint-aware events, the baseline mode, and per-run state."""
 
 import dataclasses
 import importlib.util
+from collections import Counter
 
 import pytest
 
@@ -10,9 +11,9 @@ import specsim
 from conftest import ROOT, load_fixture, load_pattern_fixture
 from specsim import cache, layout_regions, parse_program, solver
 from specsim.cache import CacheConfig
-from specsim.engine import Engine, EngineError
+from specsim.engine import Engine, EngineError, ExecState
 from specsim.expr import Const
-from specsim.predictor import PredictorConfig
+from specsim.predictor import PredictorConfig, PredictorState
 
 
 def build(src, **kwargs):
@@ -135,6 +136,25 @@ class TestSpeculation:
                    PredictorConfig(pht_bits=1, window=0))
         assert e.run().stats.spec_traces == 0
 
+    @pytest.mark.parametrize("name, cfg", [
+        ("v01.sir", PredictorConfig(pht_bits=1)),
+        ("v2.sir", PredictorConfig(btb_sets=4))])
+    def test_window_zero_clones_predictor_only_for_forks(self, monkeypatch,
+                                                          name, cfg):
+        # a misprediction needs a shadow predictor only to run a trace
+        counts = Counter()
+        pclone, sclone = PredictorState.clone, ExecState.clone
+        monkeypatch.setattr(PredictorState, "clone", lambda p: counts.update(
+            ["predictor"]) or pclone(p))
+        monkeypatch.setattr(ExecState, "clone", lambda s: counts.update(
+            ["path"]) or sclone(s))
+        r = Engine(load_fixture(name), cfg).run()
+        assert r.stats.spec_traces > 0  # it mispredicts
+        assert counts["predictor"] == counts["path"] + r.stats.spec_traces
+        counts.clear()
+        Engine(load_fixture(name), dataclasses.replace(cfg, window=0)).run()
+        assert counts["predictor"] == counts["path"]
+
     def test_window_bounds_trace_length(self):
         e = Engine(load_fixture("v01.sir"),
                    PredictorConfig(pht_bits=1, window=3))
@@ -177,6 +197,19 @@ class TestSpeculation:
         e = Engine(load_fixture("v01.sir"), self.CFG, patterns=[pattern])
         (finding,) = e.run().findings
         assert finding.event_log  # consumed by the replay acceptance check
+
+
+class TestStepLimit:
+    def test_truncated_exploration_is_unknown(self):
+        pattern = load_pattern_fixture("br-ld-ld.json")
+        cfg = PredictorConfig(pht_bits=1)
+        full = Engine(load_fixture("v02.sir"), cfg, patterns=[pattern]).run()
+        assert full.verdict == "leakage-free" and not full.stats.step_limit_hit
+        r = Engine(load_fixture("v02.sir"), cfg, patterns=[pattern],
+                   step_limit=3).run()
+        assert r.stats.step_limit_hit and r.stats.paths == 0
+        assert r.verdict == "unknown"
+        assert r.diagnostics == ["step limit exceeded; exploration truncated"]
 
 
 class TestBaseline:
@@ -396,7 +429,8 @@ class TestOverrunReasons:
         assert r.diagnostics == [
             "pc 3: may-touch query over the bit budget: "
             "8 symbolic bits exceed budget 4",
-            "pc 8: leak-pair query over the bit budget"]
+            "pc 8: leak-pair query over the bit budget: "
+            "8 symbolic bits exceed budget 4"]
 
 
 def _tracer_class():

@@ -1,13 +1,15 @@
-"""Pattern schema, token automaton semantics, and TTL."""
+"""Pattern schema, token automaton semantics, and TTL, with a
+differential test against a per-event TTL countdown."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsim.engine import CacheObservation, Event
 from specsim.cache import LeakResult, NO_LEAK
-from specsim.monitor import (MonitorInstance, PatternError, load_pattern,
-                             satisfies)
+from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
+                             PatternError, load_pattern, satisfies)
 
 
 def pat(*nodes, name="p"):
@@ -152,3 +154,76 @@ class TestAutomaton:
         assert len(c.observe(ev("load"))) == 1
         assert not m.matched()
 
+
+
+class ReferenceMonitor:
+    """Independent oracle: every token carries a TTL counter that each
+    observed event decrements, the creating one included; a token whose
+    counter reaches zero is gone.  Tokens live in per-node lists of
+    (chain, ttl) pairs, ttl -1 meaning no counter runs."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.nodes = [[((), -1)]] + [[] for _ in spec.nodes]
+
+    def observe(self, event, cache_obs=None):
+        matches = []
+        n = len(self.spec.nodes)
+        for i in range(n - 1, -1, -1):
+            np = self.spec.nodes[i]
+            if not satisfies(np, event, cache_obs):
+                continue
+            for chain, ttl in list(self.nodes[i]):
+                if np.start_ttl is not None:
+                    ttl = np.start_ttl
+                elif np.stop_ttl:
+                    ttl = -1
+                chain = chain + ((event.pc, event.name, event.speculation),)
+                self.nodes[i + 1].append((chain, ttl))
+                if i + 1 == n:
+                    matches.append(Match(self.spec.name, chain))
+        for i in range(1, n + 1):
+            ticked = [(c, t - 1 if t > 0 else t) for c, t in self.nodes[i]]
+            self.nodes[i] = [(c, t) for c, t in ticked if t != 0]
+        return matches
+
+    def clone(self):
+        c = ReferenceMonitor(self.spec)
+        c.nodes = [list(node) for node in self.nodes]
+        return c
+
+    def live(self):
+        return [[c for c, _t in node] for node in self.nodes]
+
+
+def live_chains(m):
+    return [[m._chain(t) for t in node] for node in m.node_tokens]
+
+
+_NAMES = ("br", "load", "add")
+_node = st.builds(
+    lambda name, spec, ttl: NodeProps(
+        instruction=name, is_speculative=spec,
+        start_ttl=ttl if isinstance(ttl, int) else None,
+        stop_ttl=ttl == "stop"),
+    st.sampled_from(_NAMES + (None,)), st.sampled_from((None, True, False)),
+    st.sampled_from((None, "stop", 1, 2, 3, 5)))
+_event = st.builds(lambda name, spec, pc: ev(name, pc=pc, spec=spec),
+                   st.sampled_from(_NAMES), st.booleans(), st.integers(0, 3))
+
+
+class TestDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_node, min_size=1, max_size=4),
+           st.lists(st.tuples(_event, _event), min_size=10, max_size=40))
+    def test_event_clock_matches_per_event_countdown(self, nodes, stream):
+        spec = MonitorSpec("p", tuple(nodes))
+        m, ref = MonitorInstance(spec), ReferenceMonitor(spec)
+        for event, probe in stream:
+            assert m.observe(event) == ref.observe(event)
+            assert live_chains(m) == ref.live()
+            # a clone diverges without touching the original
+            c, rc = m.clone(), ref.clone()
+            assert c.observe(probe) == rc.observe(probe)
+            assert live_chains(c) == rc.live()
+            assert live_chains(m) == ref.live()

@@ -1,8 +1,10 @@
-"""Direction predictor, BTB, static fallback, and composite prediction."""
+"""Direction predictor, BTB, static fallback, and composite prediction,
+with the sparse tables checked against dense reference models."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsim.predictor import (PRESETS, Btb, PredictorConfig, PredictorState,
                                TwoLevel, preset)
@@ -25,18 +27,18 @@ class TestTwoLevel:
         t = TwoLevel(1, init_counter=2)
         for _ in range(10):
             t.update(True)
-        assert max(t.pht) == 3
+        assert max(t.counter(i) for i in range(2)) == 3
         t2 = TwoLevel(1, init_counter=1)
         for _ in range(10):
             t2.update(False)
-        assert min(t2.pht) == 0
+        assert min(t2.counter(i) for i in range(2)) == 0
 
     def test_update_trains_the_indexing_entry(self):
         t = TwoLevel(2, init_counter=2)
         t.update(False)          # pht[0] 2 -> 1, bhr -> 0b00
-        assert t.pht[0] == 1 and t.bhr == 0
+        assert t.counter(0) == 1 and t.bhr == 0
         t.update(True)           # pht[0] 1 -> 2, bhr -> 0b01
-        assert t.pht[0] == 2 and t.bhr == 1
+        assert t.counter(0) == 2 and t.bhr == 1
 
     def test_bhr_shift_fidelity_over_outcome_log(self):
         rng = random.Random(1234)
@@ -139,6 +141,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"pht_bits": 0}, {"pht_bits": 17}, {"btb_sets": 3},
         {"fallback": "wat"}, {"init_counter": 4}, {"window": -1},
+        {"btb_sets": 4, "btb_ways": 0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -205,9 +208,10 @@ class TestComposite:
 
     def test_spec_note_shifts_bhr_only(self):
         p = PredictorState(PredictorConfig(pht_bits=2))
-        before = list(p.two_level.pht)
+        before = [p.two_level.counter(i) for i in range(4)]
         p.spec_note_direction(True)
-        assert p.two_level.bhr == 1 and p.two_level.pht == before
+        assert p.two_level.bhr == 1
+        assert [p.two_level.counter(i) for i in range(4)] == before
 
     def test_clone_and_eq(self):
         p = PredictorState(PredictorConfig(pht_bits=2, btb_sets=2))
@@ -215,3 +219,136 @@ class TestComposite:
         assert p == c
         c.update(3, True, 8)
         assert p != c
+
+
+class DenseTwoLevel:
+    """Oracle: the whole PHT as a list."""
+
+    def __init__(self, n, init):
+        self.n, self.bhr, self.table = n, 0, [init] * (1 << n)
+
+    def update(self, taken):
+        c = self.table[self.bhr]
+        self.table[self.bhr] = min(3, c + 1) if taken else max(0, c - 1)
+        self.shift(taken)
+
+    def shift(self, taken):
+        self.bhr = ((self.bhr << 1) | int(taken)) % (1 << self.n)
+
+
+class ReferencePredictor:
+    """Oracle for PredictorState over the dense tables above."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.tl = (DenseTwoLevel(cfg.pht_bits, cfg.init_counter)
+                   if cfg.pht_bits is not None else None)
+        self.btb = (ReferenceBtb(cfg.btb_sets, cfg.btb_ways, cfg.btb_tag_bits)
+                    if cfg.btb_sets is not None else None)
+
+    def predict_conditional(self, pc, taken_target, fallthrough):
+        if self.tl is not None:
+            if self.tl.table[self.tl.bhr] < 2:
+                return False, fallthrough
+            stored = self.btb.lookup(pc) if self.btb is not None else None
+            return True, taken_target if stored is None else stored
+        stored = self.btb.lookup(pc) if self.btb is not None else None
+        if stored is not None:
+            return True, stored
+        if self.cfg.fallback == "btfnt" and taken_target < pc:
+            return True, taken_target
+        return False, fallthrough
+
+    def predict_target(self, pc):
+        return self.btb.lookup(pc) if self.btb is not None else None
+
+    def update(self, pc, taken, target, conditional):
+        if conditional and self.tl is not None:
+            self.tl.update(taken)
+        if self.btb is not None and taken and target is not None:
+            self.btb.install(pc, target)
+
+    def spec_note_direction(self, taken):
+        if self.tl is not None:
+            self.tl.shift(taken)
+
+    def state(self):
+        return (self.tl and (self.tl.bhr, tuple(self.tl.table)),
+                self.btb and tuple(tuple(self.btb.mem[s])
+                                   for s in range(self.btb.sets)))
+
+
+def assert_same(p, ref):
+    """Every counter, the BHR and every BTB set agree, and the sparse
+    tables hold exactly the non-default entries."""
+    if ref.tl is not None:
+        tl = p.two_level
+        assert tl.bhr == ref.tl.bhr
+        assert [tl.counter(i) for i in range(1 << tl.n)] == ref.tl.table
+        assert tl.pht == {i: c for i, c in enumerate(ref.tl.table)
+                          if c != ref.cfg.init_counter}
+    if ref.btb is not None:
+        assert p.btb.sets == {s: tuple(e) for s, e in ref.btb.mem.items() if e}
+
+
+_config = st.builds(
+    PredictorConfig, pht_bits=st.sampled_from((None, 1, 2, 3)),
+    btb_sets=st.sampled_from((None, 1, 2, 4)), btb_ways=st.integers(1, 3),
+    btb_tag_bits=st.integers(1, 3), fallback=st.sampled_from(("none", "btfnt")),
+    init_counter=st.integers(0, 3))
+_pc = st.integers(0, 7)
+_op = st.one_of(
+    st.tuples(st.just("update"), _pc, st.booleans(), st.none() | _pc,
+              st.booleans()),
+    st.tuples(st.just("spec"), st.booleans()),
+    st.tuples(st.just("predict"), _pc, _pc, _pc),
+    st.tuples(st.just("target"), _pc))
+
+
+def apply(p, op):
+    kind, *args = op
+    if kind == "update":
+        return p.update(*args)
+    if kind == "spec":
+        return p.spec_note_direction(*args)
+    if kind == "predict":
+        return p.predict_conditional(*args)
+    return p.predict_target(*args)
+
+
+class TestSparseDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_config, st.lists(_op, min_size=20, max_size=40))
+    def test_matches_dense_reference(self, cfg, ops):
+        p, ref = PredictorState(cfg), ReferencePredictor(cfg)
+        for op in ops:
+            assert apply(p, op) == apply(ref, op)
+            assert_same(p, ref)
+        # a clone follows its own history without touching the original
+        c = p.clone()
+        assert c == p
+        for op in ops:
+            apply(c, op)
+        assert_same(p, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((1, 2)), st.sampled_from((None, 1, 2)),
+           st.lists(_op, max_size=6), st.lists(_op, max_size=6))
+    def test_equality_is_canonical(self, pht_bits, btb_sets, ops_a, ops_b):
+        cfg = PredictorConfig(pht_bits=pht_bits, btb_sets=btb_sets,
+                              btb_tag_bits=1)
+        a, b = PredictorState(cfg), PredictorState(cfg)
+        ra, rb = ReferencePredictor(cfg), ReferencePredictor(cfg)
+        for p, ref, ops in ((a, ra, ops_a), (b, rb, ops_b)):
+            for op in ops:
+                apply(p, op)
+                apply(ref, op)
+        assert (a == b) == (ra.state() == rb.state())
+
+    def test_counter_trained_back_to_default_equals_fresh(self):
+        t = TwoLevel(2, init_counter=2)
+        t.update(True)             # pht[0] 2 -> 3
+        t.bhr = 0
+        t.update(False)            # pht[0] 3 -> 2
+        t.bhr = 0
+        assert t.pht == {} and t == TwoLevel(2, init_counter=2)
