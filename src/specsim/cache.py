@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .expr import Const, Expr, Model, const, evaluate, mk_binop
+from .expr import Const, Expr, Model, const, mk_binop
 from .solver import BudgetExceeded, Query, find_leak_pair
 
 
@@ -57,9 +57,6 @@ class CacheState:
         evicted = entries.pop() if len(entries) > self.cfg.ways else None
         return AccessResult(hit=False, evicted=evicted)
 
-    def resident_lines(self) -> int:
-        return sum(len(entries) for entries in self.sets)
-
     def clone(self) -> "CacheState":
         c = CacheState.__new__(CacheState)
         c.cfg = self.cfg
@@ -75,7 +72,6 @@ class CacheState:
 class LeakResult:
     status: str  # "leak", "none", or "unknown"
     witness: Optional[Tuple[Model, Model]] = None
-    line_indices: Optional[Tuple[int, int]] = None
     observable: Optional[Expr] = None  # what the witness pair distinguishes
     error: Optional[BudgetExceeded] = None  # why the status is "unknown"
 
@@ -115,15 +111,4 @@ def leak_check(addr_expr: Expr, path_cond, snapshots, cfg: CacheConfig,
         return LeakResult("unknown", error=e.with_traceback(None))
     if pair is None:
         return NO_LEAK
-    m1, m2 = pair
-    i1 = evaluate(obs, _total(m1), snapshots)
-    i2 = evaluate(obs, _total(m2), snapshots)
-    assert i1 != i2, "leak witness must map to distinct observables"
-    return LeakResult("leak", witness=pair, line_indices=(i1, i2),
-                      observable=obs)
-
-
-def _total(model: Model) -> Model:
-    """Witness models may omit symbols that only default to zero."""
-    from .solver import _ProbeModel
-    return _ProbeModel(model.assignment, {})
+    return LeakResult("leak", witness=pair, observable=obs)

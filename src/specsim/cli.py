@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from . import sir
@@ -71,32 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def predictor_config(args) -> PredictorConfig:
-    if args.preset:
-        base = PRESETS[args.preset]
-        fields = dict(pht_bits=base.pht_bits, btb_sets=base.btb_sets,
-                      btb_ways=base.btb_ways, btb_tag_bits=base.btb_tag_bits,
-                      window=base.window, fallback=base.fallback,
-                      init_counter=base.init_counter,
-                      preset_name=base.preset_name)
-    else:
-        fields = dict(pht_bits=None, btb_sets=None, btb_ways=1,
-                      btb_tag_bits=4, window=16, fallback="none",
-                      init_counter=2, preset_name=None)
-    if args.pht_bits is not None:
-        fields["pht_bits"] = args.pht_bits
-    if args.pht_init_counter is not None:
-        fields["init_counter"] = args.pht_init_counter
-    if args.btb_sets is not None:
-        fields["btb_sets"] = args.btb_sets
-    if args.btb_ways is not None:
-        fields["btb_ways"] = args.btb_ways
-    if args.btb_tag_bits is not None:
-        fields["btb_tag_bits"] = args.btb_tag_bits
-    if args.btfnt:
-        fields["fallback"] = "btfnt"
-    if args.window is not None:
-        fields["window"] = args.window
-    return PredictorConfig(**fields)
+    """The preset, or the defaults, with every predictor flag that was set."""
+    flags = dict(pht_bits=args.pht_bits, init_counter=args.pht_init_counter,
+                 btb_sets=args.btb_sets, btb_ways=args.btb_ways,
+                 btb_tag_bits=args.btb_tag_bits, window=args.window,
+                 fallback="btfnt" if args.btfnt else None)
+    base = PRESETS[args.preset] if args.preset else PredictorConfig()
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _stats_dict(result: RunResult) -> dict:
@@ -127,6 +109,15 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
 
+    try:  # before layout, which aligns regions to the cache line size
+        predictor_cfg = predictor_config(args)
+        cache_cfg = CacheConfig(line_size=args.cache_line, sets=args.cache_sets,
+                                ways=args.cache_ways,
+                                granularity=args.granularity)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+
     try:
         with open(args.program, "r", encoding="utf-8") as f:
             text = f.read()
@@ -150,15 +141,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         except PatternError as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return EXIT_USAGE
-
-    try:
-        predictor_cfg = predictor_config(args)
-        cache_cfg = CacheConfig(line_size=args.cache_line, sets=args.cache_sets,
-                                ways=args.cache_ways,
-                                granularity=args.granularity)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
     def make_engine() -> Engine:
         return Engine(program, predictor_cfg, cache_cfg, patterns,

@@ -38,21 +38,9 @@ from .monitor import MonitorInstance, MonitorSpec
 from .predictor import PredictorConfig, PredictorState
 from .sir import Imm, Instruction, Program, Reg
 
-BINOP_OPCODES = frozenset(
-    ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
-     "lt", "le", "eq", "ne"))
-
 
 class EngineError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class MemoryInfo:
-    addr_expr: ex.Expr
-    concrete: Optional[int]
-    line: Optional[int]
-    write: bool
 
 
 @dataclass(frozen=True)
@@ -62,14 +50,7 @@ class Event:
     speculation: bool
     symbolic_access: bool
     secret_access: bool
-    mem: Optional[MemoryInfo] = None
-
-
-@dataclass(frozen=True)
-class CacheObservation:
-    """What the cache tells the monitor after handling one event."""
-    leak: Optional[LeakResult] = None
-    hit: Optional[bool] = None
+    addr: Optional[int] = None  # concrete address of a load or store
 
 
 @dataclass
@@ -145,8 +126,9 @@ class RunResult:
     memo: dict = field(default_factory=dict, compare=False, repr=False)
     # (pattern, chain, path key) of every match already reported
     seen: Set[tuple] = field(default_factory=set, compare=False, repr=False)
-    overrun_sites: Set[Tuple[int, str]] = field(default_factory=set,
-                                                compare=False, repr=False)
+    # (pc, kind) of every note already written
+    noted: Set[Tuple[int, str]] = field(default_factory=set, compare=False,
+                                        repr=False)
 
     @property
     def verdict(self) -> str:
@@ -164,11 +146,14 @@ class RunResult:
         (pc, kind), and the verdict can no longer be leakage-free."""
         self.stats.budget_exceeded += 1
         self.unknown = True
-        if (pc, kind) not in self.overrun_sites:
-            self.overrun_sites.add((pc, kind))
-            why = f": {err}" if err is not None else ""
-            self.diagnostics.append(
-                f"pc {pc}: {kind} query over the bit budget{why}")
+        why = f": {err}" if err is not None else ""
+        self.note(pc, kind, f"{kind} query over the bit budget{why}")
+
+    def note(self, pc: int, kind: str, text: str) -> None:
+        """Append the diagnostic `pc {pc}: {text}`, once per (pc, kind)."""
+        if (pc, kind) not in self.noted:
+            self.noted.add((pc, kind))
+            self.diagnostics.append(f"pc {pc}: {text}")
 
 
 class ExecState:
@@ -189,7 +174,8 @@ class ExecState:
         self.cache = cache
         self.monitors = monitors
         self.ret_stack: List[int] = []
-        self.event_log: List[Tuple[Event, CacheObservation]] = []
+        # each event with its leak-check result, or None where none ran
+        self.event_log: List[Tuple[Event, Optional[LeakResult]]] = []
 
     def clone(self) -> "ExecState":
         c = ExecState.__new__(ExecState)
@@ -344,11 +330,11 @@ class Engine:
             return "run"
 
         # straight-line instruction
-        event, obs, err = self._exec_data_inst(run, inst, frame, s.path_cond,
-                                               speculative)
+        event, leak, err = self._exec_data_inst(run, inst, frame, s.path_cond,
+                                                speculative)
         if err is not None and not speculative:
             self._error(run, s, op, err)
-        self._emit(run, s, event, obs)
+        self._emit(run, s, event, leak)
         if err is not None:
             return "end"
         frame.pc += 1
@@ -368,6 +354,7 @@ class Engine:
         cond, t_pc, f_pc = self._branch_operands(inst, s.regs)
 
         feasible: List[bool] = []
+        overran = False
         if isinstance(cond, ex.Const):
             feasible = [cond.value != 0]
         else:
@@ -380,12 +367,17 @@ class Engine:
                         run.snapshots, run.memo))
                 except solver.BudgetExceeded as e:
                     run.overrun(pc, "branch", e)
-                    run.findings.append(Finding(
-                        "unknown", None, ((pc, "br", False),),
-                        self._path_str(s), self._config_str(), None))
+                    overran = True
                     continue
                 if m is not None:
                     feasible.append(want)
+        if overran:
+            run.findings.append(Finding("unknown", None, ((pc, "br", False),),
+                                        self._path_str(s), self._config_str(),
+                                        None))
+            if not feasible:
+                run.note(pc, "dropped", "path dropped: no branch direction "
+                         "fits the bit budget")
 
         # DFS taken-edge first: push not-taken first so taken pops first
         for direction in sorted(feasible):  # False before True
@@ -523,7 +515,8 @@ class Engine:
                         frame: ExecState | _Sandbox, path_cond: List[ex.Expr],
                         speculative: bool):
         """Execute const/sym/addrof/binop/load/store against the frame's
-        register file and memory.  Returns (event, cache_obs, error)."""
+        register file and memory.  Returns (event, leak-check result,
+        error)."""
         op = inst.opcode
         pc = frame.pc
         regs = frame.regs
@@ -556,7 +549,7 @@ class Engine:
             regs[rd.name] = ex.const(value, 32)
             return Event(op, pc, speculative, False, False), None, None
 
-        if op in BINOP_OPCODES:
+        if op in ex.BIN_OPS:
             rd, a_op, b_op = inst.operands
             a = ex.coerce(self._operand_value(a_op, regs), inst.width)
             b = ex.coerce(self._operand_value(b_op, regs), inst.width)
@@ -568,29 +561,29 @@ class Engine:
         if op == "load":
             rd, addr_op = inst.operands
             addr = ex.coerce(self._operand_value(addr_op, regs), 32)
-            value, info = self._do_load(run, addr, inst.width, frame.mem,
-                                        path_cond, pc, speculative)
+            value = self._do_load(run, addr, inst.width, frame.mem,
+                                  path_cond, pc, speculative)
             regs[rd.name] = value
             taint = addr.taint.join(value.taint)
-            obs = self._cache_route(run, addr, path_cond, pc)
+            leak = self._cache_route(run, addr, path_cond, pc)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
-                          mem=info), obs, None)
+                          self._concrete(addr)), leak, None)
 
         if op == "store":
             addr_op, val_op = inst.operands
             addr = ex.coerce(self._operand_value(addr_op, regs), 32)
             value = ex.coerce(self._operand_value(val_op, regs), inst.width)
-            info = self._do_store(run, addr, value, inst.width, frame.mem, pc)
+            self._do_store(run, addr, value, inst.width, frame.mem, pc)
             taint = addr.taint.join(value.taint)
-            obs = self._cache_route(run, addr, path_cond, pc)
+            leak = self._cache_route(run, addr, path_cond, pc)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
-                          mem=info), obs, None)
+                          self._concrete(addr)), leak, None)
 
         raise EngineError(f"unhandled opcode {op!r}")
 
     def _do_load(self, run: RunResult, addr: ex.Expr, width: int,
                  mem: Dict[int, ex.Expr], path_cond, pc: int,
-                 speculative: bool):
+                 speculative: bool) -> ex.Expr:
         if isinstance(addr, ex.Const):
             base = addr.value
             if self.program.region_at(base) is None:
@@ -609,24 +602,21 @@ class Engine:
                         "or", value,
                         ex.mk_binop("shl", ex.coerce(byte, 32),
                                     ex.const(8 * i, 32)))
-            line = (base // self.cache_cfg.line_size)
-            info = MemoryInfo(addr, base, line, write=False)
-            return value, info
+            return value
         # symbolic address: freeze the memory snapshot it reads from
         version = self._freeze(run, mem, speculative)
         secret = self._may_touch_secret(run, addr, path_cond, pc)
-        value = ex.mk_memread(version, addr, width, secret)
-        return value, MemoryInfo(addr, None, None, write=False)
+        return ex.mk_memread(version, addr, width, secret)
 
     def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
-                  width: int, mem: Dict[int, ex.Expr], pc: int):
+                  width: int, mem: Dict[int, ex.Expr], pc: int) -> None:
         if not isinstance(addr, ex.Const):
             # later loads and store-to-load forwarding cannot see the store,
             # so nothing after it is sound to call leakage-free
             run.diagnostics.append(f"pc {pc}: symbolic store address "
                                    "unsupported; store skipped")
             run.unknown = True
-            return MemoryInfo(addr, None, None, write=True)
+            return
         base = addr.value
         if self.program.region_at(base) is None:
             run.diagnostics.append(f"pc {pc}: store to unmapped address {base:#x}")
@@ -636,8 +626,6 @@ class Engine:
             for i in range(4):
                 mem[base + i] = ex.coerce(
                     ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
-        line = base // self.cache_cfg.line_size
-        return MemoryInfo(addr, base, line, write=True)
 
     def _may_touch_secret(self, run: RunResult, addr: ex.Expr, path_cond,
                           pc: int) -> bool:
@@ -694,29 +682,29 @@ class Engine:
     # --------------------------------------------------------------- events
 
     def _cache_route(self, run: RunResult, addr: ex.Expr, path_cond,
-                     pc: int) -> CacheObservation:
-        leak: Optional[LeakResult] = None
-        if addr.taint.secret and self._needs_cache_check:
-            run.stats.solver_queries += 1  # one leak-pair search
-            leak = cache_mod.leak_check(addr, path_cond, run.snapshots,
-                                        self.cache_cfg, self.bit_budget,
-                                        run.memo)
-            if leak.status == "unknown":
-                run.overrun(pc, "leak-pair", leak.error)
-        return CacheObservation(leak=leak)
+                     pc: int) -> Optional[LeakResult]:
+        """The leak check of an access at a secret-tainted address, when
+        some pattern checks the cache state; None otherwise."""
+        if not (addr.taint.secret and self._needs_cache_check):
+            return None
+        run.stats.solver_queries += 1  # one leak-pair search
+        leak = cache_mod.leak_check(addr, path_cond, run.snapshots,
+                                    self.cache_cfg, self.bit_budget, run.memo)
+        if leak.status == "unknown":
+            run.overrun(pc, "leak-pair", leak.error)
+        return leak
 
     def _emit(self, run: RunResult, s: ExecState, event: Event,
-              obs: Optional[CacheObservation]) -> None:
-        if event.mem is not None and event.mem.concrete is not None:
-            result = s.cache.access(event.mem.concrete)
-            obs = CacheObservation(leak=obs.leak if obs else None,
-                                   hit=result.hit)
-        s.event_log.append((event, obs or CacheObservation()))
+              leak: Optional[LeakResult]) -> None:
+        if event.addr is not None:
+            s.cache.access(event.addr)
+        s.event_log.append((event, leak))
         for m in s.monitors:
-            for match in m.observe(event, obs):
-                self._record_match(run, s, match, obs)
+            for match in m.observe(event, leak):
+                self._record_match(run, s, match, leak)
 
-    def _record_match(self, run: RunResult, s: ExecState, match, obs) -> None:
+    def _record_match(self, run: RunResult, s: ExecState, match,
+                      leak: Optional[LeakResult]) -> None:
         key = (match.pattern, match.chain, tuple(s.path_key))
         if key in run.seen:
             return
@@ -724,9 +712,9 @@ class Engine:
         witness = None
         observable = None
         kind = "leak"
-        if obs is not None and obs.leak is not None and obs.leak.positive:
-            witness = obs.leak.witness
-            observable = obs.leak.observable
+        if leak is not None and leak.positive:
+            witness = leak.witness
+            observable = leak.observable
         else:
             run.stats.solver_queries += 1
             try:
@@ -754,6 +742,10 @@ class Engine:
             return value
         raise EngineError(f"bad operand {operand!r}")
 
+    @staticmethod
+    def _concrete(addr: ex.Expr) -> Optional[int]:
+        return addr.value if isinstance(addr, ex.Const) else None
+
     def _path_str(self, s: ExecState) -> str:
         return " & ".join(ex.to_str(c) for c in s.path_cond) or "true"
 
@@ -768,16 +760,3 @@ class Engine:
             parts.append("btfnt")
         parts.append(f"w{cfg.window}")
         return ",".join(parts)
-
-
-def explore(program: Program, predictor_cfg=None, cache_cfg=None,
-            patterns=(), **kwargs) -> RunResult:
-    """Prediction-aware exploration of all satisfiable architectural paths."""
-    return Engine(program, predictor_cfg, cache_cfg, patterns, **kwargs).run()
-
-
-def explore_baseline(program: Program, predictor_cfg=None, cache_cfg=None,
-                     patterns=(), **kwargs) -> RunResult:
-    """History-agnostic baseline: every conditional branch mispredicts."""
-    return Engine(program, predictor_cfg, cache_cfg, patterns,
-                  **kwargs).run(baseline=True)

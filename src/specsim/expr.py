@@ -41,7 +41,7 @@ NO_TAINT = Taint()
 ARITH_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr")
 CMP_OPS = ("lt", "le", "eq", "ne")
 BIN_OPS = ARITH_OPS + CMP_OPS
-UN_OPS = ("not", "neg", "zext", "trunc")
+UN_OPS = ("zext", "trunc")
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ class UnOp(Expr):
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Ite(Expr):
-    cond: Expr
     a: Expr
     b: Expr
 
@@ -175,37 +168,20 @@ def mk_binop(op: str, a: Expr, b: Expr) -> Expr:
     return BinOp(out_width, a.taint.join(b.taint), op, a, b)
 
 
-def mk_unop(op: str, a: Expr, width: Optional[int] = None) -> Expr:
-    """Build a unary operation; taint is copied from the operand.
-
-    `zext` and `trunc` change the width to `width`; other ops keep it.
-    """
+def mk_unop(op: str, a: Expr, width: int) -> Expr:
+    """Zero-extend (`zext`) or truncate (`trunc`) `a` to `width`; taint is
+    copied from the operand."""
     if op not in UN_OPS:
         raise ExprError(f"unknown unop {op}")
-    if op == "zext":
-        if width is None or width < a.width:
-            raise WidthError("zext needs a wider target width")
-        out_width = width
-    elif op == "trunc":
-        if width is None or width > a.width:
-            raise WidthError("trunc needs a narrower target width")
-        out_width = width
-    else:
-        out_width = a.width
-
+    if op == "zext" and width < a.width:
+        raise WidthError("zext needs a wider target width")
+    if op == "trunc" and width > a.width:
+        raise WidthError("trunc needs a narrower target width")
     if isinstance(a, Const):
-        if op == "not":
-            return const(~a.value, out_width)
-        if op == "neg":
-            return const(-a.value, out_width)
-        return const(a.value, out_width)  # zext/trunc: masking in const()
-    if op in ("zext", "trunc") and out_width == a.width:
+        return const(a.value, width)  # masking in const()
+    if width == a.width:
         return a
-    return UnOp(out_width, a.taint, op, a)
-
-
-def zext8to32(a: Expr) -> Expr:
-    return mk_unop("zext", a, 32)
+    return UnOp(width, a.taint, op, a)
 
 
 def coerce(a: Expr, width: int) -> Expr:
@@ -215,15 +191,6 @@ def coerce(a: Expr, width: int) -> Expr:
     if a.width < width:
         return mk_unop("zext", a, width)
     return mk_unop("trunc", a, width)
-
-
-def mk_ite(cond: Expr, a: Expr, b: Expr) -> Expr:
-    if a.width != b.width:
-        raise WidthError("ite arms differ in width")
-    if isinstance(cond, Const):
-        return a if cond.value != 0 else b
-    taint = cond.taint.join(a.taint).join(b.taint)
-    return Ite(a.width, taint, cond, a, b)
 
 
 def mk_memread(version: int, addr: Expr, width: int, secret: bool) -> MemRead:
@@ -267,19 +234,11 @@ def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> in
     if isinstance(e, Sym):
         return model.lookup(e)
     if isinstance(e, UnOp):
-        v = evaluate(e.a, model, snapshots)
-        if e.op == "not":
-            return ~v & mask(e.width)
-        if e.op == "neg":
-            return -v & mask(e.width)
-        return v & mask(e.width)  # zext / trunc
+        return evaluate(e.a, model, snapshots) & mask(e.width)  # zext / trunc
     if isinstance(e, BinOp):
         x = evaluate(e.a, model, snapshots)
         y = evaluate(e.b, model, snapshots)
         return _apply_binop(e.op, x, y, e.a.width)
-    if isinstance(e, Ite):
-        c = evaluate(e.cond, model, snapshots)
-        return evaluate(e.a if c != 0 else e.b, model, snapshots)
     if isinstance(e, MemRead):
         if snapshots is None or e.version not in snapshots:
             raise ExprError(f"unknown memory snapshot v{e.version}")
@@ -308,8 +267,6 @@ def references(exprs: Iterable[Expr]) -> Tuple[dict, set]:
             stack.append(e.a)
         elif isinstance(e, BinOp):
             stack.extend((e.a, e.b))
-        elif isinstance(e, Ite):
-            stack.extend((e.cond, e.a, e.b))
         elif isinstance(e, MemRead):
             versions.add(e.version)
             stack.append(e.addr)
@@ -332,8 +289,6 @@ def to_str(e: Expr) -> str:
         return f"({e.op} {to_str(e.a)} w{e.width})"
     if isinstance(e, BinOp):
         return f"({e.op} {to_str(e.a)} {to_str(e.b)})"
-    if isinstance(e, Ite):
-        return f"(ite {to_str(e.cond)} {to_str(e.a)} {to_str(e.b)})"
     if isinstance(e, MemRead):
         return f"(mem v{e.version} {to_str(e.addr)} w{e.width})"
     raise ExprError(f"cannot print {e!r}")

@@ -103,8 +103,9 @@ def load_pattern_file(path: str) -> MonitorSpec:
         return load_pattern(f.read())
 
 
-def satisfies(np: NodeProps, event, cache_obs) -> bool:
-    """Conjunction over the properties present on the node."""
+def satisfies(np: NodeProps, event, leak) -> bool:
+    """Conjunction over the properties present on the node; `leak` is the
+    leak check's result at this access, or None where none ran."""
     if np.instruction is not None and event.name != np.instruction:
         return False
     if np.is_speculative is not None and event.speculation != np.is_speculative:
@@ -114,8 +115,7 @@ def satisfies(np: NodeProps, event, cache_obs) -> bool:
     if np.is_sensitive is not None and event.secret_access != np.is_sensitive:
         return False
     if np.check_cache_state is not None:
-        positive = cache_obs is not None and cache_obs.leak is not None \
-            and cache_obs.leak.positive
+        positive = leak is not None and leak.positive
         if positive != np.check_cache_state:
             return False
     return True
@@ -150,8 +150,8 @@ class MonitorInstance:
         self.node_tokens: List[List[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
         self.node_tokens[0].append(Token(None, None, None))
 
-    def observe(self, event, cache_obs=None) -> List[Match]:
-        """Advance tokens for one (event, cache-state) observation.
+    def observe(self, event, leak=None) -> List[Match]:
+        """Advance tokens for one event and its leak-check result.
 
         The sweep runs from the last node backwards so a single event
         advances any token by at most one node.  A TTL counts the event
@@ -163,7 +163,7 @@ class MonitorInstance:
         inst = (event.pc, event.name, event.speculation)
         for i in range(n - 1, -1, -1):
             np = self.spec.nodes[i]
-            if not self.node_tokens[i] or not satisfies(np, event, cache_obs):
+            if not self.node_tokens[i] or not satisfies(np, event, leak):
                 continue
             inherit = np.start_ttl is None and not np.stop_ttl
             deadline = None
@@ -191,9 +191,6 @@ class MonitorInstance:
             chain.append(tok.inst)
             tok = tok.parent
         return tuple(reversed(chain))
-
-    def matched(self) -> bool:
-        return bool(self.node_tokens[-1])
 
     def clone(self) -> "MonitorInstance":
         c = MonitorInstance.__new__(MonitorInstance)

@@ -30,15 +30,17 @@ class PredictorConfig:
     window: int = 16
     fallback: str = "none"  # "none" (predict not-taken) or "btfnt"
     init_counter: int = 2   # weakly taken; untrained predictors speculate
-    preset_name: Optional[str] = None
 
     def __post_init__(self):
         if self.pht_bits is not None and not 0 < self.pht_bits <= 16:
             raise ValueError("pht_bits must be in 1..16")
-        if self.btb_sets is not None and self.btb_sets & (self.btb_sets - 1):
-            raise ValueError("btb_sets must be a power of two")
+        if self.btb_sets is not None and (self.btb_sets < 1
+                                          or self.btb_sets & (self.btb_sets - 1)):
+            raise ValueError("btb_sets must be a positive power of two")
         if self.btb_ways < 1:
             raise ValueError("btb_ways must be >= 1")
+        if self.btb_tag_bits < 0:
+            raise ValueError("btb_tag_bits must be >= 0")
         if self.fallback not in ("none", "btfnt"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
         if not 0 <= self.init_counter <= 3:
@@ -48,12 +50,9 @@ class PredictorConfig:
 
 
 PRESETS = {
-    "cortex-a53": PredictorConfig(pht_bits=12, btb_sets=256, window=32,
-                                  preset_name="cortex-a53"),
-    "cortex-a7": PredictorConfig(pht_bits=8, btb_sets=8, window=16,
-                                 preset_name="cortex-a7"),
-    "pentium4": PredictorConfig(btb_sets=4096, window=40, fallback="btfnt",
-                                preset_name="pentium4"),
+    "cortex-a53": PredictorConfig(pht_bits=12, btb_sets=256, window=32),
+    "cortex-a7": PredictorConfig(pht_bits=8, btb_sets=8, window=16),
+    "pentium4": PredictorConfig(btb_sets=4096, window=40, fallback="btfnt"),
 }
 
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from .expr import BIN_OPS
+
 MAX_ADDRESS = 1 << 32
 
 
@@ -72,9 +74,6 @@ class Label:
 
 Operand = object  # Reg | Imm | Label | str (bare name for sym/addrof)
 
-BINOP_NAMES = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
-               "lt", "le", "eq", "ne")
-
 # opcode -> operand kind string: r=register, v=register-or-immediate,
 # l=label, n=bare name, s=optional 'secret' marker
 _SIGNATURES: Dict[str, str] = {
@@ -90,7 +89,7 @@ _SIGNATURES: Dict[str, str] = {
     "ret": "",
     "halt": "",
 }
-for _op in BINOP_NAMES:
+for _op in BIN_OPS:
     _SIGNATURES[_op] = "r v v"
 
 

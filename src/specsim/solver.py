@@ -245,7 +245,7 @@ def _bounds(e: Expr, env: Mapping[Sym, _Bounds], seen: Dict[int, _Bounds]
     if r is not None:
         return r
     r = (0, mask(e.width))
-    if isinstance(e, UnOp) and e.op in ("zext", "trunc"):
+    if isinstance(e, UnOp):  # zext or trunc
         inner = _bounds(e.a, env, seen)
         if inner[1] <= r[1]:
             r = inner

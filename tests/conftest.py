@@ -6,6 +6,7 @@ import pathlib
 import random
 
 from specsim import layout_regions, load_pattern_file, parse_program
+from specsim.expr import BIN_OPS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -19,10 +20,6 @@ def load_fixture(name: str):
 
 def load_pattern_fixture(name: str):
     return load_pattern_file(str(PATTERNS / name))
-
-
-_BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
-           "lt", "le", "eq", "ne")
 
 
 def random_program(rng: random.Random, max_branches: int = 2) -> str:
@@ -50,7 +47,7 @@ def random_program(rng: random.Random, max_branches: int = 2) -> str:
             kind = rng.random()
             rd = rng.choice(regs)
             if kind < 0.5:
-                op = rng.choice(_BINOPS)
+                op = rng.choice(BIN_OPS)
                 a, c = rng.choice(regs), rng.choice(regs + [str(rng.randrange(64))])
                 lines.append(f"  {op} {rd}, {a}, {c}")
             elif kind < 0.75:

@@ -11,6 +11,8 @@ from specsim.cli import (EXIT_CLEAN, EXIT_LEAK, EXIT_UNKNOWN, EXIT_USAGE,
 V01 = str(FIXTURES / "v01.sir")
 V02 = str(FIXTURES / "v02.sir")
 BRLDLD = str(PATTERNS / "br-ld-ld.json")
+INT_FLAGS = [a.option_strings[0] for a in build_parser()._actions
+             if a.type is int]
 
 
 class TestExitCodes:
@@ -60,6 +62,33 @@ class TestExitCodes:
 
     def test_bad_flag_value_is_three(self, capsys):
         assert run([V01, "--pht-bits", "99"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [
+        ["--btb-sets", "0"],
+        ["--btb-sets", "4", "--btb-tag-bits", "-1"],
+        ["--cache-line", "0"],
+    ])
+    def test_bad_config_value_is_three_with_error(self, flags, capsys):
+        assert run([V01, *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_integer_flag_extremes_never_crash(self, flag, value, capsys):
+        code = run([V01, "--pht-bits", "1", "--pattern", BRLDLD, flag, value])
+        assert code in (EXIT_CLEAN, EXIT_LEAK, EXIT_UNKNOWN, EXIT_USAGE)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_dropped_branch_is_noted_once(self, tmp_path, capsys):
+        prog = tmp_path / "wide.sir"
+        prog.write_text("  sym r1, x\n  br r1, a, b\na:\n  halt\nb:\n  halt\n")
+        code = run([str(prog), "--pht-bits", "1", "--bit-budget", "8"])
+        assert code == EXIT_UNKNOWN
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("unknown")] == [
+            "unknown: engine: br@1 [PHT:1,w16]"]
+        assert ("note: pc 1: path dropped: no branch direction fits the "
+                "bit budget") in lines
 
     def test_malformed_program_is_three_without_traceback(self, tmp_path,
                                                           capsys):

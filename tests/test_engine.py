@@ -416,12 +416,27 @@ class TestOverrunReasons:
                                  "32 symbolic bits exceed budget 20"]
 
     def test_one_note_per_site_and_kind(self):
-        # both directions of the branch overrun: two overruns, one note
+        # both directions of the branch overrun: two overruns, one note,
+        # one finding, and the dropped path says so
         r = build("  sym r1, a\n  const r2, 5\n  lt r3, r1, r2\n"
                   "  br r3, t, f\nt:\n  halt\nf:\n  halt\n").run()
         assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
-        assert r.diagnostics == ["pc 3: branch query over the bit budget: "
-                                 "32 symbolic bits exceed budget 20"]
+        assert r.stats.paths == 0
+        assert [(f.kind, f.chain) for f in r.findings] == [
+            ("unknown", ((3, "br", False),))]
+        assert r.diagnostics == [
+            "pc 3: branch query over the bit budget: "
+            "32 symbolic bits exceed budget 20",
+            "pc 3: path dropped: no branch direction fits the bit budget"]
+
+    def test_refuted_direction_and_overrun_drop_the_path(self):
+        # a < 0 is refuted without enumeration; a >= 0 overruns the budget
+        r = build("  sym r1, a\n  const r2, 0\n  lt r3, r1, r2\n"
+                  "  br r3, t, f\nt:\n  halt\nf:\n  halt\n").run()
+        assert r.stats.budget_exceeded == 1 and r.stats.paths == 0
+        assert [f.kind for f in r.findings] == ["unknown"]
+        assert r.diagnostics[-1] == ("pc 3: path dropped: no branch "
+                                     "direction fits the bit budget")
 
     def test_leak_pair_overrun_is_explained(self):
         pattern = load_pattern_fixture("br-ld-ld.json")

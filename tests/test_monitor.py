@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsim.engine import CacheObservation, Event
+from specsim.engine import Event
 from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
                              PatternError, load_pattern, satisfies)
@@ -20,7 +20,7 @@ def ev(name, pc=0, spec=False, symbolic=False, secret=False):
     return Event(name, pc, spec, symbolic, secret)
 
 
-LEAKY = CacheObservation(leak=LeakResult("leak"))
+LEAKY = LeakResult("leak")
 
 
 class TestSchema:
@@ -78,8 +78,8 @@ class TestSatisfies:
     def test_check_cache_state_needs_positive_leak(self):
         np = pat({"checkCacheState": True}).nodes[0]
         assert satisfies(np, ev("load"), LEAKY)
-        assert not satisfies(np, ev("load"), CacheObservation(leak=NO_LEAK))
-        assert not satisfies(np, ev("load"), CacheObservation())
+        assert not satisfies(np, ev("load"), NO_LEAK)
+        assert not satisfies(np, ev("load"), LeakResult("unknown"))
         assert not satisfies(np, ev("load"), None)
 
 
@@ -91,7 +91,7 @@ class TestAutomaton:
         matches = m.observe(ev("load", pc=6, spec=True))
         assert len(matches) == 1
         assert matches[0].chain == ((4, "br", False), (6, "load", True))
-        assert m.matched()
+        assert m.node_tokens[-1]
 
     def test_tokens_are_copied_not_moved(self):
         m = MonitorInstance(pat({"instruction": "br"}, {"instruction": "load"}))
@@ -152,7 +152,7 @@ class TestAutomaton:
         m.observe(ev("br"))
         c = m.clone()
         assert len(c.observe(ev("load"))) == 1
-        assert not m.matched()
+        assert not m.node_tokens[-1]
 
 
 
@@ -166,12 +166,12 @@ class ReferenceMonitor:
         self.spec = spec
         self.nodes = [[((), -1)]] + [[] for _ in spec.nodes]
 
-    def observe(self, event, cache_obs=None):
+    def observe(self, event, leak=None):
         matches = []
         n = len(self.spec.nodes)
         for i in range(n - 1, -1, -1):
             np = self.spec.nodes[i]
-            if not satisfies(np, event, cache_obs):
+            if not satisfies(np, event, leak):
                 continue
             for chain, ttl in list(self.nodes[i]):
                 if np.start_ttl is not None:

@@ -141,7 +141,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"pht_bits": 0}, {"pht_bits": 17}, {"btb_sets": 3},
         {"fallback": "wat"}, {"init_counter": 4}, {"window": -1},
-        {"btb_sets": 4, "btb_ways": 0},
+        {"btb_sets": 4, "btb_ways": 0}, {"btb_sets": 0}, {"btb_sets": -1},
+        {"btb_sets": 4, "btb_tag_bits": -1},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
