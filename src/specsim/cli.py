@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import sir
 from .cache import CacheConfig
-from .engine import Engine, EngineError, RunResult
+from .engine import Engine, EngineError, RunResult, check_limits
 from .monitor import PatternError, load_pattern_file
 from .predictor import PRESETS, PredictorConfig
 
@@ -114,6 +114,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         cache_cfg = CacheConfig(line_size=args.cache_line, sets=args.cache_sets,
                                 ways=args.cache_ways,
                                 granularity=args.granularity)
+        check_limits(args.bit_budget, args.step_limit)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,7 +28,7 @@ returns, so runs of one engine are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import cache as cache_mod
 from . import expr as ex
@@ -43,8 +43,7 @@ class EngineError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     name: str
     pc: int
     speculation: bool
@@ -217,6 +216,13 @@ class _Sandbox:
         self.shadow = shadow
 
 
+def check_limits(bit_budget: int, step_limit: int) -> None:
+    """Raise ValueError unless both limits are non-negative."""
+    for name, value in (("bit_budget", bit_budget), ("step_limit", step_limit)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 class Engine:
     def __init__(self, program: Program,
                  predictor_cfg: Optional[PredictorConfig] = None,
@@ -224,6 +230,7 @@ class Engine:
                  patterns: Sequence[MonitorSpec] = (),
                  bit_budget: int = 20,
                  step_limit: int = 200_000):
+        check_limits(bit_budget, step_limit)
         self.program = program
         self.predictor_cfg = predictor_cfg or PredictorConfig()
         self.cache_cfg = cache_cfg or CacheConfig()
@@ -231,6 +238,9 @@ class Engine:
         self.bit_budget = bit_budget
         self.step_limit = step_limit
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
+        # event names some node names; None (all) when a node names none
+        self._watched = (None if any(p.by_instruction[None] for p in self.patterns)
+                         else {n for p in self.patterns for n in p.by_instruction})
 
         if any(r.base is None for r in program.regions):
             raise EngineError("program regions are not laid out; "
@@ -699,6 +709,10 @@ class Engine:
         if event.addr is not None:
             s.cache.access(event.addr)
         s.event_log.append((event, leak))
+        if self._watched is not None and event.name not in self._watched:
+            for m in s.monitors:
+                m.tick()
+            return
         for m in s.monitors:
             for match in m.observe(event, leak):
                 self._record_match(run, s, match, leak)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 
 class PatternError(Exception):
@@ -40,6 +40,17 @@ class NodeProps:
 class MonitorSpec:
     name: str
     nodes: Tuple[NodeProps, ...]
+    # instruction name -> the nodes, last first, an event of that name can
+    # satisfy; None -> those naming no instruction, for any other name
+    by_instruction: Dict[Optional[str], Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = range(len(self.nodes) - 1, -1, -1)
+        object.__setattr__(self, "by_instruction", {
+            name: tuple(i for i in order
+                        if self.nodes[i].instruction in (name, None))
+            for name in {np.instruction for np in self.nodes} | {None}})
 
     @property
     def uses_cache_state(self) -> bool:
@@ -151,18 +162,20 @@ class MonitorInstance:
         self.node_tokens[0].append(Token(None, None, None))
 
     def observe(self, event, leak=None) -> List[Match]:
-        """Advance tokens for one event and its leak-check result.
+        """Advance tokens for one event and its leak-check result, then
+        `tick`.
 
-        The sweep runs from the last node backwards so a single event
-        advances any token by at most one node.  A TTL counts the event
-        that created the token.  Once the earliest deadline has passed,
-        expired tokens are dropped, so `node_tokens` holds the live ones.
+        Only the nodes that can name the event are visited, from the last
+        backwards, so a single event advances any token by at most one
+        node.  A TTL counts the event that created the token.
         """
         matches: List[Match] = []
-        n = len(self.spec.nodes)
+        spec = self.spec
+        n = len(spec.nodes)
         inst = (event.pc, event.name, event.speculation)
-        for i in range(n - 1, -1, -1):
-            np = self.spec.nodes[i]
+        index = spec.by_instruction
+        for i in index.get(event.name, index[None]):
+            np = spec.nodes[i]
             if not self.node_tokens[i] or not satisfies(np, event, leak):
                 continue
             inherit = np.start_ttl is None and not np.stop_ttl
@@ -174,7 +187,13 @@ class MonitorInstance:
                 tok = Token(src, inst, src.deadline if inherit else deadline)
                 self.node_tokens[i + 1].append(tok)
                 if i + 1 == n:
-                    matches.append(Match(self.spec.name, self._chain(tok)))
+                    matches.append(Match(spec.name, self._chain(tok)))
+        self.tick()
+        return matches
+
+    def tick(self) -> None:
+        """Count one event on the clock and drop the tokens it expires, so
+        `node_tokens` holds the live ones; an event no node names only ticks."""
         self.now += 1
         if self._earliest <= self.now:
             now = self.now
@@ -183,7 +202,6 @@ class MonitorInstance:
             self._earliest = min((t.deadline for node in self.node_tokens
                                   for t in node if t.deadline is not None),
                                  default=math.inf)
-        return matches
 
     def _chain(self, tok: Token) -> Tuple[Tuple[int, str, bool], ...]:
         chain = []

@@ -72,6 +72,19 @@ class TestExitCodes:
         assert run([V01, *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--bit-budget", "--step-limit"])
+    def test_negative_limit_is_three_before_reading(self, flag, tmp_path,
+                                                    capsys):
+        error = f"error: {flag[2:].replace('-', '_')} must be >= 0\n"
+        assert run([V01, "--pht-bits", "1", "--pattern", BRLDLD,
+                    flag, "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == error
+        assert run([str(tmp_path / "missing.sir"), flag, "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == error
+        # 0 is a valid limit; nothing fits in it, so the verdict is unknown
+        assert run([V01, "--pht-bits", "1", "--pattern", BRLDLD,
+                    flag, "0"]) == EXIT_UNKNOWN
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", INT_FLAGS)
     def test_integer_flag_extremes_never_crash(self, flag, value, capsys):

@@ -3,6 +3,7 @@ sandboxing, taint-aware events, the baseline mode, and per-run state."""
 
 import dataclasses
 import importlib.util
+import json
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from specsim import cache, layout_regions, parse_program, solver
 from specsim.cache import CacheConfig
 from specsim.engine import Engine, EngineError, ExecState
 from specsim.expr import Const
+from specsim.monitor import load_pattern
 from specsim.predictor import PredictorConfig, PredictorState
 
 
@@ -210,6 +212,42 @@ class TestStepLimit:
         assert r.stats.step_limit_hit and r.stats.paths == 0
         assert r.verdict == "unknown"
         assert r.diagnostics == ["step limit exceeded; exploration truncated"]
+
+    @pytest.mark.parametrize("limit", ["bit_budget", "step_limit"])
+    def test_negative_limits_are_rejected(self, limit):
+        program = load_fixture("v01.sir")
+        with pytest.raises(ValueError, match=f"{limit} must be >= 0"):
+            Engine(program, **{limit: -1})
+        Engine(program, **{limit: 0}).run()
+
+
+class TestMonitorRouting:
+    CFG = PredictorConfig(pht_bits=1, window=16)
+
+    @pytest.mark.parametrize("between, matches", [(1, 1), (2, 0)])
+    def test_unwatched_events_count_toward_ttl(self, between, matches):
+        # no node names `add`, so the adds only tick the clock; a weakly
+        # taken counter predicts the taken edge, so no wrong path runs
+        pattern = load_pattern(json.dumps({"name": "p", "nodes": [
+            {"instruction": "br", "startTTL": 3}, {"instruction": "load"}]}))
+        src = ("region m 4\n  addrof r2, m\n  const r1, 1\n  br r1, a, b\na:\n"
+               + "  add r3, r1, r1\n" * between
+               + "  load.8 r4, r2\n  halt\nb:\n  halt\n")
+        r = build(src, predictor_cfg=self.CFG, patterns=[pattern]).run()
+        assert r.stats.spec_traces == 0
+        assert [f.chain for f in r.findings] == [
+            ((2, "br", False), (3 + between, "load", False))] * matches
+
+    def test_node_without_instruction_sees_every_event(self):
+        nodes = json.loads(
+            (ROOT / "fixtures/patterns/br-ld-ld.json").read_text())["nodes"]
+        del nodes[1]["instruction"]
+        pattern = load_pattern(json.dumps({"name": "br-x-ld", "nodes": nodes}))
+        r = Engine(load_fixture("v01.sir"), self.CFG, patterns=[pattern]).run()
+        assert r.verdict == "leak"
+        assert {f.chain[-1] for f in r.findings} == {(11, "load", True)}
+        # the middle node matched instructions no other node names
+        assert {f.chain[1][1] for f in r.findings} == {"load", "mul", "add"}
 
 
 class TestBaseline:

@@ -147,6 +147,20 @@ class TestAutomaton:
         m.observe(ev("add"))      # ttl -> 0: expired before the load
         assert m.observe(ev("load")) == []
 
+    def test_nodes_indexed_by_instruction_last_first(self):
+        spec = pat({"instruction": "br"}, {"isSpeculative": True},
+                   {"instruction": "load"}, {"instruction": "br"})
+        assert spec.by_instruction == {"br": (3, 1, 0), "load": (2, 1),
+                                       None: (1,)}
+
+    def test_tick_advances_the_clock_and_expires(self):
+        m = MonitorInstance(pat({"instruction": "br", "startTTL": 2},
+                                {"instruction": "load"}))
+        m.observe(ev("br"))
+        m.tick()
+        assert m.now == 2 and m.node_tokens[1] == []
+        assert m.observe(ev("load")) == []
+
     def test_clone_is_independent(self):
         m = MonitorInstance(pat({"instruction": "br"}, {"instruction": "load"}))
         m.observe(ev("br"))
@@ -200,6 +214,18 @@ def live_chains(m):
     return [[m._chain(t) for t in node] for node in m.node_tokens]
 
 
+def feed(m, event):
+    """Deliver `event` as the engine does: a spec whose every node names
+    an instruction only ticks on the events it names none of."""
+    index = m.spec.by_instruction
+    if not index[None] and event.name not in index:
+        m.tick()
+        return []
+    return m.observe(event)
+
+
+# no node names "store", so its events exercise the tick-only path, and
+# nodes without an instruction exercise the full sweep
 _NAMES = ("br", "load", "add")
 _node = st.builds(
     lambda name, spec, ttl: NodeProps(
@@ -209,7 +235,8 @@ _node = st.builds(
     st.sampled_from(_NAMES + (None,)), st.sampled_from((None, True, False)),
     st.sampled_from((None, "stop", 1, 2, 3, 5)))
 _event = st.builds(lambda name, spec, pc: ev(name, pc=pc, spec=spec),
-                   st.sampled_from(_NAMES), st.booleans(), st.integers(0, 3))
+                   st.sampled_from(_NAMES + ("store",)), st.booleans(),
+                   st.integers(0, 3))
 
 
 class TestDifferential:
@@ -220,10 +247,10 @@ class TestDifferential:
         spec = MonitorSpec("p", tuple(nodes))
         m, ref = MonitorInstance(spec), ReferenceMonitor(spec)
         for event, probe in stream:
-            assert m.observe(event) == ref.observe(event)
+            assert feed(m, event) == ref.observe(event)
             assert live_chains(m) == ref.live()
             # a clone diverges without touching the original
             c, rc = m.clone(), ref.clone()
-            assert c.observe(probe) == rc.observe(probe)
+            assert feed(c, probe) == rc.observe(probe)
             assert live_chains(c) == rc.live()
             assert live_chains(m) == ref.live()
