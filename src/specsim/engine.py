@@ -34,7 +34,7 @@ from . import cache as cache_mod
 from . import expr as ex
 from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
-from .monitor import MonitorInstance, MonitorSpec
+from .monitor import MonitorInstance, MonitorSpec, watched_names
 from .predictor import PredictorConfig, PredictorState
 from .sir import Imm, Instruction, Program, Reg
 
@@ -238,9 +238,7 @@ class Engine:
         self.bit_budget = bit_budget
         self.step_limit = step_limit
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
-        # event names some node names; None (all) when a node names none
-        self._watched = (None if any(p.by_instruction[None] for p in self.patterns)
-                         else {n for p in self.patterns for n in p.by_instruction})
+        self._watched = watched_names(self.patterns)
 
         if any(r.base is None for r in program.regions):
             raise EngineError("program regions are not laid out; "
@@ -710,6 +708,7 @@ class Engine:
             s.cache.access(event.addr)
         s.event_log.append((event, leak))
         if self._watched is not None and event.name not in self._watched:
+            # no node names the event: it only counts on the clocks
             for m in s.monitors:
                 m.tick()
             return

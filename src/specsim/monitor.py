@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 
 class PatternError(Exception):
@@ -40,12 +40,11 @@ class NodeProps:
 class MonitorSpec:
     name: str
     nodes: Tuple[NodeProps, ...]
-    # instruction name -> the nodes, last first, an event of that name can
-    # satisfy; None -> those naming no instruction, for any other name
-    by_instruction: Dict[Optional[str], Tuple[int, ...]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # by_instruction: instruction name -> the nodes, last first, an event
+        # of that name can satisfy; None -> those naming no instruction, for
+        # any other name.  Not a field, so not compared or printed.
         order = range(len(self.nodes) - 1, -1, -1)
         object.__setattr__(self, "by_instruction", {
             name: tuple(i for i in order
@@ -55,6 +54,14 @@ class MonitorSpec:
     @property
     def uses_cache_state(self) -> bool:
         return any(np.check_cache_state is not None for np in self.nodes)
+
+
+def watched_names(specs: Sequence[MonitorSpec]) -> Optional[FrozenSet[str]]:
+    """The event names some node of `specs` names, or None (all names) when
+    a node names no instruction.  An event of any other name satisfies no
+    node, so `MonitorInstance.tick` may stand in for `observe`."""
+    names = frozenset(np.instruction for spec in specs for np in spec.nodes)
+    return None if None in names else names
 
 
 _JSON_FIELDS = {
@@ -163,11 +170,9 @@ class MonitorInstance:
 
     def observe(self, event, leak=None) -> List[Match]:
         """Advance tokens for one event and its leak-check result, then
-        `tick`.
-
-        Only the nodes that can name the event are visited, from the last
-        backwards, so a single event advances any token by at most one
-        node.  A TTL counts the event that created the token.
+        `tick`.  Only the nodes that can name the event are visited, from
+        the last backwards, so a single event advances any token by at
+        most one node.  A TTL counts the event that created the token.
         """
         matches: List[Match] = []
         spec = self.spec
@@ -193,7 +198,7 @@ class MonitorInstance:
 
     def tick(self) -> None:
         """Count one event on the clock and drop the tokens it expires, so
-        `node_tokens` holds the live ones; an event no node names only ticks."""
+        `node_tokens` holds the live ones."""
         self.now += 1
         if self._earliest <= self.now:
             now = self.now

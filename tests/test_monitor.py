@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from specsim.engine import Event
 from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
-                             PatternError, load_pattern, satisfies)
+                             PatternError, load_pattern, satisfies,
+                             watched_names)
 
 
 def pat(*nodes, name="p"):
@@ -153,6 +154,13 @@ class TestAutomaton:
         assert spec.by_instruction == {"br": (3, 1, 0), "load": (2, 1),
                                        None: (1,)}
 
+    def test_watched_names(self):
+        br_ld = pat({"instruction": "br"}, {"instruction": "load"})
+        icall = pat({"instruction": "icall"})
+        assert watched_names([br_ld, icall]) == {"br", "load", "icall"}
+        assert watched_names([br_ld, pat({"isSpeculative": True})]) is None
+        assert watched_names([]) == frozenset()
+
     def test_tick_advances_the_clock_and_expires(self):
         m = MonitorInstance(pat({"instruction": "br", "startTTL": 2},
                                 {"instruction": "load"}))
@@ -214,17 +222,22 @@ def live_chains(m):
     return [[m._chain(t) for t in node] for node in m.node_tokens]
 
 
-def feed(m, event):
-    """Deliver `event` as the engine does: a spec whose every node names
-    an instruction only ticks on the events it names none of."""
-    index = m.spec.by_instruction
-    if not index[None] and event.name not in index:
-        m.tick()
-        return []
-    return m.observe(event)
+def deliver(m, event, tick):
+    """Deliver `event` to `m`; return each monitor it reached with its
+    matches.  An event that no node of the spec names may take two routes
+    in the engine: `observe`, when another pattern of the run names it, or
+    `tick()`, when none does.  Then a clone takes the route `m` does not,
+    and `tick` picks the one `m` takes."""
+    watched = watched_names([m.spec])
+    if watched is None or event.name in watched:
+        return [(m, m.observe(event))]
+    other = m.clone()
+    ticked, observed = (m, other) if tick else (other, m)
+    ticked.tick()
+    return [(ticked, []), (observed, observed.observe(event))]
 
 
-# no node names "store", so its events exercise the tick-only path, and
+# no node names "store", so its events take both routes of `deliver`, and
 # nodes without an instruction exercise the full sweep
 _NAMES = ("br", "load", "add")
 _node = st.builds(
@@ -242,15 +255,20 @@ _event = st.builds(lambda name, spec, pc: ev(name, pc=pc, spec=spec),
 class TestDifferential:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_node, min_size=1, max_size=4),
-           st.lists(st.tuples(_event, _event), min_size=10, max_size=40))
+           st.lists(st.tuples(_event, _event, st.booleans()),
+                    min_size=10, max_size=40))
     def test_event_clock_matches_per_event_countdown(self, nodes, stream):
         spec = MonitorSpec("p", tuple(nodes))
         m, ref = MonitorInstance(spec), ReferenceMonitor(spec)
-        for event, probe in stream:
-            assert feed(m, event) == ref.observe(event)
-            assert live_chains(m) == ref.live()
+        for event, probe, tick in stream:
+            expected = ref.observe(event)
+            for mon, matches in deliver(m, event, tick):
+                assert matches == expected
+                assert live_chains(mon) == ref.live()
             # a clone diverges without touching the original
             c, rc = m.clone(), ref.clone()
-            assert feed(c, probe) == rc.observe(probe)
-            assert live_chains(c) == rc.live()
+            expected = rc.observe(probe)
+            for mon, matches in deliver(c, probe, tick):
+                assert matches == expected
+                assert live_chains(mon) == rc.live()
             assert live_chains(m) == ref.live()
