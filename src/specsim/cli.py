@@ -4,7 +4,10 @@
 
 Analyzes one SIR program for speculative cache leaks and prints a verdict.
 Exit codes: 0 leakage-free, 1 findings, 2 undecided (a query overran its
-budget or exploration was truncated), 3 usage or input errors.
+budget or exploration was truncated), 3 usage or input errors, including
+an input file that is not UTF-8 and an output file that cannot be written.
+With `--mode both` the exit code follows the prediction-aware verdict; the
+baseline verdict is only printed and reported.
 """
 
 from __future__ import annotations
@@ -102,6 +105,19 @@ def _common_traces(a: List[tuple], b: List[tuple]) -> int:
     return sum(min(n, cb[k]) for k, n in ca.items())
 
 
+def _write_json(path: str, data) -> bool:
+    """Write `data` as deterministic JSON; False, with an error printed, if
+    the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(data, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as e:
+        print(f"error: cannot write {path}: {e.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -121,14 +137,12 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     try:
         with open(args.program, "r", encoding="utf-8") as f:
-            text = f.read()
+            program = sir.layout_regions(sir.parse_program(f.read()),
+                                         line_size=args.cache_line)
     except OSError as e:
         print(f"error: cannot read {args.program}: {e.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        program = sir.layout_regions(sir.parse_program(text),
-                                     line_size=args.cache_line)
-    except (sir.ParseError, sir.LayoutError) as e:
+    except (UnicodeDecodeError, sir.ParseError, sir.LayoutError) as e:
         print(f"error: {args.program}: {e}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -139,7 +153,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         except OSError as e:
             print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
             return EXIT_USAGE
-        except PatternError as e:
+        except (UnicodeDecodeError, PatternError) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return EXIT_USAGE
 
@@ -185,9 +199,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         }
         if len(report) == 1:
             report = next(iter(report.values()))
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        if not _write_json(args.report, report):
+            return EXIT_USAGE
 
     if args.stats:
         stats = {mode: _stats_dict(result) for mode, result in results.items()}
@@ -199,9 +212,8 @@ def run(argv: Optional[List[str]] = None) -> int:
             stats["common"] = _common_traces(pl, nopl)
         elif len(stats) == 1:
             stats = next(iter(stats.values()))
-        with open(args.stats, "w", encoding="utf-8") as f:
-            json.dump(stats, f, indent=2, sort_keys=True)
-            f.write("\n")
+        if not _write_json(args.stats, stats):
+            return EXIT_USAGE
 
     verdict = primary.verdict
     if verdict == "leak":

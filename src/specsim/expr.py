@@ -253,9 +253,11 @@ def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> in
     raise ExprError(f"cannot evaluate {e!r}")
 
 
-def references(exprs: Iterable[Expr]) -> Tuple[dict, set]:
+def references(exprs: Iterable[Expr], reads: Optional[list] = None
+               ) -> Tuple[dict, set]:
     """The Sym nodes appearing syntactically in `exprs`, by name, and the
-    snapshot versions their MemRead nodes read."""
+    snapshot versions their MemRead nodes read.  `reads`, if given, gets
+    every MemRead node met, once per occurrence."""
     out: dict = {}
     versions: set = set()
     stack = list(exprs)
@@ -270,6 +272,8 @@ def references(exprs: Iterable[Expr]) -> Tuple[dict, set]:
         elif isinstance(e, MemRead):
             versions.add(e.version)
             stack.append(e.addr)
+            if reads is not None:
+                reads.append(e)
     return out, versions
 
 

@@ -17,18 +17,25 @@ truncated silently.
 
 Two steps run in front of a slice's enumeration:
 
-- Interval refutation.  Every node gets unsigned bounds [lo, hi] at its
-  width; a symbol compared with a constant (directly, through `zext`, or
-  inside the engine's `ne/eq(cmp, 0)` branch constraints) is narrowed
-  first.  If a range empties or some constraint's bounds are exactly {0},
-  the slice is unsat without a single probe.  Refutation only ever
-  answers unsat and runs before the budget check, so a refuted slice
-  never overruns the budget.
+- Interval narrowing.  A symbol compared with a constant, plus a constant
+  offset that no add can wrap (through `zext`, or inside the engine's
+  `ne/eq(cmp, 0)` branch constraints), is narrowed first; then every node
+  gets unsigned bounds [lo, hi] at its width.  If a range empties or some
+  constraint's bounds are exactly {0}, the slice is unsat without a probe,
+  before the budget check.  Otherwise each symbol is enumerated only in
+  its narrowed range, in the same order; a skipped value violates a
+  constraint, so only symbols read just at skipped values go undiscovered.
+  The budget still counts declared widths.
 - A slice memo.  A `Query` may carry a dict (`memo`) that maps a slice's
   constraints and bit budget to its witness, None, or its budget overrun.
   The engine keeps one per run: within a run its snapshot versions are
   never reused or changed, so a slice always has the same answer.  A
   stored overrun is raised again on every hit.
+
+Leak-pair search narrows its public loop further.  When the observable's
+slice has no syntactic secret and one distinct MemRead, only bytes that
+reach a secret symbol can make a pair, so that read's address must lie in
+the hull of those bytes in its snapshot (widened by the read's width).
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .expr import (CMP_OPS, BinOp, Const, Expr, Model, Snapshots, Sym, UnOp,
-                   evaluate, mask, references)
+from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshots, Sym,
+                   UnOp, const, evaluate, mask, mk_binop, references)
 
 
 class BudgetExceeded(Exception):
@@ -67,18 +74,26 @@ class _ProbeModel(Model):
         return self.assignment.get(s.name, 0) & mask(s.width)
 
 
-def _bits(syms: Mapping[str, Sym]) -> int:
-    return sum(s.width for s in syms.values())
-
-
-def _assignments(syms: Mapping[str, Sym], budget: int, fixed_bits: int = 0):
-    """Lexicographic enumeration: sorted by name, values ascending.  The
-    budget also covers `fixed_bits` already fixed by an outer loop."""
-    bits = fixed_bits + _bits(syms)
+def _checked_bits(syms: Mapping[str, Sym], budget: int, fixed_bits: int = 0
+                  ) -> int:
+    """The declared bits of `syms` plus `fixed_bits`; raises BudgetExceeded
+    if they exceed `budget`."""
+    bits = fixed_bits + sum(s.width for s in syms.values())
     if bits > budget:
         raise BudgetExceeded(f"{bits} symbolic bits exceed budget {budget}")
+    return bits
+
+
+def _assignments(syms: Mapping[str, Sym], bounds: Mapping[Sym, _Bounds],
+                 budget: int, fixed_bits: int = 0):
+    """Lexicographic enumeration: sorted by name, values ascending, each
+    symbol inside its `bounds` entry if it has one.  The budget counts
+    declared widths, narrowed or not, and also covers `fixed_bits` already
+    fixed by an outer loop."""
+    _checked_bits(syms, budget, fixed_bits)
     names = sorted(syms)
-    ranges = [range(1 << syms[n].width) for n in names]
+    ranges = [range(lo, hi + 1) for lo, hi in
+              (bounds.get(syms[n], (0, mask(syms[n].width))) for n in names)]
     for values in itertools.product(*ranges):
         yield dict(zip(names, values))
 
@@ -88,11 +103,11 @@ def _truthy(exprs: Sequence[Expr], model: Model, snapshots: Snapshots) -> bool:
 
 
 def _reach(versions: Set[int], snapshots: Snapshots,
-           memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]]) -> Set[str]:
-    """Every symbol name in the bytes of these snapshot versions, following
-    MemReads nested in those bytes to the versions they read.  `memo`
-    caches each version's own references."""
-    names: Set[str] = set()
+           memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]]) -> Dict[str, Sym]:
+    """Every symbol in the bytes of these snapshot versions, by name,
+    following MemReads nested in those bytes to the versions they read.
+    `memo` caches each version's own references."""
+    names: Dict[str, Sym] = {}
     todo, done = list(versions), set()
     while todo:
         v = todo.pop()
@@ -140,7 +155,7 @@ def _slices(exprs: Sequence[Expr], snapshots: Snapshots
     groups = _group([set(syms) for syms, _ in refs])
     if len(groups) > 1 and any(versions for _, versions in refs):
         memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]] = {}
-        groups = _group([set(syms) | _reach(versions, snapshots, memo)
+        groups = _group([set(syms).union(_reach(versions, snapshots, memo))
                          for syms, versions in refs])
     out = []
     for members in groups:
@@ -160,10 +175,27 @@ _CONVERSE = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq",
              "ne": "ne"}
 
 
+def _linear(e: Expr) -> Tuple[Optional[Sym], int]:
+    """(symbol, offset) such that `e == symbol + offset` for every value of
+    the symbol, or (None, 0): a symbol under zexts and adds of a constant,
+    where no add can wrap."""
+    if isinstance(e, Sym):
+        return e, 0
+    if isinstance(e, UnOp) and e.op == "zext":
+        return _linear(e.a)
+    if isinstance(e, BinOp) and e.op == "add":
+        a, b = (e.b, e.a) if isinstance(e.a, Const) else (e.a, e.b)
+        s, offset = _linear(a) if isinstance(b, Const) else (None, 0)
+        if s is not None and mask(s.width) + offset + b.value <= mask(e.width):
+            return s, offset + b.value
+    return None, 0
+
+
 def _fact(c: Expr) -> Optional[Tuple[Sym, str, int]]:
     """(symbol, op, constant) such that `c != 0` implies `symbol op
-    constant`, or None.  Reads a comparison of a symbol, or its zext, with
-    a constant, also under the engine's `ne/eq(cmp, 0)` branch wrapper."""
+    constant`, or None; the constant may be negative.  Reads a comparison
+    of a constant with a symbol plus an offset (see `_linear`), also under
+    the engine's `ne/eq(cmp, 0)` branch wrapper."""
     if not isinstance(c, BinOp) or c.op not in CMP_OPS:
         return None
     op, a, b = c.op, c.a, c.b
@@ -173,11 +205,8 @@ def _fact(c: Expr) -> Optional[Tuple[Sym, str, int]]:
         a, b = a.a, a.b
     if isinstance(a, Const):
         a, b, op = b, a, _CONVERSE[op]
-    while isinstance(a, UnOp) and a.op == "zext":
-        a = a.a
-    if isinstance(a, Sym) and isinstance(b, Const):
-        return a, op, b.value
-    return None
+    s, offset = _linear(a) if isinstance(b, Const) else (None, 0)
+    return None if s is None else (s, op, b.value - offset)
 
 
 def _narrow(lo: int, hi: int, op: str, k: int) -> _Bounds:
@@ -256,9 +285,10 @@ def _bounds(e: Expr, env: Mapping[Sym, _Bounds], seen: Dict[int, _Bounds]
     return r
 
 
-def _refuted(exprs: Sequence[Expr]) -> bool:
-    """True if interval bounds show that no assignment satisfies every
-    constraint.  Sound but incomplete: False decides nothing."""
+def _narrowed(exprs: Sequence[Expr]) -> Optional[Dict[Sym, _Bounds]]:
+    """Bounds that every satisfying assignment keeps each narrowed symbol
+    within, or None if interval bounds show that no assignment satisfies
+    every constraint.  Sound but incomplete: bounds decide nothing."""
     env: Dict[Sym, _Bounds] = {}
     for c in exprs:
         fact = _fact(c)
@@ -267,10 +297,12 @@ def _refuted(exprs: Sequence[Expr]) -> bool:
         s, op, k = fact
         lo, hi = _narrow(*env.get(s, (0, mask(s.width))), op, k)
         if lo > hi:
-            return True
+            return None
         env[s] = (lo, hi)
     seen: Dict[int, _Bounds] = {}
-    return any(_bounds(c, env, seen) == (0, 0) for c in exprs)
+    if any(_bounds(c, env, seen) == (0, 0) for c in exprs):
+        return None
+    return env
 
 
 def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
@@ -279,11 +311,12 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
     None.  It assigns every symbol its evaluation touched; symbols
     discovered mid-enumeration default to 0.  A slice that interval
     bounds refute is unsat before the budget is checked."""
-    if _refuted(exprs):
+    bounds = _narrowed(exprs)
+    if bounds is None:
         return None
     while True:
         seen: Dict[str, Sym] = {}
-        for assignment in _assignments(syms, budget):
+        for assignment in _assignments(syms, bounds, budget):
             probe = _ProbeModel(assignment, seen)
             if _truthy(exprs, probe, snapshots):
                 full = dict(assignment)
@@ -392,40 +425,77 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
 
 
+def _secret_hull(version: int, snapshots: Snapshots) -> Optional[_Bounds]:
+    """[lo, hi] over the addresses of the bytes of snapshot `version` that
+    reach a secret symbol, nested reads included, or None if none does."""
+    reach: Dict[int, Tuple[Dict[str, Sym], Set[int]]] = {}
+    addrs = []
+    for addr, byte in snapshots.get(version, {}).items():
+        syms, versions = references((byte,))
+        syms.update(_reach(versions, snapshots, reach))
+        if any(s.taint.secret for s in syms.values()):
+            addrs.append(addr)
+    return (min(addrs), max(addrs)) if addrs else None
+
+
+def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym]
+                ) -> Tuple[Expr, ...]:
+    """Facts that every public assignment giving a leak pair satisfies: an
+    n-byte read's address lies in [lo - (n - 1), hi], the secret-byte hull
+    (see the module docstring); a false fact if no byte reaches a secret;
+    none where the hull does not apply."""
+    if any(s.taint.secret for s in known.values()):
+        return ()
+    reads: List[MemRead] = []
+    references(q.constraints + (observable,), reads)
+    if len(set(reads)) != 1:
+        return ()
+    r = reads[0]
+    hull = _secret_hull(r.version, q.snapshots)
+    if hull is None:
+        return (const(0, 32),)
+    w = r.addr.width
+    lo = min(max(hull[0] - (r.width // 8 - 1), 0), mask(w))
+    return (mk_binop("le", const(lo, w), r.addr),
+            mk_binop("le", r.addr, const(min(hull[1], mask(w)), w)))
+
+
 def _slice_leak_pair(q: Query, observable: Expr, known: Dict[str, Sym]
                      ) -> Optional[Tuple[Model, Model]]:
     """find_leak_pair within one slice whose syntactic symbols are `known`."""
     public = {n: s for n, s in known.items() if not s.taint.secret}
     secret = {n: s for n, s in known.items() if s.taint.secret}
+    bounds = _narrowed(q.constraints + _hull_facts(q, observable, known))
+    if bounds is None:  # no public assignment gives a pair; overruns still raise
+        _checked_bits(secret, q.bit_budget,
+                      _checked_bits(public, q.bit_budget))
+        return None
 
     while True:
         new_public: Dict[str, Sym] = {}
-        result = None
-        for pub_assignment in _assignments(public, q.bit_budget):
+        for pub_assignment in _assignments(public, bounds, q.bit_budget):
             pair = _leak_pair_for_public(q, observable, pub_assignment,
-                                         dict(secret), public, new_public)
+                                         dict(secret), public, new_public,
+                                         bounds)
             if pair is not None:
-                result = pair
-                break
-        if result is not None:
-            return result
-        if new_public:
-            public = {**public, **new_public}
-            continue
-        return None
+                return pair
+        if not new_public:
+            return None
+        public = {**public, **new_public}
 
 
 def _leak_pair_for_public(q: Query, observable: Expr,
                           pub_assignment: Dict[str, int],
-                          secret: Dict[str, Sym],
-                          public: Dict[str, Sym],
-                          new_public: Dict[str, Sym]):
+                          secret: Dict[str, Sym], public: Dict[str, Sym],
+                          new_public: Dict[str, Sym],
+                          bounds: Mapping[Sym, _Bounds]):
     """Inner enumeration over secret symbols for one fixed public assignment."""
     pub_bits = sum(s.width for s in public.values())
     while True:
         seen: Dict[str, Sym] = {}
         first: Optional[Tuple[int, Dict[str, int]]] = None
-        for sec_assignment in _assignments(secret, q.bit_budget, pub_bits):
+        for sec_assignment in _assignments(secret, bounds, q.bit_budget,
+                                           pub_bits):
             probe = _ProbeModel({**pub_assignment, **sec_assignment}, seen)
             if not _truthy(q.constraints, probe, q.snapshots):
                 continue

@@ -60,6 +60,34 @@ class TestExitCodes:
         bad.write_text('{"name": "p"}')
         assert run([V01, "--pattern", str(bad)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("role", ["program", "pattern"])
+    def test_non_utf8_input_is_three(self, role, tmp_path, capsys):
+        bad = tmp_path / "bad.sir"
+        bad.write_bytes(b"\xff")
+        argv = [str(bad)] if role == "program" else [V01, "--pattern", str(bad)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--report", "--stats"])
+    def test_unwritable_output_is_three(self, flag, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.json"
+        assert run([V01, "--pht-bits", "1", "--pattern", BRLDLD,
+                    flag, str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "verdict: leak" in out
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_mode_both_exit_follows_prediction_aware(self, capsys):
+        # pentium4's BTFNT never speculates v01's body; the baseline does
+        code = run([V01, "--preset", "pentium4", "--mode", "both",
+                    "--pattern", BRLDLD])
+        out = capsys.readouterr().out
+        assert "[prediction-aware] verdict: leakage-free" in out
+        assert "[baseline] verdict: leak" in out
+        assert code == EXIT_CLEAN
+
     def test_bad_flag_value_is_three(self, capsys):
         assert run([V01, "--pht-bits", "99"]) == EXIT_USAGE
 

@@ -9,7 +9,7 @@ from specsim import solver
 from specsim.expr import (MemRead, Model, Sym, coerce, const, evaluate,
                           mask, mk_binop, mk_memread, sym)
 from specsim.solver import (BudgetExceeded, Query, _binop_bounds, _bounds,
-                            _fact, _narrow, _refuted, find_leak_pair, is_sat)
+                            _fact, _narrow, _narrowed, find_leak_pair, is_sat)
 
 
 def lt(a, b):
@@ -259,23 +259,32 @@ def _queries(draw):
         addr = coerce(draw(st.sampled_from(_POOL)), 32)
         snapshots[1][draw(st.integers(0, 3))] = mk_memread(0, addr, 8, False)
 
+    def read(width):
+        addr = mk_binop("add", coerce(draw(st.sampled_from(_POOL)), 32),
+                        const(draw(st.integers(0, 2)), 32))
+        return mk_memread(draw(st.integers(0, 1)), addr, width, secret=False)
+
     def term():
         kind = draw(st.integers(0, 3))
         if kind == 0:
             return const(draw(st.integers(0, 7)), 8)
         if kind == 1:
             return coerce(draw(st.sampled_from(_POOL)), 8)
-        addr = mk_binop("add", coerce(draw(st.sampled_from(_POOL)), 32),
-                        const(draw(st.integers(0, 2)), 32))
-        read = mk_memread(draw(st.integers(0, 1)), addr, 8, secret=False)
+        r = coerce(read(draw(st.sampled_from((8, 32)))), 8)
         if kind == 2:
-            return read
-        return mk_binop("add", read, coerce(draw(st.sampled_from(_POOL)), 8))
+            return r
+        return mk_binop("add", r, coerce(draw(st.sampled_from(_POOL)), 8))
 
     constraints = tuple(
         mk_binop(draw(st.sampled_from(("lt", "le", "eq", "ne"))), term(), term())
         for _ in range(draw(st.integers(1, 4))))
-    observable = coerce(term(), 32)
+    # a term, a whole 32-bit read (all four bytes visible), or a read plus
+    # a second one, on either side of the leak-pair search's one-read gate
+    kind = draw(st.integers(0, 2))
+    observable = coerce(term(), 32) if kind == 0 else read(32)
+    if kind == 2:
+        observable = mk_binop("add", observable,
+                              coerce(read(draw(st.sampled_from((8, 32)))), 32))
     return constraints, snapshots, observable
 
 
@@ -341,6 +350,10 @@ def add(a, b):
     return mk_binop("add", a, b)
 
 
+def refuted(constraints):
+    return _narrowed(constraints) is None
+
+
 def taken(cond, direction=True):
     """The engine's branch-direction constraint on a 32-bit condition."""
     return mk_binop("ne" if direction else "eq", cond, const(0, 32))
@@ -354,7 +367,7 @@ class TestRefutation:
         cons = (taken(lt(zx(x), const(7, 32))),
                 mk_binop("le", const(4160, 32), addr),
                 lt(addr, const(4224, 32)))
-        assert _refuted(cons)
+        assert refuted(cons)
         # refuted before the budget check: no overrun at 4 bits
         assert is_sat(Query(cons, bit_budget=4)) is None
 
@@ -365,29 +378,29 @@ class TestRefutation:
         snaps = {0: {4096 + i: sym(f"s{i}", 8, secret=True)
                      for i in range(64)}}
         cons = (lt(addr, const(4224, 32)),)
-        assert _refuted(cons)
+        assert refuted(cons)
         assert is_sat(Query(cons, bit_budget=4, snapshots=snaps)) is None
 
     def test_negated_and_conflicting_branch_constraints(self):
         x = sym("x", 8)
         # not (x < 9) and x < 5
-        assert _refuted((taken(lt(zx(x), const(9, 32)), False),
-                         taken(lt(zx(x), const(5, 32)))))
+        assert refuted((taken(lt(zx(x), const(9, 32)), False),
+                        taken(lt(zx(x), const(5, 32)))))
         # not (x == 3) and x == 3
-        assert _refuted((taken(eq(x, const(3, 8)), False), eq(x, const(3, 8))))
+        assert refuted((taken(eq(x, const(3, 8)), False), eq(x, const(3, 8))))
         # x != 0 and x <= 0, constant on the left
-        assert _refuted((mk_binop("ne", x, const(0, 8)),
-                         mk_binop("le", x, const(0, 8))))
-        assert _refuted((lt(const(200, 32), zx(x)), lt(zx(x), const(201, 32))))
+        assert refuted((mk_binop("ne", x, const(0, 8)),
+                        mk_binop("le", x, const(0, 8))))
+        assert refuted((lt(const(200, 32), zx(x)), lt(zx(x), const(201, 32))))
 
     def test_satisfiable_and_wrapping_shapes_are_not_refuted(self):
         x, y, z = sym("x", 8), sym("y", 8), sym("z", 8)
-        assert not _refuted((lt(zx(x), const(7, 32)),))
+        assert not refuted((lt(zx(x), const(7, 32)),))
         # y + z may wrap at width 8: no bounds, the slice must be enumerated
-        assert not _refuted((eq(add(y, z), const(7, 8)),))
-        assert not _refuted((lt(add(x, const(250, 8)), const(4, 8)),))
-        assert not _refuted((lt(mk_binop("mul", x, const(3, 8)),
-                                const(2, 8)),))
+        assert not refuted((eq(add(y, z), const(7, 8)),))
+        assert not refuted((lt(add(x, const(250, 8)), const(4, 8)),))
+        assert not refuted((lt(mk_binop("mul", x, const(3, 8)),
+                               const(2, 8)),))
 
 
 _NPOOL = [sym("p", 3), sym("q", 3), sym("r", 2, secret=True)]
@@ -471,12 +484,17 @@ def _terms(draw):
 
 @st.composite
 def _symbol_comparisons(draw):
-    """A pool symbol, maybe zero-extended once or twice, compared with a
-    constant."""
+    """A pool symbol plus up to three constant offsets, each added on
+    either side and maybe after a zero extension, compared with a
+    constant.  Offsets near wrap points give adds that can wrap."""
     d = _Draws(draw)
     x = draw(st.sampled_from(_NPOOL))
-    if draw(st.booleans()):
-        x = coerce(x, 8)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x = coerce(x, draw(st.sampled_from([w for w in (8, 32)
+                                                if w >= x.width])))
+        k = d.num(x.width)
+        x = add(k, x) if draw(st.booleans()) else add(x, k)
     w = draw(_WIDTHS)
     return d.compare(coerce(x, w), d.num(w))
 
@@ -556,7 +574,7 @@ class TestRefutationSoundness:
     @given(_refutable())
     def test_refuted_queries_have_no_model(self, case):
         constraints, snapshots = case
-        if not _refuted(constraints):
+        if not refuted(constraints):
             return
         syms = _reachable(constraints, snapshots)
         assert not any(_holds(constraints, a, snapshots)
@@ -566,20 +584,21 @@ class TestRefutationSoundness:
 # ---------------------------------------------------------------------------
 # The slice memo a Query may carry.
 
-class TestMemo:
-    def _counting(self, monkeypatch):
-        solves = []
-        solve = solver._solve
-        monkeypatch.setattr(solver, "_solve",
-                            lambda *a: solves.append(a) or solve(*a))
-        return solves
+def _counting(monkeypatch, name):
+    """Record the arguments of every call to `solver.<name>`."""
+    calls = []
+    fn = getattr(solver, name)
+    monkeypatch.setattr(solver, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
 
+
+class TestMemo:
     def test_memo_is_not_part_of_query_equality(self):
         c = (lt(zx(sym("x", 8)), const(3, 32)),)
         assert Query(c) == Query(c, memo={"anything": 1})
 
     def test_repeated_query_returns_equal_model(self, monkeypatch):
-        solves = self._counting(monkeypatch)
+        solves = _counting(monkeypatch, "_solve")
         x, y = sym("x", 8), sym("y", 8)
         memo = {}
         q = Query((lt(const(2, 32), zx(x)), lt(const(0, 32), zx(y))),
@@ -591,7 +610,7 @@ class TestMemo:
         assert again == Model({"x": 3, "y": 1}) == is_sat(Query(q.constraints))
 
     def test_leak_pair_search_shares_the_memo(self, monkeypatch):
-        solves = self._counting(monkeypatch)
+        solves = _counting(monkeypatch, "_solve")
         y, k = sym("y", 8), sym("k", 8, secret=True)
         memo = {}
         cons = (eq(y, const(7, 8)),)
@@ -610,7 +629,7 @@ class TestMemo:
             {"y": 0, "z": 7})
 
     def test_memoised_overrun_is_raised_again(self, monkeypatch):
-        solves = self._counting(monkeypatch)
+        solves = _counting(monkeypatch, "_solve")
         y, z = sym("y", 8), sym("z", 8)
         memo = {}
         q = Query((eq(add(y, z), const(7, 8)),), bit_budget=12, memo=memo)
@@ -621,3 +640,103 @@ class TestMemo:
         (stored,) = memo.values()
         assert isinstance(stored, BudgetExceeded)
         assert stored.__traceback__ is None
+
+
+# ---------------------------------------------------------------------------
+# Narrowed enumeration: linear facts and the secret-byte hull skip only
+# values that cannot matter.
+
+def _v01_shape():
+    """v01's layout and its wrong-path leak query: array1 at 4096, the 64
+    secret bytes at 4160, array2 at 4224, and x >= 16."""
+    x = sym("x", 8)
+    snap = {4096 + i: const(i, 8) for i in range(16)}
+    snap.update({4160 + i: sym(f"secret[{i}]", 8, secret=True)
+                 for i in range(64)})
+    addr = add(const(4096, 32), zx(x))
+    read = mk_memread(0, addr, 8, secret=True)
+    line = mk_binop("lshr", add(const(4224, 32),
+                                mk_binop("mul", zx(read), const(64, 32))),
+                    const(6, 32))
+    return (taken(lt(zx(x), const(16, 32)), False),), addr, line, {0: snap}
+
+
+class TestNarrowedEnumeration:
+    def test_linear_facts(self):
+        x = sym("x", 8)
+        # const <= 4096 + zext(x), the constant on either side of the add
+        for addr in (add(const(4096, 32), zx(x)), add(zx(x), const(4096, 32))):
+            assert _fact(mk_binop("le", const(4160, 32), addr)) == (
+                x, "ge", 64)
+        # nested adds under zexts, inside the branch wrapper
+        nested = add(zx(add(coerce(x, 16), const(3, 16))), const(5, 32))
+        assert _fact(taken(lt(nested, const(20, 32)), False)) == (x, "ge", 12)
+        # x + 250 can wrap at width 8, and so can an inner add
+        assert _fact(lt(add(x, const(250, 8)), const(4, 8))) is None
+        assert _fact(lt(zx(add(x, const(1, 8))), const(4, 32))) is None
+
+    def test_may_touch_query_probes_one_assignment(self, monkeypatch):
+        path, addr, _line, snaps = _v01_shape()
+        calls = _counting(monkeypatch, "evaluate")
+        cons = path + (mk_binop("le", const(4160, 32), addr),
+                       lt(addr, const(4224, 32)))
+        assert is_sat(Query(cons, snapshots=snaps)) == Model({"x": 64})
+        assert len(calls) == len(cons)  # x = 64 is the first value tried
+
+    def test_leak_pair_search_starts_at_the_secret_bytes(self, monkeypatch):
+        path, _addr, line, snaps = _v01_shape()
+        calls = _counting(monkeypatch, "_leak_pair_for_public")
+        m1, m2 = find_leak_pair(Query(path, snapshots=snaps), line)
+        assert len(calls) == 1
+        assert m1.assignment == {"secret[0]": 0, "x": 64}
+        assert m2.assignment == {"secret[0]": 1, "x": 64}
+        assert solver._secret_hull(0, snaps) == (4160, 4223)
+
+    def test_wide_read_below_the_hull_reaches_it(self):
+        # a 32-bit read at x < 3 still covers the secret byte at 3
+        x, k = sym("x", 2), sym("k", 8, secret=True)
+        snaps = {0: {0: const(1, 8), 1: const(2, 8), 2: const(3, 8), 3: k}}
+        read = mk_memread(0, zx(x), 32, secret=True)
+        m1, m2 = find_leak_pair(Query((lt(zx(x), const(3, 32)),),
+                                      snapshots=snaps), read)
+        assert m1.assignment == {"k": 0, "x": 0}
+        assert m2.assignment == {"k": 1, "x": 0}
+
+    @pytest.mark.parametrize("secret_at", [1, 9])
+    def test_two_reads_get_no_hull(self, secret_at):
+        # only one of the two reads can land on the secret byte
+        x = sym("x", 2)
+        snaps = {0: {i: const(i, 8) for i in range(12)}}
+        snaps[0][secret_at] = sym("k", 8, secret=True)
+        near = mk_memread(0, zx(x), 8, secret=True)
+        far = mk_memread(0, add(zx(x), const(8, 32)), 8, secret=True)
+        pair = find_leak_pair(Query((), snapshots=snaps),
+                              add(zx(near), zx(far)))
+        assert pair is not None
+        assert pair[0].assignment["x"] == pair[1].assignment["x"] == 1
+
+    def test_syntactic_secret_gets_no_hull(self):
+        # no byte reaches a secret, but k appears in the observable itself
+        x, k = sym("x", 2), sym("k", 8, secret=True)
+        read = mk_memread(0, zx(x), 8, secret=False)
+        pair = find_leak_pair(Query((), snapshots={0: {0: const(5, 8)}}),
+                              add(zx(read), zx(k)))
+        assert pair is not None
+        assert pair[0].assignment["k"] != pair[1].assignment["k"]
+
+    def test_no_secret_byte_is_clean_after_the_budget_check(self):
+        x, y = sym("x", 8), sym("y", 8)
+        read = mk_memread(0, add(zx(x), zx(y)), 8, secret=False)
+        snaps = {0: {i: const(i, 8) for i in range(8)}}
+        with pytest.raises(BudgetExceeded, match="16 symbolic bits"):
+            find_leak_pair(Query((), bit_budget=12, snapshots=snaps), zx(read))
+        assert find_leak_pair(Query((), snapshots=snaps), zx(read)) is None
+
+    def test_symbol_read_only_at_skipped_values_is_not_discovered(self):
+        # x = 0 would read h, but x >= 2 skips it: h is neither discovered
+        # nor defaulted into the witness
+        x, h = sym("x", 2), sym("h", 8)
+        read = mk_memread(0, zx(x), 8, secret=False)
+        cons = (eq(read, const(7, 8)), lt(const(1, 32), zx(x)))
+        m = is_sat(Query(cons, snapshots={0: {0: h, 2: const(7, 8)}}))
+        assert m == Model({"x": 2})
