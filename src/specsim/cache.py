@@ -92,19 +92,16 @@ def observable_expr(addr_expr: Expr, cfg: CacheConfig) -> Expr:
     return line
 
 
-def leak_check(addr_expr: Expr, path_cond, snapshots, cfg: CacheConfig,
-               bit_budget: int = 20, memo: Optional[dict] = None
-               ) -> LeakResult:
-    """Can two secrets, indistinguishable on public inputs, leave different
-    cache footprints through this access?  Delegates to the enumeration
-    oracle; budget overruns degrade to "unknown" rather than a verdict.
-    `memo` is the solver's slice memo (see `solver.Query`)."""
+def leak_check(addr_expr: Expr, q: Query, cfg: CacheConfig) -> LeakResult:
+    """Can two secrets, indistinguishable on public inputs and satisfying
+    the path condition of `q`, leave different cache footprints through
+    this access?  Delegates to the enumeration oracle; budget overruns
+    degrade to "unknown" rather than a verdict."""
     if not addr_expr.taint.secret:
         return NO_LEAK
     obs = observable_expr(addr_expr, cfg)
     if isinstance(obs, Const):
         return NO_LEAK
-    q = Query(tuple(path_cond), bit_budget, snapshots, memo)
     try:
         pair = find_leak_pair(q, obs)
     except BudgetExceeded as e:

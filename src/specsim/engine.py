@@ -22,7 +22,10 @@ trace down the not-actual direction, indirect calls spawn none.
 
 Everything one `Engine.run` learns -- findings, statistics, symbols,
 memory snapshots, the solver's slice memo -- lives in the `RunResult` it
-returns, so runs of one engine are independent.
+returns, and the solver's per-snapshot facts in the run's paths, so runs
+of one engine are independent.  A path's memory holds only the bytes
+stored on it; loads fall back to the engine's initial image, which a
+snapshot of a path that stored nothing shares rather than copies.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .sir import Imm, Instruction, Program, Reg
 
 class EngineError(Exception):
     pass
+
+
+_ZERO_BYTE = ex.const(0, 8)  # a byte no region initialises and no store wrote
 
 
 class Event(NamedTuple):
@@ -106,7 +112,8 @@ class RunResult:
     """The state and the outcome of one `Engine.run`.
 
     Witnesses and observables re-evaluate against `snapshots` (the memory
-    a symbolic load read from, by version) and `symbols`."""
+    a symbolic load read from, by version; read-only, as versions share
+    objects with each other and with the engine) and `symbols`."""
     findings: List[Finding] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
     diagnostics: List[str] = field(default_factory=list)
@@ -121,7 +128,8 @@ class RunResult:
     next_version: int = field(default=0, compare=False, repr=False)
     next_spec_version: int = field(default=-1, compare=False, repr=False)
     # slice results of every solver query of this run; valid for the run,
-    # as a snapshot version is never reused or changed within it
+    # as a frozen snapshot's bytes never change (the initial image, which
+    # many versions share, included)
     memo: dict = field(default_factory=dict, compare=False, repr=False)
     # (pattern, chain, path key) of every match already reported
     seen: Set[tuple] = field(default_factory=set, compare=False, repr=False)
@@ -159,15 +167,15 @@ class ExecState:
     """One symbolic path: registers, memory, path condition, predictor,
     cache, monitors, return stack, speculation context."""
 
-    __slots__ = ("pc", "regs", "mem", "path_cond", "path_key", "predictor",
+    __slots__ = ("pc", "regs", "mem", "path", "path_key", "predictor",
                  "cache", "monitors", "ret_stack", "event_log")
 
     def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
                  monitors: List[MonitorInstance]):
         self.pc = pc
         self.regs: Dict[str, ex.Expr] = {}
-        self.mem: Dict[int, ex.Expr] = {}
-        self.path_cond: List[ex.Expr] = []
+        self.mem: Dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
+        self.path = solver.PathCondition({})  # Engine.run binds its snapshots
         self.path_key: List[Tuple[int, bool]] = []
         self.predictor = predictor
         self.cache = cache
@@ -181,7 +189,7 @@ class ExecState:
         c.pc = self.pc
         c.regs = dict(self.regs)
         c.mem = dict(self.mem)
-        c.path_cond = list(self.path_cond)
+        c.path = self.path
         c.path_key = list(self.path_key)
         c.predictor = self.predictor.clone()
         c.cache = self.cache.clone()
@@ -253,7 +261,7 @@ class Engine:
                          PredictorState(self.predictor_cfg),
                          CacheState(self.cache_cfg),
                          [MonitorInstance(p) for p in self.patterns])
-        init.mem.update(self._init_mem)
+        init.path = solver.PathCondition(run.snapshots)
         worklist: List[ExecState] = [init]
         steps = 0
         while worklist and not run.stats.step_limit_hit:
@@ -338,7 +346,7 @@ class Engine:
             return "run"
 
         # straight-line instruction
-        event, leak, err = self._exec_data_inst(run, inst, frame, s.path_cond,
+        event, leak, err = self._exec_data_inst(run, inst, frame, s.path,
                                                 speculative)
         if err is not None and not speculative:
             self._error(run, s, op, err)
@@ -362,17 +370,17 @@ class Engine:
         cond, t_pc, f_pc = self._branch_operands(inst, s.regs)
 
         feasible: List[bool] = []
+        paths = {}  # each queried direction's path condition
         overran = False
         if isinstance(cond, ex.Const):
             feasible = [cond.value != 0]
         else:
             for want in (True, False):
-                c = self._direction_constraint(cond, want)
+                paths[want] = s.path.extend(ex.mk_binop(
+                    "ne" if want else "eq", cond, ex.const(0, cond.width)))
                 run.stats.solver_queries += 1
                 try:
-                    m = solver.is_sat(solver.Query(
-                        tuple(s.path_cond) + (c,), self.bit_budget,
-                        run.snapshots, run.memo))
+                    m = solver.is_sat(self._query(run, paths[want]))
                 except solver.BudgetExceeded as e:
                     run.overrun(pc, "branch", e)
                     overran = True
@@ -390,8 +398,7 @@ class Engine:
         # DFS taken-edge first: push not-taken first so taken pops first
         for direction in sorted(feasible):  # False before True
             succ = s if len(feasible) == 1 else s.clone()
-            if not isinstance(cond, ex.Const):
-                succ.path_cond.append(self._direction_constraint(cond, direction))
+            succ.path = paths.get(direction, s.path)
             succ.path_key.append((pc, direction))
             self._emit(run, succ, Event("br", pc, False, cond.taint.symbolic,
                                         cond.taint.secret), None)
@@ -417,11 +424,6 @@ class Engine:
         labels = self.program.labels
         return (ex.coerce(self._operand_value(inst.operands[0], regs), 32),
                 labels[inst.operands[1].name], labels[inst.operands[2].name])
-
-    @staticmethod
-    def _direction_constraint(cond: ex.Expr, taken: bool) -> ex.Expr:
-        op = "ne" if taken else "eq"
-        return ex.mk_binop(op, cond, ex.const(0, cond.width))
 
     def _resolve_indirect(self, run: RunResult, s: ExecState,
                           inst: Instruction) -> str:
@@ -520,8 +522,8 @@ class Engine:
     # -------------------------------------------------------- data movement
 
     def _exec_data_inst(self, run: RunResult, inst: Instruction,
-                        frame: ExecState | _Sandbox, path_cond: List[ex.Expr],
-                        speculative: bool):
+                        frame: ExecState | _Sandbox,
+                        path: solver.PathCondition, speculative: bool):
         """Execute const/sym/addrof/binop/load/store against the frame's
         register file and memory.  Returns (event, leak-check result,
         error)."""
@@ -570,10 +572,10 @@ class Engine:
             rd, addr_op = inst.operands
             addr = ex.coerce(self._operand_value(addr_op, regs), 32)
             value = self._do_load(run, addr, inst.width, frame.mem,
-                                  path_cond, pc, speculative)
+                                  path, pc, speculative)
             regs[rd.name] = value
             taint = addr.taint.join(value.taint)
-            leak = self._cache_route(run, addr, path_cond, pc)
+            leak = self._cache_route(run, addr, path, pc)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
                           self._concrete(addr)), leak, None)
 
@@ -583,24 +585,25 @@ class Engine:
             value = ex.coerce(self._operand_value(val_op, regs), inst.width)
             self._do_store(run, addr, value, inst.width, frame.mem, pc)
             taint = addr.taint.join(value.taint)
-            leak = self._cache_route(run, addr, path_cond, pc)
+            leak = self._cache_route(run, addr, path, pc)
             return (Event(op, pc, speculative, taint.symbolic, taint.secret,
                           self._concrete(addr)), leak, None)
 
         raise EngineError(f"unhandled opcode {op!r}")
 
     def _do_load(self, run: RunResult, addr: ex.Expr, width: int,
-                 mem: Dict[int, ex.Expr], path_cond, pc: int,
-                 speculative: bool) -> ex.Expr:
+                 mem: Dict[int, ex.Expr], path: solver.PathCondition,
+                 pc: int, speculative: bool) -> ex.Expr:
         if isinstance(addr, ex.Const):
             base = addr.value
             if self.program.region_at(base) is None:
                 run.diagnostics.append(
                     f"pc {pc}: load from unmapped address {base:#x}")
-            value: ex.Expr = ex.const(0, width)
             parts = []
-            for i in range(width // 8):
-                parts.append(mem.get(base + i, ex.const(0, 8)))
+            for a in range(base, base + width // 8):
+                byte = mem.get(a)
+                parts.append(self._init_mem.get(a, _ZERO_BYTE)
+                             if byte is None else byte)
             if width == 8:
                 value = parts[0]
             else:
@@ -613,7 +616,7 @@ class Engine:
             return value
         # symbolic address: freeze the memory snapshot it reads from
         version = self._freeze(run, mem, speculative)
-        secret = self._may_touch_secret(run, addr, path_cond, pc)
+        secret = self._may_touch_secret(run, addr, path, pc)
         return ex.mk_memread(version, addr, width, secret)
 
     def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
@@ -635,8 +638,8 @@ class Engine:
                 mem[base + i] = ex.coerce(
                     ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
 
-    def _may_touch_secret(self, run: RunResult, addr: ex.Expr, path_cond,
-                          pc: int) -> bool:
+    def _may_touch_secret(self, run: RunResult, addr: ex.Expr,
+                          path: solver.PathCondition, pc: int) -> bool:
         """May-analysis lift of the load taint rule: a symbolic address is
         secret-reaching if some model consistent with the path condition
         lands it in a secret region."""
@@ -649,9 +652,7 @@ class Engine:
             hi = ex.mk_binop("lt", addr, ex.const(region.end, 32))
             run.stats.solver_queries += 1
             try:
-                m = solver.is_sat(solver.Query(
-                    tuple(path_cond) + (lo, hi), self.bit_budget,
-                    run.snapshots, run.memo))
+                m = solver.is_sat(self._query(run, path.extend(lo).extend(hi)))
             except solver.BudgetExceeded as e:
                 run.overrun(pc, "may-touch", e)
                 return True  # conservative
@@ -667,9 +668,9 @@ class Engine:
         else:
             version = run.next_version
             run.next_version += 1
-        snap = dict(self._init_mem)
-        snap.update(mem)
-        run.snapshots[version] = snap
+        # a frame that stored nothing shares the initial image
+        run.snapshots[version] = ({**self._init_mem, **mem} if mem
+                                  else self._init_mem)
         return version
 
     def _initial_memory(self) -> Dict[int, ex.Expr]:
@@ -689,15 +690,16 @@ class Engine:
 
     # --------------------------------------------------------------- events
 
-    def _cache_route(self, run: RunResult, addr: ex.Expr, path_cond,
-                     pc: int) -> Optional[LeakResult]:
+    def _cache_route(self, run: RunResult, addr: ex.Expr,
+                     path: solver.PathCondition, pc: int
+                     ) -> Optional[LeakResult]:
         """The leak check of an access at a secret-tainted address, when
         some pattern checks the cache state; None otherwise."""
         if not (addr.taint.secret and self._needs_cache_check):
             return None
         run.stats.solver_queries += 1  # one leak-pair search
-        leak = cache_mod.leak_check(addr, path_cond, run.snapshots,
-                                    self.cache_cfg, self.bit_budget, run.memo)
+        leak = cache_mod.leak_check(addr, self._query(run, path),
+                                    self.cache_cfg)
         if leak.status == "unknown":
             run.overrun(pc, "leak-pair", leak.error)
         return leak
@@ -731,9 +733,7 @@ class Engine:
         else:
             run.stats.solver_queries += 1
             try:
-                witness = solver.is_sat(solver.Query(
-                    tuple(s.path_cond), self.bit_budget, run.snapshots,
-                    run.memo))
+                witness = solver.is_sat(self._query(run, s.path))
             except solver.BudgetExceeded as e:
                 run.overrun(match.chain[-1][0], "witness", e)
                 kind = "unknown"
@@ -741,7 +741,7 @@ class Engine:
                                     self._path_str(s), self._config_str(),
                                     witness, event_log=tuple(s.event_log),
                                     observable=observable,
-                                    constraints=tuple(s.path_cond)))
+                                    constraints=s.path.constraints))
 
     # -------------------------------------------------------------- helpers
 
@@ -755,12 +755,17 @@ class Engine:
             return value
         raise EngineError(f"bad operand {operand!r}")
 
+    def _query(self, run: RunResult, path: solver.PathCondition
+               ) -> solver.Query:
+        return solver.Query(path.constraints, self.bit_budget, run.snapshots,
+                            run.memo, path)
+
     @staticmethod
     def _concrete(addr: ex.Expr) -> Optional[int]:
         return addr.value if isinstance(addr, ex.Const) else None
 
     def _path_str(self, s: ExecState) -> str:
-        return " & ".join(ex.to_str(c) for c in s.path_cond) or "true"
+        return " & ".join(ex.to_str(c) for c in s.path.constraints) or "true"
 
     def _config_str(self) -> str:
         cfg = self.predictor_cfg

@@ -7,13 +7,15 @@ discovered on demand: evaluation under a probing model records every
 symbol it reads, and enumeration restarts with the enlarged set until a
 fixpoint is reached.
 
-Each query is first split into independent slices (constraint
-independence, as in KLEE): groups of constraints that share no symbol,
-counting every symbol a `MemRead` can reach through its snapshot's bytes.
-Slices are enumerated one at a time, so k unrelated 8-bit checks cost
-k * 2^8 probes rather than 2^(8k).  The bit budget applies to each slice
-and each enumeration stage within it; exceeding it raises, it is never
-truncated silently.
+A query is first split into independent slices (constraint independence,
+as in KLEE): groups of constraints that share no symbol, counting every
+symbol a `MemRead` can reach through its snapshot's bytes.  Slices are
+enumerated one at a time, so k unrelated 8-bit checks cost k * 2^8
+probes rather than 2^(8k).  The bit budget applies to each slice and
+each enumeration stage within it; exceeding it raises, it is never
+truncated silently.  A path keeps its slices in a `PathCondition`,
+extended one constraint at a time, and a `Query` may carry its path; one
+without a path folds its constraints in from the empty path.
 
 Two steps run in front of a slice's enumeration:
 
@@ -28,21 +30,28 @@ Two steps run in front of a slice's enumeration:
   The budget still counts declared widths.
 - A slice memo.  A `Query` may carry a dict (`memo`) that maps a slice's
   constraints and bit budget to its witness, None, or its budget overrun.
-  The engine keeps one per run: within a run its snapshot versions are
-  never reused or changed, so a slice always has the same answer.  A
-  stored overrun is raised again on every hit.
+  The engine keeps one per run.  It is valid because a snapshot, once
+  frozen, is never changed, so within a run a version always reads the
+  same bytes, even where many versions share one snapshot object.  Each
+  path slice also keeps its own answer per budget, so a query skips the
+  memo for the slices its path already answered.  A stored overrun is
+  raised again on every hit.
 
 Leak-pair search narrows its public loop further.  When the observable's
 slice has no syntactic secret and one distinct MemRead, only bytes that
 reach a secret symbol can make a pair, so that read's address must lie in
 the hull of those bytes in its snapshot (widened by the read's width).
+A snapshot object's references and hull are computed once per facts dict,
+which every path extended from one root shares (see `_facts`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshots, Sym,
                    UnOp, const, evaluate, mask, mk_binop, references)
@@ -60,6 +69,9 @@ class Query:
     # slice results shared by queries over the same snapshots; see the
     # module docstring
     memo: Optional[dict] = field(default=None, compare=False, repr=False)
+    # the slices of a prefix of `constraints`, kept by the caller
+    path: Optional[PathCondition] = field(default=None, compare=False,
+                                          repr=False)
 
 
 class _ProbeModel(Model):
@@ -102,11 +114,24 @@ def _truthy(exprs: Sequence[Expr], model: Model, snapshots: Snapshots) -> bool:
     return all(evaluate(e, model, snapshots) != 0 for e in exprs)
 
 
-def _reach(versions: Set[int], snapshots: Snapshots,
-           memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]]) -> Dict[str, Sym]:
+_MISS = object()
+_NO_BYTES: Mapping[int, Expr] = MappingProxyType({})
+
+
+def _facts(snap: Mapping[int, Expr], facts: dict) -> list:
+    """[symbols, versions, hull] of one snapshot object, kept in `facts`
+    by identity: what its bytes reference, computed once per object, and
+    its secret-byte hull, `_MISS` until a leak-pair search needs it."""
+    f = facts.get(id(snap))
+    if f is None:
+        f = facts[id(snap)] = [*references(snap.values()), _MISS]
+    return f
+
+
+def _reach(versions: Set[int], snapshots: Snapshots, facts: dict
+           ) -> Dict[str, Sym]:
     """Every symbol in the bytes of these snapshot versions, by name,
-    following MemReads nested in those bytes to the versions they read.
-    `memo` caches each version's own references."""
+    following MemReads nested in those bytes to the versions they read."""
     names: Dict[str, Sym] = {}
     todo, done = list(versions), set()
     while todo:
@@ -114,56 +139,58 @@ def _reach(versions: Set[int], snapshots: Snapshots,
         if v in done:
             continue
         done.add(v)
-        if v not in memo:
-            memo[v] = references(snapshots.get(v, {}).values())
-        v_syms, inner = memo[v]
+        v_syms, inner, _hull = _facts(snapshots.get(v, _NO_BYTES), facts)
         names.update(v_syms)
         todo.extend(inner)
     return names
 
 
-def _group(keys: Sequence[Set[str]]) -> List[List[int]]:
-    """Connected components of indices whose key sets share a name,
-    ordered by their first index."""
-    parent = list(range(len(keys)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: Dict[str, int] = {}
-    for i, names in enumerate(keys):
-        for n in names:
-            a, b = find(i), find(owner.setdefault(n, i))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(keys)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+class _Slice(NamedTuple):
+    """Independent constraints of a path: their indices, the constraints
+    themselves (the memo key), their syntactic symbols, every name they
+    also reach through snapshots, and their answer per bit budget."""
+    members: Tuple[int, ...]
+    exprs: Tuple[Expr, ...]
+    syms: Dict[str, Sym]
+    names: Set[str]
+    answers: dict
 
 
-def _slices(exprs: Sequence[Expr], snapshots: Snapshots
-            ) -> List[Tuple[List[int], Dict[str, Sym]]]:
-    """Split `exprs` into independent slices: (indices, syntactic symbols).
+class PathCondition:
+    """Constraints split into independent slices, ordered by their first
+    constraint.  Immutable, so forks share it: `extend` walks one
+    constraint once and merges only the slices sharing a name with it.
+    Bound to the snapshot store it reads; every path extended from one
+    root shares its per-snapshot facts (see `_facts`)."""
 
-    Snapshot reach only ever merges syntactic groups, so it is computed
-    only when there is more than one of them to merge."""
-    refs = [references((e,)) for e in exprs]
-    groups = _group([set(syms) for syms, _ in refs])
-    if len(groups) > 1 and any(versions for _, versions in refs):
-        memo: Dict[int, Tuple[Dict[str, Sym], Set[int]]] = {}
-        groups = _group([set(syms).union(_reach(versions, snapshots, memo))
-                         for syms, versions in refs])
-    out = []
-    for members in groups:
-        syms: Dict[str, Sym] = {}
-        for i in members:
-            syms.update(refs[i][0])
-        out.append((members, syms))
-    return out
+    __slots__ = ("constraints", "slices", "snapshots", "facts")
+
+    def __init__(self, snapshots: Snapshots, facts: Optional[dict] = None):
+        self.constraints: Tuple[Expr, ...] = ()
+        self.slices: Tuple[_Slice, ...] = ()
+        self.snapshots = snapshots
+        self.facts = {} if facts is None else facts
+
+    def extend(self, c: Expr) -> "PathCondition":
+        syms, versions = references((c,))
+        key = set(syms).union(_reach(versions, self.snapshots, self.facts))
+        kept, touched = [], []
+        for sl in self.slices:
+            (kept if key.isdisjoint(sl.names) else touched).append(sl)
+        out = PathCondition(self.snapshots, self.facts)
+        out.constraints = self.constraints + (c,)
+        members = sorted([len(self.constraints)]
+                         + [i for sl in touched for i in sl.members])
+        merged, names = {}, key
+        for sl in touched:
+            merged.update(sl.syms)
+            names |= sl.names
+        merged.update(syms)
+        kept.append(_Slice(tuple(members),
+                           tuple(out.constraints[i] for i in members),
+                           merged, names, {}))
+        out.slices = tuple(sorted(kept, key=lambda sl: sl.members[0]))
+        return out
 
 
 _Bounds = Tuple[int, int]
@@ -329,9 +356,6 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
         return None
 
 
-_MISS = object()
-
-
 def _solve_memo(exprs: Tuple[Expr, ...], syms: Dict[str, Sym], budget: int,
                 snapshots: Snapshots, memo: Optional[dict]
                 ) -> Optional[Dict[str, int]]:
@@ -354,28 +378,45 @@ def _solve_memo(exprs: Tuple[Expr, ...], syms: Dict[str, Sym], budget: int,
     return result
 
 
-def _solve_all(exprs: Sequence[Expr], slices, budget: int,
-               snapshots: Snapshots, memo: Optional[dict] = None
-               ) -> Optional[Dict[str, int]]:
-    """Union of the slices' witnesses, or None if any slice is unsat.
+def _solve_all(slices: Sequence[_Slice], budget: int, snapshots: Snapshots,
+               memo: Optional[dict] = None) -> Optional[Dict[str, int]]:
+    """Union of the slices' witnesses, or None if any slice is unsat.  Each
+    slice keeps its answer per budget, so a query skips the memo key's
+    hash for the slices its path already answered.
 
     An unsat slice decides the query even when another slice overran the
     budget; the overrun is raised only if every other slice is sat."""
     witness: Dict[str, int] = {}
     overrun: Optional[BudgetExceeded] = None
-    for members, syms in slices:
-        try:
-            part = _solve_memo(tuple(exprs[i] for i in members), syms, budget,
-                               snapshots, memo)
-        except BudgetExceeded as e:
-            overrun = overrun or e
-            continue
-        if part is None:
+    for sl in slices:
+        part = sl.answers.get(budget, _MISS)
+        if part is _MISS:
+            try:
+                part = _solve_memo(sl.exprs, sl.syms, budget, snapshots, memo)
+            except BudgetExceeded as e:
+                part = BudgetExceeded(*e.args)
+            sl.answers[budget] = part
+        if isinstance(part, BudgetExceeded):
+            overrun = overrun or part
+        elif part is None:
             return None
-        witness.update(part)
+        else:
+            witness.update(part)
     if overrun is not None:
-        raise overrun
+        raise BudgetExceeded(*overrun.args)
     return witness
+
+
+def _sliced(q: Query, *extra: Expr) -> PathCondition:
+    """The path of `q` extended by the rest of its constraints and by
+    `extra`.  A query without a path over its own snapshots folds every
+    constraint in from the empty path."""
+    path = q.path
+    if path is None or path.snapshots is not q.snapshots:
+        path = PathCondition(q.snapshots)
+    for c in q.constraints[len(path.constraints):] + extra:
+        path = path.extend(c)
+    return path
 
 
 def is_sat(q: Query) -> Optional[Model]:
@@ -387,8 +428,7 @@ def is_sat(q: Query) -> Optional[Model]:
     first witness.  A returned witness assigns every symbol its
     evaluation touched; symbols discovered mid-enumeration default to 0.
     """
-    witness = _solve_all(q.constraints, _slices(q.constraints, q.snapshots),
-                         q.bit_budget, q.snapshots, q.memo)
+    witness = _solve_all(_sliced(q).slices, q.bit_budget, q.snapshots, q.memo)
     return None if witness is None else Model(witness)
 
 
@@ -402,21 +442,19 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     observable reveals nothing about the secrets within the enumerated
     space.
     """
-    exprs = list(q.constraints) + [observable]
-    slices = _slices(exprs, q.snapshots)
-    obs_index = len(exprs) - 1
-    (members, syms), = [sl for sl in slices if sl[0][-1] == obs_index]
-    others = [sl for sl in slices if sl[0][-1] != obs_index]
+    path = _sliced(q, observable)
+    (own,) = [sl for sl in path.slices
+              if sl.members[-1] == len(q.constraints)]
     overrun: Optional[BudgetExceeded] = None
     try:
-        shared = _solve_all(exprs, others, q.bit_budget, q.snapshots, q.memo)
+        shared = _solve_all([sl for sl in path.slices if sl is not own],
+                            q.bit_budget, q.snapshots, q.memo)
     except BudgetExceeded as e:
         shared, overrun = {}, e
     if shared is None:
         return None
-    own = Query(tuple(exprs[i] for i in members[:-1]), q.bit_budget,
-                q.snapshots)
-    pair = _slice_leak_pair(own, observable, syms)
+    pair = _slice_leak_pair(Query(own.exprs[:-1], q.bit_budget, q.snapshots),
+                            observable, own.syms, path.facts)
     if pair is None:
         return None
     if overrun is not None:
@@ -425,21 +463,22 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
 
 
-def _secret_hull(version: int, snapshots: Snapshots) -> Optional[_Bounds]:
-    """[lo, hi] over the addresses of the bytes of snapshot `version` that
-    reach a secret symbol, nested reads included, or None if none does."""
-    reach: Dict[int, Tuple[Dict[str, Sym], Set[int]]] = {}
+def _secret_hull(snap: Mapping[int, Expr], snapshots: Snapshots,
+                 facts: dict) -> Optional[_Bounds]:
+    """[lo, hi] over the addresses of the bytes of snapshot object `snap`
+    that reach a secret symbol, nested reads included, or None if none
+    does."""
     addrs = []
-    for addr, byte in snapshots.get(version, {}).items():
+    for addr, byte in snap.items():
         syms, versions = references((byte,))
-        syms.update(_reach(versions, snapshots, reach))
+        syms.update(_reach(versions, snapshots, facts))
         if any(s.taint.secret for s in syms.values()):
             addrs.append(addr)
     return (min(addrs), max(addrs)) if addrs else None
 
 
-def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym]
-                ) -> Tuple[Expr, ...]:
+def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym],
+                facts: dict) -> Tuple[Expr, ...]:
     """Facts that every public assignment giving a leak pair satisfies: an
     n-byte read's address lies in [lo - (n - 1), hi], the secret-byte hull
     (see the module docstring); a false fact if no byte reaches a secret;
@@ -451,21 +490,26 @@ def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym]
     if len(set(reads)) != 1:
         return ()
     r = reads[0]
-    hull = _secret_hull(r.version, q.snapshots)
-    if hull is None:
+    snap = q.snapshots.get(r.version, _NO_BYTES)
+    f = _facts(snap, facts)
+    if f[2] is _MISS:
+        f[2] = _secret_hull(snap, q.snapshots, facts)
+    if f[2] is None:
         return (const(0, 32),)
+    lo, hi = f[2]
     w = r.addr.width
-    lo = min(max(hull[0] - (r.width // 8 - 1), 0), mask(w))
+    lo = min(max(lo - (r.width // 8 - 1), 0), mask(w))
     return (mk_binop("le", const(lo, w), r.addr),
-            mk_binop("le", r.addr, const(min(hull[1], mask(w)), w)))
+            mk_binop("le", r.addr, const(min(hi, mask(w)), w)))
 
 
-def _slice_leak_pair(q: Query, observable: Expr, known: Dict[str, Sym]
-                     ) -> Optional[Tuple[Model, Model]]:
+def _slice_leak_pair(q: Query, observable: Expr, known: Dict[str, Sym],
+                     facts: dict) -> Optional[Tuple[Model, Model]]:
     """find_leak_pair within one slice whose syntactic symbols are `known`."""
     public = {n: s for n, s in known.items() if not s.taint.secret}
     secret = {n: s for n, s in known.items() if s.taint.secret}
-    bounds = _narrowed(q.constraints + _hull_facts(q, observable, known))
+    bounds = _narrowed(q.constraints
+                       + _hull_facts(q, observable, known, facts))
     if bounds is None:  # no public assignment gives a pair; overruns still raise
         _checked_bits(secret, q.bit_budget,
                       _checked_bits(public, q.bit_budget))

@@ -7,7 +7,7 @@ import pytest
 from specsim.cache import (CacheConfig, CacheState, NO_LEAK, leak_check,
                            observable_expr)
 from specsim.expr import Const, coerce, const, evaluate, mk_binop, sym
-from specsim.solver import BudgetExceeded
+from specsim.solver import BudgetExceeded, Query
 
 
 class TestCacheState:
@@ -94,13 +94,13 @@ class TestLeakCheck:
 
     def test_untainted_address_is_clean(self):
         a = sym("a", 32)
-        assert leak_check(a, (), {}, self.CFG) is NO_LEAK
+        assert leak_check(a, Query(()), self.CFG) is NO_LEAK
 
     def test_secret_index_leaks_with_distinct_lines(self):
         k = sym("k", 8, secret=True)
         addr = mk_binop("add", const(0x1000, 32),
                         mk_binop("mul", coerce(k, 32), const(64, 32)))
-        r = leak_check(addr, (), {}, self.CFG)
+        r = leak_check(addr, Query(()), self.CFG)
         assert r.positive
         m1, m2 = r.witness
         i1, i2 = evaluate(r.observable, m1), evaluate(r.observable, m2)
@@ -114,7 +114,7 @@ class TestLeakCheck:
         k = sym("k", 8, secret=True)
         addr = mk_binop("add", const(0x1000, 32),
                         mk_binop("and", coerce(k, 32), const(0x3F, 32)))
-        assert leak_check(addr, (), {}, self.CFG).positive is False
+        assert leak_check(addr, Query(()), self.CFG).positive is False
 
     def test_set_granularity_hides_aliased_lines(self):
         # two lines that map to the same set are indistinguishable in
@@ -124,8 +124,8 @@ class TestLeakCheck:
         addr = mk_binop("mul", bit, const(4 * 64, 32))  # line 0 or line 4
         line_cfg = CacheConfig(line_size=64, sets=4)
         set_cfg = CacheConfig(line_size=64, sets=4, granularity="set")
-        assert leak_check(addr, (), {}, line_cfg).positive
-        assert leak_check(addr, (), {}, set_cfg).positive is False
+        assert leak_check(addr, Query(()), line_cfg).positive
+        assert leak_check(addr, Query(()), set_cfg).positive is False
 
     def test_budget_overrun_degrades_to_unknown(self):
         ks = [sym(f"k{i}", 8, secret=True) for i in range(4)]
@@ -133,7 +133,7 @@ class TestLeakCheck:
         for k in ks:
             addr = mk_binop("add", addr, coerce(k, 32))
         addr = mk_binop("mul", addr, const(64, 32))
-        r = leak_check(addr, (), {}, self.CFG, bit_budget=16)
+        r = leak_check(addr, Query((), bit_budget=16), self.CFG)
         assert r.status == "unknown" and not r.positive and r.witness is None
         # the solver's overrun travels with the result, without a traceback
         assert isinstance(r.error, BudgetExceeded)
@@ -144,4 +144,4 @@ class TestLeakCheck:
         k = sym("k", 8, secret=True)
         addr = mk_binop("mul", coerce(k, 32), const(64, 32))
         pinned = (mk_binop("eq", coerce(k, 32), const(5, 32)),)
-        assert leak_check(addr, pinned, {}, self.CFG).positive is False
+        assert leak_check(addr, Query(pinned), self.CFG).positive is False

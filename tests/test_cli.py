@@ -1,10 +1,13 @@
 """Command-line interface: flags, exit codes, and report/stats output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import FIXTURES, PATTERNS
+from conftest import FIXTURES, PATTERNS, ROOT
 from specsim.cli import (EXIT_CLEAN, EXIT_LEAK, EXIT_UNKNOWN, EXIT_USAGE,
                          build_parser, predictor_config, run)
 
@@ -148,6 +151,17 @@ class TestExitCodes:
         assert run([str(prog)]) == EXIT_UNKNOWN
         out = capsys.readouterr().out
         assert "store skipped" in out and "verdict: unknown" in out
+
+
+class TestModuleEntry:
+    def test_python_m_specsim_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-m", "specsim", V01,
+                               "--pht-bits", "1", "--pattern", BRLDLD],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == EXIT_LEAK
+        assert "verdict: leak" in done.stdout
 
 
 class TestConfigMapping:

@@ -11,6 +11,7 @@ import pytest
 import specsim
 from conftest import ROOT, load_fixture, load_pattern_fixture
 from specsim import cache, layout_regions, parse_program, solver
+from specsim import expr as ex
 from specsim.cache import CacheConfig
 from specsim.engine import Engine, EngineError, ExecState
 from specsim.expr import Const
@@ -442,6 +443,83 @@ class TestPerRunState:
                     [f.constraints for f in r.findings])
 
         assert outputs(e.run()) == outputs(e.run())
+
+
+class TestMemoryOverlay:
+    # a path's memory holds only its stores; loads fall back to the
+    # engine's initial image, which every snapshot without stores shares
+    LOADS = ("region m 16\nregion s 16 secret\n"
+             "  sym.8 rx, x\n  addrof rp, m\n  add ra, rp, rx\n")
+
+    def test_snapshots_share_the_initial_image_until_a_store(self):
+        e = build(self.LOADS + "  load.8 r1, ra\n  load.8 r2, ra\n  halt\n")
+        snaps = e.run().snapshots
+        assert len(snaps) == 2
+        assert all(snap is e._init_mem for snap in snaps.values())
+
+    def test_a_store_freezes_a_fresh_snapshot(self):
+        e = build(self.LOADS + "  load.8 r1, ra\n"
+                  "  const r7, 7\n  store.8 rp, r7\n  load.8 r2, ra\n"
+                  "  const r8, 8\n  store.8 rp, r8\n  load.8 r3, ra\n"
+                  "  halt\n")
+        snaps = e.run().snapshots
+        m, s = (e.program.region(n).base for n in ("m", "s"))
+        assert snaps[0] is e._init_mem and m not in e._init_mem
+        # each later snapshot is the initial image plus the stores so far,
+        # frozen: the second store does not reach the first copy
+        assert snaps[1][m].value == 7 and snaps[2][m].value == 8
+        assert snaps[1][s] == snaps[2][s] == e._init_mem[s]
+        assert snaps[1] is not snaps[2]
+
+    def test_snapshot_facts_are_computed_once_per_object(self, monkeypatch):
+        walks, hulls, searches = [], [], []
+        references, secret_hull = solver.references, solver._secret_hull
+        find_leak_pair = cache.find_leak_pair
+
+        def counted_references(exprs, *a):
+            if not isinstance(exprs, tuple):  # a snapshot's bytes
+                walks.append(exprs)
+            return references(exprs, *a)
+
+        monkeypatch.setattr(solver, "references", counted_references)
+        monkeypatch.setattr(solver, "_secret_hull",
+                            lambda *a: hulls.append(a) or secret_hull(*a))
+        monkeypatch.setattr(cache, "find_leak_pair",
+                            lambda q, o: searches.append(q)
+                            or find_leak_pair(q, o))
+        text, sites = chained_v01([5, 16, 9])
+        e = build(text, predictor_cfg=PredictorConfig(pht_bits=2, window=16),
+                  patterns=[load_pattern_fixture("br-ld-ld.json")])
+        r = e.run()
+        assert {f.chain[-1][0] for f in r.findings} == set(sites)
+        # every load reads the one initial image: its bytes are walked for
+        # their references once, and for the secret-byte hull once
+        assert len(r.snapshots) > 10 and len(searches) > 3
+        assert len(walks) == len(hulls) == 1
+
+    def test_wrong_path_store_stays_in_the_sandbox(self):
+        # x >= 4 is predicted taken: its wrong path stores 7 into pub[0]
+        e = build("region pub 16\nregion sec 16 secret\n"
+                  "  sym.8 rx, x\n  const rb, 4\n  lt rc, rx, rb\n"
+                  "  br rc, body, end\nbody:\n  addrof rp, pub\n"
+                  "  const rv, 7\n  store.8 rp, rv\n  halt\nend:\n"
+                  "  addrof rp, pub\n  add ra, rp, rx\n  load.8 r1, ra\n"
+                  "  halt\n", predictor_cfg=PredictorConfig(pht_bits=1,
+                                                             window=16))
+        init = dict(e._init_mem)
+
+        def outputs(r):
+            return (r.stats.path_summaries, r.stats.trace_identities,
+                    r.diagnostics, {v: dict(s) for v, s in r.snapshots.items()})
+
+        r = e.run()
+        assert r.stats.spec_traces == 1
+        pub = e.program.region("pub").base
+        mem = {key: fp[2] for key, _cond, fp in r.stats.path_summaries}
+        assert mem[((3, True),)] == ((pub, ex.const(7, 8)),)
+        assert mem[((3, False),)] == ()
+        assert r.snapshots[0] is e._init_mem and e._init_mem == init
+        assert outputs(e.run()) == outputs(r)
 
 
 class TestOverrunReasons:

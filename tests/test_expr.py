@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from specsim.expr import (BIN_OPS, BinOp, Const, MemRead, Model, Sym, Taint,
                           UnboundSymbol, UnOp, WidthError, coerce, const,
-                          evaluate, mask, mk_binop, mk_memread, sym,
-                          syntactic_syms, to_str)
+                          evaluate, mask, mk_binop, mk_memread, references,
+                          sym, syntactic_syms, to_str)
 
 
 # Independent reference semantics used as the oracle for folding/evaluation.
@@ -148,8 +148,12 @@ class TestEvaluate:
 class TestStructure:
     def test_syntactic_syms_traverses_memread_addr(self):
         a = sym("a", 32)
-        e = mk_memread(0, mk_binop("add", a, const(1, 32)), 8, False)
+        e = mk_memread(3, mk_binop("add", a, const(1, 32)), 8, False)
         assert set(syntactic_syms([e])) == {"a"}
+        # references also names the snapshot versions and the reads met
+        reads = []
+        assert references([e], reads) == ({"a": a}, {3})
+        assert reads == [e]
 
     def test_to_str_stable(self):
         e = mk_binop("add", sym("k", 8, secret=True), const(1, 8))

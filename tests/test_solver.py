@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from specsim import solver
 from specsim.expr import (MemRead, Model, Sym, coerce, const, evaluate,
                           mask, mk_binop, mk_memread, sym)
-from specsim.solver import (BudgetExceeded, Query, _binop_bounds, _bounds,
-                            _fact, _narrow, _narrowed, find_leak_pair, is_sat)
+from specsim.solver import (BudgetExceeded, PathCondition, Query,
+                            _binop_bounds, _bounds, _fact, _narrow, _narrowed,
+                            find_leak_pair, is_sat)
 
 
 def lt(a, b):
@@ -243,6 +244,25 @@ def _total(model, syms):
     return {n: model.assignment.get(n, 0) for n in syms}
 
 
+def _check_is_sat(constraints, snapshots, m):
+    """`m`, an is_sat answer, agrees with the unsliced reference."""
+    syms = _reachable(constraints, snapshots)
+    ref = next((a for a in _all_models(syms)
+                if _holds(constraints, a, snapshots)), None)
+    assert (m is None) == (ref is None)
+    if m is None:
+        return
+    assert set(m.assignment) <= set(syms)
+    # strict Model: the witness binds every symbol evaluation reads
+    assert all(evaluate(c, m, snapshots) != 0 for c in constraints)
+    # symbols reachable only through snapshot bytes are found on demand
+    # and held at 0 until an enumeration stage fails, so the witness is
+    # the reference's whenever that one holds them all at 0
+    hidden = [n for n in syms if n not in _reachable(constraints)]
+    if all(ref[n] == 0 for n in hidden):
+        assert _total(m, syms) == ref
+
+
 @st.composite
 def _queries(draw):
     leaf_syms = _POOL + _HIDDEN
@@ -293,22 +313,8 @@ class TestDifferential:
     @given(_queries())
     def test_is_sat_matches_unsliced_reference(self, case):
         constraints, snapshots, _obs = case
-        syms = _reachable(constraints, snapshots)
-        ref = next((a for a in _all_models(syms)
-                    if _holds(constraints, a, snapshots)), None)
-        m = is_sat(Query(constraints, snapshots=snapshots))
-        assert (m is None) == (ref is None)
-        if m is None:
-            return
-        assert set(m.assignment) <= set(syms)
-        # strict Model: the witness binds every symbol evaluation reads
-        assert all(evaluate(c, m, snapshots) != 0 for c in constraints)
-        # symbols reachable only through snapshot bytes are found on demand
-        # and held at 0 until an enumeration stage fails, so the witness is
-        # the reference's whenever that one holds them all at 0
-        hidden = [n for n in syms if n not in _reachable(constraints)]
-        if all(ref[n] == 0 for n in hidden):
-            assert _total(m, syms) == ref
+        _check_is_sat(constraints, snapshots,
+                      is_sat(Query(constraints, snapshots=snapshots)))
 
     @settings(max_examples=60, deadline=None)
     @given(_queries())
@@ -337,6 +343,60 @@ class TestDifferential:
         assert all(t1[n] == t2[n] for n in public)
         assert (evaluate(obs, Model(t1), snapshots)
                 != evaluate(obs, Model(t2), snapshots))
+
+
+def _closure(constraints, snapshots):
+    """Constraint indices grouped by naive pairwise closure: two
+    constraints are joined when the symbols they can reach, snapshot bytes
+    included, share a name.  Groups are ordered by their first index."""
+    names = [set(_reachable((c,), snapshots)) for c in constraints]
+    groups = [[i] for i in range(len(constraints))]
+    joined = True
+    while joined:
+        joined = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if any(names[i] & names[j] for i in groups[a] for j in groups[b]):
+                groups[a] += groups.pop(b)
+                joined = True
+                break
+    return sorted(sorted(g) for g in groups)
+
+
+def _extended(path, constraints):
+    for c in constraints:
+        path = path.extend(c)
+    return path
+
+
+class TestPathCondition:
+    @settings(max_examples=120, deadline=None)
+    @given(_queries(), st.integers(0, 4))
+    def test_slices_are_the_naive_closure(self, case, split):
+        constraints, snapshots, obs = case
+        constraints += (obs,)  # a non-boolean constraint slices the same
+        prefix = _extended(PathCondition(snapshots), constraints[:split])
+        path = _extended(prefix, constraints[split:])
+        for p, cons in ((prefix, constraints[:split]), (path, constraints)):
+            assert p.constraints == cons
+            assert [list(sl.members) for sl in p.slices] == _closure(
+                cons, snapshots)
+            for sl in p.slices:
+                assert sl.exprs == tuple(cons[i] for i in sl.members)
+                assert sl.syms == _reachable(sl.exprs)  # syntactic only
+
+    @settings(max_examples=80, deadline=None)
+    @given(_queries(), st.integers(0, 4))
+    def test_answers_on_a_path_match_unsliced_reference(self, case, split):
+        constraints, snapshots, _obs = case
+        prefix = _extended(PathCondition(snapshots), constraints[:split])
+        # the query folds the rest in; the prefix's slices keep answers
+        m = is_sat(Query(constraints, snapshots=snapshots, path=prefix))
+        _check_is_sat(constraints, snapshots, m)
+        path = _extended(prefix, constraints[split:])
+        assert is_sat(Query(constraints, snapshots=snapshots, path=path)) == m
+        # a path over other snapshots is not trusted: the query re-folds
+        stale = _extended(PathCondition({}), constraints)
+        assert is_sat(Query(constraints, snapshots=snapshots, path=stale)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +750,7 @@ class TestNarrowedEnumeration:
         assert len(calls) == 1
         assert m1.assignment == {"secret[0]": 0, "x": 64}
         assert m2.assignment == {"secret[0]": 1, "x": 64}
-        assert solver._secret_hull(0, snaps) == (4160, 4223)
+        assert solver._secret_hull(snaps[0], snaps, {}) == (4160, 4223)
 
     def test_wide_read_below_the_hull_reaches_it(self):
         # a 32-bit read at x < 3 still covers the secret byte at 3
