@@ -30,6 +30,7 @@ snapshot of a path that stored nothing shares rather than copies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -37,7 +38,7 @@ from . import cache as cache_mod
 from . import expr as ex
 from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
-from .monitor import MonitorInstance, MonitorSpec, watched_names
+from .monitor import MonitorInstance, MonitorSpec, event_class, routes
 from .predictor import PredictorConfig, PredictorState
 from .sir import Imm, Instruction, Program, Reg
 
@@ -48,6 +49,9 @@ class EngineError(Exception):
 
 _ZERO_BYTE = ex.const(0, 8)  # a byte no region initialises and no store wrote
 
+# `ex.const` for the concrete lane; a Const is immutable, so it is shared
+_const = functools.lru_cache(maxsize=4096)(ex.const)
+
 
 class Event(NamedTuple):
     name: str
@@ -56,6 +60,20 @@ class Event(NamedTuple):
     symbolic_access: bool
     secret_access: bool
     addr: Optional[int] = None  # concrete address of a load or store
+
+
+@functools.lru_cache(maxsize=4096)
+def _concrete_event(name: str, pc: int, speculation: bool) -> Event:
+    """The event of an instruction with no symbolic operand, shared."""
+    return Event(name, pc, speculation, False, False)
+
+
+def concrete_binop(op: str, a: ex.Const, b: ex.Const, width: int) -> ex.Const:
+    """`ex.mk_binop(op, ex.coerce(a, width), ex.coerce(b, width))` of two
+    constants, without its checks: constants carry no taint to join."""
+    m = ex.mask(width)
+    return _const(ex.apply_binop(op, a.value & m, b.value & m, width),
+                  32 if op in ex.CMP_OPS else width)
 
 
 @dataclass
@@ -168,7 +186,7 @@ class ExecState:
     cache, monitors, return stack, speculation context."""
 
     __slots__ = ("pc", "regs", "mem", "path", "path_key", "predictor",
-                 "cache", "monitors", "ret_stack", "event_log")
+                 "cache", "monitors", "ret_stack", "event_log", "clock")
 
     def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
                  monitors: List[MonitorInstance]):
@@ -183,6 +201,7 @@ class ExecState:
         self.ret_stack: List[int] = []
         # each event with its leak-check result, or None where none ran
         self.event_log: List[Tuple[Event, Optional[LeakResult]]] = []
+        self.clock = 0  # events on the path and its wrong paths
 
     def clone(self) -> "ExecState":
         c = ExecState.__new__(ExecState)
@@ -196,6 +215,7 @@ class ExecState:
         c.monitors = [m.clone() for m in self.monitors]
         c.ret_stack = list(self.ret_stack)
         c.event_log = list(self.event_log)
+        c.clock = self.clock
         return c
 
     def fingerprint(self) -> tuple:
@@ -246,7 +266,7 @@ class Engine:
         self.bit_budget = bit_budget
         self.step_limit = step_limit
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
-        self._watched = watched_names(self.patterns)
+        self._routes = routes(tuple(self.patterns))
 
         if any(r.base is None for r in program.regions):
             raise EngineError("program regions are not laid out; "
@@ -279,7 +299,7 @@ class Engine:
             if status == "end":
                 run.stats.paths += 1
                 run.stats.path_summaries.append(
-                    (tuple(s.path_key), self._path_str(s), s.fingerprint()))
+                    (tuple(s.path_key), s.path.text, s.fingerprint()))
             # "fork": successors are on the worklist
         run.findings.sort(key=Finding.sort_key)
         return run
@@ -334,7 +354,7 @@ class Engine:
                 return self._follow_indirect(run, s, frame, inst)
             return self._resolve_indirect(run, s, inst)
         if op in ("halt", "ret", "jmp", "call"):
-            self._emit(run, s, Event(op, pc, speculative, False, False), None)
+            self._emit(run, s, _concrete_event(op, pc, speculative), None)
             if op == "halt" or (op == "ret" and not frame.ret_stack):
                 return "end"
             if op == "ret":
@@ -359,7 +379,7 @@ class Engine:
     def _error(self, run: RunResult, s: ExecState, op: str, message: str) -> None:
         """The architectural path ends at an instruction it cannot execute."""
         run.findings.append(Finding("error", None, ((s.pc, op, False),),
-                                    self._path_str(s), self._config_str(), None))
+                                    s.path.text, self._config_str(), None))
         run.diagnostics.append(f"pc {s.pc}: {message}")
 
     # ------------------------------------------- branches: architectural policy
@@ -389,8 +409,7 @@ class Engine:
                     feasible.append(want)
         if overran:
             run.findings.append(Finding("unknown", None, ((pc, "br", False),),
-                                        self._path_str(s), self._config_str(),
-                                        None))
+                                        s.path.text, self._config_str(), None))
             if not feasible:
                 run.note(pc, "dropped", "path dropped: no branch direction "
                          "fits the bit budget")
@@ -512,9 +531,14 @@ class Engine:
         if push_return is not None:
             box.ret_stack.append(push_return)
         n = len(self.program.instructions)
-        for _ in range(window):
-            if not 0 <= box.pc < n or self._step(run, s, box, None) == "end":
-                break
+        try:
+            for _ in range(window):
+                if not 0 <= box.pc < n or self._step(run, s, box, None) == "end":
+                    break
+        except EngineError as e:  # e.g. a read of an unset register
+            # the rest of this wrong path was never run, so it may leak
+            run.unknown = True
+            run.note(box.pc, "wrong-path error", f"wrong path ended: {e}")
 
         if s.fingerprint() != before:
             raise EngineError("speculation leaked into architectural state")
@@ -533,8 +557,8 @@ class Engine:
 
         if op == "const":
             rd, imm = inst.operands
-            regs[rd.name] = ex.const(imm.value, inst.width)
-            return Event(op, pc, speculative, False, False), None, None
+            regs[rd.name] = _const(imm.value, inst.width)
+            return _concrete_event(op, pc, speculative), None, None
 
         if op == "sym":
             rd = inst.operands[0]
@@ -556,13 +580,17 @@ class Engine:
                 value = self.program.labels[name]
             else:
                 value = self.program.region(name).base
-            regs[rd.name] = ex.const(value, 32)
-            return Event(op, pc, speculative, False, False), None, None
+            regs[rd.name] = _const(value, 32)
+            return _concrete_event(op, pc, speculative), None, None
 
         if op in ex.BIN_OPS:
             rd, a_op, b_op = inst.operands
-            a = ex.coerce(self._operand_value(a_op, regs), inst.width)
-            b = ex.coerce(self._operand_value(b_op, regs), inst.width)
+            a = self._operand_value(a_op, regs)
+            b = self._operand_value(b_op, regs)
+            if type(a) is ex.Const and type(b) is ex.Const:
+                regs[rd.name] = concrete_binop(op, a, b, inst.width)
+                return _concrete_event(op, pc, speculative), None, None
+            a, b = ex.coerce(a, inst.width), ex.coerce(b, inst.width)
             result = ex.mk_binop(op, a, b)
             regs[rd.name] = result
             taint = a.taint.join(b.taint)
@@ -709,13 +737,10 @@ class Engine:
         if event.addr is not None:
             s.cache.access(event.addr)
         s.event_log.append((event, leak))
-        if self._watched is not None and event.name not in self._watched:
-            # no node names the event: it only counts on the clocks
-            for m in s.monitors:
-                m.tick()
-            return
-        for m in s.monitors:
-            for match in m.observe(event, leak):
+        now = s.clock
+        s.clock = now + 1
+        for k in self._routes(event_class(event)):  # monitors with a node for it
+            for match in s.monitors[k].observe(event, leak, now):
                 self._record_match(run, s, match, leak)
 
     def _record_match(self, run: RunResult, s: ExecState, match,
@@ -738,21 +763,21 @@ class Engine:
                 run.overrun(match.chain[-1][0], "witness", e)
                 kind = "unknown"
         run.findings.append(Finding(kind, match.pattern, match.chain,
-                                    self._path_str(s), self._config_str(),
-                                    witness, event_log=tuple(s.event_log),
+                                    s.path.text, self._config_str(), witness,
+                                    event_log=tuple(s.event_log),
                                     observable=observable,
                                     constraints=s.path.constraints))
 
     # -------------------------------------------------------------- helpers
 
     def _operand_value(self, operand, regs: Dict[str, ex.Expr]) -> ex.Expr:
-        if isinstance(operand, Imm):
-            return ex.const(operand.value, 32)
         if isinstance(operand, Reg):
             value = regs.get(operand.name)
             if value is None:
                 raise EngineError(f"read of unset register {operand.name!r}")
             return value
+        if isinstance(operand, Imm):
+            return _const(operand.value, 32)
         raise EngineError(f"bad operand {operand!r}")
 
     def _query(self, run: RunResult, path: solver.PathCondition
@@ -763,9 +788,6 @@ class Engine:
     @staticmethod
     def _concrete(addr: ex.Expr) -> Optional[int]:
         return addr.value if isinstance(addr, ex.Const) else None
-
-    def _path_str(self, s: ExecState) -> str:
-        return " & ".join(ex.to_str(c) for c in s.path.constraints) or "true"
 
     def _config_str(self) -> str:
         cfg = self.predictor_cfg

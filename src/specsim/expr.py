@@ -101,7 +101,7 @@ def sym(name: str, width: int, secret: bool = False) -> Sym:
     return Sym(width, Taint(secret=secret, symbolic=True), name)
 
 
-def _apply_binop(op: str, x: int, y: int, width: int) -> int:
+def apply_binop(op: str, x: int, y: int, width: int) -> int:
     m = mask(width)
     if op == "add":
         return (x + y) & m
@@ -145,7 +145,7 @@ def mk_binop(op: str, a: Expr, b: Expr) -> Expr:
     out_width = 32 if op in CMP_OPS else a.width
 
     if isinstance(a, Const) and isinstance(b, Const):
-        return const(_apply_binop(op, a.value, b.value, a.width), out_width)
+        return const(apply_binop(op, a.value, b.value, a.width), out_width)
 
     # identity rewrites
     if isinstance(b, Const):
@@ -238,7 +238,7 @@ def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> in
     if isinstance(e, BinOp):
         x = evaluate(e.a, model, snapshots)
         y = evaluate(e.b, model, snapshots)
-        return _apply_binop(e.op, x, y, e.a.width)
+        return apply_binop(e.op, x, y, e.a.width)
     if isinstance(e, MemRead):
         if snapshots is None or e.version not in snapshots:
             raise ExprError(f"unknown memory snapshot v{e.version}")

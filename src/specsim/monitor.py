@@ -11,14 +11,19 @@ through predecessor links.  Patterns load from JSON:
 
 Note on isConst: true matches events with NO symbolic operand.  Patterns
 that demand symbolic operands must say "isConst": false.
+
+Events reach monitors by class, (name, speculative, symbolic, secret),
+which decides every node property but checkCacheState.  TTLs run on the
+path's event clock, which counts every event, routed or not.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 class PatternError(Exception):
@@ -36,32 +41,35 @@ class NodeProps:
     stop_ttl: bool = False
 
 
+def event_class(event) -> Tuple[str, bool, bool, bool]:
+    """(name, speculative, symbolic, secret): what `admits` reads."""
+    return (event.name, event.speculation, event.symbolic_access,
+            event.secret_access)
+
+
 @dataclass(frozen=True)
 class MonitorSpec:
     name: str
     nodes: Tuple[NodeProps, ...]
 
     def __post_init__(self):
-        # by_instruction: instruction name -> the nodes, last first, an event
-        # of that name can satisfy; None -> those naming no instruction, for
-        # any other name.  Not a field, so not compared or printed.
+        # nodes_for(event class) -> the nodes, last first, that `admits` its
+        # events.  Not a field, so not compared or printed.
         order = range(len(self.nodes) - 1, -1, -1)
-        object.__setattr__(self, "by_instruction", {
-            name: tuple(i for i in order
-                        if self.nodes[i].instruction in (name, None))
-            for name in {np.instruction for np in self.nodes} | {None}})
+        object.__setattr__(self, "nodes_for", functools.cache(lambda cls: tuple(
+            i for i in order if admits(self.nodes[i], cls))))
 
     @property
     def uses_cache_state(self) -> bool:
         return any(np.check_cache_state is not None for np in self.nodes)
 
 
-def watched_names(specs: Sequence[MonitorSpec]) -> Optional[FrozenSet[str]]:
-    """The event names some node of `specs` names, or None (all names) when
-    a node names no instruction.  An event of any other name satisfies no
-    node, so `MonitorInstance.tick` may stand in for `observe`."""
-    names = frozenset(np.instruction for spec in specs for np in spec.nodes)
-    return None if None in names else names
+@functools.lru_cache(maxsize=64)
+def routes(specs: Tuple[MonitorSpec, ...]) -> Callable:
+    """event class -> indices of the `specs` with a node for it.  One table
+    per pattern set, shared by every engine that watches an equal set."""
+    return functools.cache(lambda cls: tuple(
+        k for k, spec in enumerate(specs) if spec.nodes_for(cls)))
 
 
 _JSON_FIELDS = {
@@ -121,22 +129,14 @@ def load_pattern_file(path: str) -> MonitorSpec:
         return load_pattern(f.read())
 
 
-def satisfies(np: NodeProps, event, leak) -> bool:
-    """Conjunction over the properties present on the node; `leak` is the
-    leak check's result at this access, or None where none ran."""
-    if np.instruction is not None and event.name != np.instruction:
-        return False
-    if np.is_speculative is not None and event.speculation != np.is_speculative:
-        return False
-    if np.is_const is not None and (not event.symbolic_access) != np.is_const:
-        return False
-    if np.is_sensitive is not None and event.secret_access != np.is_sensitive:
-        return False
-    if np.check_cache_state is not None:
-        positive = leak is not None and leak.positive
-        if positive != np.check_cache_state:
-            return False
-    return True
+def admits(np: NodeProps, cls: Tuple[str, bool, bool, bool]) -> bool:
+    """Whether events of class `cls` satisfy every property of `np` but
+    checkCacheState, the one read per event."""
+    name, speculative, symbolic, secret = cls
+    return (np.instruction in (None, name)
+            and np.is_speculative in (None, speculative)
+            and np.is_const in (None, not symbolic)
+            and np.is_sensitive in (None, secret))
 
 
 @dataclass(slots=True, eq=False)
@@ -155,9 +155,9 @@ class Match:
 class MonitorInstance:
     """One live automaton; per path, survives speculation rollback.
 
-    TTLs are deadlines on an event clock, `now`, the number of events
-    observed: a `startTTL` node sets `now + startTTL`, a `stopTTL` node
-    none, and any other node keeps the source token's deadline.
+    TTLs are deadlines on the path's event clock, its count of events: a
+    `startTTL` node sets `now + startTTL`, a `stopTTL` node none, and any
+    other node keeps the source token's deadline.
     """
 
     def __init__(self, spec: MonitorSpec):
@@ -168,45 +168,56 @@ class MonitorInstance:
         self.node_tokens: List[List[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
         self.node_tokens[0].append(Token(None, None, None))
 
-    def observe(self, event, leak=None) -> List[Match]:
-        """Advance tokens for one event and its leak-check result, then
-        `tick`.  Only the nodes that can name the event are visited, from
-        the last backwards, so a single event advances any token by at
-        most one node.  A TTL counts the event that created the token.
+    def observe(self, event, leak=None, now: Optional[int] = None) -> List[Match]:
+        """Advance tokens for one event and its leak-check result.  `now` is
+        the path's clock at the event (by default, right after the last event
+        observed); tokens expired by then go first.  Only the nodes indexed
+        under the event's class are visited, last first, so an event
+        advances a token by at most one node; a TTL counts the event that
+        created the token.  Afterwards `node_tokens` holds the live tokens.
         """
+        if now is None:
+            now = self.now
+        if self._earliest <= now:
+            self._expire(now)
         matches: List[Match] = []
         spec = self.spec
         n = len(spec.nodes)
         inst = (event.pc, event.name, event.speculation)
-        index = spec.by_instruction
-        for i in index.get(event.name, index[None]):
+        positive = leak is not None and leak.positive
+        for i in spec.nodes_for(event_class(event)):
             np = spec.nodes[i]
-            if not self.node_tokens[i] or not satisfies(np, event, leak):
+            if (not self.node_tokens[i]
+                    or np.check_cache_state not in (None, positive)):
                 continue
             inherit = np.start_ttl is None and not np.stop_ttl
             deadline = None
             if np.start_ttl is not None:
-                deadline = self.now + np.start_ttl
-                self._earliest = min(self._earliest, deadline)
+                deadline = now + np.start_ttl
+                if deadline < self._earliest:
+                    self._earliest = deadline
             for src in self.node_tokens[i]:
                 tok = Token(src, inst, src.deadline if inherit else deadline)
                 self.node_tokens[i + 1].append(tok)
                 if i + 1 == n:
                     matches.append(Match(spec.name, self._chain(tok)))
-        self.tick()
+        self.now = now = now + 1
+        if self._earliest <= now:
+            self._expire(now)
         return matches
 
-    def tick(self) -> None:
-        """Count one event on the clock and drop the tokens it expires, so
-        `node_tokens` holds the live ones."""
-        self.now += 1
-        if self._earliest <= self.now:
-            now = self.now
-            for node in self.node_tokens[1:]:
-                node[:] = [t for t in node if t.deadline is None or t.deadline > now]
-            self._earliest = min((t.deadline for node in self.node_tokens
-                                  for t in node if t.deadline is not None),
-                                 default=math.inf)
+    def _expire(self, now: int) -> None:
+        """Drop the tokens whose deadline is `now` or earlier, in one pass."""
+        earliest = math.inf
+        for k, node in enumerate(self.node_tokens):
+            live = []
+            for t in node:
+                if t.deadline is None or t.deadline > now:
+                    live.append(t)
+                    if t.deadline is not None and t.deadline < earliest:
+                        earliest = t.deadline
+            self.node_tokens[k] = live
+        self._earliest = earliest
 
     def _chain(self, tok: Token) -> Tuple[Tuple[int, str, bool], ...]:
         chain = []

@@ -54,7 +54,7 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshots, Sym,
-                   UnOp, const, evaluate, mask, mk_binop, references)
+                   UnOp, const, evaluate, mask, mk_binop, references, to_str)
 
 
 class BudgetExceeded(Exception):
@@ -163,13 +163,29 @@ class PathCondition:
     Bound to the snapshot store it reads; every path extended from one
     root shares its per-snapshot facts (see `_facts`)."""
 
-    __slots__ = ("constraints", "slices", "snapshots", "facts")
+    __slots__ = ("constraints", "slices", "snapshots", "facts", "_parent",
+                 "_text")
 
     def __init__(self, snapshots: Snapshots, facts: Optional[dict] = None):
         self.constraints: Tuple[Expr, ...] = ()
         self.slices: Tuple[_Slice, ...] = ()
         self.snapshots = snapshots
         self.facts = {} if facts is None else facts
+        self._parent: Optional[PathCondition] = None  # until `text` is made
+        self._text: Optional[str] = ""
+
+    @property
+    def text(self) -> str:
+        """The constraints printed and joined by " & ", or "true"; made on
+        first use from the parent's text and the last constraint."""
+        pending, p = [], self
+        while p._text is None:  # no recursion: paths can be long
+            pending.append(p)
+            p = p._parent
+        for p in reversed(pending):
+            text, last = p._parent._text, to_str(p.constraints[-1])
+            p._text, p._parent = f"{text} & {last}" if text else last, None
+        return self._text or "true"
 
     def extend(self, c: Expr) -> "PathCondition":
         syms, versions = references((c,))
@@ -179,6 +195,7 @@ class PathCondition:
             (kept if key.isdisjoint(sl.names) else touched).append(sl)
         out = PathCondition(self.snapshots, self.facts)
         out.constraints = self.constraints + (c,)
+        out._parent, out._text = self, None
         members = sorted([len(self.constraints)]
                          + [i for sl in touched for i in sl.members])
         merged, names = {}, key

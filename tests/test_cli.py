@@ -143,6 +143,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and "unset register" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode, code", [("prediction-aware", EXIT_CLEAN),
+                                            ("baseline", EXIT_UNKNOWN),
+                                            ("both", EXIT_CLEAN)])
+    def test_unset_register_on_a_wrong_path_is_unknown(self, mode, code,
+                                                       tmp_path, capsys):
+        # only the baseline's wrong path down `f` reads the unset `u`; the
+        # prediction-aware run predicts the taken edge it takes
+        prog = tmp_path / "u.sir"
+        prog.write_text("region a 16\nconst c, 1\nbr c, t, f\n"
+                        "f: load r, u\nhalt\nt: halt\n")
+        assert run([str(prog), "--pht-bits", "1", "--mode", mode]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        if mode != "prediction-aware":
+            label = "[baseline] " if mode == "both" else ""
+            assert (f"{label}note: pc 2: wrong path ended: read of "
+                    "unset register 'u'") in out
+            assert f"{label}verdict: unknown" in out
+        if mode != "baseline":
+            assert "verdict: leakage-free" in out
+
     def test_skipped_symbolic_store_is_two(self, tmp_path, capsys):
         prog = tmp_path / "symstore.sir"
         prog.write_text("region buf 16\n  sym.8 rx, x\n  addrof rb, buf\n"

@@ -7,15 +7,16 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specsim
 from conftest import ROOT, load_fixture, load_pattern_fixture
 from specsim import cache, layout_regions, parse_program, solver
 from specsim import expr as ex
 from specsim.cache import CacheConfig
-from specsim.engine import Engine, EngineError, ExecState
+from specsim.engine import Engine, EngineError, Event, ExecState, concrete_binop
 from specsim.expr import Const
-from specsim.monitor import load_pattern
+from specsim.monitor import MonitorInstance, load_pattern
 from specsim.predictor import PredictorConfig, PredictorState
 
 
@@ -227,8 +228,9 @@ class TestMonitorRouting:
 
     @pytest.mark.parametrize("between, matches", [(1, 1), (2, 0)])
     def test_unwatched_events_count_toward_ttl(self, between, matches):
-        # no node names `add`, so the adds only tick the clock; a weakly
-        # taken counter predicts the taken edge, so no wrong path runs
+        # no node names `add`, so the adds reach no monitor but advance the
+        # path's clock; a weakly taken counter predicts the taken edge, so
+        # no wrong path runs
         pattern = load_pattern(json.dumps({"name": "p", "nodes": [
             {"instruction": "br", "startTTL": 3}, {"instruction": "load"}]}))
         src = ("region m 4\n  addrof r2, m\n  const r1, 1\n  br r1, a, b\na:\n"
@@ -249,6 +251,118 @@ class TestMonitorRouting:
         assert {f.chain[-1] for f in r.findings} == {(11, "load", True)}
         # the middle node matched instructions no other node names
         assert {f.chain[1][1] for f in r.findings} == {"load", "mul", "add"}
+
+
+class TestConcreteLane:
+    @pytest.mark.parametrize("op", ex.BIN_OPS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((8, 32)), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1), st.sampled_from((8, 32)),
+           st.sampled_from((8, 32)))
+    def test_concrete_binop_is_mk_binop(self, op, width, x, y, wx, wy):
+        a, b = ex.const(x, wx), ex.const(y, wy)
+        assert concrete_binop(op, a, b, width) == ex.mk_binop(
+            op, ex.coerce(a, width), ex.coerce(b, width))
+
+    def test_reused_event_equals_a_fresh_one(self):
+        # pc 3 adds constants on the first pass and a symbol on the second
+        e = build("  const r1, 1\n  const r2, 2\n  const r3, 0\n"
+                  "top:\n  add r4, r1, r2\n  sym r1, s\n  add r3, r3, 1\n"
+                  "  lt r5, r3, 2\n  br r5, top, out\nout:\n  halt\n")
+        state = ExecState(e.program.entry, PredictorState(e.predictor_cfg),
+                          cache.CacheState(e.cache_cfg), [])
+        run = e._new_run(False)
+        for _ in range(13):  # up to the halt
+            (state,) = e.step(state, run)
+        log = [event for event, _leak in state.event_log]
+        adds = [event for event in log if event.pc == 3]
+        assert adds[0] == Event("add", 3, False, False, False)
+        assert adds[1] == Event("add", 3, False, True, False)
+        consts = [event for event in log if event.name == "const"]
+        assert consts == [Event("const", pc, False, False, False)
+                          for pc in range(3)]
+        # one shared object per (name, pc, speculation)
+        incr = [event for event in log if event.pc == 5]
+        assert len(incr) == 2 and incr[0] is incr[1]
+
+
+class TestPathText:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255),
+                              st.booleans()),
+                    max_size=25))
+    def test_text_is_printed_once_per_path_object(self, steps):
+        # each step extends an earlier path (a fork) with x < k, and may
+        # ask for its text; every text equals the joined printed constraints
+        calls = Counter()
+        original = solver.to_str
+
+        def counting(e):
+            calls[id(e)] += 1
+            return original(e)
+
+        x = ex.sym("x", 8)
+        paths, parents = [solver.PathCondition({})], [None]
+        asked = set()
+        solver.to_str = counting
+        try:
+            for pick, k, ask in steps:
+                parents.append(pick % len(paths))
+                paths.append(paths[parents[-1]].extend(
+                    ex.mk_binop("lt", x, ex.const(k, 8))))
+                if ask:
+                    asked.add(len(paths) - 1)
+            for i in sorted(asked) + [0]:
+                p = paths[i]
+                assert p.text == (" & ".join(original(c)
+                                             for c in p.constraints) or "true")
+                assert p.text is p.text  # made once, then kept
+        finally:
+            solver.to_str = original
+        # each path object prints only its own last constraint, once: the
+        # asked paths and those they were extended from, the root aside
+        made = set()
+        for i in asked:
+            while parents[i] is not None:
+                made.add(id(paths[i].constraints[-1]))
+                i = parents[i]
+        assert set(calls) == made and all(n == 1 for n in calls.values())
+
+
+class TestObserveCount:
+    # a 20-iteration concrete loop, the shape of the benchmark's loop
+    LOOP = ("region buf 1\n  const ri, 0\n  const rn, 20\n"
+            "  addrof rbuf, buf\nloop:\n  load.8 rv, rbuf\n"
+            "  add rv, rv, ri\n  store.8 rbuf, rv\n  add ri, ri, 1\n"
+            "  lt rc, ri, rn\n  br rc, loop, done\ndone:\n  halt\n")
+
+    @pytest.mark.parametrize("baseline, observes", [(False, 45), (True, 42)])
+    def test_observes_per_event_class(self, baseline, observes, monkeypatch):
+        # With the three shipped patterns, a public load reaches only
+        # ld-br-ld (its last node) and a public br only br-ld-ld (its
+        # first); nothing else reaches a monitor.  Architecturally: 20
+        # loads and 20 brs.  Prediction-aware, PHT:1: only the exit
+        # mispredicts, and its 16-instruction wrong path runs the body
+        # from the load: loads at steps 1, 7 and 13, brs at 6 and 12, so
+        # 40 + 5.  Baseline: the 19 taken brs speculate into `halt`, and
+        # the exit into one body pass that falls through its br: 40 + 2.
+        seen = []
+        observe = MonitorInstance.observe
+
+        def counting(self, *args, **kwargs):
+            seen.append(self.spec.name)
+            return observe(self, *args, **kwargs)
+
+        monkeypatch.setattr(MonitorInstance, "observe", counting)
+        patterns = [load_pattern_fixture(f"{p}.json")
+                    for p in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")]
+        r = build(self.LOOP, predictor_cfg=PredictorConfig(pht_bits=1,
+                                                           window=16),
+                  patterns=patterns).run(baseline=baseline)
+        assert r.verdict == "leakage-free"
+        assert len(seen) == observes
+        assert Counter(seen) == {"br-ld-ld": 20 + (1 if baseline else 2),
+                                 "ld-br-ld": 20 + (1 if baseline else 3)}
 
 
 class TestBaseline:

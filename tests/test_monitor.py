@@ -1,5 +1,6 @@
 """Pattern schema, token automaton semantics, and TTL, with a
-differential test against a per-event TTL countdown."""
+differential test of monitors on one path clock, reached by event class,
+against per-event TTL countdowns that see every event."""
 
 import json
 
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from specsim.engine import Event
 from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
-                             PatternError, load_pattern, satisfies,
-                             watched_names)
+                             PatternError, event_class, load_pattern, routes)
 
 
 def pat(*nodes, name="p"):
@@ -22,6 +22,12 @@ def ev(name, pc=0, spec=False, symbolic=False, secret=False):
 
 
 LEAKY = LeakResult("leak")
+
+
+def satisfies(np, event, leak):
+    """Whether `event`, with its leak-check result, advances a token
+    through `np` alone: the class index and the per-event check agree."""
+    return bool(MonitorInstance(MonitorSpec("one", (np,))).observe(event, leak))
 
 
 class TestSchema:
@@ -148,26 +154,45 @@ class TestAutomaton:
         m.observe(ev("add"))      # ttl -> 0: expired before the load
         assert m.observe(ev("load")) == []
 
-    def test_nodes_indexed_by_instruction_last_first(self):
+    def test_nodes_indexed_by_event_class_last_first(self):
         spec = pat({"instruction": "br"}, {"isSpeculative": True},
-                   {"instruction": "load"}, {"instruction": "br"})
-        assert spec.by_instruction == {"br": (3, 1, 0), "load": (2, 1),
-                                       None: (1,)}
+                   {"instruction": "load", "isSensitive": True},
+                   {"instruction": "br", "isConst": True})
+        nodes_for = spec.nodes_for
+        assert nodes_for(("br", False, False, False)) == (3, 0)
+        assert nodes_for(("br", True, False, False)) == (3, 1, 0)
+        assert nodes_for(("br", True, True, False)) == (1, 0)
+        assert nodes_for(("load", True, False, True)) == (2, 1)
+        assert nodes_for(("load", False, False, False)) == ()
+        assert nodes_for(("add", True, True, True)) == (1,)
 
-    def test_watched_names(self):
-        br_ld = pat({"instruction": "br"}, {"instruction": "load"})
-        icall = pat({"instruction": "icall"})
-        assert watched_names([br_ld, icall]) == {"br", "load", "icall"}
-        assert watched_names([br_ld, pat({"isSpeculative": True})]) is None
-        assert watched_names([]) == frozenset()
+    def test_routes_name_the_specs_with_a_node_for_the_class(self):
+        br_ld = pat({"instruction": "br"}, {"instruction": "load",
+                                            "isSensitive": True})
+        icall = pat({"instruction": "icall"}, name="q")
+        table = routes((br_ld, icall))
+        assert table(("br", False, True, False)) == (0,)
+        assert table(("icall", True, False, False)) == (1,)
+        assert table(("load", True, True, True)) == (0,)
+        assert table(("load", True, True, False)) == ()
+        assert table(("add", False, False, False)) == ()
+        # one table per pattern set: equal specs share it
+        again = (pat({"instruction": "br"}, {"instruction": "load",
+                                             "isSensitive": True}),
+                 pat({"instruction": "icall"}, name="q"))
+        assert routes(again) is table
 
-    def test_tick_advances_the_clock_and_expires(self):
-        m = MonitorInstance(pat({"instruction": "br", "startTTL": 2},
-                                {"instruction": "load"}))
-        m.observe(ev("br"))
-        m.tick()
-        assert m.now == 2 and m.node_tokens[1] == []
-        assert m.observe(ev("load")) == []
+    def test_clock_catches_up_on_next_observe(self):
+        spec = pat({"instruction": "br", "startTTL": 2},
+                   {"instruction": "load"})
+        m = MonitorInstance(spec)
+        m.observe(ev("br"), now=0)
+        assert m.now == 1 and len(m.node_tokens[1]) == 1
+        # the path saw one event this monitor was not shown: a load at
+        # clock 1 is inside the TTL, one at clock 2 is not
+        assert len(m.clone().observe(ev("load"), now=1)) == 1
+        assert m.observe(ev("load"), now=2) == []
+        assert m.now == 3 and m.node_tokens[1] == []
 
     def test_clone_is_independent(self):
         m = MonitorInstance(pat({"instruction": "br"}, {"instruction": "load"}))
@@ -178,11 +203,25 @@ class TestAutomaton:
 
 
 
+def ref_satisfies(np, event, leak) -> bool:
+    """A node's properties checked one by one on the raw event fields."""
+    return ((np.instruction is None or event.name == np.instruction)
+            and (np.is_speculative is None
+                 or event.speculation == np.is_speculative)
+            and (np.is_const is None
+                 or (not event.symbolic_access) == np.is_const)
+            and (np.is_sensitive is None
+                 or event.secret_access == np.is_sensitive)
+            and (np.check_cache_state is None
+                 or (leak is not None and leak.positive)
+                 == np.check_cache_state))
+
+
 class ReferenceMonitor:
     """Independent oracle: every token carries a TTL counter that each
-    observed event decrements, the creating one included; a token whose
-    counter reaches zero is gone.  Tokens live in per-node lists of
-    (chain, ttl) pairs, ttl -1 meaning no counter runs."""
+    event decrements, the creating one included; a token whose counter
+    reaches zero is gone.  Tokens live in per-node lists of (chain, ttl)
+    pairs, ttl -1 meaning no counter runs.  It is fed every event."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -193,7 +232,7 @@ class ReferenceMonitor:
         n = len(self.spec.nodes)
         for i in range(n - 1, -1, -1):
             np = self.spec.nodes[i]
-            if not satisfies(np, event, leak):
+            if not ref_satisfies(np, event, leak):
                 continue
             for chain, ttl in list(self.nodes[i]):
                 if np.start_ttl is not None:
@@ -218,57 +257,80 @@ class ReferenceMonitor:
         return [[c for c, _t in node] for node in self.nodes]
 
 
-def live_chains(m):
-    return [[m._chain(t) for t in node] for node in m.node_tokens]
+def live_chains(m, now=None):
+    """The chains of `m`'s tokens, only those live at clock `now` if given."""
+    return [[m._chain(t) for t in node
+             if now is None or t.deadline is None or t.deadline > now]
+            for node in m.node_tokens]
 
 
-def deliver(m, event, tick):
-    """Deliver `event` to `m`; return each monitor it reached with its
-    matches.  An event that no node of the spec names may take two routes
-    in the engine: `observe`, when another pattern of the run names it, or
-    `tick()`, when none does.  Then a clone takes the route `m` does not,
-    and `tick` picks the one `m` takes."""
-    watched = watched_names([m.spec])
-    if watched is None or event.name in watched:
-        return [(m, m.observe(event))]
-    other = m.clone()
-    ticked, observed = (m, other) if tick else (other, m)
-    ticked.tick()
-    return [(ticked, []), (observed, observed.observe(event))]
+class Path:
+    """The monitors of one path, driven as the engine drives them: one
+    event clock, and each event shown only to the monitors that `routes`
+    names for its class."""
+
+    def __init__(self, specs):
+        self.specs = tuple(specs)
+        self.monitors = [MonitorInstance(spec) for spec in specs]
+        self.clock = 0
+
+    def emit(self, event, leak):
+        """{index of each monitor reached: its matches}"""
+        now = self.clock
+        self.clock += 1
+        return {k: self.monitors[k].observe(event, leak, now)
+                for k in routes(self.specs)(event_class(event))}
+
+    def clone(self):
+        c = Path.__new__(Path)
+        c.specs, c.clock = self.specs, self.clock
+        c.monitors = [m.clone() for m in self.monitors]
+        return c
 
 
-# no node names "store", so its events take both routes of `deliver`, and
-# nodes without an instruction exercise the full sweep
+def check(path, refs, event, leak):
+    """Emit one event on `path` and feed it to every reference monitor."""
+    reached = path.emit(event, leak)
+    for k, (m, ref) in enumerate(zip(path.monitors, refs)):
+        assert reached.get(k, []) == ref.observe(event, leak)
+        if k in reached:  # exactly the live tokens right after observe
+            assert live_chains(m) == ref.live()
+        assert live_chains(m, path.clock) == ref.live()
+
+
+# no node names "store", so its events reach no node that names an
+# instruction; nodes without one see every class
 _NAMES = ("br", "load", "add")
+_maybe = st.sampled_from((None, True, False))
 _node = st.builds(
-    lambda name, spec, ttl: NodeProps(
-        instruction=name, is_speculative=spec,
+    lambda name, spec, const, sensitive, cache, ttl: NodeProps(
+        instruction=name, is_speculative=spec, is_const=const,
+        is_sensitive=sensitive, check_cache_state=cache,
         start_ttl=ttl if isinstance(ttl, int) else None,
         stop_ttl=ttl == "stop"),
-    st.sampled_from(_NAMES + (None,)), st.sampled_from((None, True, False)),
+    st.sampled_from(_NAMES + (None,)), _maybe, _maybe, _maybe,
+    st.sampled_from((None, None, True, False)),
     st.sampled_from((None, "stop", 1, 2, 3, 5)))
-_event = st.builds(lambda name, spec, pc: ev(name, pc=pc, spec=spec),
-                   st.sampled_from(_NAMES + ("store",)), st.booleans(),
-                   st.integers(0, 3))
+_event = st.tuples(
+    st.builds(lambda name, spec, symbolic, secret, pc:
+              ev(name, pc=pc, spec=spec, symbolic=symbolic, secret=secret),
+              st.sampled_from(_NAMES + ("store",)), st.booleans(),
+              st.booleans(), st.booleans(), st.integers(0, 3)),
+    st.sampled_from((None, LEAKY, NO_LEAK)))
+_spec = st.builds(lambda nodes, i: MonitorSpec(f"p{i}", tuple(nodes)),
+                  st.lists(_node, min_size=1, max_size=4), st.integers(0, 9))
 
 
 class TestDifferential:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_node, min_size=1, max_size=4),
-           st.lists(st.tuples(_event, _event, st.booleans()),
-                    min_size=10, max_size=40))
-    def test_event_clock_matches_per_event_countdown(self, nodes, stream):
-        spec = MonitorSpec("p", tuple(nodes))
-        m, ref = MonitorInstance(spec), ReferenceMonitor(spec)
-        for event, probe, tick in stream:
-            expected = ref.observe(event)
-            for mon, matches in deliver(m, event, tick):
-                assert matches == expected
-                assert live_chains(mon) == ref.live()
+    @given(st.lists(_spec, min_size=1, max_size=3),
+           st.lists(st.tuples(_event, _event), min_size=10, max_size=40))
+    def test_event_clock_matches_per_event_countdown(self, specs, stream):
+        path, refs = Path(specs), [ReferenceMonitor(s) for s in specs]
+        for (event, leak), (probe, probe_leak) in stream:
+            check(path, refs, event, leak)
             # a clone diverges without touching the original
-            c, rc = m.clone(), ref.clone()
-            expected = rc.observe(probe)
-            for mon, matches in deliver(c, probe, tick):
-                assert matches == expected
-                assert live_chains(mon) == rc.live()
-            assert live_chains(m) == ref.live()
+            c, crefs = path.clone(), [ref.clone() for ref in refs]
+            check(c, crefs, probe, probe_leak)
+            for m, ref in zip(path.monitors, refs):
+                assert live_chains(m, path.clock) == ref.live()
