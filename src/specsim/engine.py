@@ -24,8 +24,13 @@ Everything one `Engine.run` learns -- findings, statistics, symbols,
 memory snapshots, the solver's slice memo -- lives in the `RunResult` it
 returns, and the solver's per-snapshot facts in the run's paths, so runs
 of one engine are independent.  A path's memory holds only the bytes
-stored on it; loads fall back to the engine's initial image, which a
+stored on it; loads fall back to the program's initial image, which a
 snapshot of a path that stored nothing shares rather than copies.
+
+The first engine over a laid-out program decodes it once for all engines
+over it (`_Decoded`, kept on the program): a step table with one record
+per pc (its handler, operands, branch targets and concrete events), the
+initial image and its secret symbols, and a memo of mapped addresses.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
 from .monitor import MonitorInstance, MonitorSpec, event_class, routes
 from .predictor import PredictorConfig, PredictorState
-from .sir import Imm, Instruction, Program, Reg
+from .sir import Program, Reg
 
 
 class EngineError(Exception):
@@ -62,18 +67,54 @@ class Event(NamedTuple):
     addr: Optional[int] = None  # concrete address of a load or store
 
 
-@functools.lru_cache(maxsize=4096)
-def _concrete_event(name: str, pc: int, speculation: bool) -> Event:
-    """The event of an instruction with no symbolic operand, shared."""
-    return Event(name, pc, speculation, False, False)
-
-
 def concrete_binop(op: str, a: ex.Const, b: ex.Const, width: int) -> ex.Const:
     """`ex.mk_binop(op, ex.coerce(a, width), ex.coerce(b, width))` of two
     constants, without its checks: constants carry no taint to join."""
     m = ex.mask(width)
     return _const(ex.apply_binop(op, a.value & m, b.value & m, width),
                   32 if op in ex.CMP_OPS else width)
+
+
+class PathKey:
+    """The (pc, direction) decisions of a path as a persistent chain: a
+    fork shares its parent's key and adds a node.  Equal, hashed and
+    printed like the tuple of its decisions, and never recursively, so
+    keys of any depth compare."""
+
+    __slots__ = ("parent", "step", "size", "_hash")
+
+    def __init__(self, parent: Optional["PathKey"] = None,
+                 step: Optional[Tuple[int, bool]] = None):
+        self.parent = parent
+        self.step = step
+        self.size = 0 if parent is None else parent.size + 1
+        self._hash = hash(() if parent is None else (parent._hash, step))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __iter__(self):
+        steps = []
+        node = self
+        while node.parent is not None:
+            steps.append(node.step)
+            node = node.parent
+        return reversed(steps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathKey):
+            return NotImplemented
+        a, b = self, other
+        if a.size != b.size:
+            return False
+        while a is not b:  # up to the first shared node, or both roots
+            if a._hash != b._hash or a.step != b.step:
+                return False
+            a, b = a.parent, b.parent
+        return True
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass
@@ -131,7 +172,8 @@ class RunResult:
 
     Witnesses and observables re-evaluate against `snapshots` (the memory
     a symbolic load read from, by version; read-only, as versions share
-    objects with each other and with the engine) and `symbols`."""
+    objects with each other and with the program's initial image) and
+    `symbols`."""
     findings: List[Finding] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
     diagnostics: List[str] = field(default_factory=list)
@@ -194,7 +236,7 @@ class ExecState:
         self.regs: Dict[str, ex.Expr] = {}
         self.mem: Dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
         self.path = solver.PathCondition({})  # Engine.run binds its snapshots
-        self.path_key: List[Tuple[int, bool]] = []
+        self.path_key = PathKey()
         self.predictor = predictor
         self.cache = cache
         self.monitors = monitors
@@ -209,7 +251,7 @@ class ExecState:
         c.regs = dict(self.regs)
         c.mem = dict(self.mem)
         c.path = self.path
-        c.path_key = list(self.path_key)
+        c.path_key = self.path_key
         c.predictor = self.predictor.clone()
         c.cache = self.cache.clone()
         c.monitors = [m.clone() for m in self.monitors]
@@ -221,7 +263,7 @@ class ExecState:
     def fingerprint(self) -> tuple:
         """Architectural state only; used to assert rollback exactness."""
         tl, btb = self.predictor.two_level, self.predictor.btb
-        return (self.pc, tuple(sorted(self.regs.items(), key=lambda kv: kv[0])),
+        return (self.pc, tuple(sorted(self.regs.items())),  # keys are unique
                 tuple(sorted(self.mem.items())), tuple(self.ret_stack),
                 tl.bhr if tl else None,
                 tuple(sorted(btb.sets.items())) if btb else None,
@@ -251,6 +293,15 @@ def check_limits(bit_budget: int, step_limit: int) -> None:
             raise ValueError(f"{name} must be >= 0")
 
 
+def _read(regs: Dict[str, ex.Expr], name: Optional[str],
+          imm: Optional[ex.Const]) -> ex.Expr:
+    """A decoded source operand: register `name`, or the immediate `imm`."""
+    value = regs.get(name, imm)
+    if value is None:
+        raise EngineError(f"read of unset register {name!r}")
+    return value
+
+
 class Engine:
     def __init__(self, program: Program,
                  predictor_cfg: Optional[PredictorConfig] = None,
@@ -268,10 +319,11 @@ class Engine:
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
         self._routes = routes(tuple(self.patterns))
 
-        if any(r.base is None for r in program.regions):
-            raise EngineError("program regions are not laid out; "
-                              "call sir.layout_regions first")
-        self._init_mem = self._initial_memory()
+        code = _decoded(program)
+        self._steps = code.steps
+        self._init_mem = code.image  # shared and read-only
+        self._symbols = code.symbols
+        self._mapped = code.mapped
 
     # ------------------------------------------------------------------ run
 
@@ -307,8 +359,7 @@ class Engine:
     def _new_run(self, baseline: bool) -> RunResult:
         """Per-run state, its symbol table seeded with the secret bytes of
         the initial memory."""
-        return RunResult(baseline=baseline, symbols={
-            v.name: v for v in self._init_mem.values() if isinstance(v, ex.Sym)})
+        return RunResult(baseline=baseline, symbols=dict(self._symbols))
 
     # ----------------------------------------------------------- single step
 
@@ -333,48 +384,14 @@ class Engine:
         `s` on a wrong path; events, the cache and the monitors are always
         those of `s`.  Returns "run" when the frame continues, "fork" when
         successors went onto `worklist` (architectural conditional
-        branches), or "end" when the path or the trace ends."""
-        speculative = frame is not s
-        pc = frame.pc
-        inst = self.program.instructions[pc]
-        op = inst.opcode
-        if speculative:
-            run.stats.spec_instructions += 1
-        else:
+        branches on a symbolic condition), or "end" when the path or the
+        trace ends."""
+        step = self._steps[frame.pc]
+        if frame is s:
             run.stats.arch_instructions += 1
-
-        if op == "br":
-            if speculative:
-                self._follow_prediction(run, s, frame, inst)
-                return "run"
-            self._fork_on_branch(run, s, inst, worklist)
-            return "fork"
-        if op == "icall":
-            if speculative:
-                return self._follow_indirect(run, s, frame, inst)
-            return self._resolve_indirect(run, s, inst)
-        if op in ("halt", "ret", "jmp", "call"):
-            self._emit(run, s, _concrete_event(op, pc, speculative), None)
-            if op == "halt" or (op == "ret" and not frame.ret_stack):
-                return "end"
-            if op == "ret":
-                frame.pc = frame.ret_stack.pop()
-                return "run"
-            if op == "call":
-                frame.ret_stack.append(pc + 1)
-            frame.pc = self.program.labels[inst.operands[0].name]
-            return "run"
-
-        # straight-line instruction
-        event, leak, err = self._exec_data_inst(run, inst, frame, s.path,
-                                                speculative)
-        if err is not None and not speculative:
-            self._error(run, s, op, err)
-        self._emit(run, s, event, leak)
-        if err is not None:
-            return "end"
-        frame.pc += 1
-        return "run"
+        else:
+            run.stats.spec_instructions += 1
+        return step.handler(self, run, s, frame, step, worklist)
 
     def _error(self, run: RunResult, s: ExecState, op: str, message: str) -> None:
         """The architectural path ends at an instruction it cannot execute."""
@@ -382,31 +399,123 @@ class Engine:
                                     s.path.text, self._config_str(), None))
         run.diagnostics.append(f"pc {s.pc}: {message}")
 
+    # ------------------------------------------------- straight-line handlers
+    # handler(engine, run, s, frame, step, worklist) -> status, as _step
+
+    def _exec_const(self, run, s, frame, step, worklist) -> str:
+        """const and addrof: the decoded Const."""
+        frame.regs[step.rd] = step.value
+        self._emit(run, s, step.events[frame is not s], None)
+        frame.pc += 1
+        return "run"
+
+    def _exec_sym(self, run, s, frame, step, worklist) -> str:
+        name, secret = step.value
+        speculative = frame is not s
+        event = Event("sym", step.pc, speculative, True, secret)
+        known = run.symbols.get(name)
+        if known is not None and (known.width != step.width
+                                  or known.taint.secret != secret):
+            if not speculative:
+                self._error(run, s, "sym", f"symbol {name!r} redeclared "
+                            "with different shape")
+            self._emit(run, s, event, None)
+            return "end"
+        value = known if known is not None else ex.sym(name, step.width, secret)
+        run.symbols[name] = value
+        frame.regs[step.rd] = value
+        self._emit(run, s, event, None)
+        frame.pc += 1
+        return "run"
+
+    def _exec_binop(self, run, s, frame, step, worklist) -> str:
+        regs = frame.regs
+        a = _read(regs, step.a, step.ia)
+        b = _read(regs, step.b, step.ib)
+        if type(a) is ex.Const and type(b) is ex.Const:
+            regs[step.rd] = concrete_binop(step.op, a, b, step.width)
+            event = step.events[frame is not s]
+        else:
+            a, b = ex.coerce(a, step.width), ex.coerce(b, step.width)
+            regs[step.rd] = ex.mk_binop(step.op, a, b)
+            taint = a.taint.join(b.taint)
+            event = Event(step.op, step.pc, frame is not s, taint.symbolic,
+                          taint.secret)
+        self._emit(run, s, event, None)
+        frame.pc += 1
+        return "run"
+
+    def _exec_access(self, run, s, frame, step, worklist) -> str:
+        """load and store, then the access's leak check and event."""
+        regs = frame.regs
+        addr = ex.coerce(_read(regs, step.a, step.ia), 32)
+        if step.op == "load":
+            value = self._do_load(run, addr, step.width, frame.mem, s.path,
+                                  step.pc, frame is not s)
+            regs[step.rd] = value
+        else:
+            value = _read(regs, step.b, step.ib)
+            if type(value) is not ex.Const:
+                value = ex.coerce(value, step.width)
+            self._do_store(run, addr, value, step.width, frame.mem, step.pc)
+        if type(addr) is ex.Const:
+            taint, leak, concrete = value.taint, None, addr.value
+        else:
+            taint = addr.taint.join(value.taint)
+            leak = self._cache_route(run, addr, s.path, step.pc)
+            concrete = None
+        self._emit(run, s, Event(step.op, step.pc, frame is not s,
+                                 taint.symbolic, taint.secret, concrete), leak)
+        frame.pc += 1
+        return "run"
+
+    def _exec_control(self, run, s, frame, step, worklist) -> str:
+        """halt, ret, jmp and call."""
+        self._emit(run, s, step.events[frame is not s], None)
+        op = step.op
+        if op == "halt" or (op == "ret" and not frame.ret_stack):
+            return "end"
+        if op == "ret":
+            frame.pc = frame.ret_stack.pop()
+            return "run"
+        if op == "call":
+            frame.ret_stack.append(step.pc + 1)
+        frame.pc = step.target
+        return "run"
+
     # ------------------------------------------- branches: architectural policy
 
-    def _fork_on_branch(self, run: RunResult, s: ExecState, inst: Instruction,
-                        worklist: List[ExecState]) -> None:
-        pc = s.pc
-        cond, t_pc, f_pc = self._branch_operands(inst, s.regs)
+    def _exec_br(self, run, s, frame, step, worklist) -> str:
+        """Fork on a symbolic condition; go on in place on a concrete one;
+        follow the prediction on a wrong path."""
+        cond = ex.coerce(_read(frame.regs, step.a, step.ia), 32)
+        if frame is not s:
+            self._follow_prediction(run, s, frame, step, cond)
+            return "run"
+        if type(cond) is ex.Const:  # one direction, no query: go on in place
+            self._take_branch(run, s, step, cond.value != 0, step.events[0])
+            return "run"
+        self._fork_on_branch(run, s, step, cond, worklist)
+        return "fork"
 
+    def _fork_on_branch(self, run: RunResult, s: ExecState, step: "_Step",
+                        cond: ex.Expr, worklist: List[ExecState]) -> None:
+        pc = step.pc
         feasible: List[bool] = []
         paths = {}  # each queried direction's path condition
         overran = False
-        if isinstance(cond, ex.Const):
-            feasible = [cond.value != 0]
-        else:
-            for want in (True, False):
-                paths[want] = s.path.extend(ex.mk_binop(
-                    "ne" if want else "eq", cond, ex.const(0, cond.width)))
-                run.stats.solver_queries += 1
-                try:
-                    m = solver.is_sat(self._query(run, paths[want]))
-                except solver.BudgetExceeded as e:
-                    run.overrun(pc, "branch", e)
-                    overran = True
-                    continue
-                if m is not None:
-                    feasible.append(want)
+        for want in (True, False):
+            paths[want] = s.path.extend(ex.mk_binop(
+                "ne" if want else "eq", cond, ex.const(0, cond.width)))
+            run.stats.solver_queries += 1
+            try:
+                m = solver.is_sat(self._query(run, paths[want]))
+            except solver.BudgetExceeded as e:
+                run.overrun(pc, "branch", e)
+                overran = True
+                continue
+            if m is not None:
+                feasible.append(want)
         if overran:
             run.findings.append(Finding("unknown", None, ((pc, "br", False),),
                                         s.path.text, self._config_str(), None))
@@ -414,47 +523,52 @@ class Engine:
                 run.note(pc, "dropped", "path dropped: no branch direction "
                          "fits the bit budget")
 
+        event = Event("br", pc, False, cond.taint.symbolic, cond.taint.secret)
         # DFS taken-edge first: push not-taken first so taken pops first
         for direction in sorted(feasible):  # False before True
             succ = s if len(feasible) == 1 else s.clone()
-            succ.path = paths.get(direction, s.path)
-            succ.path_key.append((pc, direction))
-            self._emit(run, succ, Event("br", pc, False, cond.taint.symbolic,
-                                        cond.taint.secret), None)
-            actual_pc = t_pc if direction else f_pc
-
-            if run.baseline:
-                wrong_pc = f_pc if direction else t_pc
-                self._run_speculative(run, succ, wrong_pc, (pc, wrong_pc))
-            else:
-                pred_taken, pred_pc = succ.predictor.predict_conditional(
-                    pc, t_pc, f_pc)
-                if pred_pc != actual_pc:
-                    self._run_speculative(run, succ, pred_pc, (pc, pred_pc),
-                                          noted=pred_taken)
-                succ.predictor.update(pc, direction, t_pc if direction else None)
-                run.stats.predictor_updates += 1
-
-            succ.pc = actual_pc
+            succ.path = paths[direction]
+            self._take_branch(run, succ, step, direction, event)
             worklist.append(succ)
 
-    def _branch_operands(self, inst: Instruction, regs: Dict[str, ex.Expr]):
-        """(condition, taken pc, fall-through pc) of a `br`."""
-        labels = self.program.labels
-        return (ex.coerce(self._operand_value(inst.operands[0], regs), 32),
-                labels[inst.operands[1].name], labels[inst.operands[2].name])
+    def _take_branch(self, run: RunResult, s: ExecState, step: "_Step",
+                     direction: bool, event: Event) -> None:
+        """Go down one direction of an architectural branch, after the wrong
+        path the predictor (or, in baseline mode, the other direction)
+        would run."""
+        pc = step.pc
+        t_pc, f_pc = step.target
+        s.path_key = PathKey(s.path_key, (pc, direction))
+        self._emit(run, s, event, None)
+        actual_pc = t_pc if direction else f_pc
 
-    def _resolve_indirect(self, run: RunResult, s: ExecState,
-                          inst: Instruction) -> str:
+        if run.baseline:
+            wrong_pc = f_pc if direction else t_pc
+            self._run_speculative(run, s, wrong_pc, (pc, wrong_pc))
+        else:
+            pred_taken, pred_pc = s.predictor.predict_conditional(
+                pc, t_pc, f_pc)
+            if pred_pc != actual_pc:
+                self._run_speculative(run, s, pred_pc, (pc, pred_pc),
+                                      noted=pred_taken)
+            s.predictor.update(pc, direction, t_pc if direction else None)
+            run.stats.predictor_updates += 1
+        s.pc = actual_pc
+
+    def _exec_icall(self, run, s, frame, step, worklist) -> str:
+        """Call the concrete target, after the wrong path the BTB predicts
+        (none in baseline mode); `_follow_indirect` on a wrong path."""
+        if frame is not s:
+            return self._follow_indirect(run, s, frame, step)
         pc = s.pc
-        target = self._operand_value(inst.operands[0], s.regs)
+        target = _read(s.regs, step.a, step.ia)
         if not isinstance(target, ex.Const):
             self._error(run, s, "icall", "unsupported symbolic indirect target")
             self._emit(run, s, Event("icall", pc, False, True,
                                      target.taint.secret), None)
             return "end"
         actual = target.value
-        if actual >= len(self.program.instructions):
+        if actual >= len(self._steps):
             self._error(run, s, "icall", f"icall target {actual} out of range")
             return "end"
         self._emit(run, s, Event("icall", pc, False, False,
@@ -473,10 +587,10 @@ class Engine:
     # -------------------------------------------- branches: wrong-path policy
 
     def _follow_prediction(self, run: RunResult, s: ExecState, box: _Sandbox,
-                           inst: Instruction) -> None:
+                           step: "_Step", cond: ex.Expr) -> None:
         """No forking, no path constraint: follow the shadow prediction, or
         fall through in baseline mode (history-agnostic)."""
-        cond, t_pc, f_pc = self._branch_operands(inst, box.regs)
+        t_pc, f_pc = step.target
         self._emit(run, s, Event("br", box.pc, True, cond.taint.symbolic,
                                  cond.taint.secret), None)
         if box.shadow is None:
@@ -486,10 +600,10 @@ class Engine:
         box.shadow.spec_note_direction(taken)
 
     def _follow_indirect(self, run: RunResult, s: ExecState, box: _Sandbox,
-                         inst: Instruction) -> str:
+                         step: "_Step") -> str:
         """Call the shadow BTB's target (the concrete target in baseline
         mode); without a usable target the trace stalls out."""
-        tgt = self._operand_value(inst.operands[0], box.regs)
+        tgt = _read(box.regs, step.a, step.ia)
         self._emit(run, s, Event("icall", box.pc, True, tgt.taint.symbolic,
                                  tgt.taint.secret), None)
         if box.shadow is not None:
@@ -498,7 +612,7 @@ class Engine:
             pred = tgt.value
         else:
             pred = None
-        if pred is None or pred >= len(self.program.instructions):
+        if pred is None or pred >= len(self._steps):
             return "end"
         box.ret_stack.append(box.pc + 1)
         box.pc = pred
@@ -522,7 +636,7 @@ class Engine:
             return
         before = s.fingerprint()
         run.stats.spec_traces += 1
-        run.stats.trace_identities.append((tuple(s.path_key),) + identity_tail)
+        run.stats.trace_identities.append((s.path_key,) + identity_tail)
 
         shadow = None if run.baseline else s.predictor.clone()
         if noted is not None:
@@ -530,7 +644,7 @@ class Engine:
         box = _Sandbox(s, start_pc, shadow)
         if push_return is not None:
             box.ret_stack.append(push_return)
-        n = len(self.program.instructions)
+        n = len(self._steps)
         try:
             for _ in range(window):
                 if not 0 <= box.pc < n or self._step(run, s, box, None) == "end":
@@ -545,102 +659,28 @@ class Engine:
 
     # -------------------------------------------------------- data movement
 
-    def _exec_data_inst(self, run: RunResult, inst: Instruction,
-                        frame: ExecState | _Sandbox,
-                        path: solver.PathCondition, speculative: bool):
-        """Execute const/sym/addrof/binop/load/store against the frame's
-        register file and memory.  Returns (event, leak-check result,
-        error)."""
-        op = inst.opcode
-        pc = frame.pc
-        regs = frame.regs
-
-        if op == "const":
-            rd, imm = inst.operands
-            regs[rd.name] = _const(imm.value, inst.width)
-            return _concrete_event(op, pc, speculative), None, None
-
-        if op == "sym":
-            rd = inst.operands[0]
-            name = inst.operands[1]
-            secret = len(inst.operands) > 2
-            known = run.symbols.get(name)
-            if known is not None and (known.width != inst.width
-                                      or known.taint.secret != secret):
-                return (Event(op, pc, speculative, True, secret), None,
-                        f"symbol {name!r} redeclared with different shape")
-            value = known if known is not None else ex.sym(name, inst.width, secret)
-            run.symbols[name] = value
-            regs[rd.name] = value
-            return Event(op, pc, speculative, True, secret), None, None
-
-        if op == "addrof":
-            rd, name = inst.operands
-            if name in self.program.labels:
-                value = self.program.labels[name]
-            else:
-                value = self.program.region(name).base
-            regs[rd.name] = _const(value, 32)
-            return _concrete_event(op, pc, speculative), None, None
-
-        if op in ex.BIN_OPS:
-            rd, a_op, b_op = inst.operands
-            a = self._operand_value(a_op, regs)
-            b = self._operand_value(b_op, regs)
-            if type(a) is ex.Const and type(b) is ex.Const:
-                regs[rd.name] = concrete_binop(op, a, b, inst.width)
-                return _concrete_event(op, pc, speculative), None, None
-            a, b = ex.coerce(a, inst.width), ex.coerce(b, inst.width)
-            result = ex.mk_binop(op, a, b)
-            regs[rd.name] = result
-            taint = a.taint.join(b.taint)
-            return Event(op, pc, speculative, taint.symbolic, taint.secret), None, None
-
-        if op == "load":
-            rd, addr_op = inst.operands
-            addr = ex.coerce(self._operand_value(addr_op, regs), 32)
-            value = self._do_load(run, addr, inst.width, frame.mem,
-                                  path, pc, speculative)
-            regs[rd.name] = value
-            taint = addr.taint.join(value.taint)
-            leak = self._cache_route(run, addr, path, pc)
-            return (Event(op, pc, speculative, taint.symbolic, taint.secret,
-                          self._concrete(addr)), leak, None)
-
-        if op == "store":
-            addr_op, val_op = inst.operands
-            addr = ex.coerce(self._operand_value(addr_op, regs), 32)
-            value = ex.coerce(self._operand_value(val_op, regs), inst.width)
-            self._do_store(run, addr, value, inst.width, frame.mem, pc)
-            taint = addr.taint.join(value.taint)
-            leak = self._cache_route(run, addr, path, pc)
-            return (Event(op, pc, speculative, taint.symbolic, taint.secret,
-                          self._concrete(addr)), leak, None)
-
-        raise EngineError(f"unhandled opcode {op!r}")
-
     def _do_load(self, run: RunResult, addr: ex.Expr, width: int,
                  mem: Dict[int, ex.Expr], path: solver.PathCondition,
                  pc: int, speculative: bool) -> ex.Expr:
-        if isinstance(addr, ex.Const):
+        if type(addr) is ex.Const:
             base = addr.value
-            if self.program.region_at(base) is None:
-                run.diagnostics.append(
-                    f"pc {pc}: load from unmapped address {base:#x}")
-            parts = []
-            for a in range(base, base + width // 8):
-                byte = mem.get(a)
-                parts.append(self._init_mem.get(a, _ZERO_BYTE)
-                             if byte is None else byte)
+            if not self._mapped(base, width // 8):
+                run.note(pc, "unmapped load",
+                         f"load from unmapped address {base:#x}")
+            image = self._init_mem
             if width == 8:
-                value = parts[0]
-            else:
-                value = ex.coerce(parts[0], 32)
-                for i, byte in enumerate(parts[1:], start=1):
-                    value = ex.mk_binop(
-                        "or", value,
-                        ex.mk_binop("shl", ex.coerce(byte, 32),
-                                    ex.const(8 * i, 32)))
+                return mem.get(base) or image.get(base, _ZERO_BYTE)
+            parts = [mem.get(a) or image.get(a, _ZERO_BYTE)
+                     for a in range(base, base + 4)]
+            if all(type(byte) is ex.Const for byte in parts):
+                return _const(sum(byte.value << 8 * i
+                                  for i, byte in enumerate(parts)), 32)
+            value = ex.coerce(parts[0], 32)
+            for i, byte in enumerate(parts[1:], start=1):
+                value = ex.mk_binop(
+                    "or", value,
+                    ex.mk_binop("shl", ex.coerce(byte, 32),
+                                ex.const(8 * i, 32)))
             return value
         # symbolic address: freeze the memory snapshot it reads from
         version = self._freeze(run, mem, speculative)
@@ -649,18 +689,24 @@ class Engine:
 
     def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
                   width: int, mem: Dict[int, ex.Expr], pc: int) -> None:
-        if not isinstance(addr, ex.Const):
+        """Store the low `width` bits of `value`: a Const of any width, or
+        an expression of `width` bits."""
+        if type(addr) is not ex.Const:
             # later loads and store-to-load forwarding cannot see the store,
             # so nothing after it is sound to call leakage-free
-            run.diagnostics.append(f"pc {pc}: symbolic store address "
-                                   "unsupported; store skipped")
+            run.note(pc, "symbolic store", "symbolic store address "
+                     "unsupported; store skipped")
             run.unknown = True
             return
         base = addr.value
-        if self.program.region_at(base) is None:
-            run.diagnostics.append(f"pc {pc}: store to unmapped address {base:#x}")
-        if width == 8:
-            mem[base] = ex.coerce(value, 8)
+        if not self._mapped(base, width // 8):
+            run.note(pc, "unmapped store",
+                     f"store to unmapped address {base:#x}")
+        if type(value) is ex.Const:  # of any width: bytes by arithmetic
+            for i in range(width // 8):
+                mem[base + i] = _const(value.value >> 8 * i & 0xFF, 8)
+        elif width == 8:
+            mem[base] = value
         else:
             for i in range(4):
                 mem[base + i] = ex.coerce(
@@ -701,21 +747,6 @@ class Engine:
                                   else self._init_mem)
         return version
 
-    def _initial_memory(self) -> Dict[int, ex.Expr]:
-        """Region-declared contents; secret regions without init are fresh
-        secret symbols, one per byte."""
-        init: Dict[int, ex.Expr] = {}
-        for region in self.program.regions:
-            if region.init is None and not region.secret:
-                continue  # uninitialised public bytes read as zero
-            for i in range(region.size):
-                if region.init is not None and i < len(region.init):
-                    init[region.base + i] = ex.const(region.init[i], 8)
-                elif region.secret:
-                    init[region.base + i] = ex.sym(f"{region.name}[{i}]", 8,
-                                                   secret=True)
-        return init
-
     # --------------------------------------------------------------- events
 
     def _cache_route(self, run: RunResult, addr: ex.Expr,
@@ -745,7 +776,7 @@ class Engine:
 
     def _record_match(self, run: RunResult, s: ExecState, match,
                       leak: Optional[LeakResult]) -> None:
-        key = (match.pattern, match.chain, tuple(s.path_key))
+        key = (match.pattern, match.chain, s.path_key)
         if key in run.seen:
             return
         run.seen.add(key)
@@ -770,24 +801,10 @@ class Engine:
 
     # -------------------------------------------------------------- helpers
 
-    def _operand_value(self, operand, regs: Dict[str, ex.Expr]) -> ex.Expr:
-        if isinstance(operand, Reg):
-            value = regs.get(operand.name)
-            if value is None:
-                raise EngineError(f"read of unset register {operand.name!r}")
-            return value
-        if isinstance(operand, Imm):
-            return _const(operand.value, 32)
-        raise EngineError(f"bad operand {operand!r}")
-
     def _query(self, run: RunResult, path: solver.PathCondition
                ) -> solver.Query:
         return solver.Query(path.constraints, self.bit_budget, run.snapshots,
                             run.memo, path)
-
-    @staticmethod
-    def _concrete(addr: ex.Expr) -> Optional[int]:
-        return addr.value if isinstance(addr, ex.Const) else None
 
     def _config_str(self) -> str:
         cfg = self.predictor_cfg
@@ -800,3 +817,113 @@ class Engine:
             parts.append("btfnt")
         parts.append(f"w{cfg.window}")
         return ",".join(parts)
+
+
+# ------------------------------------------------------ per-program decoding
+
+class _Step:
+    """One decoded instruction; `handler` executes it (see Engine._step).
+
+    A source operand is a register name `a` (`b`) with no immediate, or
+    None with its immediate `ia` (`ib`) as a shared Const, so that
+    `regs.get(a, ia)` reads either.  `value` is the Const of a const or
+    addrof, or (name, secret) of a sym; `target` is the pc of a jmp or
+    call, or (taken, fall-through) of a br; `events` are the concrete
+    events, architectural and speculative."""
+
+    __slots__ = ("handler", "op", "pc", "width", "rd", "a", "ia", "b", "ib",
+                 "value", "target", "events")
+
+    def __init__(self, handler, op: str, pc: int, width: int):
+        self.handler, self.op, self.pc, self.width = handler, op, pc, width
+        self.rd = self.a = self.ia = self.b = self.ib = None
+        self.value = self.target = None
+        self.events = (Event(op, pc, False, False, False),
+                       Event(op, pc, True, False, False))
+
+
+_HANDLERS = dict.fromkeys(ex.BIN_OPS, Engine._exec_binop)
+_HANDLERS.update(
+    const=Engine._exec_const, addrof=Engine._exec_const, sym=Engine._exec_sym,
+    load=Engine._exec_access, store=Engine._exec_access, br=Engine._exec_br,
+    icall=Engine._exec_icall,
+    **dict.fromkeys(("halt", "ret", "jmp", "call"), Engine._exec_control))
+
+
+def _step_table(program: Program) -> Tuple[_Step, ...]:
+    labels = program.labels
+    table = []
+    for pc, inst in enumerate(program.instructions):
+        op, operands = inst.opcode, inst.operands
+        step = _Step(_HANDLERS[op], op, pc, inst.width)
+        table.append(step)
+        if op in ("const", "addrof", "sym"):
+            step.rd, arg = operands[0].name, operands[1]
+            if op == "const":
+                step.value = _const(arg.value, inst.width)
+            elif op == "addrof":
+                step.value = _const(labels[arg] if arg in labels
+                                    else program.region(arg).base, 32)
+            else:
+                step.value = (arg, len(operands) > 2)
+            continue
+        if op in ("jmp", "call"):
+            step.target = labels[operands[0].name]
+            continue
+        if op == "br":
+            step.target = (labels[operands[1].name], labels[operands[2].name])
+            operands = operands[:1]
+        elif op == "load" or op in ex.BIN_OPS:
+            step.rd, operands = operands[0].name, operands[1:]
+        for slot, operand in zip(("a", "b"), operands):  # the sources
+            if isinstance(operand, Reg):
+                setattr(step, slot, operand.name)
+            else:
+                setattr(step, "i" + slot, _const(operand.value, 32))
+    return tuple(table)
+
+
+def _initial_image(program: Program) -> Dict[int, ex.Expr]:
+    """Region-declared contents; secret regions without init are fresh
+    secret symbols, one per byte."""
+    init: Dict[int, ex.Expr] = {}
+    for region in program.regions:
+        if region.init is None and not region.secret:
+            continue  # uninitialised public bytes read as zero
+        for i in range(region.size):
+            if region.init is not None and i < len(region.init):
+                init[region.base + i] = ex.const(region.init[i], 8)
+            elif region.secret:
+                init[region.base + i] = ex.sym(f"{region.name}[{i}]", 8,
+                                               secret=True)
+    return init
+
+
+class _Decoded:
+    """What every engine over one laid-out program shares, made once: the
+    step table, the initial image (read-only) and its secret symbols, and
+    `mapped(base, n)`: whether bytes base..base+n-1 all lie in regions."""
+
+    __slots__ = ("steps", "image", "symbols", "mapped")
+
+    def __init__(self, program: Program):
+        self.steps = _step_table(program)
+        self.image = _initial_image(program)
+        self.symbols = {v.name: v for v in self.image.values()
+                        if isinstance(v, ex.Sym)}
+        spans = tuple((r.base, r.end) for r in program.regions)
+        self.mapped = functools.lru_cache(maxsize=1024)(
+            lambda base, n: all(any(lo <= a < hi for lo, hi in spans)
+                                for a in range(base, base + n)))
+
+
+def _decoded(program: Program) -> _Decoded:
+    """The program's decoding, made by the first engine over it."""
+    code = program.decoded
+    if code is None:
+        if any(r.base is None for r in program.regions):
+            raise EngineError("program regions are not laid out; "
+                              "call sir.layout_regions first")
+        code = _Decoded(program)
+        object.__setattr__(program, "decoded", code)
+    return code

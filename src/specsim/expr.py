@@ -25,7 +25,7 @@ class UnboundSymbol(ExprError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Taint:
     """Independent secrecy and symbolicness bits attached to a value."""
 
@@ -33,10 +33,13 @@ class Taint:
     symbolic: bool = False
 
     def join(self, other: "Taint") -> "Taint":
-        return Taint(self.secret or other.secret, self.symbolic or other.symbolic)
+        return _TAINTS[self.secret or other.secret][self.symbolic or other.symbolic]
 
 
-NO_TAINT = Taint()
+# every Taint value, shared: _TAINTS[secret][symbolic]
+_TAINTS = tuple(tuple(Taint(secret, symbolic) for symbolic in (False, True))
+                for secret in (False, True))
+NO_TAINT = _TAINTS[False][False]
 
 ARITH_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr")
 CMP_OPS = ("lt", "le", "eq", "ne")
@@ -44,36 +47,36 @@ BIN_OPS = ARITH_OPS + CMP_OPS
 UN_OPS = ("zext", "trunc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     width: int
     taint: Taint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnOp(Expr):
     op: str
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp(Expr):
     op: str
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemRead(Expr):
     """Read of `width` bits from a frozen memory snapshot at a symbolic address.
 
@@ -98,7 +101,7 @@ def const(value: int, width: int = 32) -> Const:
 def sym(name: str, width: int, secret: bool = False) -> Sym:
     if not 0 < width <= 64:
         raise WidthError(f"bad width {width}")
-    return Sym(width, Taint(secret=secret, symbolic=True), name)
+    return Sym(width, _TAINTS[secret][True], name)
 
 
 def apply_binop(op: str, x: int, y: int, width: int) -> int:
@@ -196,7 +199,7 @@ def coerce(a: Expr, width: int) -> Expr:
 def mk_memread(version: int, addr: Expr, width: int, secret: bool) -> MemRead:
     if width not in (8, 32):
         raise WidthError("memory reads are 8 or 32 bits")
-    return MemRead(width, Taint(secret=secret, symbolic=True), version, addr)
+    return MemRead(width, _TAINTS[secret][True], version, addr)
 
 
 class Model:

@@ -121,6 +121,10 @@ class Program:
     labels: Dict[str, int]
     regions: Tuple[Region, ...]
     entry: int = 0
+    # the engine's decoding of this laid-out program, made by the first
+    # Engine over it and shared by the rest; `replace` starts afresh
+    decoded: Optional[object] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def region(self, name: str) -> Region:
         for r in self.regions:

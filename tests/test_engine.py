@@ -3,6 +3,7 @@ sandboxing, taint-aware events, the baseline mode, and per-run state."""
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 from collections import Counter
 
@@ -12,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 import specsim
 from conftest import ROOT, load_fixture, load_pattern_fixture
 from specsim import cache, layout_regions, parse_program, solver
+from specsim import engine as engine_mod
 from specsim import expr as ex
 from specsim.cache import CacheConfig
-from specsim.engine import Engine, EngineError, Event, ExecState, concrete_binop
+from specsim.engine import (Engine, EngineError, Event, ExecState, PathKey,
+                            concrete_binop)
 from specsim.expr import Const
 from specsim.monitor import MonitorInstance, load_pattern
 from specsim.predictor import PredictorConfig, PredictorState
@@ -72,7 +75,32 @@ class TestStraightLine:
         e = build("  const r1, 0x9000\n  load.8 r2, r1\n  halt\n")
         r = e.run()
         assert final_regs(r)["r2"].value == 0
-        assert any("unmapped" in d for d in r.diagnostics)
+        assert r.diagnostics == ["pc 1: load from unmapped address 0x9000"]
+
+    def test_unmapped_access_is_noted_once_per_site(self):
+        # five iterations and their wrong paths run the load and the store;
+        # each site is noted once, with the first address it touched
+        src = ("  const ri, 0\nloop:\n  load rv, 8000\n  add ra, ri, 9000\n"
+               "  store ra, rv\n  add ri, ri, 1\n  lt rc, ri, 5\n"
+               "  br rc, loop, done\ndone:\n  halt\n")
+        for baseline in (False, True):
+            r = build(src, predictor_cfg=PredictorConfig(pht_bits=1, window=8)
+                      ).run(baseline=baseline)
+            assert r.stats.spec_traces > 0
+            assert r.diagnostics == ["pc 1: load from unmapped address 0x1f40",
+                                     "pc 3: store to unmapped address 0x2328"]
+
+    def test_access_straddling_a_region_end_is_noted(self):
+        # a 32-bit load of `a` reads two bytes past it, and a 32-bit store
+        # at a+1 writes three; an access across two adjacent regions, or
+        # one byte inside `a`, touches only mapped bytes
+        r = build("region a 2\nregion b 64\nregion c 64\n"
+                  "  addrof ra, a\n  load rv, ra\n  add r1, ra, 1\n"
+                  "  store r1, rv\n  load.8 rw, r1\n  addrof rb, b\n"
+                  "  add rb, rb, 62\n  load rx, rb\n  store rb, rx\n"
+                  "  halt\n").run()
+        assert r.diagnostics == ["pc 1: load from unmapped address 0x1000",
+                                 "pc 3: store to unmapped address 0x1001"]
 
     def test_symbolic_store_skipped_with_diagnostic(self):
         e = build("region m 16\n"
@@ -286,6 +314,28 @@ class TestConcreteLane:
         assert len(incr) == 2 and incr[0] is incr[1]
 
 
+class TestConcreteStores:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((8, 32)), st.sampled_from((8, 32)),
+           st.integers(0, 2**32 - 1))
+    def test_stored_bytes_are_the_shifted_constant(self, value_width,
+                                                   store_width, v):
+        vs = "" if value_width == 32 else ".8"
+        ss = "" if store_width == 32 else ".8"
+        r = build(f"region m 4\n  addrof ra, m\n  const{vs} rv, {v}\n"
+                  f"  store{ss} ra, rv\n  halt\n").run()
+        base = 0x1000
+        value = ex.coerce(ex.const(v, value_width), store_width)
+        if store_width == 8:
+            expected = [ex.coerce(value, 8)]
+        else:
+            expected = [ex.coerce(ex.mk_binop("lshr", value,
+                                              ex.const(8 * i, 32)), 8)
+                        for i in range(4)]
+        mem = r.stats.path_summaries[0][2][2]  # the fingerprint's stores
+        assert mem == tuple((base + i, byte) for i, byte in enumerate(expected))
+
+
 class TestPathText:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255),
@@ -363,6 +413,31 @@ class TestObserveCount:
         assert len(seen) == observes
         assert Counter(seen) == {"br-ld-ld": 20 + (1 if baseline else 2),
                                  "ld-br-ld": 20 + (1 if baseline else 3)}
+
+
+class TestStepLimitPoint:
+    @pytest.mark.parametrize("limit", [1, 4, 6, 7, 30, 121, 122])
+    def test_truncation_lands_on_the_limit_th_instruction(self, limit):
+        # the loop's concrete branches go on in place; the run stops after
+        # exactly `limit` architectural steps, as stepping one at a time does
+        e = build(TestObserveCount.LOOP,
+                  predictor_cfg=PredictorConfig(pht_bits=1, window=16))
+        r = Engine(e.program, e.predictor_cfg, step_limit=limit).run()
+        state = ExecState(e.program.entry, PredictorState(e.predictor_cfg),
+                          cache.CacheState(e.cache_cfg), [])
+        run = e._new_run(False)
+        for _ in range(limit):
+            (state,) = e.step(state, run)
+        assert r.stats.step_limit_hit and r.stats.paths == 0
+        assert r.stats.arch_instructions == run.stats.arch_instructions == limit
+        assert r.stats.spec_instructions == run.stats.spec_instructions
+        assert r.stats.trace_identities == run.stats.trace_identities
+
+    def test_a_limit_at_the_path_length_is_not_hit(self):
+        e = build(TestObserveCount.LOOP)
+        n = e.run().stats.arch_instructions
+        assert not Engine(e.program, step_limit=n).run().stats.step_limit_hit
+        assert Engine(e.program, step_limit=n - 1).run().stats.step_limit_hit
 
 
 class TestBaseline:
@@ -701,3 +776,116 @@ class TestTracerAttribution:
         assert dict(tracer.unattributed) == {}
         assert counts["solver.branch_sat_calls"] > 0
         assert counts["solver.may_touch_calls"] > 0
+
+
+class TestPathKey:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                              st.booleans()), max_size=30))
+    def test_keys_behave_like_their_tuples(self, forks):
+        # two fork trees grown alike (no shared nodes between them); each
+        # fork extends an earlier key, and the few pcs make equal keys on
+        # different branches
+        def grow():
+            keys, tuples = [PathKey()], [()]
+            for pick, pc, direction in forks:
+                i = pick % len(keys)
+                keys.append(PathKey(keys[i], (pc, direction)))
+                tuples.append(tuples[i] + ((pc, direction),))
+            return keys, tuples
+
+        keys, tuples = grow()
+        other, _ = grow()
+        for key, t in zip(keys, tuples):
+            assert tuple(key) == t and repr(key) == repr(t)
+        for (k1, t1), (k2, t2) in itertools.product(
+                zip(keys + other, tuples + tuples), repeat=2):
+            assert (k1 == k2) == (t1 == t2)
+            assert (k1 != k2) == (t1 != t2)
+            if t1 == t2:
+                assert hash(k1) == hash(k2)
+        assert PathKey() != ()  # a key equals keys only
+
+    def test_deep_keys_iterate_and_compare_without_recursion(self):
+        depth = 20_000
+        a = b = c = PathKey()
+        for i in range(depth):
+            step = (i, i % 3 == 0)
+            a, b = PathKey(a, step), PathKey(b, step)
+            c = PathKey(c, (0, False) if i == 0 else step)  # differs at the root
+        assert a == b and hash(a) == hash(b) and a != c
+        assert len(tuple(a)) == depth and tuple(a)[-1] == (depth - 1, False)
+        assert repr(a).startswith("((0, True), (1, False), (2, False), (3, True)")
+        assert {a: 1}[b] == 1
+
+
+class TestDecodedProgram:
+    FIXTURES = ("v01.sir", "v02.sir", "v09.sir", "v11.sir", "v2.sir")
+
+    def test_one_decoding_per_program(self, monkeypatch):
+        tables, images = Counter(), Counter()
+        step_table, initial_image = engine_mod._step_table, engine_mod._initial_image
+        monkeypatch.setattr(engine_mod, "_step_table",
+                            lambda p: tables.update([id(p)]) or step_table(p))
+        monkeypatch.setattr(engine_mod, "_initial_image",
+                            lambda p: images.update([id(p)]) or initial_image(p))
+        programs = [load_fixture(name) for name in self.FIXTURES]
+        patterns = [load_pattern_fixture("br-ld-ld.json")]
+        for i in range(30):
+            cfg = PredictorConfig(pht_bits=1 + i % 3, btb_sets=4, window=16)
+            Engine(programs[i % 5], cfg, patterns=patterns).run(baseline=i % 2)
+        assert sorted(tables) == sorted(images) == sorted(map(id, programs))
+        assert set(tables.values()) == set(images.values()) == {1}
+
+    def test_shared_program_answers_as_fresh_copies(self):
+        # engines of different patterns and cache configs over one Program
+        # match engines over their own freshly parsed copies
+        setups = [
+            dict(predictor_cfg=PredictorConfig(pht_bits=1, window=16),
+                 patterns=[load_pattern_fixture("br-ld-ld.json")]),
+            dict(predictor_cfg=PredictorConfig(pht_bits=4, btb_sets=4,
+                                               window=32),
+                 cache_cfg=CacheConfig(line_size=32, sets=16,
+                                       granularity="set"),
+                 patterns=[load_pattern_fixture(f"{p}.json") for p in
+                           ("ld-br-ld", "icall-ld-ld", "br-ld-ld")])]
+
+        def outputs(r):
+            return (r.verdict, r.unknown, r.diagnostics, repr(r.stats),
+                    [f.to_dict() for f in r.findings],
+                    [(f.event_log, f.observable, f.constraints)
+                     for f in r.findings])
+
+        for name in self.FIXTURES:
+            shared = load_fixture(name)
+            engines = [Engine(shared, **kw) for kw in setups]
+            for engine, kw in zip(engines, setups):
+                for baseline in (False, True):
+                    fresh = Engine(load_fixture(name), **kw)
+                    assert (outputs(engine.run(baseline))
+                            == outputs(fresh.run(baseline)))
+
+    def test_counters_do_not_depend_on_where_the_table_was_built(self):
+        # the benchmark decodes its programs while warming up, before it
+        # installs the tracer; calls the tracer wraps must still reach it
+        counters = ("cache.accesses", "predictor.lookups", "predictor.updates",
+                    "monitor.observes")
+        patterns = [load_pattern_fixture(f"{p}.json")
+                    for p in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")]
+
+        def traced(decode_first):
+            program = layout_regions(parse_program(TestObserveCount.LOOP))
+            def engine():
+                return Engine(program, PredictorConfig(pht_bits=1, window=16),
+                              patterns=patterns)
+            if decode_first:
+                engine()
+            tracer = _tracer_class()(specsim)
+            with tracer.installed():
+                engine().run()
+                engine().run(baseline=True)
+            return {name: tracer.counters()[name] for name in counters}
+
+        before, inside = traced(True), traced(False)
+        assert before == inside
+        assert all(inside[name] > 0 for name in counters)
