@@ -12,9 +12,9 @@ On a wrong path a branch follows the shadow predictor (or falls through,
 in baseline mode) and adds no path constraint.  A wrong path runs in a
 sandbox: registers, memory, and the return stack are copied, stores go
 to the sandbox only (with store-to-load forwarding), and the
-architectural state is untouched afterwards -- checked by fingerprinting
-it around every trace -- while cache state, monitor tokens, statistics,
-and findings deliberately persist.
+architectural state is untouched afterwards -- checked against a copy
+taken before every trace -- while cache state, monitor tokens,
+statistics, and findings deliberately persist.
 
 The baseline mode reproduces the history-agnostic model of
 prediction-less tools: every conditional branch spawns a wrong-path
@@ -30,7 +30,8 @@ snapshot of a path that stored nothing shares rather than copies.
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
 per pc (its handler, operands, branch targets and concrete events), the
-initial image and its secret symbols, and a memo of mapped addresses.
+initial image with its solver facts and secret symbols, a memo of mapped
+addresses, and per pattern set the monitor plans of each step.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import cache as cache_mod
 from . import expr as ex
 from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
-from .monitor import MonitorInstance, MonitorSpec, event_class, routes
+from .monitor import MonitorInstance, MonitorSpec, event_class, plans
 from .predictor import PredictorConfig, PredictorState
 from .sir import Program, Reg
 
@@ -56,6 +57,9 @@ _ZERO_BYTE = ex.const(0, 8)  # a byte no region initialises and no store wrote
 
 # `ex.const` for the concrete lane; a Const is immutable, so it is shared
 _const = functools.lru_cache(maxsize=4096)(ex.const)
+# (function, operand mask, result width) of a binop at a width, shared
+_lane = functools.lru_cache(maxsize=64)(lambda op, width: (
+    ex.BINOP_FNS[op], ex.mask(width), 32 if op in ex.CMP_OPS else width))
 
 
 class Event(NamedTuple):
@@ -69,9 +73,10 @@ class Event(NamedTuple):
 
 def concrete_binop(op: str, a: ex.Const, b: ex.Const, width: int) -> ex.Const:
     """`ex.mk_binop(op, ex.coerce(a, width), ex.coerce(b, width))` of two
-    constants, without its checks: constants carry no taint to join."""
+    constants, without its checks: constants carry no taint to join.  A
+    decoded binop step computes it from its own function and mask."""
     m = ex.mask(width)
-    return _const(ex.apply_binop(op, a.value & m, b.value & m, width),
+    return _const(ex.BINOP_FNS[op](a.value & m, b.value & m, width),
                   32 if op in ex.CMP_OPS else width)
 
 
@@ -261,13 +266,21 @@ class ExecState:
         return c
 
     def fingerprint(self) -> tuple:
-        """Architectural state only; used to assert rollback exactness."""
+        """Architectural state only, canonical: a finished path's summary."""
         tl, btb = self.predictor.two_level, self.predictor.btb
         return (self.pc, tuple(sorted(self.regs.items())),  # keys are unique
                 tuple(sorted(self.mem.items())), tuple(self.ret_stack),
                 tl.bhr if tl else None,
                 tuple(sorted(btb.sets.items())) if btb else None,
                 tuple(sorted(tl.pht.items())) if tl else None)
+
+    def architecture(self) -> tuple:
+        """Copies of what a wrong path must leave as it is: pc, registers,
+        stored bytes, return stack, and the BHR, PHT and BTB sets."""
+        tl, btb = self.predictor.two_level, self.predictor.btb
+        return (self.pc, dict(self.regs), dict(self.mem), list(self.ret_stack),
+                (tl.bhr, dict(tl.pht)) if tl else None,
+                dict(btb.sets) if btb else None)
 
 
 class _Sandbox:
@@ -317,13 +330,15 @@ class Engine:
         self.bit_budget = bit_budget
         self.step_limit = step_limit
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
-        self._routes = routes(tuple(self.patterns))
+        self._plan = plans(tuple(self.patterns))
 
         code = _decoded(program)
         self._steps = code.steps
         self._init_mem = code.image  # shared and read-only
+        self._image_facts = code.image_facts
         self._symbols = code.symbols
         self._mapped = code.mapped
+        self._step_plans = code.step_plans(self._plan)  # [speculative][pc]
 
     # ------------------------------------------------------------------ run
 
@@ -335,24 +350,26 @@ class Engine:
                          [MonitorInstance(p) for p in self.patterns])
         init.path = solver.PathCondition(run.snapshots)
         worklist: List[ExecState] = [init]
-        steps = 0
-        while worklist and not run.stats.step_limit_hit:
+        table, stats, steps = self._steps, run.stats, 0
+        while worklist and not stats.step_limit_hit:
             s = worklist.pop()
             status = "run"
-            while status == "run":
+            while status == "run":  # _step, inlined
                 if steps >= self.step_limit:
-                    run.stats.step_limit_hit = True
+                    stats.step_limit_hit = True
                     run.unknown = True  # unexplored paths may leak
                     run.diagnostics.append(
                         "step limit exceeded; exploration truncated")
                     break
                 steps += 1
-                status = self._step(run, s, s, worklist)
+                step = table[s.pc]
+                status = step.handler(self, run, s, s, step, worklist)
             if status == "end":
-                run.stats.paths += 1
-                run.stats.path_summaries.append(
+                stats.paths += 1
+                stats.path_summaries.append(
                     (tuple(s.path_key), s.path.text, s.fingerprint()))
             # "fork": successors are on the worklist
+        stats.arch_instructions += steps
         run.findings.sort(key=Finding.sort_key)
         return run
 
@@ -432,8 +449,9 @@ class Engine:
         regs = frame.regs
         a = _read(regs, step.a, step.ia)
         b = _read(regs, step.b, step.ib)
-        if type(a) is ex.Const and type(b) is ex.Const:
-            regs[step.rd] = concrete_binop(step.op, a, b, step.width)
+        if type(a) is ex.Const and type(b) is ex.Const:  # concrete_binop
+            fn, m, out = step.value
+            regs[step.rd] = _const(fn(a.value & m, b.value & m, step.width), out)
             event = step.events[frame is not s]
         else:
             a, b = ex.coerce(a, step.width), ex.coerce(b, step.width)
@@ -629,12 +647,12 @@ class Engine:
         predicted direction) outside baseline mode.
 
         Cache and monitor effects persist on `s`; everything architectural
-        is untouched, which the fingerprints before and after check.
+        is untouched, which a copy taken before checks.
         """
         window = self.predictor_cfg.window
         if window == 0:
             return
-        before = s.fingerprint()
+        before = s.architecture()
         run.stats.spec_traces += 1
         run.stats.trace_identities.append((s.path_key,) + identity_tail)
 
@@ -644,17 +662,21 @@ class Engine:
         box = _Sandbox(s, start_pc, shadow)
         if push_return is not None:
             box.ret_stack.append(push_return)
-        n = len(self._steps)
+        table, stats = self._steps, run.stats
         try:
-            for _ in range(window):
-                if not 0 <= box.pc < n or self._step(run, s, box, None) == "end":
+            for _ in range(window):  # _step, inlined
+                if not 0 <= box.pc < len(table):
+                    break
+                stats.spec_instructions += 1
+                step = table[box.pc]
+                if step.handler(self, run, s, box, step, None) == "end":
                     break
         except EngineError as e:  # e.g. a read of an unset register
             # the rest of this wrong path was never run, so it may leak
             run.unknown = True
             run.note(box.pc, "wrong-path error", f"wrong path ended: {e}")
 
-        if s.fingerprint() != before:
+        if s.architecture() != before:
             raise EngineError("speculation leaked into architectural state")
 
     # -------------------------------------------------------- data movement
@@ -683,7 +705,7 @@ class Engine:
                                 ex.const(8 * i, 32)))
             return value
         # symbolic address: freeze the memory snapshot it reads from
-        version = self._freeze(run, mem, speculative)
+        version = self._freeze(run, mem, path.facts, speculative)
         secret = self._may_touch_secret(run, addr, path, pc)
         return ex.mk_memread(version, addr, width, secret)
 
@@ -734,7 +756,7 @@ class Engine:
                 return True
         return False
 
-    def _freeze(self, run: RunResult, mem: Dict[int, ex.Expr],
+    def _freeze(self, run: RunResult, mem: Dict[int, ex.Expr], facts: dict,
                 speculative: bool) -> int:
         if speculative:
             version = run.next_spec_version
@@ -742,9 +764,11 @@ class Engine:
         else:
             version = run.next_version
             run.next_version += 1
-        # a frame that stored nothing shares the initial image
-        run.snapshots[version] = ({**self._init_mem, **mem} if mem
-                                  else self._init_mem)
+        if mem:
+            run.snapshots[version] = {**self._init_mem, **mem}
+        else:  # a frame that stored nothing shares the initial image
+            run.snapshots[version] = self._init_mem
+            facts.setdefault(id(self._init_mem), self._image_facts)
         return version
 
     # --------------------------------------------------------------- events
@@ -770,8 +794,12 @@ class Engine:
         s.event_log.append((event, leak))
         now = s.clock
         s.clock = now + 1
-        for k in self._routes(event_class(event)):  # monitors with a node for it
-            for match in s.monitors[k].observe(event, leak, now):
+        if event.symbolic_access or event.secret_access:
+            plan = self._plan(event_class(event))
+        else:  # the class of its step's concrete events: a decoded plan
+            plan = self._step_plans[event.speculation][event.pc]
+        for k, nodes in plan:  # the monitors with nodes that admit the event
+            for match in s.monitors[k].observe(event, leak, now, nodes):
                 self._record_match(run, s, match, leak)
 
     def _record_match(self, run: RunResult, s: ExecState, match,
@@ -827,9 +855,10 @@ class _Step:
     A source operand is a register name `a` (`b`) with no immediate, or
     None with its immediate `ia` (`ib`) as a shared Const, so that
     `regs.get(a, ia)` reads either.  `value` is the Const of a const or
-    addrof, or (name, secret) of a sym; `target` is the pc of a jmp or
-    call, or (taken, fall-through) of a br; `events` are the concrete
-    events, architectural and speculative."""
+    addrof, (name, secret) of a sym, or (function, operand mask, result
+    width) of a binop; `target` is the pc of a jmp or call, or (taken,
+    fall-through) of a br; `events` are its concrete events, architectural
+    and speculative, or None for the ops that build their own."""
 
     __slots__ = ("handler", "op", "pc", "width", "rd", "a", "ia", "b", "ib",
                  "value", "target", "events")
@@ -838,8 +867,8 @@ class _Step:
         self.handler, self.op, self.pc, self.width = handler, op, pc, width
         self.rd = self.a = self.ia = self.b = self.ib = None
         self.value = self.target = None
-        self.events = (Event(op, pc, False, False, False),
-                       Event(op, pc, True, False, False))
+        self.events = None if op in ("load", "store", "sym", "icall") else (
+            Event(op, pc, False, False, False), Event(op, pc, True, False, False))
 
 
 _HANDLERS = dict.fromkeys(ex.BIN_OPS, Engine._exec_binop)
@@ -875,6 +904,8 @@ def _step_table(program: Program) -> Tuple[_Step, ...]:
             operands = operands[:1]
         elif op == "load" or op in ex.BIN_OPS:
             step.rd, operands = operands[0].name, operands[1:]
+        if op in ex.BIN_OPS:
+            step.value = _lane(op, inst.width)
         for slot, operand in zip(("a", "b"), operands):  # the sources
             if isinstance(operand, Reg):
                 setattr(step, slot, operand.name)
@@ -901,20 +932,28 @@ def _initial_image(program: Program) -> Dict[int, ex.Expr]:
 
 class _Decoded:
     """What every engine over one laid-out program shares, made once: the
-    step table, the initial image (read-only) and its secret symbols, and
-    `mapped(base, n)`: whether bytes base..base+n-1 all lie in regions."""
+    step table; the initial image (read-only) with its solver facts, which
+    hold in every run as its bytes read no snapshot, and its secret symbols
+    (the facts' references); `mapped(base, n)`: whether bytes base..base+n-1
+    all lie in regions; and per pattern set, `step_plans(plan)[speculative]
+    [pc]`: the plan of a step's concrete events."""
 
-    __slots__ = ("steps", "image", "symbols", "mapped")
+    __slots__ = ("steps", "image", "image_facts", "symbols", "mapped",
+                 "step_plans")
 
     def __init__(self, program: Program):
         self.steps = _step_table(program)
         self.image = _initial_image(program)
-        self.symbols = {v.name: v for v in self.image.values()
-                        if isinstance(v, ex.Sym)}
+        self.image_facts = solver._facts(self.image, {})
+        self.symbols = self.image_facts[0]  # read-only
         spans = tuple((r.base, r.end) for r in program.regions)
         self.mapped = functools.lru_cache(maxsize=1024)(
             lambda base, n: all(any(lo <= a < hi for lo, hi in spans)
                                 for a in range(base, base + n)))
+        ops = tuple(step.op for step in self.steps)
+        self.step_plans = functools.lru_cache(maxsize=64)(lambda plan: tuple(
+            tuple(plan((op, speculative, False, False)) for op in ops)
+            for speculative in (False, True)))
 
 
 def _decoded(program: Program) -> _Decoded:

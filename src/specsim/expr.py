@@ -41,9 +41,24 @@ _TAINTS = tuple(tuple(Taint(secret, symbolic) for symbolic in (False, True))
                 for secret in (False, True))
 NO_TAINT = _TAINTS[False][False]
 
-ARITH_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr")
+# op -> its result at `width`, of operands already masked to `width`
+BINOP_FNS = {
+    "add": lambda x, y, width: (x + y) & ((1 << width) - 1),
+    "sub": lambda x, y, width: (x - y) & ((1 << width) - 1),
+    "mul": lambda x, y, width: (x * y) & ((1 << width) - 1),
+    "and": lambda x, y, width: x & y,
+    "or": lambda x, y, width: x | y,
+    "xor": lambda x, y, width: x ^ y,
+    # shift amounts are taken modulo the width
+    "shl": lambda x, y, width: (x << (y % width)) & ((1 << width) - 1),
+    "lshr": lambda x, y, width: x >> (y % width),
+    "lt": lambda x, y, width: int(x < y),
+    "le": lambda x, y, width: int(x <= y),
+    "eq": lambda x, y, width: int(x == y),
+    "ne": lambda x, y, width: int(x != y),
+}
 CMP_OPS = ("lt", "le", "eq", "ne")
-BIN_OPS = ARITH_OPS + CMP_OPS
+BIN_OPS = tuple(BINOP_FNS)
 UN_OPS = ("zext", "trunc")
 
 
@@ -104,36 +119,6 @@ def sym(name: str, width: int, secret: bool = False) -> Sym:
     return Sym(width, _TAINTS[secret][True], name)
 
 
-def apply_binop(op: str, x: int, y: int, width: int) -> int:
-    m = mask(width)
-    if op == "add":
-        return (x + y) & m
-    if op == "sub":
-        return (x - y) & m
-    if op == "mul":
-        return (x * y) & m
-    if op == "and":
-        return x & y
-    if op == "or":
-        return x | y
-    if op == "xor":
-        return x ^ y
-    if op == "shl":
-        # shift amounts are taken modulo the width
-        return (x << (y % width)) & m
-    if op == "lshr":
-        return x >> (y % width)
-    if op == "lt":
-        return int(x < y)
-    if op == "le":
-        return int(x <= y)
-    if op == "eq":
-        return int(x == y)
-    if op == "ne":
-        return int(x != y)
-    raise ExprError(f"unknown binop {op}")
-
-
 def mk_binop(op: str, a: Expr, b: Expr) -> Expr:
     """Build a binary operation; taint is the join of the operand taints.
 
@@ -141,14 +126,15 @@ def mk_binop(op: str, a: Expr, b: Expr) -> Expr:
     that eliminate an operand (x & 0, x ^ x) drop that operand's taint,
     keeping taint equal to the OR over the remaining symbolic leaves.
     """
-    if op not in BIN_OPS:
+    fn = BINOP_FNS.get(op)
+    if fn is None:
         raise ExprError(f"unknown binop {op}")
     if a.width != b.width:
         raise WidthError(f"{op}: width mismatch {a.width} vs {b.width}")
     out_width = 32 if op in CMP_OPS else a.width
 
     if isinstance(a, Const) and isinstance(b, Const):
-        return const(apply_binop(op, a.value, b.value, a.width), out_width)
+        return const(fn(a.value, b.value, a.width), out_width)
 
     # identity rewrites
     if isinstance(b, Const):
@@ -241,7 +227,7 @@ def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> in
     if isinstance(e, BinOp):
         x = evaluate(e.a, model, snapshots)
         y = evaluate(e.b, model, snapshots)
-        return apply_binop(e.op, x, y, e.a.width)
+        return BINOP_FNS[e.op](x, y, e.a.width)
     if isinstance(e, MemRead):
         if snapshots is None or e.version not in snapshots:
             raise ExprError(f"unknown memory snapshot v{e.version}")

@@ -13,8 +13,10 @@ Note on isConst: true matches events with NO symbolic operand.  Patterns
 that demand symbolic operands must say "isConst": false.
 
 Events reach monitors by class, (name, speculative, symbolic, secret),
-which decides every node property but checkCacheState.  TTLs run on the
-path's event clock, which counts every event, routed or not.
+which decides every node property but checkCacheState: a class's plan
+names the monitors it reaches and, for each, the nodes that admit it.
+TTLs run on the path's event clock, which counts every event, routed or
+not.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def routes(specs: Tuple[MonitorSpec, ...]) -> Callable:
     per pattern set, shared by every engine that watches an equal set."""
     return functools.cache(lambda cls: tuple(
         k for k, spec in enumerate(specs) if spec.nodes_for(cls)))
+
+
+@functools.lru_cache(maxsize=64)
+def plans(specs: Tuple[MonitorSpec, ...]) -> Callable:
+    """event class -> its plan: (k, the nodes of `specs[k]` that admit the
+    class) for each k that `routes` names.  Shared like `routes`."""
+    route = routes(specs)
+    return functools.cache(lambda cls: tuple(
+        (k, specs[k].nodes_for(cls)) for k in route(cls)))
 
 
 _JSON_FIELDS = {
@@ -168,26 +179,39 @@ class MonitorInstance:
         self.node_tokens: List[List[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
         self.node_tokens[0].append(Token(None, None, None))
 
-    def observe(self, event, leak=None, now: Optional[int] = None) -> List[Match]:
+    def observe(self, event, leak=None, now: Optional[int] = None,
+                nodes: Optional[Tuple[int, ...]] = None) -> List[Match]:
         """Advance tokens for one event and its leak-check result.  `now` is
         the path's clock at the event (by default, right after the last event
-        observed); tokens expired by then go first.  Only the nodes indexed
-        under the event's class are visited, last first, so an event
-        advances a token by at most one node; a TTL counts the event that
-        created the token.  Afterwards `node_tokens` holds the live tokens.
+        observed); tokens expired by then go first.  Only `nodes`, the nodes
+        that admit the event's class (`spec.nodes_for`, by default), are
+        visited, last first, so an event advances a token by at most one
+        node; a TTL counts the event that created the token.  Afterwards
+        `node_tokens` holds the live tokens.
         """
         if now is None:
             now = self.now
         if self._earliest <= now:
             self._expire(now)
-        matches: List[Match] = []
         spec = self.spec
+        if nodes is None:
+            nodes = spec.nodes_for(event_class(event))
+        node_tokens = self.node_tokens
+        for i in nodes:
+            if node_tokens[i]:
+                break
+        else:  # no token to advance: only the clock moves
+            self.now = now = now + 1
+            if self._earliest <= now:
+                self._expire(now)
+            return []
+        matches: List[Match] = []
         n = len(spec.nodes)
         inst = (event.pc, event.name, event.speculation)
         positive = leak is not None and leak.positive
-        for i in spec.nodes_for(event_class(event)):
+        for i in nodes:
             np = spec.nodes[i]
-            if (not self.node_tokens[i]
+            if (not node_tokens[i]
                     or np.check_cache_state not in (None, positive)):
                 continue
             inherit = np.start_ttl is None and not np.stop_ttl
@@ -196,9 +220,9 @@ class MonitorInstance:
                 deadline = now + np.start_ttl
                 if deadline < self._earliest:
                     self._earliest = deadline
-            for src in self.node_tokens[i]:
+            for src in node_tokens[i]:
                 tok = Token(src, inst, src.deadline if inherit else deadline)
-                self.node_tokens[i + 1].append(tok)
+                node_tokens[i + 1].append(tok)
                 if i + 1 == n:
                     matches.append(Match(spec.name, self._chain(tok)))
         self.now = now = now + 1

@@ -5,13 +5,15 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import specsim
-from conftest import ROOT, load_fixture, load_pattern_fixture
+from conftest import (ROOT, load_fixture, load_pattern_fixture, random_program,
+                      random_predictor_config)
 from specsim import cache, layout_regions, parse_program, solver
 from specsim import engine as engine_mod
 from specsim import expr as ex
@@ -19,7 +21,7 @@ from specsim.cache import CacheConfig
 from specsim.engine import (Engine, EngineError, Event, ExecState, PathKey,
                             concrete_binop)
 from specsim.expr import Const
-from specsim.monitor import MonitorInstance, load_pattern
+from specsim.monitor import MonitorInstance, event_class, load_pattern, routes
 from specsim.predictor import PredictorConfig, PredictorState
 
 
@@ -206,6 +208,46 @@ class TestSpeculation:
         e = Engine(load_fixture("v01.sir"), self.CFG)
         assert e.run().stats.spec_traces == 1  # and no EngineError raised
 
+    @pytest.mark.parametrize("component", [
+        "pc", "register", "stored byte", "return stack", "bhr", "pht", "btb"])
+    def test_rollback_check_catches_each_component(self, monkeypatch,
+                                                   component):
+        # x >= 4 mispredicts taken, and its wrong path runs a `const` whose
+        # handler also writes into one part of the path's architecture
+        def write(s):
+            tl, btb = s.predictor.two_level, s.predictor.btb
+            if component == "pc":
+                s.pc += 1
+            elif component == "register":
+                s.regs["rx"] = ex.const(1, 8)
+            elif component == "stored byte":
+                s.mem[0x1000] = ex.const(7, 8)
+            elif component == "return stack":
+                s.ret_stack.append(0)
+            elif component == "bhr":
+                tl.bhr ^= 1
+            elif component == "pht":
+                tl.pht[tl.bhr] = (tl.counter(tl.bhr) + 1) % 4
+            else:
+                btb.sets[0] = btb.sets.get(0, ()) + ((15, 1),)
+
+        const = engine_mod._HANDLERS["const"]
+
+        def leaky_const(engine, run, s, frame, step, worklist):
+            if frame is not s:
+                write(s)
+            return const(engine, run, s, frame, step, worklist)
+
+        monkeypatch.setitem(engine_mod._HANDLERS, "const", leaky_const)
+        e = build("region pub 16\n  sym.8 rx, x\n  const rb, 4\n"
+                  "  lt rc, rx, rb\n  br rc, body, end\nbody:\n"
+                  "  const rv, 7\n  halt\nend:\n  halt\n",
+                  predictor_cfg=PredictorConfig(pht_bits=1, btb_sets=4,
+                                                window=16))
+        with pytest.raises(EngineError, match="^speculation leaked into "
+                           "architectural state$"):
+            e.run()
+
     def test_speculative_events_carry_value_taint(self):
         # the first gadget load has a public address but a secret value
         pattern = load_pattern_fixture("br-ld-ld.json")
@@ -281,6 +323,49 @@ class TestMonitorRouting:
         assert {f.chain[1][1] for f in r.findings} == {"load", "mul", "add"}
 
 
+class TestStepPlans:
+    # the shipped patterns, and one whose nodes name no instruction: every
+    # concrete class reaches it, at other nodes on a wrong path
+    SPECS = tuple(load_pattern_fixture(f"{p}.json") for p in
+                  ("br-ld-ld", "icall-ld-ld", "ld-br-ld")) + (
+        load_pattern(json.dumps({"name": "any", "nodes": [
+            {"isSpeculative": False}, {"isConst": True},
+            {"isSensitive": False, "isSpeculative": True}]})),)
+
+    def test_each_step_plan_is_routes_with_nodes_for(self):
+        specs = self.SPECS
+        table = routes(specs)
+        rng = random.Random(1313)
+        for _ in range(40):
+            program = layout_regions(parse_program(random_program(rng)))
+            plans = Engine(program, patterns=specs)._step_plans
+            for speculative in (False, True):
+                for pc, inst in enumerate(program.instructions):
+                    cls = (inst.opcode, speculative, False, False)
+                    assert plans[speculative][pc] == tuple(
+                        (k, specs[k].nodes_for(cls)) for k in table(cls))
+                    assert any(plans[speculative][pc])
+
+    def test_monitors_get_the_nodes_of_each_event_class(self, monkeypatch):
+        agree = []
+        observe = MonitorInstance.observe
+
+        def checked(self, event, leak=None, now=None, nodes=None):
+            agree.append(nodes == self.spec.nodes_for(event_class(event)))
+            return observe(self, event, leak, now, nodes)
+
+        monkeypatch.setattr(MonitorInstance, "observe", checked)
+        rng = random.Random(1414)
+        spec_traces = 0
+        for _ in range(40):
+            program = layout_regions(parse_program(random_program(rng)))
+            engine = Engine(program, random_predictor_config(rng),
+                            patterns=self.SPECS, bit_budget=12)
+            for baseline in (False, True):
+                spec_traces += engine.run(baseline).stats.spec_traces
+        assert spec_traces > 20 and len(agree) > 1000 and all(agree)
+
+
 class TestConcreteLane:
     @pytest.mark.parametrize("op", ex.BIN_OPS)
     @settings(max_examples=40, deadline=None)
@@ -291,6 +376,13 @@ class TestConcreteLane:
         a, b = ex.const(x, wx), ex.const(y, wy)
         assert concrete_binop(op, a, b, width) == ex.mk_binop(
             op, ex.coerce(a, width), ex.coerce(b, width))
+        # and the engine's decoded step computes it
+        e = build(f"  {op}{'' if width == 32 else '.8'} r3, r1, r2\n  halt\n")
+        state = ExecState(0, PredictorState(e.predictor_cfg),
+                          cache.CacheState(e.cache_cfg), [])
+        state.regs.update(r1=a, r2=b)
+        (state,) = e.step(state)
+        assert state.regs["r3"] == concrete_binop(op, a, b, width)
 
     def test_reused_event_equals_a_fresh_one(self):
         # pc 3 adds constants on the first pass and a symbol on the second
@@ -684,6 +776,29 @@ class TestMemoryOverlay:
         # every load reads the one initial image: its bytes are walked for
         # their references once, and for the secret-byte hull once
         assert len(r.snapshots) > 10 and len(searches) > 3
+        assert len(walks) == len(hulls) == 1
+
+    def test_image_facts_are_computed_once_per_program(self, monkeypatch):
+        walks, hulls = [], []
+        references, secret_hull = solver.references, solver._secret_hull
+
+        def counted_references(exprs, *a):
+            if not isinstance(exprs, tuple):  # a snapshot's bytes
+                walks.append(exprs)
+            return references(exprs, *a)
+
+        monkeypatch.setattr(solver, "references", counted_references)
+        monkeypatch.setattr(solver, "_secret_hull",
+                            lambda *a: hulls.append(a) or secret_hull(*a))
+        text, sites = chained_v01([5, 16, 9])
+        program = layout_regions(parse_program(text))
+        for _ in range(6):
+            e = Engine(program, PredictorConfig(pht_bits=2, window=16),
+                       patterns=[load_pattern_fixture("br-ld-ld.json")])
+            for baseline in (False, True):
+                r = e.run(baseline)
+                assert {f.chain[-1][0] for f in r.findings} == set(sites)
+        # the image's references and secret-byte hull, once for all runs
         assert len(walks) == len(hulls) == 1
 
     def test_wrong_path_store_stays_in_the_sandbox(self):

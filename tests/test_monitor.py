@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from specsim.engine import Event
 from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
-                             PatternError, event_class, load_pattern, routes)
+                             PatternError, Token, event_class, load_pattern,
+                             routes)
 
 
 def pat(*nodes, name="p"):
@@ -334,3 +335,57 @@ class TestDifferential:
             check(c, crefs, probe, probe_leak)
             for m, ref in zip(path.monitors, refs):
                 assert live_chains(m, path.clock) == ref.live()
+
+
+def full_observe(m, event, leak, now):
+    """`MonitorInstance.observe` without its early return: the loop over
+    the nodes that admit the event's class runs even when none holds a
+    token."""
+    if m._earliest <= now:
+        m._expire(now)
+    matches = []
+    n = len(m.spec.nodes)
+    inst = (event.pc, event.name, event.speculation)
+    positive = leak is not None and leak.positive
+    for i in m.spec.nodes_for(event_class(event)):
+        np = m.spec.nodes[i]
+        if (not m.node_tokens[i]
+                or np.check_cache_state not in (None, positive)):
+            continue
+        deadline = None
+        if np.start_ttl is not None:
+            deadline = now + np.start_ttl
+            m._earliest = min(m._earliest, deadline)
+        for src in m.node_tokens[i]:
+            tok = Token(src, inst, deadline if np.start_ttl is not None
+                        or np.stop_ttl else src.deadline)
+            m.node_tokens[i + 1].append(tok)
+            if i + 1 == n:
+                matches.append(Match(m.spec.name, m._chain(tok)))
+    m.now = now + 1
+    if m._earliest <= m.now:
+        m._expire(m.now)
+    return matches
+
+
+def tokens(m):
+    """Every token of `m`, node by node, as (chain, deadline)."""
+    return [[(m._chain(t), t.deadline) for t in node] for node in m.node_tokens]
+
+
+class TestEarlyReturn:
+    @settings(max_examples=200, deadline=None)
+    @given(_spec, st.lists(st.tuples(_event, st.integers(0, 2)),
+                           min_size=10, max_size=60))
+    def test_early_return_matches_the_full_body(self, spec, stream):
+        # gaps stand for the path's events this monitor was not shown
+        fast, full = MonitorInstance(spec), MonitorInstance(spec)
+        now = 0
+        for (event, leak), gap in stream:
+            now += gap
+            nodes = spec.nodes_for(event_class(event))
+            assert (fast.observe(event, leak, now, nodes)
+                    == full_observe(full, event, leak, now))
+            assert tokens(fast) == tokens(full)
+            assert (fast.now, fast._earliest) == (full.now, full._earliest)
+            now += 1
