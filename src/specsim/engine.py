@@ -21,11 +21,13 @@ prediction-less tools: every conditional branch spawns a wrong-path
 trace down the not-actual direction, indirect calls spawn none.
 
 Everything one `Engine.run` learns -- findings, statistics, symbols,
-memory snapshots, the solver's slice memo -- lives in the `RunResult` it
+memory snapshots, the solver's memo -- lives in the `RunResult` it
 returns, and the solver's per-snapshot facts in the run's paths, so runs
 of one engine are independent.  A path's memory holds only the bytes
-stored on it; loads fall back to the program's initial image, which a
-snapshot of a path that stored nothing shares rather than copies.
+stored on it; loads fall back to the program's initial image.  A symbolic
+load on a frame that stored nothing reads that image as version 0, so
+equal reads on sibling paths are equal expressions and the run's memo
+answers them once.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
@@ -176,9 +178,8 @@ class RunResult:
     """The state and the outcome of one `Engine.run`.
 
     Witnesses and observables re-evaluate against `snapshots` (the memory
-    a symbolic load read from, by version; read-only, as versions share
-    objects with each other and with the program's initial image) and
-    `symbols`."""
+    a symbolic load read from, by version; read-only, as version 0 is the
+    program's initial image) and `symbols`."""
     findings: List[Finding] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
     diagnostics: List[str] = field(default_factory=list)
@@ -187,14 +188,15 @@ class RunResult:
     snapshots: Dict[int, Dict[int, ex.Expr]] = field(default_factory=dict,
                                                      repr=False)
     symbols: Dict[str, ex.Sym] = field(default_factory=dict, repr=False)
-    # architectural snapshots count up, speculative ones count down, so
-    # the versions embedded in architectural expressions are identical
-    # whether or not speculation ran in between
-    next_version: int = field(default=0, compare=False, repr=False)
+    # version 0 is the initial image, read by every frame that stored
+    # nothing; snapshots with stores count up from 1 architecturally and
+    # down from -1 on wrong paths, so the versions embedded in
+    # architectural expressions are identical whether or not speculation
+    # ran in between
+    next_version: int = field(default=1, compare=False, repr=False)
     next_spec_version: int = field(default=-1, compare=False, repr=False)
-    # slice results of every solver query of this run; valid for the run,
-    # as a frozen snapshot's bytes never change (the initial image, which
-    # many versions share, included)
+    # slice and leak-pair results of every solver query of this run; valid
+    # for the run, as a frozen snapshot's bytes never change
     memo: dict = field(default_factory=dict, compare=False, repr=False)
     # (pattern, chain, path key) of every match already reported
     seen: Set[tuple] = field(default_factory=set, compare=False, repr=False)
@@ -758,17 +760,17 @@ class Engine:
 
     def _freeze(self, run: RunResult, mem: Dict[int, ex.Expr], facts: dict,
                 speculative: bool) -> int:
+        if not mem:  # a frame that stored nothing reads the initial image
+            run.snapshots[0] = self._init_mem
+            facts.setdefault(id(self._init_mem), self._image_facts)
+            return 0
         if speculative:
             version = run.next_spec_version
             run.next_spec_version -= 1
         else:
             version = run.next_version
             run.next_version += 1
-        if mem:
-            run.snapshots[version] = {**self._init_mem, **mem}
-        else:  # a frame that stored nothing shares the initial image
-            run.snapshots[version] = self._init_mem
-            facts.setdefault(id(self._init_mem), self._image_facts)
+        run.snapshots[version] = {**self._init_mem, **mem}
         return version
 
     # --------------------------------------------------------------- events

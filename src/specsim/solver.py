@@ -28,14 +28,16 @@ Two steps run in front of a slice's enumeration:
   its narrowed range, in the same order; a skipped value violates a
   constraint, so only symbols read just at skipped values go undiscovered.
   The budget still counts declared widths.
-- A slice memo.  A `Query` may carry a dict (`memo`) that maps a slice's
-  constraints and bit budget to its witness, None, or its budget overrun.
-  The engine keeps one per run.  It is valid because a snapshot, once
-  frozen, is never changed, so within a run a version always reads the
-  same bytes, even where many versions share one snapshot object.  Each
-  path slice also keeps its own answer per budget, so a query skips the
-  memo for the slices its path already answered.  A stored overrun is
-  raised again on every hit.
+- A memo.  A `Query` may carry a dict (`memo`) that maps a slice's
+  constraints and bit budget to its witness, None, or its budget overrun,
+  and the observable's slice of a leak-pair search (observable included)
+  and budget to its pair, None, or its overrun.  The engine keeps one per
+  run.  It is valid because a snapshot, once frozen, is never changed, so
+  within a run a version always reads the same bytes; the engine names
+  the unchanged initial image version 0, so sibling paths' equal reads
+  are equal keys.  Each path slice also keeps its own answer per budget,
+  so a query skips the memo for the slices its path already answered.  A
+  stored overrun is raised again on every hit.
 
 Leak-pair search narrows its public loop further.  When the observable's
 slice has no syntactic secret and one distinct MemRead, only bytes that
@@ -373,21 +375,19 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
         return None
 
 
-def _solve_memo(exprs: Tuple[Expr, ...], syms: Dict[str, Sym], budget: int,
-                snapshots: Snapshots, memo: Optional[dict]
-                ) -> Optional[Dict[str, int]]:
-    """_solve through `memo`.  The stored witness is shared by every hit,
-    so callers must copy it, never change it."""
+def _memoized(memo: Optional[dict], key: tuple, compute, *args):
+    """`compute(*args)` through `memo` under `key`.  A stored overrun is
+    raised again on every hit; a stored result is shared by every hit, so
+    callers must copy it, never change it."""
     if memo is None:
-        return _solve(exprs, syms, budget, snapshots)
-    key = (exprs, budget)
+        return compute(*args)
     hit = memo.get(key, _MISS)
     if isinstance(hit, BudgetExceeded):
         raise BudgetExceeded(*hit.args)
     if hit is not _MISS:
         return hit
     try:
-        result = _solve(exprs, syms, budget, snapshots)
+        result = compute(*args)
     except BudgetExceeded as e:
         memo[key] = BudgetExceeded(*e.args)  # no traceback keeps frames alive
         raise
@@ -409,7 +409,8 @@ def _solve_all(slices: Sequence[_Slice], budget: int, snapshots: Snapshots,
         part = sl.answers.get(budget, _MISS)
         if part is _MISS:
             try:
-                part = _solve_memo(sl.exprs, sl.syms, budget, snapshots, memo)
+                part = _memoized(memo, (sl.exprs, budget), _solve, sl.exprs,
+                                 sl.syms, budget, snapshots)
             except BudgetExceeded as e:
                 part = BudgetExceeded(*e.args)
             sl.answers[budget] = part
@@ -470,8 +471,12 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
         shared, overrun = {}, e
     if shared is None:
         return None
-    pair = _slice_leak_pair(Query(own.exprs[:-1], q.bit_budget, q.snapshots),
-                            observable, own.syms, path.facts)
+    # the observable is the slice's last constraint; "pair" keeps the key
+    # apart from the slice keys
+    pair = _memoized(q.memo, ("pair", own.exprs, q.bit_budget),
+                     _slice_leak_pair,
+                     Query(own.exprs[:-1], q.bit_budget, q.snapshots),
+                     observable, own.syms, path.facts)
     if pair is None:
         return None
     if overrun is not None:

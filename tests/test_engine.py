@@ -666,7 +666,7 @@ class TestChainedChecks:
 class TestSolverQueries:
     def test_every_query_counts_memo_hits_included(self, monkeypatch):
         # branch feasibility, may-touch, witness search and leak-pair
-        # searches all count, whether or not the slice memo answers them
+        # searches all count, whether or not the memo answers them
         calls = []
         is_sat, find_leak_pair = solver.is_sat, cache.find_leak_pair
         monkeypatch.setattr(solver, "is_sat",
@@ -701,6 +701,76 @@ class TestSolverMemo:
         assert len(solves) == 1  # the second query is a memo hit
         assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
 
+    def test_memoised_leak_pair_overrun_counts_every_time(self, monkeypatch):
+        # two transmitting loads through one address: the second leak-pair
+        # search repeats the first, which overruns at 4 bits
+        pairs = []
+        slice_pair = solver._slice_leak_pair
+        monkeypatch.setattr(solver, "_slice_leak_pair",
+                            lambda *a: pairs.append(a) or slice_pair(*a))
+        r = build(_UNGUARDED.replace("  halt\n", "  load.8 rw, rb\n  halt\n"),
+                  patterns=[load_pattern_fixture("br-ld-ld.json")],
+                  bit_budget=4).run()
+        assert len(pairs) == 1  # the second search is a memo hit
+        # one may-touch overrun and two leak-pair overruns
+        assert r.stats.budget_exceeded == 3 and r.verdict == "unknown"
+
+    def test_sibling_paths_share_reads_of_the_image(self, monkeypatch):
+        searches, pairs = [], []
+        find_leak_pair, slice_pair = cache.find_leak_pair, solver._slice_leak_pair
+        monkeypatch.setattr(cache, "find_leak_pair",
+                            lambda q, o: searches.append(o)
+                            or find_leak_pair(q, o))
+        monkeypatch.setattr(solver, "_slice_leak_pair",
+                            lambda *a: pairs.append(a) or slice_pair(*a))
+        text, sites = chained_v01([5, 16, 9])
+        e = build(text, predictor_cfg=PredictorConfig(pht_bits=2, window=16),
+                  patterns=[load_pattern_fixture(n) for n in
+                            ("br-ld-ld.json", "icall-ld-ld.json",
+                             "ld-br-ld.json")])
+        r = e.run()
+        assert {f.chain[-1][0] for f in r.findings} == set(sites)
+        reads = []
+        ex.references([f.observable for f in r.findings if f.observable],
+                      reads)
+        assert reads and {m.version for m in reads} == {0}
+        assert r.snapshots == {0: e._init_mem}
+        # equal searches on sibling paths are answered by the run's memo
+        assert len(pairs) < len(searches)
+
+    def test_a_run_without_the_memo_answers_the_same(self, monkeypatch):
+        patterns = [load_pattern_fixture(n) for n in
+                    ("br-ld-ld.json", "icall-ld-ld.json", "ld-br-ld.json")]
+        rng = random.Random(1515)
+        cells = []
+        for _ in range(300):
+            program = layout_regions(parse_program(random_program(rng)))
+            cfg = random_predictor_config(rng)
+            cells += [(program, cfg, False), (program, cfg, True)]
+
+        def outputs():
+            out = []
+            for program, cfg, baseline in cells:
+                r = Engine(program, cfg, patterns=patterns,
+                           bit_budget=12).run(baseline)
+                out.append((r.verdict, [f.to_dict() for f in r.findings],
+                            r.diagnostics, r.unknown, repr(r.stats)))
+            return out
+
+        solves = []  # slice enumerations and leak-pair searches
+        for name in ("_solve", "_slice_leak_pair"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, fn=fn:
+                                solves.append(a) or fn(*a))
+        with_memo = outputs()
+        memo_solves = len(solves)
+        query = Engine._query
+        monkeypatch.setattr(Engine, "_query", lambda self, run, path:
+                            dataclasses.replace(query(self, run, path),
+                                                memo=None))
+        assert outputs() == with_memo
+        assert memo_solves < len(solves) - memo_solves  # the memo did hit
+
     def test_runs_do_not_share_a_memo(self, monkeypatch):
         solves = []
         solve = solver._solve
@@ -715,7 +785,7 @@ class TestSolverMemo:
 class TestPerRunState:
     @pytest.mark.parametrize("name", ["v01.sir", "v02.sir", "v09.sir"])
     def test_second_run_of_one_engine_is_identical(self, name):
-        # symbols, snapshot versions and the slice memo start afresh
+        # symbols, snapshot versions and the memo start afresh
         e = Engine(load_fixture(name), PredictorConfig(pht_bits=1, window=16),
                    patterns=[load_pattern_fixture("br-ld-ld.json")])
 
@@ -735,8 +805,8 @@ class TestMemoryOverlay:
     def test_snapshots_share_the_initial_image_until_a_store(self):
         e = build(self.LOADS + "  load.8 r1, ra\n  load.8 r2, ra\n  halt\n")
         snaps = e.run().snapshots
-        assert len(snaps) == 2
-        assert all(snap is e._init_mem for snap in snaps.values())
+        # both loads read the image as version 0, the only version
+        assert snaps == {0: e._init_mem} and snaps[0] is e._init_mem
 
     def test_a_store_freezes_a_fresh_snapshot(self):
         e = build(self.LOADS + "  load.8 r1, ra\n"
@@ -753,9 +823,9 @@ class TestMemoryOverlay:
         assert snaps[1] is not snaps[2]
 
     def test_snapshot_facts_are_computed_once_per_object(self, monkeypatch):
-        walks, hulls, searches = [], [], []
+        walks, hulls, searches, freezes = [], [], [], []
         references, secret_hull = solver.references, solver._secret_hull
-        find_leak_pair = cache.find_leak_pair
+        find_leak_pair, freeze = cache.find_leak_pair, Engine._freeze
 
         def counted_references(exprs, *a):
             if not isinstance(exprs, tuple):  # a snapshot's bytes
@@ -768,6 +838,8 @@ class TestMemoryOverlay:
         monkeypatch.setattr(cache, "find_leak_pair",
                             lambda q, o: searches.append(q)
                             or find_leak_pair(q, o))
+        monkeypatch.setattr(Engine, "_freeze",
+                            lambda *a: freezes.append(a) or freeze(*a))
         text, sites = chained_v01([5, 16, 9])
         e = build(text, predictor_cfg=PredictorConfig(pht_bits=2, window=16),
                   patterns=[load_pattern_fixture("br-ld-ld.json")])
@@ -775,7 +847,8 @@ class TestMemoryOverlay:
         assert {f.chain[-1][0] for f in r.findings} == set(sites)
         # every load reads the one initial image: its bytes are walked for
         # their references once, and for the secret-byte hull once
-        assert len(r.snapshots) > 10 and len(searches) > 3
+        assert len(freezes) > 10 and len(searches) > 3
+        assert r.snapshots == {0: e._init_mem}
         assert len(walks) == len(hulls) == 1
 
     def test_image_facts_are_computed_once_per_program(self, monkeypatch):

@@ -642,7 +642,7 @@ class TestRefutationSoundness:
 
 
 # ---------------------------------------------------------------------------
-# The slice memo a Query may carry.
+# The memo a Query may carry: slices and leak-pair searches.
 
 def _counting(monkeypatch, name):
     """Record the arguments of every call to `solver.<name>`."""
@@ -687,6 +687,37 @@ class TestMemo:
             is_sat(Query(cons, bit_budget=12, memo=memo))
         assert is_sat(Query(cons, bit_budget=16, memo=memo)) == Model(
             {"y": 0, "z": 7})
+
+    def test_budget_is_part_of_the_pair_key(self):
+        y, k = sym("y", 8), sym("k", 8, secret=True)
+        memo = {}
+        cons = (lt(zx(y), const(7, 32)),)
+        obs = add(zx(k), zx(y))  # one slice of 16 bits
+        with pytest.raises(BudgetExceeded):
+            find_leak_pair(Query(cons, bit_budget=12, memo=memo), obs)
+        m1, m2 = find_leak_pair(Query(cons, bit_budget=16, memo=memo), obs)
+        assert m1.assignment == {"y": 0, "k": 0}
+        assert m2.assignment == {"y": 0, "k": 1}
+
+    def test_constraints_are_part_of_the_pair_key(self):
+        k = sym("k", 8, secret=True)
+        memo = {}
+        pinned = Query((eq(k, const(3, 8)),), memo=memo)
+        assert find_leak_pair(pinned, zx(k)) is None  # one secret value
+        assert find_leak_pair(Query((), memo=memo), zx(k)) is not None
+
+    def test_memoised_pair_overrun_is_raised_again(self, monkeypatch):
+        searches = _counting(monkeypatch, "_slice_leak_pair")
+        y, k = sym("y", 8), sym("k", 8, secret=True)
+        memo = {}
+        q = Query((lt(zx(y), const(7, 32)),), bit_budget=12, memo=memo)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                find_leak_pair(q, add(zx(k), zx(y)))
+        assert len(searches) == 1
+        (stored,) = [v for key, v in memo.items() if key[0] == "pair"]
+        assert isinstance(stored, BudgetExceeded)
+        assert stored.__traceback__ is None
 
     def test_memoised_overrun_is_raised_again(self, monkeypatch):
         solves = _counting(monkeypatch, "_solve")
