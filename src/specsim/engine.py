@@ -73,15 +73,6 @@ class Event(NamedTuple):
     addr: Optional[int] = None  # concrete address of a load or store
 
 
-def concrete_binop(op: str, a: ex.Const, b: ex.Const, width: int) -> ex.Const:
-    """`ex.mk_binop(op, ex.coerce(a, width), ex.coerce(b, width))` of two
-    constants, without its checks: constants carry no taint to join.  A
-    decoded binop step computes it from its own function and mask."""
-    m = ex.mask(width)
-    return _const(ex.BINOP_FNS[op](a.value & m, b.value & m, width),
-                  32 if op in ex.CMP_OPS else width)
-
-
 class PathKey:
     """The (pc, direction) decisions of a path as a persistent chain: a
     fork shares its parent's key and adds a node.  Equal, hashed and
@@ -235,7 +226,7 @@ class ExecState:
     cache, monitors, return stack, speculation context."""
 
     __slots__ = ("pc", "regs", "mem", "path", "path_key", "predictor",
-                 "cache", "monitors", "ret_stack", "event_log", "clock")
+                 "cache", "monitors", "ret_stack", "event_log")
 
     def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
                  monitors: List[MonitorInstance]):
@@ -248,9 +239,9 @@ class ExecState:
         self.cache = cache
         self.monitors = monitors
         self.ret_stack: List[int] = []
-        # each event with its leak-check result, or None where none ran
+        # each event of the path and its wrong paths with its leak-check
+        # result, or None where none ran; its length is the event clock
         self.event_log: List[Tuple[Event, Optional[LeakResult]]] = []
-        self.clock = 0  # events on the path and its wrong paths
 
     def clone(self) -> "ExecState":
         c = ExecState.__new__(ExecState)
@@ -264,17 +255,7 @@ class ExecState:
         c.monitors = [m.clone() for m in self.monitors]
         c.ret_stack = list(self.ret_stack)
         c.event_log = list(self.event_log)
-        c.clock = self.clock
         return c
-
-    def fingerprint(self) -> tuple:
-        """Architectural state only, canonical: a finished path's summary."""
-        tl, btb = self.predictor.two_level, self.predictor.btb
-        return (self.pc, tuple(sorted(self.regs.items())),  # keys are unique
-                tuple(sorted(self.mem.items())), tuple(self.ret_stack),
-                tl.bhr if tl else None,
-                tuple(sorted(btb.sets.items())) if btb else None,
-                tuple(sorted(tl.pht.items())) if tl else None)
 
     def architecture(self) -> tuple:
         """Copies of what a wrong path must leave as it is: pc, registers,
@@ -283,6 +264,15 @@ class ExecState:
         return (self.pc, dict(self.regs), dict(self.mem), list(self.ret_stack),
                 (tl.bhr, dict(tl.pht)) if tl else None,
                 dict(btb.sets) if btb else None)
+
+    def fingerprint(self) -> tuple:
+        """`architecture()`, canonical: a finished path's summary."""
+        pc, regs, mem, ret_stack, tl, btb = self.architecture()
+        return (pc, tuple(sorted(regs.items())),  # keys are unique
+                tuple(sorted(mem.items())), tuple(ret_stack),
+                tl[0] if tl else None,
+                tuple(sorted(btb.items())) if btb is not None else None,
+                tuple(sorted(tl[1].items())) if tl else None)
 
 
 class _Sandbox:
@@ -356,7 +346,7 @@ class Engine:
         while worklist and not stats.step_limit_hit:
             s = worklist.pop()
             status = "run"
-            while status == "run":  # _step, inlined
+            while status == "run":
                 if steps >= self.step_limit:
                     stats.step_limit_hit = True
                     run.unknown = True  # unexplored paths may leak
@@ -390,27 +380,13 @@ class Engine:
         snapshots and findings go to `run`; pass the same one to every step
         of an exploration (a fresh one is made when it is None)."""
         s = state.clone()
+        run = run or self._new_run(False)
+        run.stats.arch_instructions += 1
+        step = self._steps[s.pc]
         successors: List[ExecState] = []
-        if self._step(run or self._new_run(False), s, s, successors) == "run":
+        if step.handler(self, run, s, s, step, successors) == "run":
             successors.append(s)
         return successors
-
-    def _step(self, run: RunResult, s: ExecState, frame: ExecState | _Sandbox,
-              worklist: Optional[List[ExecState]]) -> str:
-        """Execute the instruction at frame.pc in place.
-
-        `frame` is `s` itself on the architectural path, or a `_Sandbox` of
-        `s` on a wrong path; events, the cache and the monitors are always
-        those of `s`.  Returns "run" when the frame continues, "fork" when
-        successors went onto `worklist` (architectural conditional
-        branches on a symbolic condition), or "end" when the path or the
-        trace ends."""
-        step = self._steps[frame.pc]
-        if frame is s:
-            run.stats.arch_instructions += 1
-        else:
-            run.stats.spec_instructions += 1
-        return step.handler(self, run, s, frame, step, worklist)
 
     def _error(self, run: RunResult, s: ExecState, op: str, message: str) -> None:
         """The architectural path ends at an instruction it cannot execute."""
@@ -419,7 +395,13 @@ class Engine:
         run.diagnostics.append(f"pc {s.pc}: {message}")
 
     # ------------------------------------------------- straight-line handlers
-    # handler(engine, run, s, frame, step, worklist) -> status, as _step
+    # handler(engine, run, s, frame, step, worklist) -> status executes the
+    # instruction at frame.pc in place.  `frame` is `s` itself on the
+    # architectural path, or a `_Sandbox` of `s` on a wrong path; events, the
+    # cache and the monitors are always those of `s`.  The status is "run"
+    # when the frame continues, "fork" when successors went onto `worklist`
+    # (architectural branches on a symbolic condition), or "end" when the
+    # path or the trace ends.
 
     def _exec_const(self, run, s, frame, step, worklist) -> str:
         """const and addrof: the decoded Const."""
@@ -451,7 +433,7 @@ class Engine:
         regs = frame.regs
         a = _read(regs, step.a, step.ia)
         b = _read(regs, step.b, step.ib)
-        if type(a) is ex.Const and type(b) is ex.Const:  # concrete_binop
+        if type(a) is ex.Const and type(b) is ex.Const:  # the concrete lane
             fn, m, out = step.value
             regs[step.rd] = _const(fn(a.value & m, b.value & m, step.width), out)
             event = step.events[frame is not s]
@@ -666,7 +648,7 @@ class Engine:
             box.ret_stack.append(push_return)
         table, stats = self._steps, run.stats
         try:
-            for _ in range(window):  # _step, inlined
+            for _ in range(window):
                 if not 0 <= box.pc < len(table):
                     break
                 stats.spec_instructions += 1
@@ -793,9 +775,8 @@ class Engine:
               leak: Optional[LeakResult]) -> None:
         if event.addr is not None:
             s.cache.access(event.addr)
+        now = len(s.event_log)  # the path's event clock
         s.event_log.append((event, leak))
-        now = s.clock
-        s.clock = now + 1
         if event.symbolic_access or event.secret_access:
             plan = self._plan(event_class(event))
         else:  # the class of its step's concrete events: a decoded plan
@@ -852,7 +833,7 @@ class Engine:
 # ------------------------------------------------------ per-program decoding
 
 class _Step:
-    """One decoded instruction; `handler` executes it (see Engine._step).
+    """One decoded instruction; `handler` executes it (see the handlers).
 
     A source operand is a register name `a` (`b`) with no immediate, or
     None with its immediate `ia` (`ib`) as a shared Const, so that

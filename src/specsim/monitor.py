@@ -16,7 +16,7 @@ Events reach monitors by class, (name, speculative, symbolic, secret),
 which decides every node property but checkCacheState: a class's plan
 names the monitors it reaches and, for each, the nodes that admit it.
 TTLs run on the path's event clock, which counts every event, routed or
-not.
+not; monitors keep none of their own, so each observe is given it.
 """
 
 from __future__ import annotations
@@ -54,33 +54,21 @@ class MonitorSpec:
     name: str
     nodes: Tuple[NodeProps, ...]
 
-    def __post_init__(self):
-        # nodes_for(event class) -> the nodes, last first, that `admits` its
-        # events.  Not a field, so not compared or printed.
-        order = range(len(self.nodes) - 1, -1, -1)
-        object.__setattr__(self, "nodes_for", functools.cache(lambda cls: tuple(
-            i for i in order if admits(self.nodes[i], cls))))
-
     @property
     def uses_cache_state(self) -> bool:
         return any(np.check_cache_state is not None for np in self.nodes)
 
 
 @functools.lru_cache(maxsize=64)
-def routes(specs: Tuple[MonitorSpec, ...]) -> Callable:
-    """event class -> indices of the `specs` with a node for it.  One table
-    per pattern set, shared by every engine that watches an equal set."""
-    return functools.cache(lambda cls: tuple(
-        k for k, spec in enumerate(specs) if spec.nodes_for(cls)))
-
-
-@functools.lru_cache(maxsize=64)
 def plans(specs: Tuple[MonitorSpec, ...]) -> Callable:
-    """event class -> its plan: (k, the nodes of `specs[k]` that admit the
-    class) for each k that `routes` names.  Shared like `routes`."""
-    route = routes(specs)
-    return functools.cache(lambda cls: tuple(
-        (k, specs[k].nodes_for(cls)) for k in route(cls)))
+    """event class -> its plan: (k, the nodes of `specs[k]`, last first, that
+    `admits` the class) for each k with such a node.  One table per pattern
+    set, shared by every engine that watches an equal set."""
+    def plan(cls):
+        admitted = (tuple(i for i in range(len(spec.nodes) - 1, -1, -1)
+                          if admits(spec.nodes[i], cls)) for spec in specs)
+        return tuple((k, nodes) for k, nodes in enumerate(admitted) if nodes)
+    return functools.cache(plan)
 
 
 _JSON_FIELDS = {
@@ -166,45 +154,38 @@ class Match:
 class MonitorInstance:
     """One live automaton; per path, survives speculation rollback.
 
-    TTLs are deadlines on the path's event clock, its count of events: a
-    `startTTL` node sets `now + startTTL`, a `stopTTL` node none, and any
-    other node keeps the source token's deadline.
+    TTLs are deadlines on the path's event clock, its count of events, which
+    the caller keeps: a `startTTL` node sets `now + startTTL`, a `stopTTL`
+    node none, and any other node keeps the source token's deadline.
     """
 
     def __init__(self, spec: MonitorSpec):
         self.spec = spec
-        self.now = 0
         self._earliest: float = math.inf  # earliest live deadline
         # index 0 is Start; it always holds the initial token
         self.node_tokens: List[List[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
         self.node_tokens[0].append(Token(None, None, None))
 
-    def observe(self, event, leak=None, now: Optional[int] = None,
-                nodes: Optional[Tuple[int, ...]] = None) -> List[Match]:
+    def observe(self, event, leak, now: int,
+                nodes: Tuple[int, ...]) -> List[Match]:
         """Advance tokens for one event and its leak-check result.  `now` is
-        the path's clock at the event (by default, right after the last event
-        observed); tokens expired by then go first.  Only `nodes`, the nodes
-        that admit the event's class (`spec.nodes_for`, by default), are
-        visited, last first, so an event advances a token by at most one
+        the path's clock at the event; tokens expired by then go first.  Only
+        `nodes`, the nodes that admit the event's class (its `plans` entry),
+        are visited, last first, so an event advances a token by at most one
         node; a TTL counts the event that created the token.  Afterwards
-        `node_tokens` holds the live tokens.
+        `node_tokens` holds the tokens live at `now + 1`.
         """
-        if now is None:
-            now = self.now
         if self._earliest <= now:
             self._expire(now)
-        spec = self.spec
-        if nodes is None:
-            nodes = spec.nodes_for(event_class(event))
         node_tokens = self.node_tokens
         for i in nodes:
             if node_tokens[i]:
                 break
-        else:  # no token to advance: only the clock moves
-            self.now = now = now + 1
-            if self._earliest <= now:
-                self._expire(now)
+        else:  # no token to advance
+            if self._earliest <= now + 1:
+                self._expire(now + 1)
             return []
+        spec = self.spec
         matches: List[Match] = []
         n = len(spec.nodes)
         inst = (event.pc, event.name, event.speculation)
@@ -225,9 +206,8 @@ class MonitorInstance:
                 node_tokens[i + 1].append(tok)
                 if i + 1 == n:
                     matches.append(Match(spec.name, self._chain(tok)))
-        self.now = now = now + 1
-        if self._earliest <= now:
-            self._expire(now)
+        if self._earliest <= now + 1:
+            self._expire(now + 1)
         return matches
 
     def _expire(self, now: int) -> None:
@@ -253,7 +233,6 @@ class MonitorInstance:
     def clone(self) -> "MonitorInstance":
         c = MonitorInstance.__new__(MonitorInstance)
         c.spec = self.spec
-        c.now = self.now
         c._earliest = self._earliest
         c.node_tokens = [list(node) for node in self.node_tokens]
         return c

@@ -132,12 +132,6 @@ class Program:
                 return r
         raise KeyError(name)
 
-    def region_at(self, addr: int) -> Optional[Region]:
-        for r in self.regions:
-            if r.base is not None and r.base <= addr < r.end:
-                return r
-        return None
-
 
 def _parse_operand(tok: str, kind: str, lineno: int) -> Operand:
     if kind == "l":
@@ -298,10 +292,6 @@ def layout_regions(program: Program, base: int = 0x1000,
     return replace(program, regions=tuple(placed))
 
 
-def _print_operand(op: Operand) -> str:
-    return str(op)
-
-
 def pretty_print(program: Program) -> str:
     """Print a Program back to parseable SIR text (round-trip stable)."""
     out: List[str] = []
@@ -323,6 +313,6 @@ def pretty_print(program: Program) -> str:
         for name in by_pc.get(pc, []):
             out.append(f"{name}:")
         head = inst.opcode if inst.width == 32 else f"{inst.opcode}.8"
-        ops = ", ".join(_print_operand(op) for op in inst.operands)
+        ops = ", ".join(map(str, inst.operands))
         out.append(f"  {head} {ops}".rstrip())
     return "\n".join(out) + "\n"

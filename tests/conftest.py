@@ -1,4 +1,5 @@
-"""Shared helpers: fixture loading and a small random-program generator."""
+"""Shared helpers: fixture loading, a small random-program generator, and
+the nodes of a pattern that admit an event class."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 
 from specsim import layout_regions, load_pattern_file, parse_program
 from specsim.expr import BIN_OPS
+from specsim.monitor import admits
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -20,6 +22,13 @@ def load_fixture(name: str):
 
 def load_pattern_fixture(name: str):
     return load_pattern_file(str(PATTERNS / name))
+
+
+def admitted(spec, cls) -> tuple:
+    """The nodes of `spec` that admit event class `cls`, last first, read
+    straight off `admits`, the definition."""
+    return tuple(i for i in reversed(range(len(spec.nodes)))
+                 if admits(spec.nodes[i], cls))
 
 
 def random_program(rng: random.Random, max_branches: int = 2) -> str:

@@ -15,7 +15,7 @@ from conftest import (load_fixture, load_pattern_fixture, random_predictor_confi
 from specsim import layout_regions, parse_program
 from specsim.engine import Engine
 from specsim.expr import evaluate
-from specsim.monitor import MonitorInstance
+from specsim.monitor import MonitorInstance, event_class, plans
 from specsim.predictor import Btb, PredictorConfig, TwoLevel
 
 
@@ -246,11 +246,14 @@ def test_9_monitor_replay_soundness():
             findings = [f for f in result.findings if f.pattern]
             assert findings
             for f in findings:
-                monitor = MonitorInstance(specs[f.pattern])
+                # the log index is the path's clock at each event
+                spec = specs[f.pattern]
+                monitor, plan = MonitorInstance(spec), plans((spec,))
                 chains = set()
-                for event, obs in f.event_log:
-                    for match in monitor.observe(event, obs):
-                        chains.add(match.chain)
+                for now, (event, obs) in enumerate(f.event_log):
+                    for _k, nodes in plan(event_class(event)):
+                        for match in monitor.observe(event, obs, now, nodes):
+                            chains.add(match.chain)
                 assert f.chain in chains, f.chain
                 replayed += 1
         assert replayed >= 4

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specsim
-from conftest import (ROOT, load_fixture, load_pattern_fixture, random_program,
-                      random_predictor_config)
+from conftest import (ROOT, admitted, load_fixture, load_pattern_fixture,
+                      random_program, random_predictor_config)
 from specsim import cache, layout_regions, parse_program, solver
 from specsim import engine as engine_mod
 from specsim import expr as ex
 from specsim.cache import CacheConfig
-from specsim.engine import (Engine, EngineError, Event, ExecState, PathKey,
-                            concrete_binop)
+from specsim.engine import Engine, EngineError, Event, ExecState, PathKey
 from specsim.expr import Const
-from specsim.monitor import MonitorInstance, event_class, load_pattern, routes
+from specsim.monitor import MonitorInstance, event_class, load_pattern
 from specsim.predictor import PredictorConfig, PredictorState
 
 
@@ -332,9 +331,8 @@ class TestStepPlans:
             {"isSpeculative": False}, {"isConst": True},
             {"isSensitive": False, "isSpeculative": True}]})),)
 
-    def test_each_step_plan_is_routes_with_nodes_for(self):
+    def test_each_step_plan_is_what_admits_names(self):
         specs = self.SPECS
-        table = routes(specs)
         rng = random.Random(1313)
         for _ in range(40):
             program = layout_regions(parse_program(random_program(rng)))
@@ -343,15 +341,16 @@ class TestStepPlans:
                 for pc, inst in enumerate(program.instructions):
                     cls = (inst.opcode, speculative, False, False)
                     assert plans[speculative][pc] == tuple(
-                        (k, specs[k].nodes_for(cls)) for k in table(cls))
+                        (k, admitted(spec, cls))
+                        for k, spec in enumerate(specs) if admitted(spec, cls))
                     assert any(plans[speculative][pc])
 
     def test_monitors_get_the_nodes_of_each_event_class(self, monkeypatch):
         agree = []
         observe = MonitorInstance.observe
 
-        def checked(self, event, leak=None, now=None, nodes=None):
-            agree.append(nodes == self.spec.nodes_for(event_class(event)))
+        def checked(self, event, leak, now, nodes):
+            agree.append(nodes == admitted(self.spec, event_class(event)))
             return observe(self, event, leak, now, nodes)
 
         monkeypatch.setattr(MonitorInstance, "observe", checked)
@@ -373,16 +372,15 @@ class TestConcreteLane:
            st.integers(0, 2**32 - 1), st.sampled_from((8, 32)),
            st.sampled_from((8, 32)))
     def test_concrete_binop_is_mk_binop(self, op, width, x, y, wx, wy):
+        # the decoded step's concrete lane computes what mk_binop does
         a, b = ex.const(x, wx), ex.const(y, wy)
-        assert concrete_binop(op, a, b, width) == ex.mk_binop(
-            op, ex.coerce(a, width), ex.coerce(b, width))
-        # and the engine's decoded step computes it
         e = build(f"  {op}{'' if width == 32 else '.8'} r3, r1, r2\n  halt\n")
         state = ExecState(0, PredictorState(e.predictor_cfg),
                           cache.CacheState(e.cache_cfg), [])
         state.regs.update(r1=a, r2=b)
         (state,) = e.step(state)
-        assert state.regs["r3"] == concrete_binop(op, a, b, width)
+        assert state.regs["r3"] == ex.mk_binop(
+            op, ex.coerce(a, width), ex.coerce(b, width))
 
     def test_reused_event_equals_a_fresh_one(self):
         # pc 3 adds constants on the first pass and a symbol on the second
@@ -873,6 +871,46 @@ class TestMemoryOverlay:
                 assert {f.chain[-1][0] for f in r.findings} == set(sites)
         # the image's references and secret-byte hull, once for all runs
         assert len(walks) == len(hulls) == 1
+
+    def test_a_symbolic_load_reads_an_earlier_store(self):
+        # arr[3] = 7, then arr[x & 15] is 7 only when x & 15 == 3: both
+        # directions of the branch on it are feasible
+        e = build("region arr 16\n  sym.8 rx, x\n  addrof ra, arr\n"
+                  "  const r7, 7\n  add rs, ra, 3\n  store.8 rs, r7\n"
+                  "  and ri, rx, 15\n  add rp, ra, ri\n  load.8 rv, rp\n"
+                  "  eq rc, rv, r7\n  br rc, hit, miss\nhit:\n  halt\n"
+                  "miss:\n  halt\n",
+                  predictor_cfg=PredictorConfig(pht_bits=1, window=0),
+                  patterns=[load_pattern(json.dumps({"name": "br", "nodes": [
+                      {"instruction": "br"}]}))])
+        r = e.run()
+        assert r.stats.paths == 2
+        # each path's finding carries its path condition's witness
+        witness = {f.constraints[-1].op: f.witness.assignment["x"]
+                   for f in r.findings}
+        assert witness["ne"] == 3 and witness["eq"] & 15 != 3
+
+    def test_a_wrong_path_symbolic_load_reads_its_stores(self):
+        # the concrete branch is predicted taken but falls through; its
+        # wrong path stores 7 into arr[3] and reads v = arr[x & 15], 7 only
+        # when x & 15 == 3, then sec[v - 7], which is secret only when v is
+        # 7, and transmits it
+        e = build("region arr 16\nregion sec 4 secret\nregion probe 16384\n"
+                  "  sym.8 rx, x\n  addrof ra, arr\n  const r0, 0\n"
+                  "  br r0, body, end\nbody:\n  const r7, 7\n"
+                  "  add rs, ra, 3\n  store.8 rs, r7\n  and ri, rx, 15\n"
+                  "  add rp, ra, ri\n  load.8 rv, rp\n  addrof rq, sec\n"
+                  "  sub rq, rq, 7\n  add rq, rq, rv\n  load.8 rw, rq\n"
+                  "  mul rm, rw, 64\n  addrof rb, probe\n  add rb, rb, rm\n"
+                  "  load.8 rz, rb\nend:\n  halt\n",
+                  predictor_cfg=PredictorConfig(pht_bits=1, window=16),
+                  patterns=[load_pattern_fixture("br-ld-ld.json")])
+        r = e.run()
+        assert r.stats.spec_traces == 1 and r.verdict == "leak"
+        (finding,) = r.findings
+        assert finding.chain == ((3, "br", False), (13, "load", True),
+                                 (17, "load", True))
+        assert [m.assignment["x"] for m in finding.witness] == [3, 3]
 
     def test_wrong_path_store_stays_in_the_sandbox(self):
         # x >= 4 is predicted taken: its wrong path stores 7 into pub[0]

@@ -3,15 +3,17 @@ differential test of monitors on one path clock, reached by event class,
 against per-event TTL countdowns that see every event."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import admitted
 from specsim.engine import Event
 from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
                              PatternError, Token, event_class, load_pattern,
-                             routes)
+                             plans)
 
 
 def pat(*nodes, name="p"):
@@ -25,10 +27,17 @@ def ev(name, pc=0, spec=False, symbolic=False, secret=False):
 LEAKY = LeakResult("leak")
 
 
+def at(m, now, event, leak=None):
+    """`m.observe` of `event` at clock `now`, shown the nodes it admits."""
+    return m.observe(event, leak, now, admitted(m.spec, event_class(event)))
+
+
 def satisfies(np, event, leak):
     """Whether `event`, with its leak-check result, advances a token
-    through `np` alone: the class index and the per-event check agree."""
-    return bool(MonitorInstance(MonitorSpec("one", (np,))).observe(event, leak))
+    through `np` alone: the class's plan and the per-event check agree."""
+    spec = MonitorSpec("one", (np,))
+    return any(MonitorInstance(spec).observe(event, leak, 0, nodes)
+               for _k, nodes in plans((spec,))(event_class(event)))
 
 
 class TestSchema:
@@ -95,30 +104,30 @@ class TestAutomaton:
     def test_simple_chain_match(self):
         m = MonitorInstance(pat({"instruction": "br"},
                                 {"instruction": "load"}))
-        assert m.observe(ev("br", pc=4)) == []
-        matches = m.observe(ev("load", pc=6, spec=True))
+        assert at(m, 0, ev("br", pc=4)) == []
+        matches = at(m, 1, ev("load", pc=6, spec=True))
         assert len(matches) == 1
         assert matches[0].chain == ((4, "br", False), (6, "load", True))
         assert m.node_tokens[-1]
 
     def test_tokens_are_copied_not_moved(self):
         m = MonitorInstance(pat({"instruction": "br"}, {"instruction": "load"}))
-        m.observe(ev("br"))
-        m.observe(ev("load"))
+        at(m, 0, ev("br"))
+        at(m, 1, ev("load"))
         # the node-1 token is still there: a second load matches again
-        assert len(m.observe(ev("load"))) == 1
+        assert len(at(m, 2, ev("load"))) == 1
 
     def test_single_advance_per_event(self):
         # one event cannot carry a token across two nodes
         m = MonitorInstance(pat({"instruction": "load"}, {"instruction": "load"}))
-        assert m.observe(ev("load")) == []
-        assert len(m.observe(ev("load"))) == 1
+        assert at(m, 0, ev("load")) == []
+        assert len(at(m, 1, ev("load"))) == 1
 
     def test_multiple_predecessors_fan_out(self):
         m = MonitorInstance(pat({"instruction": "br"}, {"instruction": "load"}))
-        m.observe(ev("br", pc=1))
-        m.observe(ev("br", pc=2))
-        matches = m.observe(ev("load", pc=3))
+        at(m, 0, ev("br", pc=1))
+        at(m, 1, ev("br", pc=2))
+        matches = at(m, 2, ev("load", pc=3))
         chains = {match.chain for match in matches}
         assert chains == {((1, "br", False), (3, "load", False)),
                           ((2, "br", False), (3, "load", False))}
@@ -126,80 +135,80 @@ class TestAutomaton:
     def test_ttl_expires_counting_creation_observe(self):
         m = MonitorInstance(pat({"instruction": "br", "startTTL": 2},
                                 {"instruction": "load"}))
-        m.observe(ev("br"))       # token created, ttl 2 -> 1
-        m.observe(ev("add"))      # ttl 1 -> 0: expired
-        assert m.observe(ev("load")) == []
+        at(m, 0, ev("br"))        # token created, ttl 2 -> 1
+        at(m, 1, ev("add"))       # ttl 1 -> 0: expired
+        assert at(m, 2, ev("load")) == []
 
     def test_ttl_survives_within_window(self):
         m = MonitorInstance(pat({"instruction": "br", "startTTL": 2},
                                 {"instruction": "load"}))
-        m.observe(ev("br"))
-        assert len(m.observe(ev("load"))) == 1
+        at(m, 0, ev("br"))
+        assert len(at(m, 1, ev("load"))) == 1
 
     def test_stop_ttl_disables_countdown(self):
         m = MonitorInstance(pat({"instruction": "br", "startTTL": 2},
                                 {"instruction": "call", "stopTTL": True},
                                 {"instruction": "load"}))
-        m.observe(ev("br"))
-        m.observe(ev("call"))     # countdown stops on the advanced token
-        for _ in range(10):
-            m.observe(ev("add"))
-        assert len(m.observe(ev("load"))) == 1
+        at(m, 0, ev("br"))
+        at(m, 1, ev("call"))      # countdown stops on the advanced token
+        for now in range(2, 12):
+            at(m, now, ev("add"))
+        assert len(at(m, 12, ev("load"))) == 1
 
     def test_ttl_carried_forward_while_running(self):
         m = MonitorInstance(pat({"instruction": "br", "startTTL": 3},
                                 {"instruction": "call"},
                                 {"instruction": "load"}))
-        m.observe(ev("br"))       # ttl -> 2
-        m.observe(ev("call"))     # advance; ttl -> 1
-        m.observe(ev("add"))      # ttl -> 0: expired before the load
-        assert m.observe(ev("load")) == []
+        at(m, 0, ev("br"))        # ttl -> 2
+        at(m, 1, ev("call"))      # advance; ttl -> 1
+        at(m, 2, ev("add"))       # ttl -> 0: expired before the load
+        assert at(m, 3, ev("load")) == []
 
     def test_nodes_indexed_by_event_class_last_first(self):
         spec = pat({"instruction": "br"}, {"isSpeculative": True},
                    {"instruction": "load", "isSensitive": True},
                    {"instruction": "br", "isConst": True})
-        nodes_for = spec.nodes_for
-        assert nodes_for(("br", False, False, False)) == (3, 0)
-        assert nodes_for(("br", True, False, False)) == (3, 1, 0)
-        assert nodes_for(("br", True, True, False)) == (1, 0)
-        assert nodes_for(("load", True, False, True)) == (2, 1)
-        assert nodes_for(("load", False, False, False)) == ()
-        assert nodes_for(("add", True, True, True)) == (1,)
+        plan = plans((spec,))
+        assert plan(("br", False, False, False)) == ((0, (3, 0)),)
+        assert plan(("br", True, False, False)) == ((0, (3, 1, 0)),)
+        assert plan(("br", True, True, False)) == ((0, (1, 0)),)
+        assert plan(("load", True, False, True)) == ((0, (2, 1)),)
+        assert plan(("load", False, False, False)) == ()
+        assert plan(("add", True, True, True)) == ((0, (1,)),)
 
     def test_routes_name_the_specs_with_a_node_for_the_class(self):
         br_ld = pat({"instruction": "br"}, {"instruction": "load",
                                             "isSensitive": True})
         icall = pat({"instruction": "icall"}, name="q")
-        table = routes((br_ld, icall))
-        assert table(("br", False, True, False)) == (0,)
-        assert table(("icall", True, False, False)) == (1,)
-        assert table(("load", True, True, True)) == (0,)
+        table = plans((br_ld, icall))
+        assert table(("br", False, True, False)) == ((0, (0,)),)
+        assert table(("icall", True, False, False)) == ((1, (0,)),)
+        assert table(("load", True, True, True)) == ((0, (1,)),)
         assert table(("load", True, True, False)) == ()
         assert table(("add", False, False, False)) == ()
         # one table per pattern set: equal specs share it
         again = (pat({"instruction": "br"}, {"instruction": "load",
                                              "isSensitive": True}),
                  pat({"instruction": "icall"}, name="q"))
-        assert routes(again) is table
+        assert plans(again) is table
 
     def test_clock_catches_up_on_next_observe(self):
         spec = pat({"instruction": "br", "startTTL": 2},
                    {"instruction": "load"})
         m = MonitorInstance(spec)
-        m.observe(ev("br"), now=0)
-        assert m.now == 1 and len(m.node_tokens[1]) == 1
+        at(m, 0, ev("br"))
+        assert m._earliest == 2 and len(m.node_tokens[1]) == 1
         # the path saw one event this monitor was not shown: a load at
         # clock 1 is inside the TTL, one at clock 2 is not
-        assert len(m.clone().observe(ev("load"), now=1)) == 1
-        assert m.observe(ev("load"), now=2) == []
-        assert m.now == 3 and m.node_tokens[1] == []
+        assert len(at(m.clone(), 1, ev("load"))) == 1
+        assert at(m, 2, ev("load")) == []
+        assert m._earliest == math.inf and m.node_tokens[1] == []
 
     def test_clone_is_independent(self):
         m = MonitorInstance(pat({"instruction": "br"}, {"instruction": "load"}))
-        m.observe(ev("br"))
+        at(m, 0, ev("br"))
         c = m.clone()
-        assert len(c.observe(ev("load"))) == 1
+        assert len(at(c, 1, ev("load"))) == 1
         assert not m.node_tokens[-1]
 
 
@@ -267,8 +276,8 @@ def live_chains(m, now=None):
 
 class Path:
     """The monitors of one path, driven as the engine drives them: one
-    event clock, and each event shown only to the monitors that `routes`
-    names for its class."""
+    event clock, and each event shown only to the monitors that its class's
+    plan names, with the nodes it names."""
 
     def __init__(self, specs):
         self.specs = tuple(specs)
@@ -279,8 +288,8 @@ class Path:
         """{index of each monitor reached: its matches}"""
         now = self.clock
         self.clock += 1
-        return {k: self.monitors[k].observe(event, leak, now)
-                for k in routes(self.specs)(event_class(event))}
+        return {k: self.monitors[k].observe(event, leak, now, nodes)
+                for k, nodes in plans(self.specs)(event_class(event))}
 
     def clone(self):
         c = Path.__new__(Path)
@@ -347,7 +356,7 @@ def full_observe(m, event, leak, now):
     n = len(m.spec.nodes)
     inst = (event.pc, event.name, event.speculation)
     positive = leak is not None and leak.positive
-    for i in m.spec.nodes_for(event_class(event)):
+    for i in admitted(m.spec, event_class(event)):
         np = m.spec.nodes[i]
         if (not m.node_tokens[i]
                 or np.check_cache_state not in (None, positive)):
@@ -362,9 +371,8 @@ def full_observe(m, event, leak, now):
             m.node_tokens[i + 1].append(tok)
             if i + 1 == n:
                 matches.append(Match(m.spec.name, m._chain(tok)))
-    m.now = now + 1
-    if m._earliest <= m.now:
-        m._expire(m.now)
+    if m._earliest <= now + 1:
+        m._expire(now + 1)
     return matches
 
 
@@ -383,9 +391,8 @@ class TestEarlyReturn:
         now = 0
         for (event, leak), gap in stream:
             now += gap
-            nodes = spec.nodes_for(event_class(event))
-            assert (fast.observe(event, leak, now, nodes)
+            assert (at(fast, now, event, leak)
                     == full_observe(full, event, leak, now))
             assert tokens(fast) == tokens(full)
-            assert (fast.now, fast._earliest) == (full.now, full._earliest)
+            assert fast._earliest == full._earliest
             now += 1
