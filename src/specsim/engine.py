@@ -27,7 +27,14 @@ of one engine are independent.  A path's memory holds only the bytes
 stored on it; loads fall back to the program's initial image.  A symbolic
 load on a frame that stored nothing reads that image as version 0, so
 equal reads on sibling paths are equal expressions and the run's memo
-answers them once.
+answers them once; a frame's loads after a store share one version until
+it stores again.
+
+A symbolic load is secret if some model of the path may land one of its
+bytes on a secret byte: of a secret region, or of its snapshot, where a
+secret may have been stored (`_may_touch_secret`).  Interval bounds of the
+address settle most of these without a solver query, and the run's memo
+settles repeats; neither counts in `Stats.solver_queries`.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
@@ -225,14 +232,15 @@ class ExecState:
     """One symbolic path: registers, memory, path condition, predictor,
     cache, monitors, return stack, speculation context."""
 
-    __slots__ = ("pc", "regs", "mem", "path", "path_key", "predictor",
-                 "cache", "monitors", "ret_stack", "event_log")
+    __slots__ = ("pc", "regs", "mem", "frozen", "path", "path_key",
+                 "predictor", "cache", "monitors", "ret_stack", "event_log")
 
     def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
                  monitors: List[MonitorInstance]):
         self.pc = pc
         self.regs: Dict[str, ex.Expr] = {}
         self.mem: Dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
+        self.frozen: Optional[int] = None  # see Engine._freeze
         self.path = solver.PathCondition({})  # Engine.run binds its snapshots
         self.path_key = PathKey()
         self.predictor = predictor
@@ -248,6 +256,7 @@ class ExecState:
         c.pc = self.pc
         c.regs = dict(self.regs)
         c.mem = dict(self.mem)
+        c.frozen = self.frozen
         c.path = self.path
         c.path_key = self.path_key
         c.predictor = self.predictor.clone()
@@ -280,13 +289,14 @@ class _Sandbox:
     registers, memory and return stack, plus the shadow predictor that
     steers it (None in baseline mode)."""
 
-    __slots__ = ("pc", "regs", "mem", "ret_stack", "shadow")
+    __slots__ = ("pc", "regs", "mem", "frozen", "ret_stack", "shadow")
 
     def __init__(self, state: ExecState, start_pc: int,
                  shadow: Optional[PredictorState]):
         self.pc = start_pc
         self.regs = dict(state.regs)
         self.mem = dict(state.mem)  # buffered stores land here only
+        self.frozen = state.frozen
         self.ret_stack = list(state.ret_stack)
         self.shadow = shadow
 
@@ -330,6 +340,7 @@ class Engine:
         self._image_facts = code.image_facts
         self._symbols = code.symbols
         self._mapped = code.mapped
+        self._secret_regions = code.secret_regions
         self._step_plans = code.step_plans(self._plan)  # [speculative][pc]
 
     # ------------------------------------------------------------------ run
@@ -381,6 +392,10 @@ class Engine:
         of an exploration (a fresh one is made when it is None)."""
         s = state.clone()
         run = run or self._new_run(False)
+        if not s.path.constraints and s.path.snapshots is not run.snapshots:
+            # bind a fresh path to the run's snapshots, as `run` does, so
+            # its slices group the constraints that share reached symbols
+            s.path = solver.PathCondition(run.snapshots)
         run.stats.arch_instructions += 1
         step = self._steps[s.pc]
         successors: List[ExecState] = []
@@ -452,14 +467,14 @@ class Engine:
         regs = frame.regs
         addr = ex.coerce(_read(regs, step.a, step.ia), 32)
         if step.op == "load":
-            value = self._do_load(run, addr, step.width, frame.mem, s.path,
+            value = self._do_load(run, addr, step.width, frame, s.path,
                                   step.pc, frame is not s)
             regs[step.rd] = value
         else:
             value = _read(regs, step.b, step.ib)
             if type(value) is not ex.Const:
                 value = ex.coerce(value, step.width)
-            self._do_store(run, addr, value, step.width, frame.mem, step.pc)
+            self._do_store(run, addr, value, step.width, frame, step.pc)
         if type(addr) is ex.Const:
             taint, leak, concrete = value.taint, None, addr.value
         else:
@@ -665,9 +680,12 @@ class Engine:
 
     # -------------------------------------------------------- data movement
 
-    def _do_load(self, run: RunResult, addr: ex.Expr, width: int,
-                 mem: Dict[int, ex.Expr], path: solver.PathCondition,
-                 pc: int, speculative: bool) -> ex.Expr:
+    def _do_load(self, run: RunResult, addr: ex.Expr, width: int, frame,
+                 path: solver.PathCondition, pc: int, speculative: bool
+                 ) -> ex.Expr:
+        """Read `width` bits at `addr` from `frame` (an ExecState or a
+        _Sandbox)."""
+        mem = frame.mem
         if type(addr) is ex.Const:
             base = addr.value
             if not self._mapped(base, width // 8):
@@ -689,14 +707,14 @@ class Engine:
                                 ex.const(8 * i, 32)))
             return value
         # symbolic address: freeze the memory snapshot it reads from
-        version = self._freeze(run, mem, path.facts, speculative)
-        secret = self._may_touch_secret(run, addr, path, pc)
+        version = self._freeze(run, frame, path.facts, speculative)
+        secret = self._may_touch_secret(run, addr, width, version, path, pc)
         return ex.mk_memread(version, addr, width, secret)
 
     def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
-                  width: int, mem: Dict[int, ex.Expr], pc: int) -> None:
-        """Store the low `width` bits of `value`: a Const of any width, or
-        an expression of `width` bits."""
+                  width: int, frame, pc: int) -> None:
+        """Store the low `width` bits of `value`, an expression of `width`
+        bits or a Const of any width, into `frame`'s memory."""
         if type(addr) is not ex.Const:
             # later loads and store-to-load forwarding cannot see the store,
             # so nothing after it is sound to call leakage-free
@@ -708,6 +726,7 @@ class Engine:
         if not self._mapped(base, width // 8):
             run.note(pc, "unmapped store",
                      f"store to unmapped address {base:#x}")
+        mem, frame.frozen = frame.mem, None  # the next load freezes anew
         if type(value) is ex.Const:  # of any width: bytes by arithmetic
             for i in range(width // 8):
                 mem[base + i] = _const(value.value >> 8 * i & 0xFF, 8)
@@ -718,41 +737,78 @@ class Engine:
                 mem[base + i] = ex.coerce(
                     ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
 
-    def _may_touch_secret(self, run: RunResult, addr: ex.Expr,
-                          path: solver.PathCondition, pc: int) -> bool:
-        """May-analysis lift of the load taint rule: a symbolic address is
-        secret-reaching if some model consistent with the path condition
-        lands it in a secret region."""
+    def _may_touch_secret(self, run: RunResult, addr: ex.Expr, width: int,
+                          version: int, path: solver.PathCondition,
+                          pc: int) -> bool:
+        """May-analysis lift of the load taint rule: a `width`-bit read at a
+        symbolic address of snapshot `version` is secret-reaching if some
+        model consistent with the path condition lands one of its bytes on
+        a secret byte, of a secret region or one the snapshot holds that
+        reaches a secret symbol (`solver.secret_runs`).
+
+        A span of secret bytes is asked about only when the interval bounds
+        of the address, under the path slices sharing a name with it, may
+        meet it.  The run's memo keeps each asked span's answer under the
+        address, those slices' constraints, the span and the budget: the
+        rest of a live path is satisfiable, so that key decides what
+        `is_sat` answers on the extended path.  An overrun is not kept, so a
+        repeat asks, counts and notes it again."""
         if addr.taint.secret:
             return True
-        for region in self.program.regions:
-            if not region.secret:
-                continue
-            lo = ex.mk_binop("le", ex.const(region.base, 32), addr)
-            hi = ex.mk_binop("lt", addr, ex.const(region.end, 32))
-            run.stats.solver_queries += 1
-            try:
-                m = solver.is_sat(self._query(run, path.extend(lo).extend(hi)))
-            except solver.BudgetExceeded as e:
-                run.overrun(pc, "may-touch", e)
-                return True  # conservative
-            if m is not None:
+        runs = solver.secret_runs(run.snapshots[version], run.snapshots,
+                                  path.facts)
+        # the spans the address's bounds may meet, first over every model
+        spans = _met(solver._bounds(addr, {}, {}),
+                     _widened(self._secret_regions + runs, width // 8))
+        if not spans:
+            return False
+        syms, versions = ex.references((addr,))
+        names = set(syms).union(solver._reach(versions, run.snapshots,
+                                              path.facts))
+        own = tuple(path.constraints[i] for i in sorted(
+            i for sl in path.slices if not names.isdisjoint(sl.names)
+            for i in sl.members))
+        env = solver._narrowed(own)
+        if env is None:  # no model satisfies the path
+            return False
+        for start, end in _met(solver._bounds(addr, env, {}), spans):
+            key = ("may-touch", addr, own, start, end, self.bit_budget)
+            hit = run.memo.get(key)
+            if hit is None:
+                run.stats.solver_queries += 1
+                inside = path.extend(
+                    ex.mk_binop("le", ex.const(start, 32), addr)).extend(
+                    ex.mk_binop("lt", addr, ex.const(end, 32)))
+                try:
+                    m = solver.is_sat(self._query(run, inside))
+                except solver.BudgetExceeded as e:
+                    run.overrun(pc, "may-touch", e)
+                    return True  # conservative
+                hit = run.memo[key] = m is not None
+            if hit:
                 return True
         return False
 
-    def _freeze(self, run: RunResult, mem: Dict[int, ex.Expr], facts: dict,
+    def _freeze(self, run: RunResult, frame, facts: dict,
                 speculative: bool) -> int:
-        if not mem:  # a frame that stored nothing reads the initial image
+        """The snapshot version a symbolic load of `frame` reads: 0, the
+        initial image, while the frame stored nothing; the frame's last
+        version while it stored nothing since; else a fresh copy of the
+        image under the frame's stores."""
+        if not frame.mem:
             run.snapshots[0] = self._init_mem
             facts.setdefault(id(self._init_mem), self._image_facts)
             return 0
+        if frame.frozen is not None:
+            return frame.frozen
         if speculative:
             version = run.next_spec_version
             run.next_spec_version -= 1
         else:
             version = run.next_version
             run.next_version += 1
-        run.snapshots[version] = {**self._init_mem, **mem}
+        run.snapshots[version] = {**self._init_mem, **frame.mem}
+        frame.frozen = version
         return version
 
     # --------------------------------------------------------------- events
@@ -918,11 +974,12 @@ class _Decoded:
     step table; the initial image (read-only) with its solver facts, which
     hold in every run as its bytes read no snapshot, and its secret symbols
     (the facts' references); `mapped(base, n)`: whether bytes base..base+n-1
-    all lie in regions; and per pattern set, `step_plans(plan)[speculative]
-    [pc]`: the plan of a step's concrete events."""
+    all lie in regions; the [base, end) spans of the secret regions; and
+    per pattern set, `step_plans(plan)[speculative][pc]`: the plan of a
+    step's concrete events."""
 
     __slots__ = ("steps", "image", "image_facts", "symbols", "mapped",
-                 "step_plans")
+                 "secret_regions", "step_plans")
 
     def __init__(self, program: Program):
         self.steps = _step_table(program)
@@ -930,6 +987,8 @@ class _Decoded:
         self.image_facts = solver._facts(self.image, {})
         self.symbols = self.image_facts[0]  # read-only
         spans = tuple((r.base, r.end) for r in program.regions)
+        self.secret_regions = tuple((r.base, r.end) for r in program.regions
+                                    if r.secret)
         self.mapped = functools.lru_cache(maxsize=1024)(
             lambda base, n: all(any(lo <= a < hi for lo, hi in spans)
                                 for a in range(base, base + n)))
@@ -937,6 +996,27 @@ class _Decoded:
         self.step_plans = functools.lru_cache(maxsize=64)(lambda plan: tuple(
             tuple(plan((op, speculative, False, False)) for op in ops)
             for speculative in (False, True)))
+
+
+def _widened(spans: Sequence[Tuple[int, int]], n: int
+             ) -> List[Tuple[int, int]]:
+    """The addresses [lo, end) at which an n-byte read covers a byte of
+    some span: each span widened down by n - 1, merged where they meet."""
+    out: List[Tuple[int, int]] = []
+    for lo, end in sorted(spans):
+        lo = max(lo - (n - 1), 0)
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((lo, end))
+    return out
+
+
+def _met(bounds: Tuple[int, int], spans: Sequence[Tuple[int, int]]
+         ) -> List[Tuple[int, int]]:
+    """The spans [lo, end) that meet the addresses `bounds` [lo, hi]."""
+    lo, hi = bounds
+    return [(start, end) for start, end in spans if start <= hi and lo < end]
 
 
 def _decoded(program: Program) -> _Decoded:

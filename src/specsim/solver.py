@@ -43,8 +43,10 @@ Leak-pair search narrows its public loop further.  When the observable's
 slice has no syntactic secret and one distinct MemRead, only bytes that
 reach a secret symbol can make a pair, so that read's address must lie in
 the hull of those bytes in its snapshot (widened by the read's width).
-A snapshot object's references and hull are computed once per facts dict,
-which every path extended from one root shares (see `_facts`).
+A snapshot object's references and its runs of secret-reaching bytes
+(`secret_runs`, which the engine's may-touch check also reads) are
+computed once per facts dict, which every path extended from one root
+shares (see `_facts`).
 """
 
 from __future__ import annotations
@@ -121,9 +123,10 @@ _NO_BYTES: Mapping[int, Expr] = MappingProxyType({})
 
 
 def _facts(snap: Mapping[int, Expr], facts: dict) -> list:
-    """[symbols, versions, hull] of one snapshot object, kept in `facts`
+    """[symbols, versions, runs] of one snapshot object, kept in `facts`
     by identity: what its bytes reference, computed once per object, and
-    its secret-byte hull, `_MISS` until a leak-pair search needs it."""
+    its secret-byte runs, `_MISS` until a query needs them (see
+    `secret_runs`)."""
     f = facts.get(id(snap))
     if f is None:
         f = facts[id(snap)] = [*references(snap.values()), _MISS]
@@ -485,26 +488,41 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
 
 
-def _secret_hull(snap: Mapping[int, Expr], snapshots: Snapshots,
-                 facts: dict) -> Optional[_Bounds]:
-    """[lo, hi] over the addresses of the bytes of snapshot object `snap`
-    that reach a secret symbol, nested reads included, or None if none
-    does."""
-    addrs = []
-    for addr, byte in snap.items():
-        syms, versions = references((byte,))
+def _secret_runs(snap: Mapping[int, Expr], snapshots: Snapshots,
+                 facts: dict) -> Tuple[_Bounds, ...]:
+    """The maximal runs [lo, end) of addresses of the bytes of snapshot
+    object `snap` that reach a secret symbol, nested reads included, in
+    address order; built byte by byte, so a public byte between two secret
+    ones stays out."""
+    runs: List[_Bounds] = []
+    for addr in sorted(snap):
+        syms, versions = references((snap[addr],))
         syms.update(_reach(versions, snapshots, facts))
-        if any(s.taint.secret for s in syms.values()):
-            addrs.append(addr)
-    return (min(addrs), max(addrs)) if addrs else None
+        if not any(s.taint.secret for s in syms.values()):
+            continue
+        if runs and runs[-1][1] == addr:
+            runs[-1] = (runs[-1][0], addr + 1)
+        else:
+            runs.append((addr, addr + 1))
+    return tuple(runs)
+
+
+def secret_runs(snap: Mapping[int, Expr], snapshots: Snapshots,
+                facts: dict) -> Tuple[_Bounds, ...]:
+    """`_secret_runs` of snapshot object `snap`, computed once per object
+    and facts dict (see `_facts`)."""
+    f = _facts(snap, facts)
+    if f[2] is _MISS:
+        f[2] = _secret_runs(snap, snapshots, facts)
+    return f[2]
 
 
 def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym],
                 facts: dict) -> Tuple[Expr, ...]:
     """Facts that every public assignment giving a leak pair satisfies: an
-    n-byte read's address lies in [lo - (n - 1), hi], the secret-byte hull
-    (see the module docstring); a false fact if no byte reaches a secret;
-    none where the hull does not apply."""
+    n-byte read's address lies in [lo - (n - 1), hi], the hull of the
+    secret-byte runs (see the module docstring); a false fact if no byte
+    reaches a secret; none where the hull does not apply."""
     if any(s.taint.secret for s in known.values()):
         return ()
     reads: List[MemRead] = []
@@ -512,13 +530,11 @@ def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym],
     if len(set(reads)) != 1:
         return ()
     r = reads[0]
-    snap = q.snapshots.get(r.version, _NO_BYTES)
-    f = _facts(snap, facts)
-    if f[2] is _MISS:
-        f[2] = _secret_hull(snap, q.snapshots, facts)
-    if f[2] is None:
+    runs = secret_runs(q.snapshots.get(r.version, _NO_BYTES), q.snapshots,
+                       facts)
+    if not runs:
         return (const(0, 32),)
-    lo, hi = f[2]
+    lo, hi = runs[0][0], runs[-1][1] - 1
     w = r.addr.width
     lo = min(max(lo - (r.width // 8 - 1), 0), mask(w))
     return (mk_binop("le", const(lo, w), r.addr),

@@ -821,8 +821,8 @@ class TestMemoryOverlay:
         assert snaps[1] is not snaps[2]
 
     def test_snapshot_facts_are_computed_once_per_object(self, monkeypatch):
-        walks, hulls, searches, freezes = [], [], [], []
-        references, secret_hull = solver.references, solver._secret_hull
+        walks, runs, searches, freezes = [], [], [], []
+        references, secret_runs = solver.references, solver._secret_runs
         find_leak_pair, freeze = cache.find_leak_pair, Engine._freeze
 
         def counted_references(exprs, *a):
@@ -831,8 +831,8 @@ class TestMemoryOverlay:
             return references(exprs, *a)
 
         monkeypatch.setattr(solver, "references", counted_references)
-        monkeypatch.setattr(solver, "_secret_hull",
-                            lambda *a: hulls.append(a) or secret_hull(*a))
+        monkeypatch.setattr(solver, "_secret_runs",
+                            lambda *a: runs.append(a) or secret_runs(*a))
         monkeypatch.setattr(cache, "find_leak_pair",
                             lambda q, o: searches.append(q)
                             or find_leak_pair(q, o))
@@ -844,14 +844,14 @@ class TestMemoryOverlay:
         r = e.run()
         assert {f.chain[-1][0] for f in r.findings} == set(sites)
         # every load reads the one initial image: its bytes are walked for
-        # their references once, and for the secret-byte hull once
+        # their references once, and for the secret-byte runs once
         assert len(freezes) > 10 and len(searches) > 3
         assert r.snapshots == {0: e._init_mem}
-        assert len(walks) == len(hulls) == 1
+        assert len(walks) == len(runs) == 1
 
     def test_image_facts_are_computed_once_per_program(self, monkeypatch):
-        walks, hulls = [], []
-        references, secret_hull = solver.references, solver._secret_hull
+        walks, runs = [], []
+        references, secret_runs = solver.references, solver._secret_runs
 
         def counted_references(exprs, *a):
             if not isinstance(exprs, tuple):  # a snapshot's bytes
@@ -859,8 +859,8 @@ class TestMemoryOverlay:
             return references(exprs, *a)
 
         monkeypatch.setattr(solver, "references", counted_references)
-        monkeypatch.setattr(solver, "_secret_hull",
-                            lambda *a: hulls.append(a) or secret_hull(*a))
+        monkeypatch.setattr(solver, "_secret_runs",
+                            lambda *a: runs.append(a) or secret_runs(*a))
         text, sites = chained_v01([5, 16, 9])
         program = layout_regions(parse_program(text))
         for _ in range(6):
@@ -869,8 +869,8 @@ class TestMemoryOverlay:
             for baseline in (False, True):
                 r = e.run(baseline)
                 assert {f.chain[-1][0] for f in r.findings} == set(sites)
-        # the image's references and secret-byte hull, once for all runs
-        assert len(walks) == len(hulls) == 1
+        # the image's references and secret-byte runs, once for all runs
+        assert len(walks) == len(runs) == 1
 
     def test_a_symbolic_load_reads_an_earlier_store(self):
         # arr[3] = 7, then arr[x & 15] is 7 only when x & 15 == 3: both
@@ -911,6 +911,24 @@ class TestMemoryOverlay:
         assert finding.chain == ((3, "br", False), (13, "load", True),
                                  (17, "load", True))
         assert [m.assignment["x"] for m in finding.witness] == [3, 3]
+        # its three loads after the one store read one version
+        assert set(r.snapshots) == {-1}
+
+    def test_a_wrong_path_reads_the_paths_snapshot_until_it_stores(self):
+        # the architectural load freezes version 1 with arr[0] = 7; the
+        # wrong path reads it too, then stores 0 there, and its next load
+        # freezes version -1
+        e = build("region arr 16\n  sym.8 rx, x\n  addrof ra, arr\n"
+                  "  const r7, 7\n  store.8 ra, r7\n  and ri, rx, 15\n"
+                  "  add rp, ra, ri\n  load.8 rv, rp\n  const r0, 0\n"
+                  "  br r0, body, end\nbody:\n  load.8 rw, rp\n"
+                  "  store.8 ra, r0\n  load.8 rz, rp\nend:\n  halt\n",
+                  predictor_cfg=PredictorConfig(pht_bits=1, window=16))
+        r = e.run()
+        arr = e.program.region("arr").base
+        assert r.stats.spec_traces == 1 and set(r.snapshots) == {1, -1}
+        assert r.snapshots[1][arr].value == 7
+        assert r.snapshots[-1][arr].value == 0
 
     def test_wrong_path_store_stays_in_the_sandbox(self):
         # x >= 4 is predicted taken: its wrong path stores 7 into pub[0]

@@ -781,7 +781,7 @@ class TestNarrowedEnumeration:
         assert len(calls) == 1
         assert m1.assignment == {"secret[0]": 0, "x": 64}
         assert m2.assignment == {"secret[0]": 1, "x": 64}
-        assert solver._secret_hull(snaps[0], snaps, {}) == (4160, 4223)
+        assert solver._secret_runs(snaps[0], snaps, {}) == ((4160, 4224),)
 
     def test_wide_read_below_the_hull_reaches_it(self):
         # a 32-bit read at x < 3 still covers the secret byte at 3
