@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .expr import Const, Expr, Model, const, mk_binop
-from .solver import BudgetExceeded, Query, find_leak_pair
+from .solver import BudgetExceeded, PathCondition, find_leak_pair
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,10 @@ def observable_expr(addr_expr: Expr, cfg: CacheConfig) -> Expr:
     return line
 
 
-def leak_check(addr_expr: Expr, q: Query, cfg: CacheConfig) -> LeakResult:
+def leak_check(addr_expr: Expr, path: PathCondition, cfg: CacheConfig
+               ) -> LeakResult:
     """Can two secrets, indistinguishable on public inputs and satisfying
-    the path condition of `q`, leave different cache footprints through
+    the path condition `path`, leave different cache footprints through
     this access?  Delegates to the enumeration oracle; budget overruns
     degrade to "unknown" rather than a verdict."""
     if not addr_expr.taint.secret:
@@ -103,7 +104,7 @@ def leak_check(addr_expr: Expr, q: Query, cfg: CacheConfig) -> LeakResult:
     if isinstance(obs, Const):
         return NO_LEAK
     try:
-        pair = find_leak_pair(q, obs)
+        pair = find_leak_pair(path, obs)
     except BudgetExceeded as e:
         return LeakResult("unknown", error=e.with_traceback(None))
     if pair is None:

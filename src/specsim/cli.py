@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional
 
 from . import sir
 from .cache import CacheConfig
-from .engine import Engine, EngineError, RunResult, check_limits
+from .engine import Engine, EngineError, RunResult, Stats, check_limits
 from .monitor import PatternError, load_pattern_file
 from .predictor import PRESETS, PredictorConfig
 
@@ -85,17 +85,11 @@ def predictor_config(args) -> PredictorConfig:
 
 
 def _stats_dict(result: RunResult) -> dict:
-    st = result.stats
-    return {
-        "paths": st.paths,
-        "arch_instructions": st.arch_instructions,
-        "spec_instructions": st.spec_instructions,
-        "spec_traces": st.spec_traces,
-        "predictor_updates": st.predictor_updates,
-        "solver_queries": st.solver_queries,
-        "budget_exceeded": st.budget_exceeded,
-        "step_limit_hit": st.step_limit_hit,
-    }
+    """The scalar `Stats` fields; the per-trace and per-path lists stay
+    out."""
+    return {f.name: getattr(result.stats, f.name)
+            for f in fields(Stats)
+            if f.name not in ("trace_identities", "path_summaries")}
 
 
 def _common_traces(a: List[tuple], b: List[tuple]) -> int:

@@ -20,21 +20,22 @@ The baseline mode reproduces the history-agnostic model of
 prediction-less tools: every conditional branch spawns a wrong-path
 trace down the not-actual direction, indirect calls spawn none.
 
-Everything one `Engine.run` learns -- findings, statistics, symbols,
-memory snapshots, the solver's memo -- lives in the `RunResult` it
-returns, and the solver's per-snapshot facts in the run's paths, so runs
-of one engine are independent.  A path's memory holds only the bytes
-stored on it; loads fall back to the program's initial image.  A symbolic
-load on a frame that stored nothing reads that image as version 0, so
-equal reads on sibling paths are equal expressions and the run's memo
-answers them once; a frame's loads after a store share one version until
-it stores again.
+Everything one `Engine.run` learns -- findings, statistics, symbols --
+lives in the `RunResult` it returns, so runs of one engine are
+independent.  Its solver state is one `solver.Session`: the memory
+snapshots by version, their facts, one memo and the engine's bit budget;
+every path of the run is bound to it.  A path's memory holds only the
+bytes stored on it; loads fall back to the program's initial image.  A
+symbolic load on a frame that stored nothing reads that image as version
+0, so equal reads on sibling paths are equal expressions and the
+session's memo answers them once; a frame's loads after a store share one
+version until it stores again.
 
 A symbolic load is secret if some model of the path may land one of its
 bytes on a secret byte: of a secret region, or of its snapshot, where a
 secret may have been stored (`_may_touch_secret`).  Interval bounds of the
-address settle most of these without a solver query, and the run's memo
-settles repeats; neither counts in `Stats.solver_queries`.
+address settle most of these without a solver query, and the session's
+memo settles repeats; neither counts in `Stats.solver_queries`.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import cache as cache_mod
@@ -175,17 +177,17 @@ class Finding:
 class RunResult:
     """The state and the outcome of one `Engine.run`.
 
-    Witnesses and observables re-evaluate against `snapshots` (the memory
-    a symbolic load read from, by version; read-only, as version 0 is the
-    program's initial image) and `symbols`."""
+    Witnesses and observables re-evaluate against `snapshots` and
+    `symbols`."""
     findings: List[Finding] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
     diagnostics: List[str] = field(default_factory=list)
     unknown: bool = False
     baseline: bool = False
-    snapshots: Dict[int, Dict[int, ex.Expr]] = field(default_factory=dict,
-                                                     repr=False)
     symbols: Dict[str, ex.Sym] = field(default_factory=dict, repr=False)
+    # the solver state every path of the run is bound to
+    session: solver.Session = field(default_factory=solver.Session,
+                                    compare=False, repr=False)
     # version 0 is the initial image, read by every frame that stored
     # nothing; snapshots with stores count up from 1 architecturally and
     # down from -1 on wrong paths, so the versions embedded in
@@ -193,14 +195,17 @@ class RunResult:
     # ran in between
     next_version: int = field(default=1, compare=False, repr=False)
     next_spec_version: int = field(default=-1, compare=False, repr=False)
-    # slice and leak-pair results of every solver query of this run; valid
-    # for the run, as a frozen snapshot's bytes never change
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
     # (pattern, chain, path key) of every match already reported
     seen: Set[tuple] = field(default_factory=set, compare=False, repr=False)
     # (pc, kind) of every note already written
     noted: Set[Tuple[int, str]] = field(default_factory=set, compare=False,
                                         repr=False)
+
+    @property
+    def snapshots(self) -> MappingProxyType:
+        """The memory symbolic loads read, by version (0: the initial
+        image); read-only."""
+        return MappingProxyType(self.session.snapshots)
 
     @property
     def verdict(self) -> str:
@@ -241,7 +246,7 @@ class ExecState:
         self.regs: Dict[str, ex.Expr] = {}
         self.mem: Dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
         self.frozen: Optional[int] = None  # see Engine._freeze
-        self.path = solver.PathCondition({})  # Engine.run binds its snapshots
+        self.path = solver.PathCondition(solver.Session())  # run() rebinds
         self.path_key = PathKey()
         self.predictor = predictor
         self.cache = cache
@@ -351,7 +356,7 @@ class Engine:
                          PredictorState(self.predictor_cfg),
                          CacheState(self.cache_cfg),
                          [MonitorInstance(p) for p in self.patterns])
-        init.path = solver.PathCondition(run.snapshots)
+        init.path = solver.PathCondition(run.session)
         worklist: List[ExecState] = [init]
         table, stats, steps = self._steps, run.stats, 0
         while worklist and not stats.step_limit_hit:
@@ -379,7 +384,8 @@ class Engine:
     def _new_run(self, baseline: bool) -> RunResult:
         """Per-run state, its symbol table seeded with the secret bytes of
         the initial memory."""
-        return RunResult(baseline=baseline, symbols=dict(self._symbols))
+        return RunResult(baseline=baseline, symbols=dict(self._symbols),
+                         session=solver.Session(self.bit_budget))
 
     # ----------------------------------------------------------- single step
 
@@ -392,10 +398,12 @@ class Engine:
         of an exploration (a fresh one is made when it is None)."""
         s = state.clone()
         run = run or self._new_run(False)
-        if not s.path.constraints and s.path.snapshots is not run.snapshots:
-            # bind a fresh path to the run's snapshots, as `run` does, so
-            # its slices group the constraints that share reached symbols
-            s.path = solver.PathCondition(run.snapshots)
+        if run.session.bit_budget != self.bit_budget:
+            raise EngineError("the run's session has another bit budget")
+        if not s.path.constraints and s.path.session is not run.session:
+            # bind a fresh path to the run's session, as `run` does, so its
+            # slices group the constraints that share reached symbols
+            s.path = solver.PathCondition(run.session)
         run.stats.arch_instructions += 1
         step = self._steps[s.pc]
         successors: List[ExecState] = []
@@ -526,7 +534,7 @@ class Engine:
                 "ne" if want else "eq", cond, ex.const(0, cond.width)))
             run.stats.solver_queries += 1
             try:
-                m = solver.is_sat(self._query(run, paths[want]))
+                m = solver.is_sat(paths[want])
             except solver.BudgetExceeded as e:
                 run.overrun(pc, "branch", e)
                 overran = True
@@ -707,7 +715,7 @@ class Engine:
                                 ex.const(8 * i, 32)))
             return value
         # symbolic address: freeze the memory snapshot it reads from
-        version = self._freeze(run, frame, path.facts, speculative)
+        version = self._freeze(run, frame, speculative)
         secret = self._may_touch_secret(run, addr, width, version, path, pc)
         return ex.mk_memread(version, addr, width, secret)
 
@@ -748,56 +756,50 @@ class Engine:
 
         A span of secret bytes is asked about only when the interval bounds
         of the address, under the path slices sharing a name with it, may
-        meet it.  The run's memo keeps each asked span's answer under the
-        address, those slices' constraints, the span and the budget: the
-        rest of a live path is satisfiable, so that key decides what
-        `is_sat` answers on the extended path.  An overrun is not kept, so a
-        repeat asks, counts and notes it again."""
+        meet it.  The session's memo keeps each asked span's answer under
+        the address, those slices' constraints and the span: the rest of a
+        live path is satisfiable, so that key decides what `is_sat` answers
+        on the extended path.  An overrun is not kept, so a repeat asks,
+        counts and notes it again."""
         if addr.taint.secret:
             return True
-        runs = solver.secret_runs(run.snapshots[version], run.snapshots,
-                                  path.facts)
+        runs = solver.secret_runs(version, run.session)
         # the spans the address's bounds may meet, first over every model
         spans = _met(solver._bounds(addr, {}, {}),
                      _widened(self._secret_regions + runs, width // 8))
         if not spans:
             return False
-        syms, versions = ex.references((addr,))
-        names = set(syms).union(solver._reach(versions, run.snapshots,
-                                              path.facts))
-        own = tuple(path.constraints[i] for i in sorted(
-            i for sl in path.slices if not names.isdisjoint(sl.names)
-            for i in sl.members))
+        own = path.reached(addr)
         env = solver._narrowed(own)
         if env is None:  # no model satisfies the path
             return False
         for start, end in _met(solver._bounds(addr, env, {}), spans):
-            key = ("may-touch", addr, own, start, end, self.bit_budget)
-            hit = run.memo.get(key)
+            key = ("may-touch", addr, own, start, end)
+            hit = run.session.memo.get(key)
             if hit is None:
                 run.stats.solver_queries += 1
                 inside = path.extend(
                     ex.mk_binop("le", ex.const(start, 32), addr)).extend(
                     ex.mk_binop("lt", addr, ex.const(end, 32)))
                 try:
-                    m = solver.is_sat(self._query(run, inside))
+                    m = solver.is_sat(inside)
                 except solver.BudgetExceeded as e:
                     run.overrun(pc, "may-touch", e)
                     return True  # conservative
-                hit = run.memo[key] = m is not None
+                hit = run.session.memo[key] = m is not None
             if hit:
                 return True
         return False
 
-    def _freeze(self, run: RunResult, frame, facts: dict,
-                speculative: bool) -> int:
+    def _freeze(self, run: RunResult, frame, speculative: bool) -> int:
         """The snapshot version a symbolic load of `frame` reads: 0, the
         initial image, while the frame stored nothing; the frame's last
         version while it stored nothing since; else a fresh copy of the
         image under the frame's stores."""
+        session = run.session
         if not frame.mem:
-            run.snapshots[0] = self._init_mem
-            facts.setdefault(id(self._init_mem), self._image_facts)
+            session.snapshots[0] = self._init_mem
+            session.facts.setdefault(0, self._image_facts)
             return 0
         if frame.frozen is not None:
             return frame.frozen
@@ -807,7 +809,7 @@ class Engine:
         else:
             version = run.next_version
             run.next_version += 1
-        run.snapshots[version] = {**self._init_mem, **frame.mem}
+        session.snapshots[version] = {**self._init_mem, **frame.mem}
         frame.frozen = version
         return version
 
@@ -821,8 +823,7 @@ class Engine:
         if not (addr.taint.secret and self._needs_cache_check):
             return None
         run.stats.solver_queries += 1  # one leak-pair search
-        leak = cache_mod.leak_check(addr, self._query(run, path),
-                                    self.cache_cfg)
+        leak = cache_mod.leak_check(addr, path, self.cache_cfg)
         if leak.status == "unknown":
             run.overrun(pc, "leak-pair", leak.error)
         return leak
@@ -856,7 +857,7 @@ class Engine:
         else:
             run.stats.solver_queries += 1
             try:
-                witness = solver.is_sat(self._query(run, s.path))
+                witness = solver.is_sat(s.path)
             except solver.BudgetExceeded as e:
                 run.overrun(match.chain[-1][0], "witness", e)
                 kind = "unknown"
@@ -867,11 +868,6 @@ class Engine:
                                     constraints=s.path.constraints))
 
     # -------------------------------------------------------------- helpers
-
-    def _query(self, run: RunResult, path: solver.PathCondition
-               ) -> solver.Query:
-        return solver.Query(path.constraints, self.bit_budget, run.snapshots,
-                            run.memo, path)
 
     def _config_str(self) -> str:
         cfg = self.predictor_cfg
@@ -984,7 +980,7 @@ class _Decoded:
     def __init__(self, program: Program):
         self.steps = _step_table(program)
         self.image = _initial_image(program)
-        self.image_facts = solver._facts(self.image, {})
+        self.image_facts = solver.snapshot_facts(self.image)
         self.symbols = self.image_facts[0]  # read-only
         spans = tuple((r.base, r.end) for r in program.regions)
         self.secret_regions = tuple((r.base, r.end) for r in program.regions

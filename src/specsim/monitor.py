@@ -9,6 +9,8 @@ through predecessor links.  Patterns load from JSON:
       "isConst"?: bool, "isSensitive"?: bool, "checkCacheState"?: bool,
       "startTTL"?: int, "stopTTL"?: bool}, ...]}
 
+where an instruction is a SIR opcode (`sir.OPCODES`).
+
 Note on isConst: true matches events with NO symbolic operand.  Patterns
 that demand symbolic operands must say "isConst": false.
 
@@ -26,6 +28,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
+
+from .sir import OPCODES
 
 
 class PatternError(Exception):
@@ -112,6 +116,10 @@ def load_pattern(text: str) -> MonitorSpec:
             if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
                 raise PatternError(f"{path}.{key}: expected {typ.__name__}")
             kwargs[attr] = value
+        op = kwargs.get("instruction")
+        if op is not None and op not in OPCODES:
+            raise PatternError(
+                f"{path}.instruction: {op!r} is not a SIR opcode")
         if not kwargs:
             raise PatternError(f"{path}: at least one property required")
         np = NodeProps(**kwargs)

@@ -52,24 +52,15 @@ class LayoutError(Exception):
 class Reg:
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Imm:
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class Label:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 Operand = object  # Reg | Imm | Label | str (bare name for sym/addrof)
@@ -91,6 +82,7 @@ _SIGNATURES: Dict[str, str] = {
 }
 for _op in BIN_OPS:
     _SIGNATURES[_op] = "r v v"
+OPCODES = tuple(_SIGNATURES)
 
 
 @dataclass(frozen=True)
@@ -291,28 +283,3 @@ def layout_regions(program: Program, base: int = 0x1000,
         cursor = aligned + region.size
     return replace(program, regions=tuple(placed))
 
-
-def pretty_print(program: Program) -> str:
-    """Print a Program back to parseable SIR text (round-trip stable)."""
-    out: List[str] = []
-    for r in program.regions:
-        parts = [f"region {r.name} {r.size}"]
-        if r.secret:
-            parts.append("secret")
-        if r.init is not None:
-            parts.append(f"init={r.init.hex()}")
-        out.append(" ".join(parts))
-    if program.entry != 0:
-        entry_label = next(name for name, pc in program.labels.items()
-                           if pc == program.entry)
-        out.append(f"entry {entry_label}")
-    by_pc: Dict[int, List[str]] = {}
-    for name, pc in program.labels.items():
-        by_pc.setdefault(pc, []).append(name)
-    for pc, inst in enumerate(program.instructions):
-        for name in by_pc.get(pc, []):
-            out.append(f"{name}:")
-        head = inst.opcode if inst.width == 32 else f"{inst.opcode}.8"
-        ops = ", ".join(map(str, inst.operands))
-        out.append(f"  {head} {ops}".rstrip())
-    return "\n".join(out) + "\n"

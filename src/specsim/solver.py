@@ -7,15 +7,16 @@ discovered on demand: evaluation under a probing model records every
 symbol it reads, and enumeration restarts with the enlarged set until a
 fixpoint is reached.
 
-A query is first split into independent slices (constraint independence,
-as in KLEE): groups of constraints that share no symbol, counting every
+Every question is asked of a `PathCondition`: a path's constraints,
+extended one at a time and split into independent slices (constraint
+independence, as in KLEE), groups that share no symbol, counting every
 symbol a `MemRead` can reach through its snapshot's bytes.  Slices are
 enumerated one at a time, so k unrelated 8-bit checks cost k * 2^8
-probes rather than 2^(8k).  The bit budget applies to each slice and
-each enumeration stage within it; exceeding it raises, it is never
-truncated silently.  A path keeps its slices in a `PathCondition`,
-extended one constraint at a time, and a `Query` may carry its path; one
-without a path folds its constraints in from the empty path.
+probes rather than 2^(8k).  Each path is bound to one `Session`, the
+solver state of one run: its snapshots and their facts by version, one
+memo and one bit budget.  The budget applies to each slice and each
+enumeration stage within it; exceeding it raises, it is never truncated
+silently.
 
 Two steps run in front of a slice's enumeration:
 
@@ -28,34 +29,29 @@ Two steps run in front of a slice's enumeration:
   its narrowed range, in the same order; a skipped value violates a
   constraint, so only symbols read just at skipped values go undiscovered.
   The budget still counts declared widths.
-- A memo.  A `Query` may carry a dict (`memo`) that maps a slice's
-  constraints and bit budget to its witness, None, or its budget overrun,
-  and the observable's slice of a leak-pair search (observable included)
-  and budget to its pair, None, or its overrun.  The engine keeps one per
-  run.  It is valid because a snapshot, once frozen, is never changed, so
-  within a run a version always reads the same bytes; the engine names
-  the unchanged initial image version 0, so sibling paths' equal reads
-  are equal keys.  Each path slice also keeps its own answer per budget,
-  so a query skips the memo for the slices its path already answered.  A
-  stored overrun is raised again on every hit.
+- The session's memo.  It maps a slice's constraints to its witness,
+  None, or its budget overrun, and the observable's slice of a leak-pair
+  search (observable included) to its pair, None, or its overrun.  It is
+  valid because a snapshot, once frozen, is never changed, so within a
+  session a version always reads the same bytes; the engine names the
+  unchanged initial image version 0, so sibling paths' equal reads are
+  equal keys.  Each path slice also keeps its own answer, so a query
+  skips the memo for the slices its path already answered.  A stored
+  overrun is raised again on every hit.
 
 Leak-pair search narrows its public loop further.  When the observable's
 slice has no syntactic secret and one distinct MemRead, only bytes that
 reach a secret symbol can make a pair, so that read's address must lie in
 the hull of those bytes in its snapshot (widened by the read's width).
-A snapshot object's references and its runs of secret-reaching bytes
-(`secret_runs`, which the engine's may-touch check also reads) are
-computed once per facts dict, which every path extended from one root
-shares (see `_facts`).
+Those runs (`secret_runs`, which the engine's may-touch check also
+reads) are computed once per version and session.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshots, Sym,
                    UnOp, const, evaluate, mask, mk_binop, references, to_str)
@@ -63,19 +59,6 @@ from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshots, Sym,
 
 class BudgetExceeded(Exception):
     """A query needed more symbolic bits than the configured budget."""
-
-
-@dataclass(frozen=True)
-class Query:
-    constraints: Tuple[Expr, ...]
-    bit_budget: int = 20
-    snapshots: Snapshots = field(default_factory=dict)
-    # slice results shared by queries over the same snapshots; see the
-    # module docstring
-    memo: Optional[dict] = field(default=None, compare=False, repr=False)
-    # the slices of a prefix of `constraints`, kept by the caller
-    path: Optional[PathCondition] = field(default=None, compare=False,
-                                          repr=False)
 
 
 class _ProbeModel(Model):
@@ -122,19 +105,38 @@ _MISS = object()
 _NO_BYTES: Mapping[int, Expr] = MappingProxyType({})
 
 
-def _facts(snap: Mapping[int, Expr], facts: dict) -> list:
-    """[symbols, versions, runs] of one snapshot object, kept in `facts`
-    by identity: what its bytes reference, computed once per object, and
-    its secret-byte runs, `_MISS` until a query needs them (see
-    `secret_runs`)."""
-    f = facts.get(id(snap))
-    if f is None:
-        f = facts[id(snap)] = [*references(snap.values()), _MISS]
-    return f
+def snapshot_facts(snap: Mapping[int, Expr]) -> list:
+    """[symbols, versions, runs] of a snapshot's bytes: what they
+    reference, and their secret-byte runs, `_MISS` until a query needs
+    them (see `secret_runs`)."""
+    return [*references(snap.values()), _MISS]
 
 
-def _reach(versions: Set[int], snapshots: Snapshots, facts: dict
-           ) -> Dict[str, Sym]:
+class Session:
+    """The solver state of one run: its snapshots by version, the facts
+    of each version (`snapshot_facts`, made on first use), the memo, and
+    the bit budget of every query.  A version's bytes must never change
+    once a path reads it, which is what makes its facts and the memo
+    valid for the session."""
+
+    __slots__ = ("bit_budget", "snapshots", "facts", "memo")
+
+    def __init__(self, bit_budget: int = 20,
+                 snapshots: Optional[Snapshots] = None):
+        self.bit_budget = bit_budget
+        self.snapshots = {} if snapshots is None else snapshots
+        self.facts: Dict[int, list] = {}
+        self.memo: dict = {}
+
+    def _facts(self, version: int) -> list:
+        f = self.facts.get(version)
+        if f is None:
+            f = self.facts[version] = snapshot_facts(
+                self.snapshots.get(version, _NO_BYTES))
+        return f
+
+
+def _reach(versions: Set[int], session: Session) -> Dict[str, Sym]:
     """Every symbol in the bytes of these snapshot versions, by name,
     following MemReads nested in those bytes to the versions they read."""
     names: Dict[str, Sym] = {}
@@ -144,38 +146,36 @@ def _reach(versions: Set[int], snapshots: Snapshots, facts: dict
         if v in done:
             continue
         done.add(v)
-        v_syms, inner, _hull = _facts(snapshots.get(v, _NO_BYTES), facts)
+        v_syms, inner, _runs = session._facts(v)
         names.update(v_syms)
         todo.extend(inner)
     return names
 
 
-class _Slice(NamedTuple):
+class _Slice:
     """Independent constraints of a path: their indices, the constraints
     themselves (the memo key), their syntactic symbols, every name they
-    also reach through snapshots, and their answer per bit budget."""
-    members: Tuple[int, ...]
-    exprs: Tuple[Expr, ...]
-    syms: Dict[str, Sym]
-    names: Set[str]
-    answers: dict
+    also reach through snapshots, and their answer, `_MISS` until asked."""
+
+    __slots__ = ("members", "exprs", "syms", "names", "answer")
+
+    def __init__(self, members, exprs, syms, names):
+        self.members, self.exprs, self.syms = members, exprs, syms
+        self.names, self.answer = names, _MISS
 
 
 class PathCondition:
     """Constraints split into independent slices, ordered by their first
     constraint.  Immutable, so forks share it: `extend` walks one
     constraint once and merges only the slices sharing a name with it.
-    Bound to the snapshot store it reads; every path extended from one
-    root shares its per-snapshot facts (see `_facts`)."""
+    Bound to the session whose snapshots it reads."""
 
-    __slots__ = ("constraints", "slices", "snapshots", "facts", "_parent",
-                 "_text")
+    __slots__ = ("constraints", "slices", "session", "_parent", "_text")
 
-    def __init__(self, snapshots: Snapshots, facts: Optional[dict] = None):
+    def __init__(self, session: Session):
         self.constraints: Tuple[Expr, ...] = ()
         self.slices: Tuple[_Slice, ...] = ()
-        self.snapshots = snapshots
-        self.facts = {} if facts is None else facts
+        self.session = session
         self._parent: Optional[PathCondition] = None  # until `text` is made
         self._text: Optional[str] = ""
 
@@ -192,13 +192,26 @@ class PathCondition:
             p._text, p._parent = f"{text} & {last}" if text else last, None
         return self._text or "true"
 
+    def _names(self, e: Expr) -> Tuple[Dict[str, Sym], Set[str]]:
+        """The symbols of `e` and the names of every symbol it reaches,
+        through snapshots included."""
+        syms, versions = references((e,))
+        return syms, set(syms).union(_reach(versions, self.session))
+
+    def reached(self, e: Expr) -> Tuple[Expr, ...]:
+        """The constraints, in path order, of the slices that share a name
+        with `e`."""
+        names = self._names(e)[1]
+        return tuple(self.constraints[i] for i in sorted(
+            i for sl in self.slices if not names.isdisjoint(sl.names)
+            for i in sl.members))
+
     def extend(self, c: Expr) -> "PathCondition":
-        syms, versions = references((c,))
-        key = set(syms).union(_reach(versions, self.snapshots, self.facts))
+        syms, key = self._names(c)
         kept, touched = [], []
         for sl in self.slices:
             (kept if key.isdisjoint(sl.names) else touched).append(sl)
-        out = PathCondition(self.snapshots, self.facts)
+        out = PathCondition(self.session)
         out.constraints = self.constraints + (c,)
         out._parent, out._text = self, None
         members = sorted([len(self.constraints)]
@@ -210,7 +223,7 @@ class PathCondition:
         merged.update(syms)
         kept.append(_Slice(tuple(members),
                            tuple(out.constraints[i] for i in members),
-                           merged, names, {}))
+                           merged, names))
         out.slices = tuple(sorted(kept, key=lambda sl: sl.members[0]))
         return out
 
@@ -354,8 +367,8 @@ def _narrowed(exprs: Sequence[Expr]) -> Optional[Dict[Sym, _Bounds]]:
     return env
 
 
-def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
-           snapshots: Snapshots) -> Optional[Dict[str, int]]:
+def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], session: Session
+           ) -> Optional[Dict[str, int]]:
     """First satisfying assignment of one slice in enumeration order, or
     None.  It assigns every symbol its evaluation touched; symbols
     discovered mid-enumeration default to 0.  A slice that interval
@@ -365,9 +378,9 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
         return None
     while True:
         seen: Dict[str, Sym] = {}
-        for assignment in _assignments(syms, bounds, budget):
+        for assignment in _assignments(syms, bounds, session.bit_budget):
             probe = _ProbeModel(assignment, seen)
-            if _truthy(exprs, probe, snapshots):
+            if _truthy(exprs, probe, session.snapshots):
                 full = dict(assignment)
                 for name in seen:
                     full.setdefault(name, 0)
@@ -378,12 +391,10 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], budget: int,
         return None
 
 
-def _memoized(memo: Optional[dict], key: tuple, compute, *args):
+def _memoized(memo: dict, key: tuple, compute, *args):
     """`compute(*args)` through `memo` under `key`.  A stored overrun is
     raised again on every hit; a stored result is shared by every hit, so
     callers must copy it, never change it."""
-    if memo is None:
-        return compute(*args)
     hit = memo.get(key, _MISS)
     if isinstance(hit, BudgetExceeded):
         raise BudgetExceeded(*hit.args)
@@ -398,25 +409,25 @@ def _memoized(memo: Optional[dict], key: tuple, compute, *args):
     return result
 
 
-def _solve_all(slices: Sequence[_Slice], budget: int, snapshots: Snapshots,
-               memo: Optional[dict] = None) -> Optional[Dict[str, int]]:
+def _solve_all(slices: Sequence[_Slice], session: Session
+               ) -> Optional[Dict[str, int]]:
     """Union of the slices' witnesses, or None if any slice is unsat.  Each
-    slice keeps its answer per budget, so a query skips the memo key's
-    hash for the slices its path already answered.
+    slice keeps its answer, so a query skips the memo key's hash for the
+    slices its path already answered.
 
     An unsat slice decides the query even when another slice overran the
     budget; the overrun is raised only if every other slice is sat."""
     witness: Dict[str, int] = {}
     overrun: Optional[BudgetExceeded] = None
     for sl in slices:
-        part = sl.answers.get(budget, _MISS)
+        part = sl.answer
         if part is _MISS:
             try:
-                part = _memoized(memo, (sl.exprs, budget), _solve, sl.exprs,
-                                 sl.syms, budget, snapshots)
+                part = _memoized(session.memo, sl.exprs, _solve, sl.exprs,
+                                 sl.syms, session)
             except BudgetExceeded as e:
                 part = BudgetExceeded(*e.args)
-            sl.answers[budget] = part
+            sl.answer = part
         if isinstance(part, BudgetExceeded):
             overrun = overrun or part
         elif part is None:
@@ -428,34 +439,25 @@ def _solve_all(slices: Sequence[_Slice], budget: int, snapshots: Snapshots,
     return witness
 
 
-def _sliced(q: Query, *extra: Expr) -> PathCondition:
-    """The path of `q` extended by the rest of its constraints and by
-    `extra`.  A query without a path over its own snapshots folds every
-    constraint in from the empty path."""
-    path = q.path
-    if path is None or path.snapshots is not q.snapshots:
-        path = PathCondition(q.snapshots)
-    for c in q.constraints[len(path.constraints):] + extra:
-        path = path.extend(c)
-    return path
-
-
-def is_sat(q: Query) -> Optional[Model]:
-    """Return the first satisfying Model in enumeration order, or None.
+def is_sat(path: PathCondition) -> Optional[Model]:
+    """Return the first satisfying Model of `path` in enumeration order, or
+    None.
 
     The witness is the union of each slice's first witness.  Independent
     slices form a product space, so while no slice has to enumerate
-    symbols found behind a MemRead, this is the query's lexicographically
+    symbols found behind a MemRead, this is the path's lexicographically
     first witness.  A returned witness assigns every symbol its
     evaluation touched; symbols discovered mid-enumeration default to 0.
     """
-    witness = _solve_all(_sliced(q).slices, q.bit_budget, q.snapshots, q.memo)
+    witness = _solve_all(path.slices, path.session)
     return None if witness is None else Model(witness)
 
 
-def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
-    """Find two models satisfying `q` that agree on all non-secret symbols,
-    differ in secret assignments, and give distinct values of `observable`.
+def find_leak_pair(path: PathCondition, observable: Expr
+                   ) -> Optional[Tuple[Model, Model]]:
+    """Find two models satisfying `path` that agree on all non-secret
+    symbols, differ in secret assignments, and give distinct values of
+    `observable`.
 
     Only the slice holding the observable is searched for the pair; every
     other slice must still be satisfiable, and its witness is shared by
@@ -463,23 +465,21 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     observable reveals nothing about the secrets within the enumerated
     space.
     """
-    path = _sliced(q, observable)
-    (own,) = [sl for sl in path.slices
-              if sl.members[-1] == len(q.constraints)]
+    full = path.extend(observable)
+    (own,) = [sl for sl in full.slices
+              if sl.members[-1] == len(path.constraints)]
     overrun: Optional[BudgetExceeded] = None
     try:
-        shared = _solve_all([sl for sl in path.slices if sl is not own],
-                            q.bit_budget, q.snapshots, q.memo)
+        shared = _solve_all([sl for sl in full.slices if sl is not own],
+                            path.session)
     except BudgetExceeded as e:
         shared, overrun = {}, e
     if shared is None:
         return None
     # the observable is the slice's last constraint; "pair" keeps the key
     # apart from the slice keys
-    pair = _memoized(q.memo, ("pair", own.exprs, q.bit_budget),
-                     _slice_leak_pair,
-                     Query(own.exprs[:-1], q.bit_budget, q.snapshots),
-                     observable, own.syms, path.facts)
+    pair = _memoized(path.session.memo, ("pair", own.exprs), _slice_leak_pair,
+                     own.exprs[:-1], observable, own.syms, path.session)
     if pair is None:
         return None
     if overrun is not None:
@@ -488,16 +488,16 @@ def find_leak_pair(q: Query, observable: Expr) -> Optional[Tuple[Model, Model]]:
     return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
 
 
-def _secret_runs(snap: Mapping[int, Expr], snapshots: Snapshots,
-                 facts: dict) -> Tuple[_Bounds, ...]:
+def _secret_runs(version: int, session: Session) -> Tuple[_Bounds, ...]:
     """The maximal runs [lo, end) of addresses of the bytes of snapshot
-    object `snap` that reach a secret symbol, nested reads included, in
+    `version` that reach a secret symbol, nested reads included, in
     address order; built byte by byte, so a public byte between two secret
     ones stays out."""
+    snap = session.snapshots.get(version, _NO_BYTES)
     runs: List[_Bounds] = []
     for addr in sorted(snap):
         syms, versions = references((snap[addr],))
-        syms.update(_reach(versions, snapshots, facts))
+        syms.update(_reach(versions, session))
         if not any(s.taint.secret for s in syms.values()):
             continue
         if runs and runs[-1][1] == addr:
@@ -507,18 +507,17 @@ def _secret_runs(snap: Mapping[int, Expr], snapshots: Snapshots,
     return tuple(runs)
 
 
-def secret_runs(snap: Mapping[int, Expr], snapshots: Snapshots,
-                facts: dict) -> Tuple[_Bounds, ...]:
-    """`_secret_runs` of snapshot object `snap`, computed once per object
-    and facts dict (see `_facts`)."""
-    f = _facts(snap, facts)
+def secret_runs(version: int, session: Session) -> Tuple[_Bounds, ...]:
+    """`_secret_runs` of snapshot `version`, computed once per session (see
+    `Session`)."""
+    f = session._facts(version)
     if f[2] is _MISS:
-        f[2] = _secret_runs(snap, snapshots, facts)
+        f[2] = _secret_runs(version, session)
     return f[2]
 
 
-def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym],
-                facts: dict) -> Tuple[Expr, ...]:
+def _hull_facts(constraints: Tuple[Expr, ...], observable: Expr,
+                known: Dict[str, Sym], session: Session) -> Tuple[Expr, ...]:
     """Facts that every public assignment giving a leak pair satisfies: an
     n-byte read's address lies in [lo - (n - 1), hi], the hull of the
     secret-byte runs (see the module docstring); a false fact if no byte
@@ -526,12 +525,11 @@ def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym],
     if any(s.taint.secret for s in known.values()):
         return ()
     reads: List[MemRead] = []
-    references(q.constraints + (observable,), reads)
+    references(constraints + (observable,), reads)
     if len(set(reads)) != 1:
         return ()
     r = reads[0]
-    runs = secret_runs(q.snapshots.get(r.version, _NO_BYTES), q.snapshots,
-                       facts)
+    runs = secret_runs(r.version, session)
     if not runs:
         return (const(0, 32),)
     lo, hi = runs[0][0], runs[-1][1] - 1
@@ -541,24 +539,25 @@ def _hull_facts(q: Query, observable: Expr, known: Dict[str, Sym],
             mk_binop("le", r.addr, const(min(hi, mask(w)), w)))
 
 
-def _slice_leak_pair(q: Query, observable: Expr, known: Dict[str, Sym],
-                     facts: dict) -> Optional[Tuple[Model, Model]]:
+def _slice_leak_pair(constraints: Tuple[Expr, ...], observable: Expr,
+                     known: Dict[str, Sym], session: Session
+                     ) -> Optional[Tuple[Model, Model]]:
     """find_leak_pair within one slice whose syntactic symbols are `known`."""
+    budget = session.bit_budget
     public = {n: s for n, s in known.items() if not s.taint.secret}
     secret = {n: s for n, s in known.items() if s.taint.secret}
-    bounds = _narrowed(q.constraints
-                       + _hull_facts(q, observable, known, facts))
+    bounds = _narrowed(constraints
+                       + _hull_facts(constraints, observable, known, session))
     if bounds is None:  # no public assignment gives a pair; overruns still raise
-        _checked_bits(secret, q.bit_budget,
-                      _checked_bits(public, q.bit_budget))
+        _checked_bits(secret, budget, _checked_bits(public, budget))
         return None
 
     while True:
         new_public: Dict[str, Sym] = {}
-        for pub_assignment in _assignments(public, bounds, q.bit_budget):
-            pair = _leak_pair_for_public(q, observable, pub_assignment,
-                                         dict(secret), public, new_public,
-                                         bounds)
+        for pub_assignment in _assignments(public, bounds, budget):
+            pair = _leak_pair_for_public(constraints, observable,
+                                         pub_assignment, dict(secret), public,
+                                         new_public, bounds, session)
             if pair is not None:
                 return pair
         if not new_public:
@@ -566,22 +565,23 @@ def _slice_leak_pair(q: Query, observable: Expr, known: Dict[str, Sym],
         public = {**public, **new_public}
 
 
-def _leak_pair_for_public(q: Query, observable: Expr,
+def _leak_pair_for_public(constraints: Tuple[Expr, ...], observable: Expr,
                           pub_assignment: Dict[str, int],
                           secret: Dict[str, Sym], public: Dict[str, Sym],
                           new_public: Dict[str, Sym],
-                          bounds: Mapping[Sym, _Bounds]):
+                          bounds: Mapping[Sym, _Bounds], session: Session):
     """Inner enumeration over secret symbols for one fixed public assignment."""
+    snapshots = session.snapshots
     pub_bits = sum(s.width for s in public.values())
     while True:
         seen: Dict[str, Sym] = {}
         first: Optional[Tuple[int, Dict[str, int]]] = None
-        for sec_assignment in _assignments(secret, bounds, q.bit_budget,
+        for sec_assignment in _assignments(secret, bounds, session.bit_budget,
                                            pub_bits):
             probe = _ProbeModel({**pub_assignment, **sec_assignment}, seen)
-            if not _truthy(q.constraints, probe, q.snapshots):
+            if not _truthy(constraints, probe, snapshots):
                 continue
-            value = evaluate(observable, probe, q.snapshots)
+            value = evaluate(observable, probe, snapshots)
             if first is None:
                 first = (value, sec_assignment)
             elif value != first[0]:
@@ -591,8 +591,8 @@ def _leak_pair_for_public(q: Query, observable: Expr,
                 m2 = Model({**defaults, **pub_assignment, **sec_assignment})
                 probe1 = _ProbeModel(m1.assignment, {})
                 probe2 = _ProbeModel(m2.assignment, {})
-                v1 = evaluate(observable, probe1, q.snapshots)
-                v2 = evaluate(observable, probe2, q.snapshots)
+                v1 = evaluate(observable, probe1, snapshots)
+                v2 = evaluate(observable, probe2, snapshots)
                 assert v1 != v2, "leak pair must yield distinct observables"
                 return m1, m2
         new_secret = {n: s for n, s in seen.items()

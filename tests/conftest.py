@@ -1,5 +1,5 @@
-"""Shared helpers: fixture loading, a small random-program generator, and
-the nodes of a pattern that admit an event class."""
+"""Shared helpers: fixture loading, a small random-program generator, the
+nodes of a pattern that admit an event class, and solver paths."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import random
 from specsim import layout_regions, load_pattern_file, parse_program
 from specsim.expr import BIN_OPS
 from specsim.monitor import admits
+from specsim.solver import PathCondition, Session
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -29,6 +30,15 @@ def admitted(spec, cls) -> tuple:
     straight off `admits`, the definition."""
     return tuple(i for i in reversed(range(len(spec.nodes)))
                  if admits(spec.nodes[i], cls))
+
+
+def path_of(constraints=(), bit_budget=20, snapshots=None, session=None):
+    """`constraints` folded in order into an empty path of `session`, or of
+    a fresh session over `bit_budget` and `snapshots`."""
+    path = PathCondition(session or Session(bit_budget, snapshots))
+    for c in constraints:
+        path = path.extend(c)
+    return path
 
 
 def random_program(rng: random.Random, max_branches: int = 2) -> str:

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from conftest import path_of
 from specsim.cache import (CacheConfig, CacheState, NO_LEAK, leak_check,
                            observable_expr)
 from specsim.expr import Const, coerce, const, evaluate, mk_binop, sym
-from specsim.solver import BudgetExceeded, Query
+from specsim.solver import BudgetExceeded
 
 
 class TestCacheState:
@@ -94,13 +95,13 @@ class TestLeakCheck:
 
     def test_untainted_address_is_clean(self):
         a = sym("a", 32)
-        assert leak_check(a, Query(()), self.CFG) is NO_LEAK
+        assert leak_check(a, path_of(()), self.CFG) is NO_LEAK
 
     def test_secret_index_leaks_with_distinct_lines(self):
         k = sym("k", 8, secret=True)
         addr = mk_binop("add", const(0x1000, 32),
                         mk_binop("mul", coerce(k, 32), const(64, 32)))
-        r = leak_check(addr, Query(()), self.CFG)
+        r = leak_check(addr, path_of(()), self.CFG)
         assert r.positive
         m1, m2 = r.witness
         i1, i2 = evaluate(r.observable, m1), evaluate(r.observable, m2)
@@ -114,7 +115,7 @@ class TestLeakCheck:
         k = sym("k", 8, secret=True)
         addr = mk_binop("add", const(0x1000, 32),
                         mk_binop("and", coerce(k, 32), const(0x3F, 32)))
-        assert leak_check(addr, Query(()), self.CFG).positive is False
+        assert leak_check(addr, path_of(()), self.CFG).positive is False
 
     def test_set_granularity_hides_aliased_lines(self):
         # two lines that map to the same set are indistinguishable in
@@ -124,8 +125,8 @@ class TestLeakCheck:
         addr = mk_binop("mul", bit, const(4 * 64, 32))  # line 0 or line 4
         line_cfg = CacheConfig(line_size=64, sets=4)
         set_cfg = CacheConfig(line_size=64, sets=4, granularity="set")
-        assert leak_check(addr, Query(()), line_cfg).positive
-        assert leak_check(addr, Query(()), set_cfg).positive is False
+        assert leak_check(addr, path_of(()), line_cfg).positive
+        assert leak_check(addr, path_of(()), set_cfg).positive is False
 
     def test_budget_overrun_degrades_to_unknown(self):
         ks = [sym(f"k{i}", 8, secret=True) for i in range(4)]
@@ -133,7 +134,7 @@ class TestLeakCheck:
         for k in ks:
             addr = mk_binop("add", addr, coerce(k, 32))
         addr = mk_binop("mul", addr, const(64, 32))
-        r = leak_check(addr, Query((), bit_budget=16), self.CFG)
+        r = leak_check(addr, path_of((), bit_budget=16), self.CFG)
         assert r.status == "unknown" and not r.positive and r.witness is None
         # the solver's overrun travels with the result, without a traceback
         assert isinstance(r.error, BudgetExceeded)
@@ -144,4 +145,4 @@ class TestLeakCheck:
         k = sym("k", 8, secret=True)
         addr = mk_binop("mul", coerce(k, 32), const(64, 32))
         pinned = (mk_binop("eq", coerce(k, 32), const(5, 32)),)
-        assert leak_check(addr, Query(pinned), self.CFG).positive is False
+        assert leak_check(addr, path_of(pinned), self.CFG).positive is False

@@ -63,6 +63,15 @@ class TestExitCodes:
         bad.write_text('{"name": "p"}')
         assert run([V01, "--pattern", str(bad)]) == EXIT_USAGE
 
+    def test_misspelled_pattern_instruction_is_three(self, tmp_path, capsys):
+        # "lod" for "load" would never match, so v01 would read clean
+        bad = tmp_path / "bad.json"
+        text = (PATTERNS / "br-ld-ld.json").read_text(encoding="utf-8")
+        bad.write_text(text.replace('"load"', '"lod"'))
+        code = run([V01, "--pht-bits", "1", "--pattern", str(bad)])
+        assert code == EXIT_USAGE
+        assert "$.nodes[1].instruction" in capsys.readouterr().err
+
     @pytest.mark.parametrize("role", ["program", "pattern"])
     def test_non_utf8_input_is_three(self, role, tmp_path, capsys):
         bad = tmp_path / "bad.sir"
@@ -224,6 +233,10 @@ class TestOutputs:
         run([V01, "--pht-bits", "1", "--stats", str(out)])
         stats = json.loads(out.read_text())
         assert stats["paths"] == 2 and stats["spec_traces"] == 1
+        assert set(stats) == {"paths", "arch_instructions",
+                              "spec_instructions", "spec_traces",
+                              "predictor_updates", "solver_queries",
+                              "budget_exceeded", "step_limit_hit"}
 
     def test_stats_json_both_modes(self, tmp_path, capsys):
         out = tmp_path / "stats.json"

@@ -442,7 +442,7 @@ class TestPathText:
             return original(e)
 
         x = ex.sym("x", 8)
-        paths, parents = [solver.PathCondition({})], [None]
+        paths, parents = [solver.PathCondition(solver.Session())], [None]
         asked = set()
         solver.to_str = counting
         try:
@@ -592,6 +592,18 @@ class TestDeterminism:
         for _ in range(5):
             states = e.step(states[0], run)
         assert 0 in run.snapshots and len(states) == 1
+
+    def test_step_api_asks_with_the_engines_budget(self):
+        # a run's session holds the one bit budget of every query in it
+        from specsim.cache import CacheState
+        from specsim.engine import RunResult
+        from specsim.predictor import PredictorState
+        e = build("  sym.8 r1, x\n  halt\n", bit_budget=4)
+        state = ExecState(0, PredictorState(e.predictor_cfg),
+                          CacheState(e.cache_cfg), [])
+        assert e._new_run(False).session.bit_budget == 4
+        with pytest.raises(EngineError, match="bit budget"):
+            e.step(state, RunResult())  # a session with the default 20
 
 
 # v01's gadget without its bounds check: the first load's address is
@@ -762,10 +774,8 @@ class TestSolverMemo:
                                 solves.append(a) or fn(*a))
         with_memo = outputs()
         memo_solves = len(solves)
-        query = Engine._query
-        monkeypatch.setattr(Engine, "_query", lambda self, run, path:
-                            dataclasses.replace(query(self, run, path),
-                                                memo=None))
+        monkeypatch.setattr(solver, "_memoized",
+                            lambda memo, key, compute, *a: compute(*a))
         assert outputs() == with_memo
         assert memo_solves < len(solves) - memo_solves  # the memo did hit
 
@@ -1020,6 +1030,34 @@ class TestTracerAttribution:
         assert dict(tracer.unattributed) == {}
         assert counts["solver.branch_sat_calls"] > 0
         assert counts["solver.may_touch_calls"] > 0
+
+    def test_the_wrappers_read_what_the_solver_receives(self, monkeypatch):
+        # the tracer's wrappers read `.constraints` of the path is_sat and
+        # find_leak_pair receive, and name is_sat's caller; on v01 each
+        # caller, the bits counter and the leak check all see work
+        received = []
+        for owner, name in ((solver, "is_sat"), (cache, "find_leak_pair")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda path, *a, fn=fn:
+                                received.append(path) or fn(path, *a))
+        # a match with no cache-state node asks is_sat for its witness
+        br_ld = load_pattern('{"name": "br-ld", "nodes": [{"instruction": '
+                             '"br"}, {"instruction": "load", "isSpeculative":'
+                             ' true, "isSensitive": true}]}')
+        tracer = _tracer_class()(specsim)
+        with tracer.installed():
+            Engine(load_fixture("v01.sir"),
+                   PredictorConfig(pht_bits=1, window=16),
+                   patterns=[load_pattern_fixture("br-ld-ld.json"),
+                             br_ld]).run()
+        counts = tracer.counters()
+        assert received and all(type(p.constraints) is tuple
+                                for p in received)
+        assert dict(tracer.unattributed) == {}
+        for metric in ("solver.branch_sat_calls", "solver.may_touch_calls",
+                       "solver.witness_calls", "solver.query_bits_max",
+                       "cache.leak_check_calls", "cache.leaks_found"):
+            assert counts[metric] > 0, metric
 
 
 class TestPathKey:

@@ -13,7 +13,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_fixture, load_pattern_fixture, random_program
+from conftest import (load_fixture, load_pattern_fixture, path_of,
+                      random_program)
 from specsim import expr as ex
 from specsim import layout_regions, parse_program, solver
 from specsim.engine import Engine
@@ -174,10 +175,10 @@ def _reaches_secret(exprs, snapshots, done=frozenset()):
 
 def reference_may_touch(program, run, addr, width, version, path, budget,
                         stored=True):
-    """Plain `is_sat`, with no memo and no bounds, on the path extended by
-    each run of secret bytes, widened by the read's width: the bytes of
-    the secret regions and, if `stored`, the snapshot's bytes that reach a
-    secret."""
+    """Plain `is_sat` in a fresh session, with no bounds, on the path
+    extended by each run of secret bytes, widened by the read's width: the
+    bytes of the secret regions and, if `stored`, the snapshot's bytes
+    that reach a secret."""
     if addr.taint.secret:
         return True
     secret = {a for r in program.regions if r.secret
@@ -195,8 +196,8 @@ def reference_may_touch(program, run, addr, width, version, path, budget,
         inside = (ex.mk_binop("le", ex.const(max(a - (n - 1), 0), 32), addr),
                   ex.mk_binop("lt", addr, ex.const(end, 32)))
         try:
-            m = solver.is_sat(solver.Query(path.constraints + inside, budget,
-                                           run.snapshots))
+            m = solver.is_sat(path_of(path.constraints + inside, budget,
+                                      run.snapshots))
         except solver.BudgetExceeded:
             return True
         if m is not None:

@@ -14,6 +14,7 @@ from specsim.cache import LeakResult, NO_LEAK
 from specsim.monitor import (Match, MonitorInstance, MonitorSpec, NodeProps,
                              PatternError, Token, event_class, load_pattern,
                              plans)
+from specsim.sir import OPCODES
 
 
 def pat(*nodes, name="p"):
@@ -67,6 +68,13 @@ class TestSchema:
             load_pattern('{"name": "p", "nodes": [{"instruction": "br"}, '
                          '{"startTTL": -3}]}')
         assert "nodes[1]" in str(e.value)
+
+    def test_instruction_must_be_a_sir_opcode(self):
+        with pytest.raises(PatternError) as e:
+            pat({"instruction": "br"}, {"instruction": "lod"})
+        assert str(e.value).startswith("$.nodes[1].instruction: 'lod'")
+        for op in OPCODES:  # every opcode is accepted
+            assert pat({"instruction": op}).nodes[0].instruction == op
 
     def test_uses_cache_state(self):
         assert pat({"checkCacheState": True}).uses_cache_state

@@ -3,7 +3,41 @@
 import pytest
 
 from specsim.sir import (Imm, Label, LayoutError, ParseError, Reg,
-                         layout_regions, parse_program, pretty_print)
+                         layout_regions, parse_program)
+
+
+def _operand_text(operand) -> str:
+    """A register, label or bare name as its name; an immediate as its
+    value."""
+    if isinstance(operand, Imm):
+        return str(operand.value)
+    return operand.name if isinstance(operand, (Reg, Label)) else operand
+
+
+def pretty_print(program) -> str:
+    """Print a Program back to parseable SIR text (round-trip stable)."""
+    out = []
+    for r in program.regions:
+        parts = [f"region {r.name} {r.size}"]
+        if r.secret:
+            parts.append("secret")
+        if r.init is not None:
+            parts.append(f"init={r.init.hex()}")
+        out.append(" ".join(parts))
+    if program.entry != 0:
+        entry_label = next(name for name, pc in program.labels.items()
+                           if pc == program.entry)
+        out.append(f"entry {entry_label}")
+    by_pc = {}
+    for name, pc in program.labels.items():
+        by_pc.setdefault(pc, []).append(name)
+    for pc, inst in enumerate(program.instructions):
+        for name in by_pc.get(pc, []):
+            out.append(f"{name}:")
+        head = inst.opcode if inst.width == 32 else f"{inst.opcode}.8"
+        ops = ", ".join(map(_operand_text, inst.operands))
+        out.append(f"  {head} {ops}".rstrip())
+    return "\n".join(out) + "\n"
 
 V1_MINI = """\
 region array1 16 init=000102030405060708090a0b0c0d0e0f

@@ -5,10 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import path_of
 from specsim import solver
 from specsim.expr import (MemRead, Model, Sym, coerce, const, evaluate,
                           mask, mk_binop, mk_memread, sym)
-from specsim.solver import (BudgetExceeded, PathCondition, Query,
+from specsim.solver import (BudgetExceeded, PathCondition, Session,
                             _binop_bounds, _bounds, _fact, _narrow, _narrowed,
                             find_leak_pair, is_sat)
 
@@ -24,24 +25,24 @@ def eq(a, b):
 class TestIsSat:
     def test_sat_returns_valid_witness(self):
         x = sym("x", 8)
-        q = Query((lt(coerce(x, 32), const(10, 32)),))
+        q = path_of((lt(coerce(x, 32), const(10, 32)),))
         m = is_sat(q)
         assert m is not None
         assert evaluate(q.constraints[0], m) == 1
 
     def test_unsat_returns_none(self):
         x = sym("x", 8)
-        q = Query((lt(coerce(x, 32), const(0, 32)),))  # unsigned: never
+        q = path_of((lt(coerce(x, 32), const(0, 32)),))  # unsigned: never
         assert is_sat(q) is None
 
     def test_contradiction(self):
         x = sym("x", 8)
-        q = Query((eq(x, const(3, 8)), eq(x, const(4, 8))))
+        q = path_of((eq(x, const(3, 8)), eq(x, const(4, 8))))
         assert is_sat(q) is None
 
     def test_deterministic_first_witness(self):
         x, y = sym("x", 8), sym("y", 8)
-        q = Query((lt(const(2, 32), coerce(x, 32)),
+        q = path_of((lt(const(2, 32), coerce(x, 32)),
                    lt(const(0, 32), coerce(y, 32))))
         m = is_sat(q)
         # lexicographic by name, ascending values: smallest x first, then y
@@ -53,24 +54,24 @@ class TestIsSat:
         cons = (eq(mk_binop("add", mk_binop("add", s0, s1), s2),
                    const(3, 32)),)
         with pytest.raises(BudgetExceeded):
-            is_sat(Query(cons, bit_budget=20))
-        assert is_sat(Query(cons, bit_budget=24)) is not None
+            is_sat(path_of(cons, bit_budget=20))
+        assert is_sat(path_of(cons, bit_budget=24)) is not None
 
     def test_budget_applies_per_independent_slice(self):
         syms = [sym(f"s{i}", 8) for i in range(3)]
         cons = tuple(eq(s, const(1, 8)) for s in syms)
-        m = is_sat(Query(cons, bit_budget=20))
+        m = is_sat(path_of(cons, bit_budget=20))
         assert m is not None and m.assignment == {"s0": 1, "s1": 1, "s2": 1}
 
     def test_unsat_slice_decides_despite_overrun_elsewhere(self):
         x = sym("x", 8)
         y, z = sym("y", 8), sym("z", 8)
         wide = eq(mk_binop("add", y, z), const(7, 8))  # 16 bits > 12
-        q = Query((wide, eq(x, const(3, 8)), eq(x, const(4, 8))),
+        q = path_of((wide, eq(x, const(3, 8)), eq(x, const(4, 8))),
                   bit_budget=12)
         assert is_sat(q) is None
         with pytest.raises(BudgetExceeded):
-            is_sat(Query((wide, eq(x, const(3, 8))), bit_budget=12))
+            is_sat(path_of((wide, eq(x, const(3, 8))), bit_budget=12))
 
     def test_snapshot_byte_links_syntactically_independent_constraints(self):
         # a and b share no symbol, but both reads can reach the byte n
@@ -81,9 +82,9 @@ class TestIsSat:
         rb = mk_memread(1, mk_binop("add", coerce(b, 32), const(2, 32)),
                         8, secret=False)
         # n cannot be both 3 and 5, and only a=0 / b=0 reach it
-        assert is_sat(Query((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
+        assert is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
                             snapshots=snaps)) is None
-        m = is_sat(Query((eq(ra, const(3, 8)), eq(rb, const(3, 8))),
+        m = is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(3, 8))),
                          snapshots=snaps))
         assert m is not None and m.assignment == {"a": 0, "b": 0, "n": 3}
 
@@ -94,7 +95,7 @@ class TestIsSat:
         snaps = {0: {0: n}, 1: {0: mk_memread(0, const(0, 32), 8, False)}}
         ra = mk_memread(0, coerce(a, 32), 8, secret=False)
         rb = mk_memread(1, coerce(b, 32), 8, secret=False)
-        assert is_sat(Query((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
+        assert is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
                             snapshots=snaps)) is None
 
     def test_discovers_symbols_behind_memread(self):
@@ -104,7 +105,7 @@ class TestIsSat:
         snap = {0x40: k}
         read = mk_memread(0, mk_binop("add", coerce(a, 32), const(0x40, 32)),
                           8, secret=True)
-        q = Query((eq(coerce(a, 32), const(0, 32)),
+        q = path_of((eq(coerce(a, 32), const(0, 32)),
                    eq(coerce(read, 32), const(0x55, 32))),
                   snapshots={0: snap})
         m = is_sat(q)
@@ -116,7 +117,7 @@ class TestIsSat:
     def test_agreement_with_reference_evaluator(self, bound):
         x = sym("x", 8)
         c = lt(coerce(x, 32), const(bound, 32))
-        m = is_sat(Query((c,)))
+        m = is_sat(path_of((c,)))
         brute = [v for v in range(256) if v < bound]
         if brute:
             assert m is not None and m.assignment["x"] == brute[0]
@@ -127,7 +128,7 @@ class TestIsSat:
 class TestFindLeakPair:
     def test_secret_dependent_observable(self):
         k = sym("k", 8, secret=True)
-        pair = find_leak_pair(Query(()), coerce(k, 32))
+        pair = find_leak_pair(path_of(()), coerce(k, 32))
         assert pair is not None
         m1, m2 = pair
         assert m1.assignment["k"] != m2.assignment["k"]
@@ -135,14 +136,14 @@ class TestFindLeakPair:
     def test_public_only_observable_is_clean(self):
         x = sym("x", 8)
         k = sym("k", 8, secret=True)
-        q = Query((eq(coerce(k, 32), coerce(k, 32)),))
+        q = path_of((eq(coerce(k, 32), coerce(k, 32)),))
         assert find_leak_pair(q, coerce(x, 32)) is None
 
     def test_pair_agrees_on_public_inputs(self):
         x = sym("x", 8)
         k = sym("k", 8, secret=True)
         obs = mk_binop("add", coerce(x, 32), coerce(k, 32))
-        pair = find_leak_pair(Query(()), obs)
+        pair = find_leak_pair(path_of(()), obs)
         assert pair is not None
         m1, m2 = pair
         assert m1.assignment["x"] == m2.assignment["x"]
@@ -150,13 +151,13 @@ class TestFindLeakPair:
 
     def test_constrained_secret_with_single_value_is_clean(self):
         k = sym("k", 8, secret=True)
-        q = Query((eq(k, const(9, 8)),))
+        q = path_of((eq(k, const(9, 8)),))
         assert find_leak_pair(q, coerce(k, 32)) is None
 
     def test_masked_secret_leaks_only_visible_bits(self):
         k = sym("k", 8, secret=True)
         obs = mk_binop("and", coerce(k, 32), const(1, 32))
-        pair = find_leak_pair(Query(()), obs)
+        pair = find_leak_pair(path_of(()), obs)
         assert pair is not None
         m1, m2 = pair
         assert m1.assignment["k"] & 1 != m2.assignment["k"] & 1
@@ -169,7 +170,7 @@ class TestFindLeakPair:
         addr = mk_binop("add", const(0x40, 32),
                         mk_binop("and", coerce(x, 32), const(3, 32)))
         obs = coerce(mk_memread(0, addr, 8, secret=True), 32)
-        pair = find_leak_pair(Query((), snapshots={0: snap}), obs)
+        pair = find_leak_pair(path_of((), snapshots={0: snap}), obs)
         assert pair is not None
         m1, m2 = pair
         assert evaluate(obs, m1, {0: snap}) != evaluate(obs, m2, {0: snap})
@@ -177,10 +178,10 @@ class TestFindLeakPair:
     def test_other_slices_are_shared_by_both_models(self):
         x, y = sym("x", 8), sym("y", 8)
         k = sym("k", 8, secret=True)
-        q = Query((lt(coerce(y, 32), const(3, 32)),
+        q = path_of((lt(coerce(y, 32), const(3, 32)),
                    lt(const(5, 32), coerce(y, 32))))
         assert find_leak_pair(q, coerce(k, 32)) is None  # y is unsat
-        q = Query((eq(y, const(7, 8)), eq(x, const(2, 8))))
+        q = path_of((eq(y, const(7, 8)), eq(x, const(2, 8))))
         m1, m2 = find_leak_pair(q, mk_binop("add", coerce(x, 32),
                                             coerce(k, 32)))
         assert m1.assignment["y"] == m2.assignment["y"] == 7
@@ -195,7 +196,7 @@ class TestFindLeakPair:
         obs = mk_binop("add", mk_binop("add", coerce(x, 32), coerce(y, 32)),
                        coerce(k, 32))
         with pytest.raises(BudgetExceeded):
-            find_leak_pair(Query((), bit_budget=20), obs)
+            find_leak_pair(path_of((), bit_budget=20), obs)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ class TestDifferential:
     def test_is_sat_matches_unsliced_reference(self, case):
         constraints, snapshots, _obs = case
         _check_is_sat(constraints, snapshots,
-                      is_sat(Query(constraints, snapshots=snapshots)))
+                      is_sat(path_of(constraints, snapshots=snapshots)))
 
     @settings(max_examples=60, deadline=None)
     @given(_queries())
@@ -333,7 +334,7 @@ class TestDifferential:
             if first != value:
                 leaks = True
                 break
-        pair = find_leak_pair(Query(constraints, snapshots=snapshots), obs)
+        pair = find_leak_pair(path_of(constraints, snapshots=snapshots), obs)
         assert (pair is not None) == leaks
         if pair is None:
             return
@@ -374,7 +375,7 @@ class TestPathCondition:
     def test_slices_are_the_naive_closure(self, case, split):
         constraints, snapshots, obs = case
         constraints += (obs,)  # a non-boolean constraint slices the same
-        prefix = _extended(PathCondition(snapshots), constraints[:split])
+        prefix = path_of(constraints[:split], snapshots=snapshots)
         path = _extended(prefix, constraints[split:])
         for p, cons in ((prefix, constraints[:split]), (path, constraints)):
             assert p.constraints == cons
@@ -385,18 +386,25 @@ class TestPathCondition:
                 assert sl.syms == _reachable(sl.exprs)  # syntactic only
 
     @settings(max_examples=80, deadline=None)
+    @given(_queries())
+    def test_reached_is_the_closure_of_the_expression(self, case):
+        constraints, snapshots, obs = case
+        path = path_of(constraints, snapshots=snapshots)
+        (group,) = [g for g in _closure(constraints + (obs,), snapshots)
+                    if len(constraints) in g]
+        assert path.reached(obs) == tuple(constraints[i] for i in group[:-1])
+
+    @settings(max_examples=80, deadline=None)
     @given(_queries(), st.integers(0, 4))
     def test_answers_on_a_path_match_unsliced_reference(self, case, split):
         constraints, snapshots, _obs = case
-        prefix = _extended(PathCondition(snapshots), constraints[:split])
-        # the query folds the rest in; the prefix's slices keep answers
-        m = is_sat(Query(constraints, snapshots=snapshots, path=prefix))
-        _check_is_sat(constraints, snapshots, m)
+        prefix = path_of(constraints[:split], snapshots=snapshots)
+        _check_is_sat(constraints[:split], snapshots, is_sat(prefix))
+        # the prefix's slices keep their answers; the rest are asked anew
         path = _extended(prefix, constraints[split:])
-        assert is_sat(Query(constraints, snapshots=snapshots, path=path)) == m
-        # a path over other snapshots is not trusted: the query re-folds
-        stale = _extended(PathCondition({}), constraints)
-        assert is_sat(Query(constraints, snapshots=snapshots, path=stale)) == m
+        m = is_sat(path)
+        _check_is_sat(constraints, snapshots, m)
+        assert is_sat(path_of(constraints, snapshots=snapshots)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +437,7 @@ class TestRefutation:
                 lt(addr, const(4224, 32)))
         assert refuted(cons)
         # refuted before the budget check: no overrun at 4 bits
-        assert is_sat(Query(cons, bit_budget=4)) is None
+        assert is_sat(path_of(cons, bit_budget=4)) is None
 
     def test_out_of_bounds_secret_read_past_region_is_refuted(self):
         # array2 + 64 * byte can never fall below array2's base
@@ -439,7 +447,7 @@ class TestRefutation:
                      for i in range(64)}}
         cons = (lt(addr, const(4224, 32)),)
         assert refuted(cons)
-        assert is_sat(Query(cons, bit_budget=4, snapshots=snaps)) is None
+        assert is_sat(path_of(cons, bit_budget=4, snapshots=snaps)) is None
 
     def test_negated_and_conflicting_branch_constraints(self):
         x = sym("x", 8)
@@ -642,7 +650,7 @@ class TestRefutationSoundness:
 
 
 # ---------------------------------------------------------------------------
-# The memo a Query may carry: slices and leak-pair searches.
+# The session's memo: slices and leak-pair searches.
 
 def _counting(monkeypatch, name):
     """Record the arguments of every call to `solver.<name>`."""
@@ -653,82 +661,66 @@ def _counting(monkeypatch, name):
 
 
 class TestMemo:
-    def test_memo_is_not_part_of_query_equality(self):
-        c = (lt(zx(sym("x", 8)), const(3, 32)),)
-        assert Query(c) == Query(c, memo={"anything": 1})
-
     def test_repeated_query_returns_equal_model(self, monkeypatch):
         solves = _counting(monkeypatch, "_solve")
         x, y = sym("x", 8), sym("y", 8)
-        memo = {}
-        q = Query((lt(const(2, 32), zx(x)), lt(const(0, 32), zx(y))),
-                  memo=memo)
-        first = is_sat(q)
+        session = Session()
+        cons = (lt(const(2, 32), zx(x)), lt(const(0, 32), zx(y)))
+        first = is_sat(path_of(cons, session=session))
         first.assignment["x"] = 99  # a caller's copy, not the stored witness
-        again = is_sat(q)
-        assert len(solves) == 2 and len(memo) == 2  # one solve per slice
-        assert again == Model({"x": 3, "y": 1}) == is_sat(Query(q.constraints))
+        # a fresh path of the session asks the memo, not the enumeration
+        again = is_sat(path_of(cons, session=session))
+        assert len(solves) == 2 and len(session.memo) == 2  # one per slice
+        assert again == Model({"x": 3, "y": 1}) == is_sat(path_of(cons))
+
+    def test_a_path_keeps_its_slices_answers(self, monkeypatch):
+        solves = _counting(monkeypatch, "_solve")
+        x = sym("x", 8)
+        path = path_of((lt(const(2, 32), zx(x)),))
+        assert is_sat(path) == is_sat(path) == Model({"x": 3})
+        path.session.memo.clear()  # the slice answers without the memo
+        assert is_sat(path) == Model({"x": 3}) and len(solves) == 1
 
     def test_leak_pair_search_shares_the_memo(self, monkeypatch):
         solves = _counting(monkeypatch, "_solve")
         y, k = sym("y", 8), sym("k", 8, secret=True)
-        memo = {}
+        session = Session()
         cons = (eq(y, const(7, 8)),)
-        assert is_sat(Query(cons, memo=memo)) == Model({"y": 7})
-        m1, m2 = find_leak_pair(Query(cons, memo=memo), zx(k))
+        assert is_sat(path_of(cons, session=session)) == Model({"y": 7})
+        m1, m2 = find_leak_pair(path_of(cons, session=session), zx(k))
         assert len(solves) == 1
         assert m1.assignment["y"] == m2.assignment["y"] == 7
 
-    def test_budget_is_part_of_the_key(self):
-        y, z = sym("y", 8), sym("z", 8)
-        memo = {}
-        cons = (eq(add(y, z), const(7, 8)),)
-        with pytest.raises(BudgetExceeded):
-            is_sat(Query(cons, bit_budget=12, memo=memo))
-        assert is_sat(Query(cons, bit_budget=16, memo=memo)) == Model(
-            {"y": 0, "z": 7})
-
-    def test_budget_is_part_of_the_pair_key(self):
-        y, k = sym("y", 8), sym("k", 8, secret=True)
-        memo = {}
-        cons = (lt(zx(y), const(7, 32)),)
-        obs = add(zx(k), zx(y))  # one slice of 16 bits
-        with pytest.raises(BudgetExceeded):
-            find_leak_pair(Query(cons, bit_budget=12, memo=memo), obs)
-        m1, m2 = find_leak_pair(Query(cons, bit_budget=16, memo=memo), obs)
-        assert m1.assignment == {"y": 0, "k": 0}
-        assert m2.assignment == {"y": 0, "k": 1}
-
     def test_constraints_are_part_of_the_pair_key(self):
         k = sym("k", 8, secret=True)
-        memo = {}
-        pinned = Query((eq(k, const(3, 8)),), memo=memo)
+        session = Session()
+        pinned = path_of((eq(k, const(3, 8)),), session=session)
         assert find_leak_pair(pinned, zx(k)) is None  # one secret value
-        assert find_leak_pair(Query((), memo=memo), zx(k)) is not None
+        assert find_leak_pair(PathCondition(session), zx(k)) is not None
 
     def test_memoised_pair_overrun_is_raised_again(self, monkeypatch):
         searches = _counting(monkeypatch, "_slice_leak_pair")
         y, k = sym("y", 8), sym("k", 8, secret=True)
-        memo = {}
-        q = Query((lt(zx(y), const(7, 32)),), bit_budget=12, memo=memo)
+        path = path_of((lt(zx(y), const(7, 32)),), bit_budget=12)
         for _ in range(2):
             with pytest.raises(BudgetExceeded):
-                find_leak_pair(q, add(zx(k), zx(y)))
+                find_leak_pair(path, add(zx(k), zx(y)))
         assert len(searches) == 1
-        (stored,) = [v for key, v in memo.items() if key[0] == "pair"]
+        (stored,) = [v for key, v in path.session.memo.items()
+                     if key[0] == "pair"]
         assert isinstance(stored, BudgetExceeded)
         assert stored.__traceback__ is None
 
     def test_memoised_overrun_is_raised_again(self, monkeypatch):
         solves = _counting(monkeypatch, "_solve")
         y, z = sym("y", 8), sym("z", 8)
-        memo = {}
-        q = Query((eq(add(y, z), const(7, 8)),), bit_budget=12, memo=memo)
+        session = Session(bit_budget=12)
+        cons = (eq(add(y, z), const(7, 8)),)
         for _ in range(2):
             with pytest.raises(BudgetExceeded):
-                is_sat(q)
+                is_sat(path_of(cons, session=session))
         assert len(solves) == 1
-        (stored,) = memo.values()
+        (stored,) = session.memo.values()
         assert isinstance(stored, BudgetExceeded)
         assert stored.__traceback__ is None
 
@@ -771,24 +763,25 @@ class TestNarrowedEnumeration:
         calls = _counting(monkeypatch, "evaluate")
         cons = path + (mk_binop("le", const(4160, 32), addr),
                        lt(addr, const(4224, 32)))
-        assert is_sat(Query(cons, snapshots=snaps)) == Model({"x": 64})
+        assert is_sat(path_of(cons, snapshots=snaps)) == Model({"x": 64})
         assert len(calls) == len(cons)  # x = 64 is the first value tried
 
     def test_leak_pair_search_starts_at_the_secret_bytes(self, monkeypatch):
         path, _addr, line, snaps = _v01_shape()
         calls = _counting(monkeypatch, "_leak_pair_for_public")
-        m1, m2 = find_leak_pair(Query(path, snapshots=snaps), line)
+        m1, m2 = find_leak_pair(path_of(path, snapshots=snaps), line)
         assert len(calls) == 1
         assert m1.assignment == {"secret[0]": 0, "x": 64}
         assert m2.assignment == {"secret[0]": 1, "x": 64}
-        assert solver._secret_runs(snaps[0], snaps, {}) == ((4160, 4224),)
+        assert solver._secret_runs(0, Session(snapshots=snaps)) == (
+            (4160, 4224),)
 
     def test_wide_read_below_the_hull_reaches_it(self):
         # a 32-bit read at x < 3 still covers the secret byte at 3
         x, k = sym("x", 2), sym("k", 8, secret=True)
         snaps = {0: {0: const(1, 8), 1: const(2, 8), 2: const(3, 8), 3: k}}
         read = mk_memread(0, zx(x), 32, secret=True)
-        m1, m2 = find_leak_pair(Query((lt(zx(x), const(3, 32)),),
+        m1, m2 = find_leak_pair(path_of((lt(zx(x), const(3, 32)),),
                                       snapshots=snaps), read)
         assert m1.assignment == {"k": 0, "x": 0}
         assert m2.assignment == {"k": 1, "x": 0}
@@ -801,7 +794,7 @@ class TestNarrowedEnumeration:
         snaps[0][secret_at] = sym("k", 8, secret=True)
         near = mk_memread(0, zx(x), 8, secret=True)
         far = mk_memread(0, add(zx(x), const(8, 32)), 8, secret=True)
-        pair = find_leak_pair(Query((), snapshots=snaps),
+        pair = find_leak_pair(path_of((), snapshots=snaps),
                               add(zx(near), zx(far)))
         assert pair is not None
         assert pair[0].assignment["x"] == pair[1].assignment["x"] == 1
@@ -810,7 +803,7 @@ class TestNarrowedEnumeration:
         # no byte reaches a secret, but k appears in the observable itself
         x, k = sym("x", 2), sym("k", 8, secret=True)
         read = mk_memread(0, zx(x), 8, secret=False)
-        pair = find_leak_pair(Query((), snapshots={0: {0: const(5, 8)}}),
+        pair = find_leak_pair(path_of((), snapshots={0: {0: const(5, 8)}}),
                               add(zx(read), zx(k)))
         assert pair is not None
         assert pair[0].assignment["k"] != pair[1].assignment["k"]
@@ -820,8 +813,8 @@ class TestNarrowedEnumeration:
         read = mk_memread(0, add(zx(x), zx(y)), 8, secret=False)
         snaps = {0: {i: const(i, 8) for i in range(8)}}
         with pytest.raises(BudgetExceeded, match="16 symbolic bits"):
-            find_leak_pair(Query((), bit_budget=12, snapshots=snaps), zx(read))
-        assert find_leak_pair(Query((), snapshots=snaps), zx(read)) is None
+            find_leak_pair(path_of(bit_budget=12, snapshots=snaps), zx(read))
+        assert find_leak_pair(path_of((), snapshots=snaps), zx(read)) is None
 
     def test_symbol_read_only_at_skipped_values_is_not_discovered(self):
         # x = 0 would read h, but x >= 2 skips it: h is neither discovered
@@ -829,5 +822,5 @@ class TestNarrowedEnumeration:
         x, h = sym("x", 2), sym("h", 8)
         read = mk_memread(0, zx(x), 8, secret=False)
         cons = (eq(read, const(7, 8)), lt(const(1, 32), zx(x)))
-        m = is_sat(Query(cons, snapshots={0: {0: h, 2: const(7, 8)}}))
+        m = is_sat(path_of(cons, snapshots={0: {0: h, 2: const(7, 8)}}))
         assert m == Model({"x": 2})
