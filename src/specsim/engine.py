@@ -22,25 +22,26 @@ trace down the not-actual direction, indirect calls spawn none.
 
 Everything one `Engine.run` learns -- findings, statistics, symbols --
 lives in the `RunResult` it returns, so runs of one engine are
-independent.  Its solver state is one `solver.Session`: the memory
-snapshots by version, their facts, one memo and the engine's bit budget;
-every path of the run is bound to it.  A path's memory holds only the
-bytes stored on it; loads fall back to the program's initial image.  A
-symbolic load on a frame that stored nothing reads that image as version
-0, so equal reads on sibling paths are equal expressions and the
+independent.  Its solver state is one `solver.Session`: one memo and the
+engine's bit budget; every path of the run is bound to it.  A path's
+memory holds only the bytes stored on it; loads fall back to the
+program's initial image.  A symbolic load holds the `expr.Snapshot` it
+reads (`_freeze`): on a frame that stored nothing, the image itself as
+version 0, so equal reads on sibling paths are equal expressions and the
 session's memo answers them once; a frame's loads after a store share one
-version until it stores again.
+fresh snapshot until it stores again.
 
 A symbolic load is secret if some model of the path may land one of its
 bytes on a secret byte: of a secret region, or of its snapshot, where a
-secret may have been stored (`_may_touch_secret`).  Interval bounds of the
-address settle most of these without a solver query, and the session's
-memo settles repeats; neither counts in `Stats.solver_queries`.
+secret may have been stored (`_may_touch_secret`, over the snapshot's
+`solver.secret_spans`).  Interval bounds of the address settle most of
+these without a solver query, and the session's memo settles repeats;
+neither counts in `Stats.solver_queries`.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
 per pc (its handler, operands, branch targets and concrete events), the
-initial image with its solver facts and secret symbols, a memo of mapped
+initial image snapshot and its secret symbols, a memo of mapped
 addresses, and per pattern set the monitor plans of each step.
 """
 
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import cache as cache_mod
@@ -175,10 +175,9 @@ class Finding:
 
 @dataclass
 class RunResult:
-    """The state and the outcome of one `Engine.run`.
-
-    Witnesses and observables re-evaluate against `snapshots` and
-    `symbols`."""
+    """The state and the outcome of one `Engine.run`.  Witnesses and
+    observables re-evaluate with `expr.evaluate`; `symbols` holds every
+    symbol of the run by name."""
     findings: List[Finding] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
     diagnostics: List[str] = field(default_factory=list)
@@ -190,9 +189,9 @@ class RunResult:
                                     compare=False, repr=False)
     # version 0 is the initial image, read by every frame that stored
     # nothing; snapshots with stores count up from 1 architecturally and
-    # down from -1 on wrong paths, so the versions embedded in
-    # architectural expressions are identical whether or not speculation
-    # ran in between
+    # down from -1 on wrong paths, so the snapshots embedded in
+    # architectural expressions are equal whether or not speculation ran
+    # in between
     next_version: int = field(default=1, compare=False, repr=False)
     next_spec_version: int = field(default=-1, compare=False, repr=False)
     # (pattern, chain, path key) of every match already reported
@@ -200,12 +199,6 @@ class RunResult:
     # (pc, kind) of every note already written
     noted: Set[Tuple[int, str]] = field(default_factory=set, compare=False,
                                         repr=False)
-
-    @property
-    def snapshots(self) -> MappingProxyType:
-        """The memory symbolic loads read, by version (0: the initial
-        image); read-only."""
-        return MappingProxyType(self.session.snapshots)
 
     @property
     def verdict(self) -> str:
@@ -245,7 +238,7 @@ class ExecState:
         self.pc = pc
         self.regs: Dict[str, ex.Expr] = {}
         self.mem: Dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
-        self.frozen: Optional[int] = None  # see Engine._freeze
+        self.frozen: Optional[ex.Snapshot] = None  # see Engine._freeze
         self.path = solver.PathCondition(solver.Session())  # run() rebinds
         self.path_key = PathKey()
         self.predictor = predictor
@@ -341,11 +334,10 @@ class Engine:
 
         code = _decoded(program)
         self._steps = code.steps
-        self._init_mem = code.image  # shared and read-only
-        self._image_facts = code.image_facts
+        self._image = code.image
+        self._init_mem = code.image.mem  # shared and read-only
         self._symbols = code.symbols
         self._mapped = code.mapped
-        self._secret_regions = code.secret_regions
         self._step_plans = code.step_plans(self._plan)  # [speculative][pc]
 
     # ------------------------------------------------------------------ run
@@ -394,8 +386,9 @@ class Engine:
         """Execute one instruction of a copy of `state`; return the live
         successors.  Each successor's event_log extends the input's, so the
         caller can diff logs to see what the step emitted.  Symbols,
-        snapshots and findings go to `run`; pass the same one to every step
-        of an exploration (a fresh one is made when it is None)."""
+        findings and the solver's memo go to `run`; pass the same one to
+        every step of an exploration (a fresh one is made when it is
+        None)."""
         s = state.clone()
         run = run or self._new_run(False)
         if run.session.bit_budget != self.bit_budget:
@@ -715,9 +708,9 @@ class Engine:
                                 ex.const(8 * i, 32)))
             return value
         # symbolic address: freeze the memory snapshot it reads from
-        version = self._freeze(run, frame, speculative)
-        secret = self._may_touch_secret(run, addr, width, version, path, pc)
-        return ex.mk_memread(version, addr, width, secret)
+        snap = self._freeze(run, frame, speculative)
+        secret = self._may_touch_secret(run, addr, width, snap, path, pc)
+        return ex.mk_memread(snap, addr, width, secret)
 
     def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
                   width: int, frame, pc: int) -> None:
@@ -746,13 +739,13 @@ class Engine:
                     ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
 
     def _may_touch_secret(self, run: RunResult, addr: ex.Expr, width: int,
-                          version: int, path: solver.PathCondition,
+                          snap: ex.Snapshot, path: solver.PathCondition,
                           pc: int) -> bool:
         """May-analysis lift of the load taint rule: a `width`-bit read at a
-        symbolic address of snapshot `version` is secret-reaching if some
-        model consistent with the path condition lands one of its bytes on
-        a secret byte, of a secret region or one the snapshot holds that
-        reaches a secret symbol (`solver.secret_runs`).
+        symbolic address of `snap` is secret-reaching if some model
+        consistent with the path condition lands one of its bytes on a
+        secret byte, of a secret region or one the snapshot holds that
+        reaches a secret symbol (`solver.secret_spans`).
 
         A span of secret bytes is asked about only when the interval bounds
         of the address, under the path slices sharing a name with it, may
@@ -763,10 +756,9 @@ class Engine:
         counts and notes it again."""
         if addr.taint.secret:
             return True
-        runs = solver.secret_runs(version, run.session)
         # the spans the address's bounds may meet, first over every model
         spans = _met(solver._bounds(addr, {}, {}),
-                     _widened(self._secret_regions + runs, width // 8))
+                     solver.secret_spans(snap, width // 8))
         if not spans:
             return False
         own = path.reached(addr)
@@ -791,16 +783,14 @@ class Engine:
                 return True
         return False
 
-    def _freeze(self, run: RunResult, frame, speculative: bool) -> int:
-        """The snapshot version a symbolic load of `frame` reads: 0, the
-        initial image, while the frame stored nothing; the frame's last
-        version while it stored nothing since; else a fresh copy of the
+    def _freeze(self, run: RunResult, frame, speculative: bool
+                ) -> ex.Snapshot:
+        """The snapshot a symbolic load of `frame` reads: the initial image
+        (version 0) while the frame stored nothing; the frame's last
+        snapshot while it stored nothing since; else a fresh copy of the
         image under the frame's stores."""
-        session = run.session
         if not frame.mem:
-            session.snapshots[0] = self._init_mem
-            session.facts.setdefault(0, self._image_facts)
-            return 0
+            return self._image
         if frame.frozen is not None:
             return frame.frozen
         if speculative:
@@ -809,9 +799,9 @@ class Engine:
         else:
             version = run.next_version
             run.next_version += 1
-        session.snapshots[version] = {**self._init_mem, **frame.mem}
-        frame.frozen = version
-        return version
+        frame.frozen = ex.Snapshot(version, {**self._init_mem, **frame.mem},
+                                   self._image.regions)
+        return frame.frozen
 
     # --------------------------------------------------------------- events
 
@@ -967,24 +957,20 @@ def _initial_image(program: Program) -> Dict[int, ex.Expr]:
 
 class _Decoded:
     """What every engine over one laid-out program shares, made once: the
-    step table; the initial image (read-only) with its solver facts, which
-    hold in every run as its bytes read no snapshot, and its secret symbols
-    (the facts' references); `mapped(base, n)`: whether bytes base..base+n-1
-    all lie in regions; the [base, end) spans of the secret regions; and
-    per pattern set, `step_plans(plan)[speculative][pc]`: the plan of a
-    step's concrete events."""
+    step table; the initial image (read-only) as snapshot version 0, whose
+    solver facts hold in every run as its bytes read no snapshot, and its
+    secret symbols; `mapped(base, n)`: whether bytes base..base+n-1 all lie
+    in regions; and per pattern set, `step_plans(plan)[speculative][pc]`:
+    the plan of a step's concrete events."""
 
-    __slots__ = ("steps", "image", "image_facts", "symbols", "mapped",
-                 "secret_regions", "step_plans")
+    __slots__ = ("steps", "image", "symbols", "mapped", "step_plans")
 
     def __init__(self, program: Program):
         self.steps = _step_table(program)
-        self.image = _initial_image(program)
-        self.image_facts = solver.snapshot_facts(self.image)
-        self.symbols = self.image_facts[0]  # read-only
         spans = tuple((r.base, r.end) for r in program.regions)
-        self.secret_regions = tuple((r.base, r.end) for r in program.regions
-                                    if r.secret)
+        self.image = ex.Snapshot(0, _initial_image(program), tuple(
+            (r.base, r.end) for r in program.regions if r.secret))
+        self.symbols = solver._facts(self.image)[0]  # read-only
         self.mapped = functools.lru_cache(maxsize=1024)(
             lambda base, n: all(any(lo <= a < hi for lo, hi in spans)
                                 for a in range(base, base + n)))
@@ -992,20 +978,6 @@ class _Decoded:
         self.step_plans = functools.lru_cache(maxsize=64)(lambda plan: tuple(
             tuple(plan((op, speculative, False, False)) for op in ops)
             for speculative in (False, True)))
-
-
-def _widened(spans: Sequence[Tuple[int, int]], n: int
-             ) -> List[Tuple[int, int]]:
-    """The addresses [lo, end) at which an n-byte read covers a byte of
-    some span: each span widened down by n - 1, merged where they meet."""
-    out: List[Tuple[int, int]] = []
-    for lo, end in sorted(spans):
-        lo = max(lo - (n - 1), 0)
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((lo, end))
-    return out
 
 
 def _met(bounds: Tuple[int, int], spans: Sequence[Tuple[int, int]]

@@ -5,6 +5,9 @@ Every node carries a width in bits and a two-bit taint (secret, symbolic).
 Smart constructors apply constant folding plus a small set of identity
 rewrites; anything stronger is intentionally left to the enumeration
 oracle in :mod:`specsim.solver`.
+
+A `MemRead` holds the `Snapshot` it reads, so every expression evaluates
+under a model alone.
 """
 
 from __future__ import annotations
@@ -91,15 +94,35 @@ class BinOp(Expr):
     b: Expr
 
 
+class Snapshot:
+    """A frozen memory image: `mem` maps byte addresses to width-8
+    expressions and never changes once a read holds it; `regions` are the
+    [lo, end) spans of the declared secret regions; `facts` is the solver's
+    slot for what it learns of the bytes, made on first use.  Compares and
+    hashes by `version` alone, as equal reads on sibling paths must."""
+
+    __slots__ = ("version", "mem", "regions", "facts")
+
+    def __init__(self, version: int, mem: Mapping[int, Expr],
+                 regions: Tuple[Tuple[int, int], ...] = ()):
+        self.version, self.mem, self.regions = version, mem, regions
+        self.facts = None
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Snapshot and other.version == self.version
+
+    def __hash__(self) -> int:
+        return hash(self.version)
+
+    def __repr__(self) -> str:
+        return f"Snapshot(v{self.version})"
+
+
 @dataclass(frozen=True, slots=True)
 class MemRead(Expr):
-    """Read of `width` bits from a frozen memory snapshot at a symbolic address.
+    """Read of `width` bits from `snapshot` at a symbolic address."""
 
-    `version` names a snapshot registered with the engine's snapshot store;
-    the snapshot maps byte addresses to width-8 expressions.
-    """
-
-    version: int
+    snapshot: Snapshot
     addr: Expr
 
 
@@ -182,10 +205,11 @@ def coerce(a: Expr, width: int) -> Expr:
     return mk_unop("trunc", a, width)
 
 
-def mk_memread(version: int, addr: Expr, width: int, secret: bool) -> MemRead:
+def mk_memread(snapshot: Snapshot, addr: Expr, width: int, secret: bool
+               ) -> MemRead:
     if width not in (8, 32):
         raise WidthError("memory reads are 8 or 32 bits")
-    return MemRead(width, _TAINTS[secret][True], version, addr)
+    return MemRead(width, _TAINTS[secret][True], snapshot, addr)
 
 
 class Model:
@@ -208,35 +232,30 @@ class Model:
         return f"Model({inner})"
 
 
-Snapshots = Mapping[int, Mapping[int, Expr]]
-
-
-def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> int:
+def evaluate(e: Expr, model: Model) -> int:
     """Ground-truth evaluator: two's-complement semantics, modular at width.
 
-    MemRead nodes evaluate their address under `model` and then read the
-    referenced snapshot byte-wise (little-endian); addresses missing from
-    the snapshot read as zero.
+    MemRead nodes evaluate their address under `model` and then read their
+    snapshot byte-wise (little-endian); addresses missing from the
+    snapshot read as zero.
     """
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Sym):
         return model.lookup(e)
     if isinstance(e, UnOp):
-        return evaluate(e.a, model, snapshots) & mask(e.width)  # zext / trunc
+        return evaluate(e.a, model) & mask(e.width)  # zext / trunc
     if isinstance(e, BinOp):
-        x = evaluate(e.a, model, snapshots)
-        y = evaluate(e.b, model, snapshots)
+        x = evaluate(e.a, model)
+        y = evaluate(e.b, model)
         return BINOP_FNS[e.op](x, y, e.a.width)
     if isinstance(e, MemRead):
-        if snapshots is None or e.version not in snapshots:
-            raise ExprError(f"unknown memory snapshot v{e.version}")
-        snap = snapshots[e.version]
-        addr = evaluate(e.addr, model, snapshots)
+        mem = e.snapshot.mem
+        addr = evaluate(e.addr, model)
         value = 0
         for i in range(e.width // 8):
-            byte = snap.get(addr + i)
-            bv = evaluate(byte, model, snapshots) if byte is not None else 0
+            byte = mem.get(addr + i)
+            bv = evaluate(byte, model) if byte is not None else 0
             value |= (bv & 0xFF) << (8 * i)
         return value
     raise ExprError(f"cannot evaluate {e!r}")
@@ -245,10 +264,10 @@ def evaluate(e: Expr, model: Model, snapshots: Optional[Snapshots] = None) -> in
 def references(exprs: Iterable[Expr], reads: Optional[list] = None
                ) -> Tuple[dict, set]:
     """The Sym nodes appearing syntactically in `exprs`, by name, and the
-    snapshot versions their MemRead nodes read.  `reads`, if given, gets
-    every MemRead node met, once per occurrence."""
+    snapshots their MemRead nodes read.  `reads`, if given, gets every
+    MemRead node met, once per occurrence."""
     out: dict = {}
-    versions: set = set()
+    snaps: set = set()
     stack = list(exprs)
     while stack:
         e = stack.pop()
@@ -259,11 +278,11 @@ def references(exprs: Iterable[Expr], reads: Optional[list] = None
         elif isinstance(e, BinOp):
             stack.extend((e.a, e.b))
         elif isinstance(e, MemRead):
-            versions.add(e.version)
+            snaps.add(e.snapshot)
             stack.append(e.addr)
             if reads is not None:
                 reads.append(e)
-    return out, versions
+    return out, snaps
 
 
 def syntactic_syms(exprs: Iterable[Expr]) -> dict:
@@ -283,5 +302,5 @@ def to_str(e: Expr) -> str:
     if isinstance(e, BinOp):
         return f"({e.op} {to_str(e.a)} {to_str(e.b)})"
     if isinstance(e, MemRead):
-        return f"(mem v{e.version} {to_str(e.addr)} w{e.width})"
+        return f"(mem v{e.snapshot.version} {to_str(e.addr)} w{e.width})"
     raise ExprError(f"cannot print {e!r}")

@@ -13,10 +13,9 @@ independence, as in KLEE), groups that share no symbol, counting every
 symbol a `MemRead` can reach through its snapshot's bytes.  Slices are
 enumerated one at a time, so k unrelated 8-bit checks cost k * 2^8
 probes rather than 2^(8k).  Each path is bound to one `Session`, the
-solver state of one run: its snapshots and their facts by version, one
-memo and one bit budget.  The budget applies to each slice and each
-enumeration stage within it; exceeding it raises, it is never truncated
-silently.
+solver state of one run: one memo and one bit budget.  The budget applies
+to each slice and each enumeration stage within it; exceeding it raises,
+it is never truncated silently.
 
 Two steps run in front of a slice's enumeration:
 
@@ -42,18 +41,18 @@ Two steps run in front of a slice's enumeration:
 Leak-pair search narrows its public loop further.  When the observable's
 slice has no syntactic secret and one distinct MemRead, only bytes that
 reach a secret symbol can make a pair, so that read's address must lie in
-the hull of those bytes in its snapshot (widened by the read's width).
-Those runs (`secret_runs`, which the engine's may-touch check also
-reads) are computed once per version and session.
+the hull of its snapshot's secret spans (`secret_spans`, which the
+engine's may-touch check also reads).  What the solver learns of a
+snapshot's bytes holds as long as the snapshot lives, so it is kept on it
+(`_facts`); the initial image keeps its facts across runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshots, Sym,
+from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshot, Sym,
                    UnOp, const, evaluate, mask, mk_binop, references, to_str)
 
 
@@ -97,57 +96,47 @@ def _assignments(syms: Mapping[str, Sym], bounds: Mapping[Sym, _Bounds],
         yield dict(zip(names, values))
 
 
-def _truthy(exprs: Sequence[Expr], model: Model, snapshots: Snapshots) -> bool:
-    return all(evaluate(e, model, snapshots) != 0 for e in exprs)
+def _truthy(exprs: Sequence[Expr], model: Model) -> bool:
+    return all(evaluate(e, model) != 0 for e in exprs)
 
 
 _MISS = object()
-_NO_BYTES: Mapping[int, Expr] = MappingProxyType({})
-
-
-def snapshot_facts(snap: Mapping[int, Expr]) -> list:
-    """[symbols, versions, runs] of a snapshot's bytes: what they
-    reference, and their secret-byte runs, `_MISS` until a query needs
-    them (see `secret_runs`)."""
-    return [*references(snap.values()), _MISS]
 
 
 class Session:
-    """The solver state of one run: its snapshots by version, the facts
-    of each version (`snapshot_facts`, made on first use), the memo, and
-    the bit budget of every query.  A version's bytes must never change
-    once a path reads it, which is what makes its facts and the memo
-    valid for the session."""
+    """The solver state of one run: the memo and the bit budget of every
+    query.  A snapshot's bytes never change once a path reads it, which is
+    what makes the memo valid for the session."""
 
-    __slots__ = ("bit_budget", "snapshots", "facts", "memo")
+    __slots__ = ("bit_budget", "memo")
 
-    def __init__(self, bit_budget: int = 20,
-                 snapshots: Optional[Snapshots] = None):
+    def __init__(self, bit_budget: int = 20):
         self.bit_budget = bit_budget
-        self.snapshots = {} if snapshots is None else snapshots
-        self.facts: Dict[int, list] = {}
         self.memo: dict = {}
 
-    def _facts(self, version: int) -> list:
-        f = self.facts.get(version)
-        if f is None:
-            f = self.facts[version] = snapshot_facts(
-                self.snapshots.get(version, _NO_BYTES))
-        return f
+
+def _facts(snap: Snapshot) -> list:
+    """[symbols, snapshots, spans] of `snap`'s bytes: the symbols and the
+    snapshots they reference, and `secret_spans` by read width, `_MISS`
+    until a query needs them; made once per snapshot object."""
+    f = snap.facts
+    if f is None:
+        f = snap.facts = [*references(snap.mem.values()), _MISS]
+    return f
 
 
-def _reach(versions: Set[int], session: Session) -> Dict[str, Sym]:
-    """Every symbol in the bytes of these snapshot versions, by name,
-    following MemReads nested in those bytes to the versions they read."""
+def _reach(snaps: Set[Snapshot]) -> Dict[str, Sym]:
+    """Every symbol in the bytes of these snapshots, by name, following
+    MemReads nested in those bytes to the snapshots they read."""
     names: Dict[str, Sym] = {}
-    todo, done = list(versions), set()
+    todo, done = list(snaps), set()
     while todo:
-        v = todo.pop()
-        if v in done:
+        snap = todo.pop()
+        if snap in done:
             continue
-        done.add(v)
-        v_syms, inner, _runs = session._facts(v)
-        names.update(v_syms)
+        done.add(snap)
+        snap_syms, inner, _spans = _facts(snap)
+        names.update(snap_syms)
         todo.extend(inner)
     return names
 
@@ -168,7 +157,7 @@ class PathCondition:
     """Constraints split into independent slices, ordered by their first
     constraint.  Immutable, so forks share it: `extend` walks one
     constraint once and merges only the slices sharing a name with it.
-    Bound to the session whose snapshots it reads."""
+    Bound to the session that answers it."""
 
     __slots__ = ("constraints", "slices", "session", "_parent", "_text")
 
@@ -195,8 +184,8 @@ class PathCondition:
     def _names(self, e: Expr) -> Tuple[Dict[str, Sym], Set[str]]:
         """The symbols of `e` and the names of every symbol it reaches,
         through snapshots included."""
-        syms, versions = references((e,))
-        return syms, set(syms).union(_reach(versions, self.session))
+        syms, snaps = references((e,))
+        return syms, set(syms).union(_reach(snaps))
 
     def reached(self, e: Expr) -> Tuple[Expr, ...]:
         """The constraints, in path order, of the slices that share a name
@@ -380,7 +369,7 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], session: Session
         seen: Dict[str, Sym] = {}
         for assignment in _assignments(syms, bounds, session.bit_budget):
             probe = _ProbeModel(assignment, seen)
-            if _truthy(exprs, probe, session.snapshots):
+            if _truthy(exprs, probe):
                 full = dict(assignment)
                 for name in seen:
                     full.setdefault(name, 0)
@@ -488,16 +477,15 @@ def find_leak_pair(path: PathCondition, observable: Expr
     return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
 
 
-def _secret_runs(version: int, session: Session) -> Tuple[_Bounds, ...]:
-    """The maximal runs [lo, end) of addresses of the bytes of snapshot
-    `version` that reach a secret symbol, nested reads included, in
-    address order; built byte by byte, so a public byte between two secret
-    ones stays out."""
-    snap = session.snapshots.get(version, _NO_BYTES)
+def _secret_runs(snap: Snapshot) -> Tuple[_Bounds, ...]:
+    """The maximal runs [lo, end) of addresses of the bytes of `snap` that
+    reach a secret symbol, nested reads included, in address order; built
+    byte by byte, so a public byte between two secret ones stays out."""
+    mem = snap.mem
     runs: List[_Bounds] = []
-    for addr in sorted(snap):
-        syms, versions = references((snap[addr],))
-        syms.update(_reach(versions, session))
+    for addr in sorted(mem):
+        syms, snaps = references((mem[addr],))
+        syms.update(_reach(snaps))
         if not any(s.taint.secret for s in syms.values()):
             continue
         if runs and runs[-1][1] == addr:
@@ -507,21 +495,37 @@ def _secret_runs(version: int, session: Session) -> Tuple[_Bounds, ...]:
     return tuple(runs)
 
 
-def secret_runs(version: int, session: Session) -> Tuple[_Bounds, ...]:
-    """`_secret_runs` of snapshot `version`, computed once per session (see
-    `Session`)."""
-    f = session._facts(version)
+def _widened(spans: Sequence[_Bounds], n: int) -> List[_Bounds]:
+    """The addresses [lo, end) at which an n-byte read covers a byte of
+    some span: each span widened down by n - 1, merged where they meet."""
+    out: List[_Bounds] = []
+    for lo, end in sorted(spans):
+        lo = max(lo - (n - 1), 0)
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((lo, end))
+    return out
+
+
+def secret_spans(snap: Snapshot, n: int) -> List[_Bounds]:
+    """The addresses [lo, end), in order, at which an n-byte read of
+    `snap` covers a secret byte: of a declared secret region, or one that
+    reaches a secret symbol (`_secret_runs`); made once per snapshot
+    object for both read widths, 1 and 4 bytes."""
+    f = _facts(snap)
     if f[2] is _MISS:
-        f[2] = _secret_runs(version, session)
-    return f[2]
+        secret = snap.regions + _secret_runs(snap)
+        f[2] = {k: _widened(secret, k) for k in (1, 4)}
+    return f[2][n]
 
 
 def _hull_facts(constraints: Tuple[Expr, ...], observable: Expr,
-                known: Dict[str, Sym], session: Session) -> Tuple[Expr, ...]:
-    """Facts that every public assignment giving a leak pair satisfies: an
-    n-byte read's address lies in [lo - (n - 1), hi], the hull of the
-    secret-byte runs (see the module docstring); a false fact if no byte
-    reaches a secret; none where the hull does not apply."""
+                known: Dict[str, Sym]) -> Tuple[Expr, ...]:
+    """Facts that every public assignment giving a leak pair satisfies: a
+    read's address lies in the hull of its snapshot's `secret_spans` (see
+    the module docstring); a false fact if there are none; no facts where
+    the hull does not apply."""
     if any(s.taint.secret for s in known.values()):
         return ()
     reads: List[MemRead] = []
@@ -529,14 +533,13 @@ def _hull_facts(constraints: Tuple[Expr, ...], observable: Expr,
     if len(set(reads)) != 1:
         return ()
     r = reads[0]
-    runs = secret_runs(r.version, session)
-    if not runs:
+    spans = secret_spans(r.snapshot, r.width // 8)
+    if not spans:
         return (const(0, 32),)
-    lo, hi = runs[0][0], runs[-1][1] - 1
     w = r.addr.width
-    lo = min(max(lo - (r.width // 8 - 1), 0), mask(w))
+    lo, hi = (min(a, mask(w)) for a in (spans[0][0], spans[-1][1] - 1))
     return (mk_binop("le", const(lo, w), r.addr),
-            mk_binop("le", r.addr, const(min(hi, mask(w)), w)))
+            mk_binop("le", r.addr, const(hi, w)))
 
 
 def _slice_leak_pair(constraints: Tuple[Expr, ...], observable: Expr,
@@ -547,7 +550,7 @@ def _slice_leak_pair(constraints: Tuple[Expr, ...], observable: Expr,
     public = {n: s for n, s in known.items() if not s.taint.secret}
     secret = {n: s for n, s in known.items() if s.taint.secret}
     bounds = _narrowed(constraints
-                       + _hull_facts(constraints, observable, known, session))
+                       + _hull_facts(constraints, observable, known))
     if bounds is None:  # no public assignment gives a pair; overruns still raise
         _checked_bits(secret, budget, _checked_bits(public, budget))
         return None
@@ -571,7 +574,6 @@ def _leak_pair_for_public(constraints: Tuple[Expr, ...], observable: Expr,
                           new_public: Dict[str, Sym],
                           bounds: Mapping[Sym, _Bounds], session: Session):
     """Inner enumeration over secret symbols for one fixed public assignment."""
-    snapshots = session.snapshots
     pub_bits = sum(s.width for s in public.values())
     while True:
         seen: Dict[str, Sym] = {}
@@ -579,9 +581,9 @@ def _leak_pair_for_public(constraints: Tuple[Expr, ...], observable: Expr,
         for sec_assignment in _assignments(secret, bounds, session.bit_budget,
                                            pub_bits):
             probe = _ProbeModel({**pub_assignment, **sec_assignment}, seen)
-            if not _truthy(constraints, probe, snapshots):
+            if not _truthy(constraints, probe):
                 continue
-            value = evaluate(observable, probe, snapshots)
+            value = evaluate(observable, probe)
             if first is None:
                 first = (value, sec_assignment)
             elif value != first[0]:
@@ -591,8 +593,8 @@ def _leak_pair_for_public(constraints: Tuple[Expr, ...], observable: Expr,
                 m2 = Model({**defaults, **pub_assignment, **sec_assignment})
                 probe1 = _ProbeModel(m1.assignment, {})
                 probe2 = _ProbeModel(m2.assignment, {})
-                v1 = evaluate(observable, probe1, snapshots)
-                v2 = evaluate(observable, probe2, snapshots)
+                v1 = evaluate(observable, probe1)
+                v2 = evaluate(observable, probe2)
                 assert v1 != v2, "leak pair must yield distinct observables"
                 return m1, m2
         new_secret = {n: s for n, s in seen.items()

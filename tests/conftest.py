@@ -32,19 +32,23 @@ def admitted(spec, cls) -> tuple:
                  if admits(spec.nodes[i], cls))
 
 
-def path_of(constraints=(), bit_budget=20, snapshots=None, session=None):
+def path_of(constraints=(), bit_budget=20, session=None):
     """`constraints` folded in order into an empty path of `session`, or of
-    a fresh session over `bit_budget` and `snapshots`."""
-    path = PathCondition(session or Session(bit_budget, snapshots))
+    a fresh session over `bit_budget`."""
+    path = PathCondition(session or Session(bit_budget))
     for c in constraints:
         path = path.extend(c)
     return path
 
 
-def random_program(rng: random.Random, max_branches: int = 2) -> str:
+def random_program(rng: random.Random, max_branches: int = 2,
+                   always_secret_r2: bool = False) -> str:
     """Small terminating program: one symbolic byte, straight-line blocks
     joined by forward conditional branches, occasional loads/stores into
-    declared regions (one of them secret)."""
+    declared regions (one of them secret).  In about half the programs, or
+    in every one with `always_secret_r2`, r2 starts as the secret byte
+    sec[0], so stores of r2 copy a secret into arr, which loads through a
+    masked index may read back."""
     lines = [
         "region pub 16 init=" + "".join(f"{i:02x}" for i in range(16)),
         "region sec 16 secret",
@@ -91,6 +95,9 @@ def random_program(rng: random.Random, max_branches: int = 2) -> str:
         elif b < n_blocks - 1 and rng.random() < 0.3:
             lines.append(f"  jmp L{rng.randint(b + 1, n_blocks - 1)}")
     lines.append("  halt")
+    # drawn last, so the rest of a seed's program does not depend on it
+    if rng.random() < 0.5 or always_secret_r2:
+        lines.insert(lines.index("  addrof r5, arr") + 1, "  load.8 r2, r4")
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,31 @@ def build(src, **kwargs):
     return Engine(program, **kwargs)
 
 
+def record_freezes(monkeypatch):
+    """The snapshots `Engine._freeze` hands to symbolic loads, in order."""
+    frozen, freeze = [], Engine._freeze
+    monkeypatch.setattr(Engine, "_freeze", lambda *a: frozen.append(
+        freeze(*a)) or frozen[-1])
+    return frozen
+
+
+def record_fact_work(monkeypatch):
+    """Lists that get each snapshot's bytes walked for their references,
+    and each snapshot whose secret-byte runs are worked out."""
+    walks, runs = [], []
+    references, secret_runs = solver.references, solver._secret_runs
+
+    def counted_references(exprs, *a):
+        if not isinstance(exprs, tuple):  # a snapshot's bytes
+            walks.append(exprs)
+        return references(exprs, *a)
+
+    monkeypatch.setattr(solver, "references", counted_references)
+    monkeypatch.setattr(solver, "_secret_runs",
+                        lambda snap: runs.append(snap) or secret_runs(snap))
+    return walks, runs
+
+
 def final_regs(result, index=0):
     """Registers of the index-th finished path, as a dict name -> Expr."""
     _key, _cond, fp = result.stats.path_summaries[index]
@@ -579,7 +604,8 @@ class TestDeterminism:
         assert s.regs["r3"].value == 5
 
     def test_step_api_keeps_snapshots_in_the_run(self):
-        # the branch's feasibility queries read the load's snapshot
+        # the branch's feasibility queries read the load's snapshot, which
+        # the loaded value carries: the program's image
         e = build("region m 16\n  sym.8 r1, x\n  addrof r2, m\n"
                   "  add r3, r2, r1\n  load.8 r4, r3\n  br r4, a, a\n"
                   "a:\n  halt\n")
@@ -591,7 +617,9 @@ class TestDeterminism:
                             CacheState(e.cache_cfg), [])]
         for _ in range(5):
             states = e.step(states[0], run)
-        assert 0 in run.snapshots and len(states) == 1
+        assert len(states) == 1
+        assert states[0].regs["r4"].snapshot is e._image
+        assert e._image.version == 0 and e._image.mem is e._init_mem
 
     def test_step_api_asks_with_the_engines_budget(self):
         # a run's session holds the one bit budget of every query in it
@@ -743,8 +771,7 @@ class TestSolverMemo:
         reads = []
         ex.references([f.observable for f in r.findings if f.observable],
                       reads)
-        assert reads and {m.version for m in reads} == {0}
-        assert r.snapshots == {0: e._init_mem}
+        assert reads and all(m.snapshot is e._image for m in reads)
         # equal searches on sibling paths are answered by the run's memo
         assert len(pairs) < len(searches)
 
@@ -803,6 +830,17 @@ class TestPerRunState:
 
         assert outputs(e.run()) == outputs(e.run())
 
+    def test_snapshots_of_two_runs_are_equal_by_version(self):
+        # each run freezes its own copy after the store; the two copies
+        # are distinct objects, equal and hashed equal as their version
+        e = build(TestMemoryOverlay.LOADS + "  const r7, 7\n"
+                  "  store.8 rp, r7\n  load.8 r1, ra\n  halt\n")
+        first, second = (final_regs(e.run())["r1"] for _ in range(2))
+        assert first.snapshot is not second.snapshot
+        assert first.snapshot == second.snapshot
+        assert first.snapshot.version == 1
+        assert first == second and hash(first) == hash(second)
+
 
 class TestMemoryOverlay:
     # a path's memory holds only its stores; loads fall back to the
@@ -810,18 +848,24 @@ class TestMemoryOverlay:
     LOADS = ("region m 16\nregion s 16 secret\n"
              "  sym.8 rx, x\n  addrof rp, m\n  add ra, rp, rx\n")
 
-    def test_snapshots_share_the_initial_image_until_a_store(self):
+    def test_snapshots_share_the_initial_image_until_a_store(self,
+                                                              monkeypatch):
+        frozen = record_freezes(monkeypatch)
         e = build(self.LOADS + "  load.8 r1, ra\n  load.8 r2, ra\n  halt\n")
-        snaps = e.run().snapshots
-        # both loads read the image as version 0, the only version
-        assert snaps == {0: e._init_mem} and snaps[0] is e._init_mem
+        regs = final_regs(e.run())
+        # both loads read the image as version 0, the only snapshot
+        assert len(frozen) == 2 and all(s is e._image for s in frozen)
+        assert e._image.version == 0 and e._image.mem is e._init_mem
+        assert regs["r1"].snapshot is regs["r2"].snapshot is e._image
 
-    def test_a_store_freezes_a_fresh_snapshot(self):
+    def test_a_store_freezes_a_fresh_snapshot(self, monkeypatch):
+        frozen = record_freezes(monkeypatch)
         e = build(self.LOADS + "  load.8 r1, ra\n"
                   "  const r7, 7\n  store.8 rp, r7\n  load.8 r2, ra\n"
                   "  const r8, 8\n  store.8 rp, r8\n  load.8 r3, ra\n"
                   "  halt\n")
-        snaps = e.run().snapshots
+        e.run()
+        snaps = {snap.version: snap.mem for snap in frozen}
         m, s = (e.program.region(n).base for n in ("m", "s"))
         assert snaps[0] is e._init_mem and m not in e._init_mem
         # each later snapshot is the initial image plus the stores so far,
@@ -831,23 +875,12 @@ class TestMemoryOverlay:
         assert snaps[1] is not snaps[2]
 
     def test_snapshot_facts_are_computed_once_per_object(self, monkeypatch):
-        walks, runs, searches, freezes = [], [], [], []
-        references, secret_runs = solver.references, solver._secret_runs
-        find_leak_pair, freeze = cache.find_leak_pair, Engine._freeze
-
-        def counted_references(exprs, *a):
-            if not isinstance(exprs, tuple):  # a snapshot's bytes
-                walks.append(exprs)
-            return references(exprs, *a)
-
-        monkeypatch.setattr(solver, "references", counted_references)
-        monkeypatch.setattr(solver, "_secret_runs",
-                            lambda *a: runs.append(a) or secret_runs(*a))
+        walks, runs = record_fact_work(monkeypatch)
+        searches, find_leak_pair = [], cache.find_leak_pair
         monkeypatch.setattr(cache, "find_leak_pair",
                             lambda q, o: searches.append(q)
                             or find_leak_pair(q, o))
-        monkeypatch.setattr(Engine, "_freeze",
-                            lambda *a: freezes.append(a) or freeze(*a))
+        freezes = record_freezes(monkeypatch)
         text, sites = chained_v01([5, 16, 9])
         e = build(text, predictor_cfg=PredictorConfig(pht_bits=2, window=16),
                   patterns=[load_pattern_fixture("br-ld-ld.json")])
@@ -856,21 +889,27 @@ class TestMemoryOverlay:
         # every load reads the one initial image: its bytes are walked for
         # their references once, and for the secret-byte runs once
         assert len(freezes) > 10 and len(searches) > 3
-        assert r.snapshots == {0: e._init_mem}
+        assert all(snap is e._image for snap in freezes)
         assert len(walks) == len(runs) == 1
+        # the facts live on the image snapshot itself
+        assert e._image.facts is not None
+
+    def test_a_fresh_snapshot_keeps_its_facts(self, monkeypatch):
+        # three loads after one store read one fresh snapshot: its bytes
+        # are walked for their references once, and for their runs once
+        e = build(self.LOADS + "  const r7, 7\n  store.8 rp, r7\n"
+                  "  load.8 r1, ra\n  load.8 r2, ra\n  load.8 r3, ra\n"
+                  "  halt\n")
+        walks, runs = record_fact_work(monkeypatch)
+        frozen = record_freezes(monkeypatch)
+        regs = final_regs(e.run())
+        assert len(frozen) == 3 and len(set(map(id, frozen))) == 1
+        assert frozen[0].version == 1 and frozen[0].facts is not None
+        assert regs["r1"].snapshot is regs["r3"].snapshot is frozen[0]
+        assert runs == [frozen[0]] and len(walks) == 1
 
     def test_image_facts_are_computed_once_per_program(self, monkeypatch):
-        walks, runs = [], []
-        references, secret_runs = solver.references, solver._secret_runs
-
-        def counted_references(exprs, *a):
-            if not isinstance(exprs, tuple):  # a snapshot's bytes
-                walks.append(exprs)
-            return references(exprs, *a)
-
-        monkeypatch.setattr(solver, "references", counted_references)
-        monkeypatch.setattr(solver, "_secret_runs",
-                            lambda *a: runs.append(a) or secret_runs(*a))
+        walks, runs = record_fact_work(monkeypatch)
         text, sites = chained_v01([5, 16, 9])
         program = layout_regions(parse_program(text))
         for _ in range(6):
@@ -900,7 +939,8 @@ class TestMemoryOverlay:
                    for f in r.findings}
         assert witness["ne"] == 3 and witness["eq"] & 15 != 3
 
-    def test_a_wrong_path_symbolic_load_reads_its_stores(self):
+    def test_a_wrong_path_symbolic_load_reads_its_stores(self, monkeypatch):
+        frozen = record_freezes(monkeypatch)
         # the concrete branch is predicted taken but falls through; its
         # wrong path stores 7 into arr[3] and reads v = arr[x & 15], 7 only
         # when x & 15 == 3, then sec[v - 7], which is secret only when v is
@@ -922,9 +962,11 @@ class TestMemoryOverlay:
                                  (17, "load", True))
         assert [m.assignment["x"] for m in finding.witness] == [3, 3]
         # its three loads after the one store read one version
-        assert set(r.snapshots) == {-1}
+        assert {snap.version for snap in frozen} == {-1}
 
-    def test_a_wrong_path_reads_the_paths_snapshot_until_it_stores(self):
+    def test_a_wrong_path_reads_the_paths_snapshot_until_it_stores(
+            self, monkeypatch):
+        frozen = record_freezes(monkeypatch)
         # the architectural load freezes version 1 with arr[0] = 7; the
         # wrong path reads it too, then stores 0 there, and its next load
         # freezes version -1
@@ -936,11 +978,13 @@ class TestMemoryOverlay:
                   predictor_cfg=PredictorConfig(pht_bits=1, window=16))
         r = e.run()
         arr = e.program.region("arr").base
-        assert r.stats.spec_traces == 1 and set(r.snapshots) == {1, -1}
-        assert r.snapshots[1][arr].value == 7
-        assert r.snapshots[-1][arr].value == 0
+        snaps = {snap.version: snap.mem for snap in frozen}
+        assert r.stats.spec_traces == 1 and set(snaps) == {1, -1}
+        assert snaps[1][arr].value == 7
+        assert snaps[-1][arr].value == 0
 
-    def test_wrong_path_store_stays_in_the_sandbox(self):
+    def test_wrong_path_store_stays_in_the_sandbox(self, monkeypatch):
+        frozen = record_freezes(monkeypatch)
         # x >= 4 is predicted taken: its wrong path stores 7 into pub[0]
         e = build("region pub 16\nregion sec 16 secret\n"
                   "  sym.8 rx, x\n  const rb, 4\n  lt rc, rx, rb\n"
@@ -953,7 +997,7 @@ class TestMemoryOverlay:
 
         def outputs(r):
             return (r.stats.path_summaries, r.stats.trace_identities,
-                    r.diagnostics, {v: dict(s) for v, s in r.snapshots.items()})
+                    r.diagnostics, {s.version: dict(s.mem) for s in frozen})
 
         r = e.run()
         assert r.stats.spec_traces == 1
@@ -961,8 +1005,11 @@ class TestMemoryOverlay:
         mem = {key: fp[2] for key, _cond, fp in r.stats.path_summaries}
         assert mem[((3, True),)] == ((pub, ex.const(7, 8)),)
         assert mem[((3, False),)] == ()
-        assert r.snapshots[0] is e._init_mem and e._init_mem == init
-        assert outputs(e.run()) == outputs(r)
+        assert frozen and all(s is e._image for s in frozen)
+        assert e._init_mem == init
+        first = outputs(r)
+        frozen.clear()
+        assert outputs(e.run()) == first
 
 
 class TestOverrunReasons:

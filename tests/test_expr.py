@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from specsim.expr import (BIN_OPS, BinOp, Const, MemRead, Model, Sym, Taint,
-                          UnboundSymbol, UnOp, WidthError, coerce, const,
-                          evaluate, mask, mk_binop, mk_memread, references,
-                          sym, syntactic_syms, to_str)
+from specsim.expr import (BIN_OPS, BinOp, Const, MemRead, Model, Snapshot,
+                          Sym, Taint, UnboundSymbol, UnOp, WidthError, coerce,
+                          const, evaluate, mask, mk_binop, mk_memread,
+                          references, sym, syntactic_syms, to_str)
 
 
 # Independent reference semantics used as the oracle for folding/evaluation.
@@ -118,21 +118,33 @@ class TestEvaluate:
             evaluate(sym("x", 8), Model({}))
 
     def test_memread_little_endian(self):
-        snap = {0x100: const(0x11, 8), 0x101: const(0x22, 8),
-                0x102: const(0x33, 8), 0x103: const(0x44, 8)}
-        e = mk_memread(0, const(0x100, 32), 32, secret=False)
-        assert evaluate(e, Model({}), {0: snap}) == 0x44332211
+        snap = Snapshot(0, {0x100: const(0x11, 8), 0x101: const(0x22, 8),
+                            0x102: const(0x33, 8), 0x103: const(0x44, 8)})
+        e = mk_memread(snap, const(0x100, 32), 32, secret=False)
+        assert evaluate(e, Model({})) == 0x44332211
 
     def test_memread_missing_bytes_read_zero(self):
-        e = mk_memread(0, const(0x500, 32), 8, secret=False)
-        assert evaluate(e, Model({}), {0: {}}) == 0
+        e = mk_memread(Snapshot(0, {}), const(0x500, 32), 8, secret=False)
+        assert evaluate(e, Model({})) == 0
 
     def test_memread_symbolic_address(self):
-        snap = {0x10: sym("k", 8, secret=True)}
+        snap = Snapshot(1, {0x10: sym("k", 8, secret=True)})
         a = sym("a", 32)
-        e = mk_memread(1, a, 8, secret=True)
-        assert evaluate(e, Model({"a": 0x10, "k": 0x7E}), {1: snap}) == 0x7E
+        e = mk_memread(snap, a, 8, secret=True)
+        assert evaluate(e, Model({"a": 0x10, "k": 0x7E})) == 0x7E
         assert e.taint == Taint(secret=True, symbolic=True)
+
+    def test_memread_reads_its_own_snapshot(self):
+        # two reads at one address, each of its own snapshot, nested too
+        old = Snapshot(1, {0x20: const(5, 8)})
+        new = Snapshot(2, {0x20: const(9, 8),
+                           0x21: mk_memread(old, const(0x20, 32), 8, False)})
+        a = sym("a", 32)
+        reads = [mk_memread(s, a, 8, False) for s in (old, new)]
+        assert [evaluate(r, Model({"a": 0x20})) for r in reads] == [5, 9]
+        assert evaluate(reads[1], Model({"a": 0x21})) == 5
+        both = mk_binop("add", *reads)
+        assert evaluate(both, Model({"a": 0x20})) == 14
 
     @given(st.sampled_from(BIN_OPS), st.sampled_from(BIN_OPS),
            st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
@@ -148,12 +160,26 @@ class TestEvaluate:
 class TestStructure:
     def test_syntactic_syms_traverses_memread_addr(self):
         a = sym("a", 32)
-        e = mk_memread(3, mk_binop("add", a, const(1, 32)), 8, False)
+        snap = Snapshot(3, {0: sym("hidden", 8)})
+        e = mk_memread(snap, mk_binop("add", a, const(1, 32)), 8, False)
         assert set(syntactic_syms([e])) == {"a"}
-        # references also names the snapshot versions and the reads met
+        # references also names the snapshots read and the reads met
         reads = []
-        assert references([e], reads) == ({"a": a}, {3})
+        assert references([e], reads) == ({"a": a}, {snap})
         assert reads == [e]
+        assert to_str(e) == "(mem v3 (add (sym a w32) (const 1 w32)) w8)"
+
+    def test_snapshots_compare_and_hash_by_version(self):
+        # what the version int did: bytes and facts take no part
+        a = sym("a", 32)
+        one, same = Snapshot(4, {0: const(1, 8)}), Snapshot(4, {})
+        same.facts = ["made"]
+        assert one == same and hash(one) == hash(same) == hash(4)
+        assert one != Snapshot(5, {0: const(1, 8)}) and one != 4
+        assert len({one, same}) == 1 and repr(one) == "Snapshot(v4)"
+        reads = [mk_memread(s, a, 8, False) for s in (one, same)]
+        assert reads[0] == reads[1] and hash(reads[0]) == hash(reads[1])
+        assert reads[0] != mk_memread(Snapshot(5, {}), a, 8, False)
 
     def test_to_str_stable(self):
         e = mk_binop("add", sym("k", 8, secret=True), const(1, 8))

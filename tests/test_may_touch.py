@@ -164,16 +164,16 @@ class TestMemo:
 
 # ------------------------------------------------------------ differential
 
-def _reaches_secret(exprs, snapshots, done=frozenset()):
+def _reaches_secret(exprs, done=frozenset()):
     """Whether `exprs` mention a secret symbol, also behind the bytes of
     the snapshots their loads read."""
-    syms, versions = ex.references(exprs)
+    syms, snaps = ex.references(exprs)
     return any(s.taint.secret for s in syms.values()) or any(
-        _reaches_secret(tuple(snapshots[v].values()), snapshots, done | {v})
-        for v in versions - done)
+        _reaches_secret(tuple(snap.mem.values()), done | {snap.version})
+        for snap in snaps if snap.version not in done)
 
 
-def reference_may_touch(program, run, addr, width, version, path, budget,
+def reference_may_touch(program, addr, width, snap, path, budget,
                         stored=True):
     """Plain `is_sat` in a fresh session, with no bounds, on the path
     extended by each run of secret bytes, widened by the read's width: the
@@ -184,8 +184,8 @@ def reference_may_touch(program, run, addr, width, version, path, budget,
     secret = {a for r in program.regions if r.secret
               for a in range(r.base, r.end)}
     if stored:
-        secret |= {a for a, byte in run.snapshots[version].items()
-                   if _reaches_secret((byte,), run.snapshots)}
+        secret |= {a for a, byte in snap.mem.items()
+                   if _reaches_secret((byte,))}
     n = width // 8
     for a in sorted(secret):
         if a - 1 in secret:
@@ -196,8 +196,7 @@ def reference_may_touch(program, run, addr, width, version, path, budget,
         inside = (ex.mk_binop("le", ex.const(max(a - (n - 1), 0), 32), addr),
                   ex.mk_binop("lt", addr, ex.const(end, 32)))
         try:
-            m = solver.is_sat(path_of(path.constraints + inside, budget,
-                                      run.snapshots))
+            m = solver.is_sat(path_of(path.constraints + inside, budget))
         except solver.BudgetExceeded:
             return True
         if m is not None:
@@ -212,8 +211,7 @@ def compare_loads(seed, wide, budget, baseline, index_mask=15):
     stores of r2 copy a secret into arr, which its loads read back through
     a masked index.  `index_mask` 63 lets a load of pub run up to the byte
     below sec; `wide` makes every load 32 bits wide."""
-    text = random_program(random.Random(seed)).replace(
-        "  addrof r5, arr\n", "  addrof r5, arr\n  load.8 r2, r4\n")
+    text = random_program(random.Random(seed), always_secret_r2=True)
     text = re.sub(r"(and r6, r\d), 15\n", rf"\1, {index_mask}\n", text)
     if wide:
         text = text.replace("load.8", "load.32")
@@ -222,9 +220,9 @@ def compare_loads(seed, wide, budget, baseline, index_mask=15):
     answers = []
     may_touch = Engine._may_touch_secret
 
-    def compared(self, run, addr, width, version, path, pc):
-        got = may_touch(self, run, addr, width, version, path, pc)
-        args = (self.program, run, addr, width, version, path, budget)
+    def compared(self, run, addr, width, snap, path, pc):
+        got = may_touch(self, run, addr, width, snap, path, pc)
+        args = (self.program, addr, width, snap, path, budget)
         assert got == reference_may_touch(*args)
         answers.append((got, reference_may_touch(*args, stored=False)))
         return got

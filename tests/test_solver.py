@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import path_of
 from specsim import solver
-from specsim.expr import (MemRead, Model, Sym, coerce, const, evaluate,
-                          mask, mk_binop, mk_memread, sym)
+from specsim.expr import (MemRead, Model, Snapshot, Sym, coerce, const,
+                          evaluate, mask, mk_binop, mk_memread, sym)
 from specsim.solver import (BudgetExceeded, PathCondition, Session,
                             _binop_bounds, _bounds, _fact, _narrow, _narrowed,
                             find_leak_pair, is_sat)
@@ -77,37 +77,37 @@ class TestIsSat:
         # a and b share no symbol, but both reads can reach the byte n
         a, b = sym("a", 2), sym("b", 2)
         n = sym("n", 8)
-        snaps = {0: {0: n}, 1: {2: n}}
-        ra = mk_memread(0, coerce(a, 32), 8, secret=False)
-        rb = mk_memread(1, mk_binop("add", coerce(b, 32), const(2, 32)),
+        ra = mk_memread(Snapshot(0, {0: n}), coerce(a, 32), 8, secret=False)
+        rb = mk_memread(Snapshot(1, {2: n}),
+                        mk_binop("add", coerce(b, 32), const(2, 32)),
                         8, secret=False)
         # n cannot be both 3 and 5, and only a=0 / b=0 reach it
-        assert is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
-                            snapshots=snaps)) is None
-        m = is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(3, 8))),
-                         snapshots=snaps))
+        assert is_sat(path_of((eq(ra, const(3, 8)),
+                               eq(rb, const(5, 8))))) is None
+        m = is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(3, 8)))))
         assert m is not None and m.assignment == {"a": 0, "b": 0, "n": 3}
 
     def test_nested_snapshot_read_links_constraints(self):
         # version 1 holds a read of version 0, whose byte is n
         a, b = sym("a", 2), sym("b", 2)
         n = sym("n", 8)
-        snaps = {0: {0: n}, 1: {0: mk_memread(0, const(0, 32), 8, False)}}
-        ra = mk_memread(0, coerce(a, 32), 8, secret=False)
-        rb = mk_memread(1, coerce(b, 32), 8, secret=False)
-        assert is_sat(path_of((eq(ra, const(3, 8)), eq(rb, const(5, 8))),
-                            snapshots=snaps)) is None
+        s0 = Snapshot(0, {0: n})
+        s1 = Snapshot(1, {0: mk_memread(s0, const(0, 32), 8, False)})
+        ra = mk_memread(s0, coerce(a, 32), 8, secret=False)
+        rb = mk_memread(s1, coerce(b, 32), 8, secret=False)
+        assert is_sat(path_of((eq(ra, const(3, 8)),
+                               eq(rb, const(5, 8))))) is None
 
     def test_discovers_symbols_behind_memread(self):
         # The secret byte appears only inside a snapshot, not in the query.
         k = sym("k", 8, secret=True)
         a = sym("a", 8)
-        snap = {0x40: k}
-        read = mk_memread(0, mk_binop("add", coerce(a, 32), const(0x40, 32)),
+        snap = Snapshot(0, {0x40: k})
+        read = mk_memread(snap,
+                          mk_binop("add", coerce(a, 32), const(0x40, 32)),
                           8, secret=True)
         q = path_of((eq(coerce(a, 32), const(0, 32)),
-                   eq(coerce(read, 32), const(0x55, 32))),
-                  snapshots={0: snap})
+                   eq(coerce(read, 32), const(0x55, 32))))
         m = is_sat(q)
         assert m is not None
         assert m.assignment["k"] == 0x55
@@ -166,14 +166,15 @@ class TestFindLeakPair:
         # observable reads secret bytes through a snapshot, guarded by a
         # public index: the classic gadget shape
         x = sym("x", 8)
-        snap = {0x40 + i: sym(f"sec[{i}]", 8, secret=True) for i in range(4)}
+        snap = Snapshot(0, {0x40 + i: sym(f"sec[{i}]", 8, secret=True)
+                            for i in range(4)})
         addr = mk_binop("add", const(0x40, 32),
                         mk_binop("and", coerce(x, 32), const(3, 32)))
-        obs = coerce(mk_memread(0, addr, 8, secret=True), 32)
-        pair = find_leak_pair(path_of((), snapshots={0: snap}), obs)
+        obs = coerce(mk_memread(snap, addr, 8, secret=True), 32)
+        pair = find_leak_pair(path_of(()), obs)
         assert pair is not None
         m1, m2 = pair
-        assert evaluate(obs, m1, {0: snap}) != evaluate(obs, m2, {0: snap})
+        assert evaluate(obs, m1) != evaluate(obs, m2)
 
     def test_other_slices_are_shared_by_both_models(self):
         x, y = sym("x", 8), sym("y", 8)
@@ -210,8 +211,8 @@ _POOL = [sym("a", 2), sym("b", 2), sym("c", 2), sym("k", 2, secret=True),
 _HIDDEN = [sym("m", 2), sym("n", 2, secret=True)]
 
 
-def _reachable(exprs, snapshots=None):
-    """Every Sym in `exprs` and, given `snapshots`, in any byte of a
+def _reachable(exprs, through_memory=True):
+    """Every Sym in `exprs` and, if `through_memory`, in any byte of a
     snapshot they can read."""
     out, stack, versions = {}, list(exprs), set()
     while stack:
@@ -220,9 +221,10 @@ def _reachable(exprs, snapshots=None):
             out[e.name] = e
         elif isinstance(e, MemRead):
             stack.append(e.addr)
-            if snapshots is not None and e.version not in versions:
-                versions.add(e.version)
-                stack.extend(snapshots[e.version].values())
+            snap = e.snapshot
+            if through_memory and snap.version not in versions:
+                versions.add(snap.version)
+                stack.extend(snap.mem.values())
         else:
             stack.extend(getattr(e, f) for f in ("a", "b", "cond")
                          if hasattr(e, f))
@@ -236,30 +238,30 @@ def _all_models(syms):
         yield dict(zip(names, values))
 
 
-def _holds(constraints, assignment, snapshots):
+def _holds(constraints, assignment):
     m = Model(assignment)
-    return all(evaluate(c, m, snapshots) != 0 for c in constraints)
+    return all(evaluate(c, m) != 0 for c in constraints)
 
 
 def _total(model, syms):
     return {n: model.assignment.get(n, 0) for n in syms}
 
 
-def _check_is_sat(constraints, snapshots, m):
+def _check_is_sat(constraints, m):
     """`m`, an is_sat answer, agrees with the unsliced reference."""
-    syms = _reachable(constraints, snapshots)
+    syms = _reachable(constraints)
     ref = next((a for a in _all_models(syms)
-                if _holds(constraints, a, snapshots)), None)
+                if _holds(constraints, a)), None)
     assert (m is None) == (ref is None)
     if m is None:
         return
     assert set(m.assignment) <= set(syms)
     # strict Model: the witness binds every symbol evaluation reads
-    assert all(evaluate(c, m, snapshots) != 0 for c in constraints)
+    assert all(evaluate(c, m) != 0 for c in constraints)
     # symbols reachable only through snapshot bytes are found on demand
     # and held at 0 until an enumeration stage fails, so the witness is
     # the reference's whenever that one holds them all at 0
-    hidden = [n for n in syms if n not in _reachable(constraints)]
+    hidden = [n for n in syms if n not in _reachable(constraints, False)]
     if all(ref[n] == 0 for n in hidden):
         assert _total(m, syms) == ref
 
@@ -274,16 +276,18 @@ def _queries(draw):
             return const(draw(st.integers(0, 7)), 8)
         return coerce(draw(st.sampled_from(leaf_syms)), 8)
 
-    snapshots = {0: {i: byte() for i in range(4)},
-                 1: {i: byte() for i in range(4)}}
+    s0 = Snapshot(0, {i: byte() for i in range(4)})
+    mem1 = {i: byte() for i in range(4)}
     if draw(st.booleans()):  # a byte of version 1 reads version 0
         addr = coerce(draw(st.sampled_from(_POOL)), 32)
-        snapshots[1][draw(st.integers(0, 3))] = mk_memread(0, addr, 8, False)
+        mem1[draw(st.integers(0, 3))] = mk_memread(s0, addr, 8, False)
+    snapshots = (s0, Snapshot(1, mem1))
 
     def read(width):
         addr = mk_binop("add", coerce(draw(st.sampled_from(_POOL)), 32),
                         const(draw(st.integers(0, 2)), 32))
-        return mk_memread(draw(st.integers(0, 1)), addr, width, secret=False)
+        return mk_memread(snapshots[draw(st.integers(0, 1))], addr, width,
+                          secret=False)
 
     def term():
         kind = draw(st.integers(0, 3))
@@ -306,51 +310,49 @@ def _queries(draw):
     if kind == 2:
         observable = mk_binop("add", observable,
                               coerce(read(draw(st.sampled_from((8, 32)))), 32))
-    return constraints, snapshots, observable
+    return constraints, observable
 
 
 class TestDifferential:
     @settings(max_examples=120, deadline=None)
     @given(_queries())
     def test_is_sat_matches_unsliced_reference(self, case):
-        constraints, snapshots, _obs = case
-        _check_is_sat(constraints, snapshots,
-                      is_sat(path_of(constraints, snapshots=snapshots)))
+        constraints, _obs = case
+        _check_is_sat(constraints, is_sat(path_of(constraints)))
 
     @settings(max_examples=60, deadline=None)
     @given(_queries())
     def test_find_leak_pair_matches_unsliced_reference(self, case):
-        constraints, snapshots, obs = case
-        syms = _reachable(constraints + (obs,), snapshots)
+        constraints, obs = case
+        syms = _reachable(constraints + (obs,))
         public = [n for n, s in syms.items() if not s.taint.secret]
         seen = {}
         leaks = False
         for a in _all_models(syms):
-            if not _holds(constraints, a, snapshots):
+            if not _holds(constraints, a):
                 continue
             key = tuple(a[n] for n in public)
-            value = evaluate(obs, Model(a), snapshots)
+            value = evaluate(obs, Model(a))
             first = seen.setdefault(key, value)
             if first != value:
                 leaks = True
                 break
-        pair = find_leak_pair(path_of(constraints, snapshots=snapshots), obs)
+        pair = find_leak_pair(path_of(constraints), obs)
         assert (pair is not None) == leaks
         if pair is None:
             return
         t1, t2 = (_total(m, syms) for m in pair)
-        assert _holds(constraints, t1, snapshots)
-        assert _holds(constraints, t2, snapshots)
+        assert _holds(constraints, t1)
+        assert _holds(constraints, t2)
         assert all(t1[n] == t2[n] for n in public)
-        assert (evaluate(obs, Model(t1), snapshots)
-                != evaluate(obs, Model(t2), snapshots))
+        assert evaluate(obs, Model(t1)) != evaluate(obs, Model(t2))
 
 
-def _closure(constraints, snapshots):
+def _closure(constraints):
     """Constraint indices grouped by naive pairwise closure: two
     constraints are joined when the symbols they can reach, snapshot bytes
     included, share a name.  Groups are ordered by their first index."""
-    names = [set(_reachable((c,), snapshots)) for c in constraints]
+    names = [set(_reachable((c,))) for c in constraints]
     groups = [[i] for i in range(len(constraints))]
     joined = True
     while joined:
@@ -373,38 +375,37 @@ class TestPathCondition:
     @settings(max_examples=120, deadline=None)
     @given(_queries(), st.integers(0, 4))
     def test_slices_are_the_naive_closure(self, case, split):
-        constraints, snapshots, obs = case
+        constraints, obs = case
         constraints += (obs,)  # a non-boolean constraint slices the same
-        prefix = path_of(constraints[:split], snapshots=snapshots)
+        prefix = path_of(constraints[:split])
         path = _extended(prefix, constraints[split:])
         for p, cons in ((prefix, constraints[:split]), (path, constraints)):
             assert p.constraints == cons
-            assert [list(sl.members) for sl in p.slices] == _closure(
-                cons, snapshots)
+            assert [list(sl.members) for sl in p.slices] == _closure(cons)
             for sl in p.slices:
                 assert sl.exprs == tuple(cons[i] for i in sl.members)
-                assert sl.syms == _reachable(sl.exprs)  # syntactic only
+                assert sl.syms == _reachable(sl.exprs, False)  # syntactic
 
     @settings(max_examples=80, deadline=None)
     @given(_queries())
     def test_reached_is_the_closure_of_the_expression(self, case):
-        constraints, snapshots, obs = case
-        path = path_of(constraints, snapshots=snapshots)
-        (group,) = [g for g in _closure(constraints + (obs,), snapshots)
+        constraints, obs = case
+        path = path_of(constraints)
+        (group,) = [g for g in _closure(constraints + (obs,))
                     if len(constraints) in g]
         assert path.reached(obs) == tuple(constraints[i] for i in group[:-1])
 
     @settings(max_examples=80, deadline=None)
     @given(_queries(), st.integers(0, 4))
     def test_answers_on_a_path_match_unsliced_reference(self, case, split):
-        constraints, snapshots, _obs = case
-        prefix = path_of(constraints[:split], snapshots=snapshots)
-        _check_is_sat(constraints[:split], snapshots, is_sat(prefix))
+        constraints, _obs = case
+        prefix = path_of(constraints[:split])
+        _check_is_sat(constraints[:split], is_sat(prefix))
         # the prefix's slices keep their answers; the rest are asked anew
         path = _extended(prefix, constraints[split:])
         m = is_sat(path)
-        _check_is_sat(constraints, snapshots, m)
-        assert is_sat(path_of(constraints, snapshots=snapshots)) == m
+        _check_is_sat(constraints, m)
+        assert is_sat(path_of(constraints)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +442,14 @@ class TestRefutation:
 
     def test_out_of_bounds_secret_read_past_region_is_refuted(self):
         # array2 + 64 * byte can never fall below array2's base
-        read = mk_memread(0, add(const(4096, 32), zx(sym("x", 8))), 8, True)
+        snap = Snapshot(0, {4096 + i: sym(f"s{i}", 8, secret=True)
+                            for i in range(64)})
+        read = mk_memread(snap, add(const(4096, 32), zx(sym("x", 8))), 8,
+                          True)
         addr = add(const(4224, 32), mk_binop("mul", const(64, 32), zx(read)))
-        snaps = {0: {4096 + i: sym(f"s{i}", 8, secret=True)
-                     for i in range(64)}}
         cons = (lt(addr, const(4224, 32)),)
         assert refuted(cons)
-        assert is_sat(path_of(cons, bit_budget=4, snapshots=snaps)) is None
+        assert is_sat(path_of(cons, bit_budget=4)) is None
 
     def test_negated_and_conflicting_branch_constraints(self):
         x = sym("x", 8)
@@ -484,10 +486,10 @@ class _Draws:
 
     def __init__(self, draw):
         self.draw = draw
-        self.snap = {i: coerce(draw(st.sampled_from(_NPOOL + [_NHIDDEN])), 8)
-                     if draw(st.booleans())
-                     else const(draw(st.integers(0, 255)), 8)
-                     for i in range(8)}
+        self.snap = Snapshot(0, {
+            i: coerce(draw(st.sampled_from(_NPOOL + [_NHIDDEN])), 8)
+            if draw(st.booleans()) else const(draw(st.integers(0, 255)), 8)
+            for i in range(8)})
 
     def num(self, width):
         return const(self.draw(st.one_of(
@@ -502,7 +504,8 @@ class _Draws:
             return coerce(self.draw(st.sampled_from(_NPOOL)), width)
         addr = add(zx(self.draw(st.sampled_from(_NPOOL))),
                    const(self.draw(st.integers(0, 2)), 32))
-        read = mk_memread(0, addr, self.draw(st.sampled_from((8, 32))), False)
+        read = mk_memread(self.snap, addr,
+                          self.draw(st.sampled_from((8, 32))), False)
         return coerce(read, width)
 
     def term(self, width, depth=2):
@@ -544,10 +547,10 @@ class _Draws:
 
 @st.composite
 def _terms(draw):
-    """(term, bounds of each pool symbol, snapshots)."""
+    """(term, bounds of each pool symbol)."""
     d = _Draws(draw)
     env = {s: d.range_of(s) for s in _NPOOL}
-    return d.term(draw(_WIDTHS)), env, {0: d.snap}
+    return d.term(draw(_WIDTHS)), env
 
 
 @st.composite
@@ -579,7 +582,7 @@ def _refutable(draw):
         w = draw(_WIDTHS)
         constraints.append(d.compare(d.term(w), d.num(w) if draw(st.booleans())
                                      else d.term(w)))
-    return tuple(draw(st.permutations(constraints))), {0: d.snap}
+    return tuple(draw(st.permutations(constraints)))
 
 
 def _models_within(syms, env):
@@ -621,10 +624,10 @@ class TestRefutationSoundness:
     @settings(max_examples=300, deadline=None)
     @given(_terms())
     def test_bounds_hold_every_value(self, case):
-        term, env, snapshots = case
+        term, env = case
         lo, hi = _bounds(term, env, {})
-        for a in _models_within(_reachable((term,), snapshots), env):
-            assert lo <= evaluate(term, Model(a), snapshots) <= hi
+        for a in _models_within(_reachable((term,)), env):
+            assert lo <= evaluate(term, Model(a)) <= hi
 
     @settings(max_examples=300, deadline=None)
     @given(_symbol_comparisons())
@@ -640,13 +643,11 @@ class TestRefutationSoundness:
 
     @settings(max_examples=300, deadline=None)
     @given(_refutable())
-    def test_refuted_queries_have_no_model(self, case):
-        constraints, snapshots = case
+    def test_refuted_queries_have_no_model(self, constraints):
         if not refuted(constraints):
             return
-        syms = _reachable(constraints, snapshots)
-        assert not any(_holds(constraints, a, snapshots)
-                       for a in _all_models(syms))
+        syms = _reachable(constraints)
+        assert not any(_holds(constraints, a) for a in _all_models(syms))
 
 
 # ---------------------------------------------------------------------------
@@ -733,15 +734,16 @@ def _v01_shape():
     """v01's layout and its wrong-path leak query: array1 at 4096, the 64
     secret bytes at 4160, array2 at 4224, and x >= 16."""
     x = sym("x", 8)
-    snap = {4096 + i: const(i, 8) for i in range(16)}
-    snap.update({4160 + i: sym(f"secret[{i}]", 8, secret=True)
-                 for i in range(64)})
+    mem = {4096 + i: const(i, 8) for i in range(16)}
+    mem.update({4160 + i: sym(f"secret[{i}]", 8, secret=True)
+                for i in range(64)})
+    snap = Snapshot(0, mem)
     addr = add(const(4096, 32), zx(x))
-    read = mk_memread(0, addr, 8, secret=True)
+    read = mk_memread(snap, addr, 8, secret=True)
     line = mk_binop("lshr", add(const(4224, 32),
                                 mk_binop("mul", zx(read), const(64, 32))),
                     const(6, 32))
-    return (taken(lt(zx(x), const(16, 32)), False),), addr, line, {0: snap}
+    return (taken(lt(zx(x), const(16, 32)), False),), addr, line, snap
 
 
 class TestNarrowedEnumeration:
@@ -759,30 +761,40 @@ class TestNarrowedEnumeration:
         assert _fact(lt(zx(add(x, const(1, 8))), const(4, 32))) is None
 
     def test_may_touch_query_probes_one_assignment(self, monkeypatch):
-        path, addr, _line, snaps = _v01_shape()
+        path, addr, _line, _snap = _v01_shape()
         calls = _counting(monkeypatch, "evaluate")
         cons = path + (mk_binop("le", const(4160, 32), addr),
                        lt(addr, const(4224, 32)))
-        assert is_sat(path_of(cons, snapshots=snaps)) == Model({"x": 64})
+        assert is_sat(path_of(cons)) == Model({"x": 64})
         assert len(calls) == len(cons)  # x = 64 is the first value tried
 
     def test_leak_pair_search_starts_at_the_secret_bytes(self, monkeypatch):
-        path, _addr, line, snaps = _v01_shape()
+        path, _addr, line, snap = _v01_shape()
         calls = _counting(monkeypatch, "_leak_pair_for_public")
-        m1, m2 = find_leak_pair(path_of(path, snapshots=snaps), line)
+        m1, m2 = find_leak_pair(path_of(path), line)
         assert len(calls) == 1
         assert m1.assignment == {"secret[0]": 0, "x": 64}
         assert m2.assignment == {"secret[0]": 1, "x": 64}
-        assert solver._secret_runs(0, Session(snapshots=snaps)) == (
-            (4160, 4224),)
+        assert solver._secret_runs(snap) == ((4160, 4224),)
+
+    def test_secret_spans_cover_regions_and_secret_bytes(self):
+        # one widened-span rule for the may-touch check and the hull: the
+        # declared region [8, 10) counts though its bytes are public
+        x, k = sym("x", 8), sym("k", 8, secret=True)
+        snap = Snapshot(0, {3: k, 4: const(1, 8), 9: const(0, 8)}, ((8, 10),))
+        assert solver.secret_spans(snap, 1) == [(3, 4), (8, 10)]
+        assert solver.secret_spans(snap, 4) == [(0, 4), (5, 10)]
+        read = mk_memread(snap, zx(x), 8, secret=True)
+        lo, hi = solver._hull_facts((), zx(read), {"x": x})
+        assert (lo.a.value, hi.b.value) == (3, 9)
 
     def test_wide_read_below_the_hull_reaches_it(self):
         # a 32-bit read at x < 3 still covers the secret byte at 3
         x, k = sym("x", 2), sym("k", 8, secret=True)
-        snaps = {0: {0: const(1, 8), 1: const(2, 8), 2: const(3, 8), 3: k}}
-        read = mk_memread(0, zx(x), 32, secret=True)
-        m1, m2 = find_leak_pair(path_of((lt(zx(x), const(3, 32)),),
-                                      snapshots=snaps), read)
+        snap = Snapshot(0, {0: const(1, 8), 1: const(2, 8), 2: const(3, 8),
+                            3: k})
+        read = mk_memread(snap, zx(x), 32, secret=True)
+        m1, m2 = find_leak_pair(path_of((lt(zx(x), const(3, 32)),)), read)
         assert m1.assignment == {"k": 0, "x": 0}
         assert m2.assignment == {"k": 1, "x": 0}
 
@@ -790,37 +802,38 @@ class TestNarrowedEnumeration:
     def test_two_reads_get_no_hull(self, secret_at):
         # only one of the two reads can land on the secret byte
         x = sym("x", 2)
-        snaps = {0: {i: const(i, 8) for i in range(12)}}
-        snaps[0][secret_at] = sym("k", 8, secret=True)
-        near = mk_memread(0, zx(x), 8, secret=True)
-        far = mk_memread(0, add(zx(x), const(8, 32)), 8, secret=True)
-        pair = find_leak_pair(path_of((), snapshots=snaps),
-                              add(zx(near), zx(far)))
+        mem = {i: const(i, 8) for i in range(12)}
+        mem[secret_at] = sym("k", 8, secret=True)
+        snap = Snapshot(0, mem)
+        near = mk_memread(snap, zx(x), 8, secret=True)
+        far = mk_memread(snap, add(zx(x), const(8, 32)), 8, secret=True)
+        pair = find_leak_pair(path_of(()), add(zx(near), zx(far)))
         assert pair is not None
         assert pair[0].assignment["x"] == pair[1].assignment["x"] == 1
 
     def test_syntactic_secret_gets_no_hull(self):
         # no byte reaches a secret, but k appears in the observable itself
         x, k = sym("x", 2), sym("k", 8, secret=True)
-        read = mk_memread(0, zx(x), 8, secret=False)
-        pair = find_leak_pair(path_of((), snapshots={0: {0: const(5, 8)}}),
-                              add(zx(read), zx(k)))
+        read = mk_memread(Snapshot(0, {0: const(5, 8)}), zx(x), 8,
+                          secret=False)
+        pair = find_leak_pair(path_of(()), add(zx(read), zx(k)))
         assert pair is not None
         assert pair[0].assignment["k"] != pair[1].assignment["k"]
 
     def test_no_secret_byte_is_clean_after_the_budget_check(self):
         x, y = sym("x", 8), sym("y", 8)
-        read = mk_memread(0, add(zx(x), zx(y)), 8, secret=False)
-        snaps = {0: {i: const(i, 8) for i in range(8)}}
+        snap = Snapshot(0, {i: const(i, 8) for i in range(8)})
+        read = mk_memread(snap, add(zx(x), zx(y)), 8, secret=False)
         with pytest.raises(BudgetExceeded, match="16 symbolic bits"):
-            find_leak_pair(path_of(bit_budget=12, snapshots=snaps), zx(read))
-        assert find_leak_pair(path_of((), snapshots=snaps), zx(read)) is None
+            find_leak_pair(path_of(bit_budget=12), zx(read))
+        assert find_leak_pair(path_of(()), zx(read)) is None
 
     def test_symbol_read_only_at_skipped_values_is_not_discovered(self):
         # x = 0 would read h, but x >= 2 skips it: h is neither discovered
         # nor defaulted into the witness
         x, h = sym("x", 2), sym("h", 8)
-        read = mk_memread(0, zx(x), 8, secret=False)
+        read = mk_memread(Snapshot(0, {0: h, 2: const(7, 8)}), zx(x), 8,
+                          secret=False)
         cons = (eq(read, const(7, 8)), lt(const(1, 32), zx(x)))
-        m = is_sat(path_of(cons, snapshots={0: {0: h, 2: const(7, 8)}}))
+        m = is_sat(path_of(cons))
         assert m == Model({"x": 2})
