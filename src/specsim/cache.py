@@ -8,21 +8,21 @@ or at set granularity (Prime+Probe) via the config flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from collections import namedtuple
 
-from .expr import Const, Expr, Model, const, mk_binop
+from .expr import Const, Expr, const, mk_binop
 from .solver import BudgetExceeded, PathCondition, find_leak_pair
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    line_size: int = 64
-    sets: int = 64
-    ways: int = 4
-    granularity: str = "line"  # "line" (Flush+Reload) or "set" (Prime+Probe)
+class CacheConfig(namedtuple("CacheConfig", "line_size sets ways granularity",
+                             defaults=(64, 64, 4, "line"))):
+    """granularity: "line" (Flush+Reload) or "set" (Prime+Probe).  Checked
+    on construction, `_replace` included."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("line_size", "sets"):
             v = getattr(self, name)
             if v <= 0 or v & (v - 1):
@@ -31,12 +31,13 @@ class CacheConfig:
             raise ValueError("ways must be >= 1")
         if self.granularity not in ("line", "set"):
             raise ValueError(f"unknown granularity {self.granularity!r}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # for `_replace`
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    hit: bool
-    evicted: Optional[int]  # line id of the victim, if any
+# evicted: the line id of the victim, if any
+AccessResult = namedtuple("AccessResult", "hit evicted")
 
 
 class CacheState:
@@ -44,7 +45,7 @@ class CacheState:
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
-        self.sets: List[List[int]] = [[] for _ in range(cfg.sets)]
+        self.sets: list[list[int]] = [[] for _ in range(cfg.sets)]
 
     def access(self, addr: int) -> AccessResult:
         line = addr // self.cfg.line_size
@@ -68,12 +69,13 @@ class CacheState:
                 and self.sets == other.sets)
 
 
-@dataclass(frozen=True)
-class LeakResult:
-    status: str  # "leak", "none", or "unknown"
-    witness: Optional[Tuple[Model, Model]] = None
-    observable: Optional[Expr] = None  # what the witness pair distinguishes
-    error: Optional[BudgetExceeded] = None  # why the status is "unknown"
+class LeakResult(namedtuple("LeakResult", "status witness observable error",
+                            defaults=(None, None, None))):
+    """status: "leak", "none", or "unknown"; witness: a (Model, Model) pair;
+    observable: what the pair distinguishes; error: the BudgetExceeded
+    that made the status "unknown"."""
+
+    __slots__ = ()
 
     @property
     def positive(self) -> bool:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
-from typing import List, Optional
 
 from . import sir
 from .cache import CacheConfig
@@ -81,18 +79,17 @@ def predictor_config(args) -> PredictorConfig:
                  btb_tag_bits=args.btb_tag_bits, window=args.window,
                  fallback="btfnt" if args.btfnt else None)
     base = PRESETS[args.preset] if args.preset else PredictorConfig()
-    return replace(base, **{k: v for k, v in flags.items() if v is not None})
+    return base._replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _stats_dict(result: RunResult) -> dict:
     """The scalar `Stats` fields; the per-trace and per-path lists stay
     out."""
-    return {f.name: getattr(result.stats, f.name)
-            for f in fields(Stats)
-            if f.name not in ("trace_identities", "path_summaries")}
+    return {f: getattr(result.stats, f) for f in Stats._fields
+            if f not in ("trace_identities", "path_summaries")}
 
 
-def _common_traces(a: List[tuple], b: List[tuple]) -> int:
+def _common_traces(a: list[tuple], b: list[tuple]) -> int:
     """Multiset intersection size of two trace-identity lists."""
     from collections import Counter
     ca, cb = Counter(a), Counter(b)
@@ -112,7 +109,7 @@ def _write_json(path: str, data) -> bool:
     return True
 
 
-def run(argv: Optional[List[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -48,8 +48,8 @@ addresses, and per pattern set the monitor plans of each step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import cache as cache_mod
 from . import expr as ex
@@ -57,7 +57,7 @@ from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
 from .monitor import MonitorInstance, MonitorSpec, event_class, plans
 from .predictor import PredictorConfig, PredictorState
-from .sir import Program, Reg
+from .sir import Program, Record, Reg
 
 
 class EngineError(Exception):
@@ -73,13 +73,9 @@ _lane = functools.lru_cache(maxsize=64)(lambda op, width: (
     ex.BINOP_FNS[op], ex.mask(width), 32 if op in ex.CMP_OPS else width))
 
 
-class Event(NamedTuple):
-    name: str
-    pc: int
-    speculation: bool
-    symbolic_access: bool
-    secret_access: bool
-    addr: Optional[int] = None  # concrete address of a load or store
+# addr: the concrete address of a load or store
+Event = namedtuple("Event", "name pc speculation symbolic_access "
+                   "secret_access addr", defaults=(None,))
 
 
 class PathKey:
@@ -90,8 +86,8 @@ class PathKey:
 
     __slots__ = ("parent", "step", "size", "_hash")
 
-    def __init__(self, parent: Optional["PathKey"] = None,
-                 step: Optional[Tuple[int, bool]] = None):
+    def __init__(self, parent: PathKey | None = None,
+                 step: tuple[int, bool] | None = None):
         self.parent = parent
         self.step = step
         self.size = 0 if parent is None else parent.size + 1
@@ -124,32 +120,30 @@ class PathKey:
         return repr(tuple(self))
 
 
-@dataclass
-class Stats:
-    paths: int = 0
-    arch_instructions: int = 0
-    spec_instructions: int = 0
-    spec_traces: int = 0
-    predictor_updates: int = 0
-    solver_queries: int = 0
-    budget_exceeded: int = 0
-    step_limit_hit: bool = False
-    trace_identities: List[Tuple] = field(default_factory=list)
-    # one (path_key, path_condition, final fingerprint) per finished path
-    path_summaries: List[Tuple] = field(default_factory=list)
+class Stats(Record):
+    """Counters of one run; `trace_identities` has one entry per wrong-path
+    trace and `path_summaries` one (path_key, path_condition, final
+    fingerprint) per finished path."""
+
+    __slots__ = _fields = (
+        "paths", "arch_instructions", "spec_instructions", "spec_traces",
+        "predictor_updates", "solver_queries", "budget_exceeded",
+        "step_limit_hit", "trace_identities", "path_summaries")
+
+    def __init__(self):
+        self.paths = self.arch_instructions = self.spec_instructions = 0
+        self.spec_traces = self.predictor_updates = self.solver_queries = 0
+        self.budget_exceeded, self.step_limit_hit = 0, False
+        self.trace_identities, self.path_summaries = [], []
 
 
-@dataclass
-class Finding:
-    kind: str  # "leak", "unknown", or "error"
-    pattern: Optional[str]
-    chain: Tuple[Tuple[int, str, bool], ...]
-    path_condition: str
-    config: str
-    witness: Optional[object]  # Model or (Model, Model)
-    event_log: Tuple = ()
-    observable: Optional[ex.Expr] = None  # adversary view the pair separates
-    constraints: Tuple[ex.Expr, ...] = ()
+class Finding(namedtuple(
+        "Finding", "kind pattern chain path_condition config witness "
+        "event_log observable constraints", defaults=((), None, ()))):
+    """kind: "leak", "unknown" or "error"; witness: a Model, a (Model, Model)
+    pair or None; observable: the adversary view the pair separates."""
+
+    __slots__ = ()
 
     def sort_key(self):
         return (self.kind, self.pattern or "", self.chain, self.path_condition)
@@ -173,32 +167,35 @@ class Finding:
         }
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """The state and the outcome of one `Engine.run`.  Witnesses and
     observables re-evaluate with `expr.evaluate`; `symbols` holds every
-    symbol of the run by name."""
-    findings: List[Finding] = field(default_factory=list)
-    stats: Stats = field(default_factory=Stats)
-    diagnostics: List[str] = field(default_factory=list)
-    unknown: bool = False
-    baseline: bool = False
-    symbols: Dict[str, ex.Sym] = field(default_factory=dict, repr=False)
-    # the solver state every path of the run is bound to
-    session: solver.Session = field(default_factory=solver.Session,
-                                    compare=False, repr=False)
-    # version 0 is the initial image, read by every frame that stored
-    # nothing; snapshots with stores count up from 1 architecturally and
-    # down from -1 on wrong paths, so the snapshots embedded in
-    # architectural expressions are equal whether or not speculation ran
-    # in between
-    next_version: int = field(default=1, compare=False, repr=False)
-    next_spec_version: int = field(default=-1, compare=False, repr=False)
-    # (pattern, chain, path key) of every match already reported
-    seen: Set[tuple] = field(default_factory=set, compare=False, repr=False)
-    # (pc, kind) of every note already written
-    noted: Set[Tuple[int, str]] = field(default_factory=set, compare=False,
-                                        repr=False)
+    symbol of the run by name.  Equality reads the printed fields and
+    `symbols`."""
+
+    __slots__ = ("findings", "stats", "diagnostics", "unknown", "baseline",
+                 "symbols", "session", "next_version", "next_spec_version",
+                 "seen", "noted")
+    _fields, _compared = __slots__[:5], 6
+
+    def __init__(self, baseline: bool = False,
+                 symbols: dict[str, ex.Sym] | None = None,
+                 session: solver.Session | None = None):
+        self.findings, self.stats, self.diagnostics = [], Stats(), []
+        self.unknown, self.baseline = False, baseline
+        self.symbols = {} if symbols is None else symbols
+        # the solver state every path of the run is bound to
+        self.session = solver.Session() if session is None else session
+        # version 0 is the initial image, read by every frame that stored
+        # nothing; snapshots with stores count up from 1 architecturally and
+        # down from -1 on wrong paths, so the snapshots embedded in
+        # architectural expressions are equal whether or not speculation
+        # ran in between
+        self.next_version, self.next_spec_version = 1, -1
+        # (pattern, chain, path key) of every match already reported
+        self.seen: set[tuple] = set()
+        # (pc, kind) of every note already written
+        self.noted: set[tuple[int, str]] = set()
 
     @property
     def verdict(self) -> str:
@@ -210,7 +207,7 @@ class RunResult:
         return "leakage-free"
 
     def overrun(self, pc: int, kind: str,
-                err: Optional[solver.BudgetExceeded] = None) -> None:
+                err: solver.BudgetExceeded | None = None) -> None:
         """A `kind` query ("branch", "may-touch", "leak-pair" or "witness")
         at `pc` exceeded the bit budget: count it, explain it once per
         (pc, kind), and the verdict can no longer be leakage-free."""
@@ -234,20 +231,20 @@ class ExecState:
                  "predictor", "cache", "monitors", "ret_stack", "event_log")
 
     def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
-                 monitors: List[MonitorInstance]):
+                 monitors: list[MonitorInstance]):
         self.pc = pc
-        self.regs: Dict[str, ex.Expr] = {}
-        self.mem: Dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
-        self.frozen: Optional[ex.Snapshot] = None  # see Engine._freeze
+        self.regs: dict[str, ex.Expr] = {}
+        self.mem: dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
+        self.frozen: ex.Snapshot | None = None  # see Engine._freeze
         self.path = solver.PathCondition(solver.Session())  # run() rebinds
         self.path_key = PathKey()
         self.predictor = predictor
         self.cache = cache
         self.monitors = monitors
-        self.ret_stack: List[int] = []
+        self.ret_stack: list[int] = []
         # each event of the path and its wrong paths with its leak-check
         # result, or None where none ran; its length is the event clock
-        self.event_log: List[Tuple[Event, Optional[LeakResult]]] = []
+        self.event_log: list[tuple[Event, LeakResult | None]] = []
 
     def clone(self) -> "ExecState":
         c = ExecState.__new__(ExecState)
@@ -290,7 +287,7 @@ class _Sandbox:
     __slots__ = ("pc", "regs", "mem", "frozen", "ret_stack", "shadow")
 
     def __init__(self, state: ExecState, start_pc: int,
-                 shadow: Optional[PredictorState]):
+                 shadow: PredictorState | None):
         self.pc = start_pc
         self.regs = dict(state.regs)
         self.mem = dict(state.mem)  # buffered stores land here only
@@ -306,8 +303,8 @@ def check_limits(bit_budget: int, step_limit: int) -> None:
             raise ValueError(f"{name} must be >= 0")
 
 
-def _read(regs: Dict[str, ex.Expr], name: Optional[str],
-          imm: Optional[ex.Const]) -> ex.Expr:
+def _read(regs: dict[str, ex.Expr], name: str | None,
+          imm: ex.Const | None) -> ex.Expr:
     """A decoded source operand: register `name`, or the immediate `imm`."""
     value = regs.get(name, imm)
     if value is None:
@@ -317,8 +314,8 @@ def _read(regs: Dict[str, ex.Expr], name: Optional[str],
 
 class Engine:
     def __init__(self, program: Program,
-                 predictor_cfg: Optional[PredictorConfig] = None,
-                 cache_cfg: Optional[CacheConfig] = None,
+                 predictor_cfg: PredictorConfig | None = None,
+                 cache_cfg: CacheConfig | None = None,
                  patterns: Sequence[MonitorSpec] = (),
                  bit_budget: int = 20,
                  step_limit: int = 200_000):
@@ -349,7 +346,7 @@ class Engine:
                          CacheState(self.cache_cfg),
                          [MonitorInstance(p) for p in self.patterns])
         init.path = solver.PathCondition(run.session)
-        worklist: List[ExecState] = [init]
+        worklist: list[ExecState] = [init]
         table, stats, steps = self._steps, run.stats, 0
         while worklist and not stats.step_limit_hit:
             s = worklist.pop()
@@ -382,7 +379,7 @@ class Engine:
     # ----------------------------------------------------------- single step
 
     def step(self, state: ExecState,
-             run: Optional[RunResult] = None) -> List[ExecState]:
+             run: RunResult | None = None) -> list[ExecState]:
         """Execute one instruction of a copy of `state`; return the live
         successors.  Each successor's event_log extends the input's, so the
         caller can diff logs to see what the step emitted.  Symbols,
@@ -399,7 +396,7 @@ class Engine:
             s.path = solver.PathCondition(run.session)
         run.stats.arch_instructions += 1
         step = self._steps[s.pc]
-        successors: List[ExecState] = []
+        successors: list[ExecState] = []
         if step.handler(self, run, s, s, step, successors) == "run":
             successors.append(s)
         return successors
@@ -517,9 +514,9 @@ class Engine:
         return "fork"
 
     def _fork_on_branch(self, run: RunResult, s: ExecState, step: "_Step",
-                        cond: ex.Expr, worklist: List[ExecState]) -> None:
+                        cond: ex.Expr, worklist: list[ExecState]) -> None:
         pc = step.pc
-        feasible: List[bool] = []
+        feasible: list[bool] = []
         paths = {}  # each queried direction's path condition
         overran = False
         for want in (True, False):
@@ -639,9 +636,9 @@ class Engine:
     # ----------------------------------------------------------- speculation
 
     def _run_speculative(self, run: RunResult, s: ExecState, start_pc: int,
-                         identity_tail: Tuple[int, int],
-                         noted: Optional[bool] = None,
-                         push_return: Optional[int] = None) -> None:
+                         identity_tail: tuple[int, int],
+                         noted: bool | None = None,
+                         push_return: int | None = None) -> None:
         """Run one wrong-path trace of at most `window` instructions, steered
         by a copy of the path's predictor (its BHR shifted by the `noted`
         predicted direction) outside baseline mode.
@@ -807,7 +804,7 @@ class Engine:
 
     def _cache_route(self, run: RunResult, addr: ex.Expr,
                      path: solver.PathCondition, pc: int
-                     ) -> Optional[LeakResult]:
+                     ) -> LeakResult | None:
         """The leak check of an access at a secret-tainted address, when
         some pattern checks the cache state; None otherwise."""
         if not (addr.taint.secret and self._needs_cache_check):
@@ -819,7 +816,7 @@ class Engine:
         return leak
 
     def _emit(self, run: RunResult, s: ExecState, event: Event,
-              leak: Optional[LeakResult]) -> None:
+              leak: LeakResult | None) -> None:
         if event.addr is not None:
             s.cache.access(event.addr)
         now = len(s.event_log)  # the path's event clock
@@ -833,7 +830,7 @@ class Engine:
                 self._record_match(run, s, match, leak)
 
     def _record_match(self, run: RunResult, s: ExecState, match,
-                      leak: Optional[LeakResult]) -> None:
+                      leak: LeakResult | None) -> None:
         key = (match.pattern, match.chain, s.path_key)
         if key in run.seen:
             return
@@ -904,7 +901,7 @@ _HANDLERS.update(
     **dict.fromkeys(("halt", "ret", "jmp", "call"), Engine._exec_control))
 
 
-def _step_table(program: Program) -> Tuple[_Step, ...]:
+def _step_table(program: Program) -> tuple[_Step, ...]:
     labels = program.labels
     table = []
     for pc, inst in enumerate(program.instructions):
@@ -939,10 +936,10 @@ def _step_table(program: Program) -> Tuple[_Step, ...]:
     return tuple(table)
 
 
-def _initial_image(program: Program) -> Dict[int, ex.Expr]:
+def _initial_image(program: Program) -> dict[int, ex.Expr]:
     """Region-declared contents; secret regions without init are fresh
     secret symbols, one per byte."""
-    init: Dict[int, ex.Expr] = {}
+    init: dict[int, ex.Expr] = {}
     for region in program.regions:
         if region.init is None and not region.secret:
             continue  # uninitialised public bytes read as zero
@@ -980,8 +977,8 @@ class _Decoded:
             for speculative in (False, True)))
 
 
-def _met(bounds: Tuple[int, int], spans: Sequence[Tuple[int, int]]
-         ) -> List[Tuple[int, int]]:
+def _met(bounds: tuple[int, int], spans: Sequence[tuple[int, int]]
+         ) -> list[tuple[int, int]]:
     """The spans [lo, end) that meet the addresses `bounds` [lo, hi]."""
     lo, hi = bounds
     return [(start, end) for start, end in spans if start <= hi and lo < end]

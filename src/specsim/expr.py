@@ -1,6 +1,6 @@
 """Bit-precise symbolic expression trees with per-expression taint labels.
 
-Expressions are immutable and freely shareable across execution paths.
+Expressions are immutable named tuples, shareable across execution paths.
 Every node carries a width in bits and a two-bit taint (secret, symbolic).
 Smart constructors apply constant folding plus a small set of identity
 rewrites; anything stronger is intentionally left to the enumeration
@@ -12,8 +12,8 @@ under a model alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 
 class ExprError(Exception):
@@ -28,12 +28,10 @@ class UnboundSymbol(ExprError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Taint:
+class Taint(namedtuple("Taint", "secret symbolic", defaults=(False, False))):
     """Independent secrecy and symbolicness bits attached to a value."""
 
-    secret: bool = False
-    symbolic: bool = False
+    __slots__ = ()
 
     def join(self, other: "Taint") -> "Taint":
         return _TAINTS[self.secret or other.secret][self.symbolic or other.symbolic]
@@ -65,33 +63,26 @@ BIN_OPS = tuple(BINOP_FNS)
 UN_OPS = ("zext", "trunc")
 
 
-@dataclass(frozen=True, slots=True)
 class Expr:
-    width: int
-    taint: Taint
+    """Base of the nodes, each a named tuple that starts (width, taint)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Const(Expr):
-    value: int
+class Const(namedtuple("Const", "width taint value"), Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sym(Expr):
-    name: str
+class Sym(namedtuple("Sym", "width taint name"), Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class UnOp(Expr):
-    op: str
-    a: Expr
+class UnOp(namedtuple("UnOp", "width taint op a"), Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp(Expr):
-    op: str
-    a: Expr
-    b: Expr
+class BinOp(namedtuple("BinOp", "width taint op a b"), Expr):
+    __slots__ = ()
 
 
 class Snapshot:
@@ -104,7 +95,7 @@ class Snapshot:
     __slots__ = ("version", "mem", "regions", "facts")
 
     def __init__(self, version: int, mem: Mapping[int, Expr],
-                 regions: Tuple[Tuple[int, int], ...] = ()):
+                 regions: tuple[tuple[int, int], ...] = ()):
         self.version, self.mem, self.regions = version, mem, regions
         self.facts = None
 
@@ -118,12 +109,10 @@ class Snapshot:
         return f"Snapshot(v{self.version})"
 
 
-@dataclass(frozen=True, slots=True)
-class MemRead(Expr):
+class MemRead(namedtuple("MemRead", "width taint snapshot addr"), Expr):
     """Read of `width` bits from `snapshot` at a symbolic address."""
 
-    snapshot: Snapshot
-    addr: Expr
+    __slots__ = ()
 
 
 def mask(width: int) -> int:
@@ -261,8 +250,8 @@ def evaluate(e: Expr, model: Model) -> int:
     raise ExprError(f"cannot evaluate {e!r}")
 
 
-def references(exprs: Iterable[Expr], reads: Optional[list] = None
-               ) -> Tuple[dict, set]:
+def references(exprs: Iterable[Expr], reads: list | None = None
+               ) -> tuple[dict, set]:
     """The Sym nodes appearing syntactically in `exprs`, by name, and the
     snapshots their MemRead nodes read.  `reads`, if given, gets every
     MemRead node met, once per occurrence."""

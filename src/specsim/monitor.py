@@ -26,8 +26,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .sir import OPCODES
 
@@ -36,27 +36,22 @@ class PatternError(Exception):
     """Schema violation in a pattern file; message names the field path."""
 
 
-@dataclass(frozen=True)
-class NodeProps:
-    instruction: Optional[str] = None
-    is_speculative: Optional[bool] = None
-    is_const: Optional[bool] = None
-    is_sensitive: Optional[bool] = None
-    check_cache_state: Optional[bool] = None
-    start_ttl: Optional[int] = None
-    stop_ttl: bool = False
+# each property but stop_ttl (False) may be None: not constrained
+NodeProps = namedtuple(
+    "NodeProps", "instruction is_speculative is_const is_sensitive "
+    "check_cache_state start_ttl stop_ttl", defaults=(None,) * 6 + (False,))
 
 
-def event_class(event) -> Tuple[str, bool, bool, bool]:
+def event_class(event) -> tuple[str, bool, bool, bool]:
     """(name, speculative, symbolic, secret): what `admits` reads."""
     return (event.name, event.speculation, event.symbolic_access,
             event.secret_access)
 
 
-@dataclass(frozen=True)
-class MonitorSpec:
-    name: str
-    nodes: Tuple[NodeProps, ...]
+class MonitorSpec(namedtuple("MonitorSpec", "name nodes")):
+    """A pattern: its name and its nodes, a tuple of NodeProps."""
+
+    __slots__ = ()
 
     @property
     def uses_cache_state(self) -> bool:
@@ -64,7 +59,7 @@ class MonitorSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def plans(specs: Tuple[MonitorSpec, ...]) -> Callable:
+def plans(specs: tuple[MonitorSpec, ...]) -> Callable:
     """event class -> its plan: (k, the nodes of `specs[k]`, last first, that
     `admits` the class) for each k with such a node.  One table per pattern
     set, shared by every engine that watches an equal set."""
@@ -103,7 +98,7 @@ def load_pattern(text: str) -> MonitorSpec:
     if unknown:
         raise PatternError(f"$.{unknown.pop()}: unknown field")
 
-    nodes: List[NodeProps] = []
+    nodes: list[NodeProps] = []
     for i, raw_np in enumerate(raw_nodes):
         path = f"$.nodes[{i}]"
         if not isinstance(raw_np, dict):
@@ -136,7 +131,7 @@ def load_pattern_file(path: str) -> MonitorSpec:
         return load_pattern(f.read())
 
 
-def admits(np: NodeProps, cls: Tuple[str, bool, bool, bool]) -> bool:
+def admits(np: NodeProps, cls: tuple[str, bool, bool, bool]) -> bool:
     """Whether events of class `cls` satisfy every property of `np` but
     checkCacheState, the one read per event."""
     name, speculative, symbolic, secret = cls
@@ -146,17 +141,19 @@ def admits(np: NodeProps, cls: Tuple[str, bool, bool, bool]) -> bool:
             and np.is_sensitive in (None, secret))
 
 
-@dataclass(slots=True, eq=False)
 class Token:
-    parent: Optional["Token"]
-    inst: Optional[Tuple[int, str, bool]]  # (pc, name, speculative); None at Start
-    deadline: Optional[int]  # event-clock tick it expires at; None: no TTL
+    """`inst` is (pc, name, speculative), None at Start; `deadline` the
+    event-clock tick it expires at, None: no TTL."""
+
+    __slots__ = ("parent", "inst", "deadline")
+
+    def __init__(self, parent: Token | None,
+                 inst: tuple[int, str, bool] | None, deadline: int | None):
+        self.parent, self.inst, self.deadline = parent, inst, deadline
 
 
-@dataclass(frozen=True)
-class Match:
-    pattern: str
-    chain: Tuple[Tuple[int, str, bool], ...]  # Node_1..Node_n instruction info
+# chain: the (pc, name, speculative) of Node_1..Node_n
+Match = namedtuple("Match", "pattern chain")
 
 
 class MonitorInstance:
@@ -171,11 +168,11 @@ class MonitorInstance:
         self.spec = spec
         self._earliest: float = math.inf  # earliest live deadline
         # index 0 is Start; it always holds the initial token
-        self.node_tokens: List[List[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
+        self.node_tokens: list[list[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
         self.node_tokens[0].append(Token(None, None, None))
 
     def observe(self, event, leak, now: int,
-                nodes: Tuple[int, ...]) -> List[Match]:
+                nodes: tuple[int, ...]) -> list[Match]:
         """Advance tokens for one event and its leak-check result.  `now` is
         the path's clock at the event; tokens expired by then go first.  Only
         `nodes`, the nodes that admit the event's class (its `plans` entry),
@@ -194,7 +191,7 @@ class MonitorInstance:
                 self._expire(now + 1)
             return []
         spec = self.spec
-        matches: List[Match] = []
+        matches: list[Match] = []
         n = len(spec.nodes)
         inst = (event.pc, event.name, event.speculation)
         positive = leak is not None and leak.positive
@@ -231,7 +228,7 @@ class MonitorInstance:
             self.node_tokens[k] = live
         self._earliest = earliest
 
-    def _chain(self, tok: Token) -> Tuple[Tuple[int, str, bool], ...]:
+    def _chain(self, tok: Token) -> tuple[tuple[int, str, bool], ...]:
         chain = []
         while tok.inst is not None:  # the Start token has none
             chain.append(tok.inst)

@@ -17,21 +17,20 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
-    pht_bits: Optional[int] = None
-    btb_sets: Optional[int] = None
-    btb_ways: int = 1
-    btb_tag_bits: int = 4
-    window: int = 16
-    fallback: str = "none"  # "none" (predict not-taken) or "btfnt"
-    init_counter: int = 2   # weakly taken; untrained predictors speculate
+class PredictorConfig(namedtuple(
+        "PredictorConfig", "pht_bits btb_sets btb_ways btb_tag_bits window "
+        "fallback init_counter", defaults=(None, None, 1, 4, 16, "none", 2))):
+    """fallback: "none" (predict not-taken) or "btfnt"; init_counter 2 is
+    weakly taken, so untrained predictors speculate.  Checked on
+    construction, `_replace` included."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.pht_bits is not None and not 0 < self.pht_bits <= 16:
             raise ValueError("pht_bits must be in 1..16")
         if self.btb_sets is not None and (self.btb_sets < 1
@@ -47,6 +46,9 @@ class PredictorConfig:
             raise ValueError("init_counter must be in 0..3")
         if self.window < 0:
             raise ValueError("window must be >= 0")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # for `_replace`
 
 
 PRESETS = {
@@ -72,7 +74,7 @@ class TwoLevel:
         self.n = n
         self.init = init_counter
         self.bhr = 0
-        self.pht: Dict[int, int] = {}
+        self.pht: dict[int, int] = {}
 
     def counter(self, i: int) -> int:
         return self.pht.get(i, self.init)
@@ -117,14 +119,14 @@ class Btb:
         self.ways = ways
         self.tag_bits = tag_bits
         self.set_bits = sets.bit_length() - 1
-        self.sets: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self.sets: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def _index(self, pc: int) -> Tuple[int, int]:
+    def _index(self, pc: int) -> tuple[int, int]:
         s = pc % self.num_sets
         tag = (pc >> self.set_bits) & ((1 << self.tag_bits) - 1)
         return s, tag
 
-    def lookup(self, pc: int) -> Optional[int]:
+    def lookup(self, pc: int) -> int | None:
         s, tag = self._index(pc)
         entries = self.sets.get(s, ())
         for i, (t, target) in enumerate(entries):
@@ -165,13 +167,13 @@ class PredictorState:
                     if cfg.btb_sets is not None else None)
 
     def _static_fallback(self, pc: int, taken_target: int,
-                         fallthrough: int) -> Tuple[bool, int]:
+                         fallthrough: int) -> tuple[bool, int]:
         if self.cfg.fallback == "btfnt" and taken_target < pc:
             return True, taken_target
         return False, fallthrough
 
     def predict_conditional(self, pc: int, taken_target: int,
-                            fallthrough: int) -> Tuple[bool, int]:
+                            fallthrough: int) -> tuple[bool, int]:
         """Predicted (direction, next pc) for the conditional branch at pc.
 
         With a two-level predictor the direction comes from the counters;
@@ -192,13 +194,13 @@ class PredictorState:
                 return True, stored
         return self._static_fallback(pc, taken_target, fallthrough)
 
-    def predict_target(self, pc: int) -> Optional[int]:
+    def predict_target(self, pc: int) -> int | None:
         """Predicted target for an indirect call site; None means no prediction."""
         if self.btb is None:
             return None
         return self.btb.lookup(pc)
 
-    def update(self, pc: int, taken: bool, target: Optional[int],
+    def update(self, pc: int, taken: bool, target: int | None,
                conditional: bool = True) -> None:
         """Non-speculative resolution: train counters/BHR and install the BTB
         entry of a taken branch.  Not-taken resolutions leave the BTB alone."""

@@ -29,8 +29,7 @@ in declaration order and rounded up to the cache line size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
 
 from .expr import BIN_OPS
 
@@ -48,26 +47,58 @@ class LayoutError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Reg:
-    name: str
+class Record:
+    """Slots, equal within one class when the first `_compared` (all when
+    None) are, and printed as `Name(field=value, ...)` over `_fields`."""
+
+    __slots__ = ()
+    _compared = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__[:self._compared])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
 
 
-@dataclass(frozen=True)
-class Imm:
-    value: int
+class _Frozen(Record):
+    """A record whose constructor sets its `_fields` once, in order; hashed
+    by its compared slots."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for f, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, f, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Label:
-    name: str
+class Reg(_Frozen):
+    __slots__ = _fields = ("name",)
+
+
+class Imm(_Frozen):
+    __slots__ = _fields = ("value",)
+
+
+class Label(_Frozen):
+    __slots__ = _fields = ("name",)
 
 
 Operand = object  # Reg | Imm | Label | str (bare name for sym/addrof)
 
 # opcode -> operand kind string: r=register, v=register-or-immediate,
 # l=label, n=bare name, s=optional 'secret' marker
-_SIGNATURES: Dict[str, str] = {
+_SIGNATURES: dict[str, str] = {
     "const": "r m",
     "sym": "r n s",
     "addrof": "r n",
@@ -85,21 +116,22 @@ for _op in BIN_OPS:
 OPCODES = tuple(_SIGNATURES)
 
 
-@dataclass(frozen=True)
-class Instruction:
-    opcode: str
-    operands: Tuple[Operand, ...]
-    width: int = 32
-    line: int = field(default=0, compare=False)
+class Instruction(_Frozen):
+    """An instruction; equality leaves out its source `line`."""
+
+    __slots__ = _fields = ("opcode", "operands", "width", "line")
+    _compared = 3
+
+    def __init__(self, opcode: str, operands: tuple, width: int = 32,
+                 line: int = 0):
+        super().__init__(opcode, operands, width, line)
 
 
-@dataclass(frozen=True)
-class Region:
-    name: str
-    size: int
-    secret: bool = False
-    init: Optional[bytes] = None
-    base: Optional[int] = None
+class Region(namedtuple("Region", "name size secret init base",
+                        defaults=(False, None, None))):
+    """init: bytes or None; base: None until `layout_regions`."""
+
+    __slots__ = ()
 
     @property
     def end(self) -> int:
@@ -107,16 +139,17 @@ class Region:
         return self.base + self.size
 
 
-@dataclass(frozen=True)
-class Program:
-    instructions: Tuple[Instruction, ...]
-    labels: Dict[str, int]
-    regions: Tuple[Region, ...]
-    entry: int = 0
-    # the engine's decoding of this laid-out program, made by the first
-    # Engine over it and shared by the rest; `replace` starts afresh
-    decoded: Optional[object] = field(default=None, init=False, repr=False,
-                                      compare=False)
+class Program(_Frozen):
+    """Equality and repr leave out `decoded`: the engine's decoding of this
+    laid-out program, shared by its engines; `layout_regions` drops it."""
+
+    __slots__ = ("instructions", "labels", "regions", "entry", "decoded")
+    _fields, _compared = __slots__[:4], 4
+
+    def __init__(self, instructions: tuple, labels: dict[str, int],
+                 regions: tuple[Region, ...], entry: int = 0):
+        super().__init__(instructions, labels, regions, entry)
+        object.__setattr__(self, "decoded", None)
 
     def region(self, name: str) -> Region:
         for r in self.regions:
@@ -149,10 +182,10 @@ def _parse_operand(tok: str, kind: str, lineno: int) -> Operand:
 
 def parse_program(text: str) -> Program:
     """Parse SIR source into a validated Program (layout not yet assigned)."""
-    instructions: List[Instruction] = []
-    labels: Dict[str, int] = {}
-    regions: List[Region] = []
-    entry_label: Optional[str] = None
+    instructions: list[Instruction] = []
+    labels: dict[str, int] = {}
+    regions: list[Region] = []
+    entry_label: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,7 +207,7 @@ def parse_program(text: str) -> Program:
             if size <= 0:
                 raise ParseError("region size must be positive", lineno)
             secret = False
-            init: Optional[bytes] = None
+            init: bytes | None = None
             for extra in parts[3:]:
                 if extra == "secret":
                     secret = True
@@ -273,13 +306,14 @@ def layout_regions(program: Program, base: int = 0x1000,
     """Assign consecutive, line-aligned bases to regions in declaration order."""
     if base % line_size != 0:
         raise LayoutError(f"base {base:#x} not aligned to line size {line_size}")
-    placed: List[Region] = []
+    placed: list[Region] = []
     cursor = base
     for region in program.regions:
         aligned = (cursor + line_size - 1) // line_size * line_size
         if aligned + region.size > MAX_ADDRESS:
             raise LayoutError("address-space overflow laying out regions")
-        placed.append(replace(region, base=aligned))
+        placed.append(region._replace(base=aligned))
         cursor = aligned + region.size
-    return replace(program, regions=tuple(placed))
+    return Program(program.instructions, program.labels, tuple(placed),
+                   program.entry)
 

@@ -50,7 +50,7 @@ snapshot's bytes holds as long as the snapshot lives, so it is kept on it
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping, Sequence
 
 from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshot, Sym,
                    UnOp, const, evaluate, mask, mk_binop, references, to_str)
@@ -63,7 +63,7 @@ class BudgetExceeded(Exception):
 class _ProbeModel(Model):
     """Model that defaults missing symbols to 0 and records every lookup."""
 
-    def __init__(self, assignment: Mapping[str, int], seen: Dict[str, Sym]):
+    def __init__(self, assignment: Mapping[str, int], seen: dict[str, Sym]):
         super().__init__(assignment)
         self.seen = seen
 
@@ -125,10 +125,10 @@ def _facts(snap: Snapshot) -> list:
     return f
 
 
-def _reach(snaps: Set[Snapshot]) -> Dict[str, Sym]:
+def _reach(snaps: set[Snapshot]) -> dict[str, Sym]:
     """Every symbol in the bytes of these snapshots, by name, following
     MemReads nested in those bytes to the snapshots they read."""
-    names: Dict[str, Sym] = {}
+    names: dict[str, Sym] = {}
     todo, done = list(snaps), set()
     while todo:
         snap = todo.pop()
@@ -162,11 +162,11 @@ class PathCondition:
     __slots__ = ("constraints", "slices", "session", "_parent", "_text")
 
     def __init__(self, session: Session):
-        self.constraints: Tuple[Expr, ...] = ()
-        self.slices: Tuple[_Slice, ...] = ()
+        self.constraints: tuple[Expr, ...] = ()
+        self.slices: tuple[_Slice, ...] = ()
         self.session = session
-        self._parent: Optional[PathCondition] = None  # until `text` is made
-        self._text: Optional[str] = ""
+        self._parent: PathCondition | None = None  # until `text` is made
+        self._text: str | None = ""
 
     @property
     def text(self) -> str:
@@ -181,13 +181,13 @@ class PathCondition:
             p._text, p._parent = f"{text} & {last}" if text else last, None
         return self._text or "true"
 
-    def _names(self, e: Expr) -> Tuple[Dict[str, Sym], Set[str]]:
+    def _names(self, e: Expr) -> tuple[dict[str, Sym], set[str]]:
         """The symbols of `e` and the names of every symbol it reaches,
         through snapshots included."""
         syms, snaps = references((e,))
         return syms, set(syms).union(_reach(snaps))
 
-    def reached(self, e: Expr) -> Tuple[Expr, ...]:
+    def reached(self, e: Expr) -> tuple[Expr, ...]:
         """The constraints, in path order, of the slices that share a name
         with `e`."""
         names = self._names(e)[1]
@@ -217,7 +217,7 @@ class PathCondition:
         return out
 
 
-_Bounds = Tuple[int, int]
+_Bounds = tuple[int, int]
 
 # the comparison that holds when a comparison fails, with the same operands
 _NEGATION = {"lt": "ge", "le": "gt", "eq": "ne", "ne": "eq"}
@@ -226,7 +226,7 @@ _CONVERSE = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq",
              "ne": "ne"}
 
 
-def _linear(e: Expr) -> Tuple[Optional[Sym], int]:
+def _linear(e: Expr) -> tuple[Sym | None, int]:
     """(symbol, offset) such that `e == symbol + offset` for every value of
     the symbol, or (None, 0): a symbol under zexts and adds of a constant,
     where no add can wrap."""
@@ -242,7 +242,7 @@ def _linear(e: Expr) -> Tuple[Optional[Sym], int]:
     return None, 0
 
 
-def _fact(c: Expr) -> Optional[Tuple[Sym, str, int]]:
+def _fact(c: Expr) -> tuple[Sym, str, int] | None:
     """(symbol, op, constant) such that `c != 0` implies `symbol op
     constant`, or None; the constant may be negative.  Reads a comparison
     of a constant with a symbol plus an offset (see `_linear`), also under
@@ -312,7 +312,7 @@ def _binop_bounds(op: str, a: _Bounds, b: _Bounds, width: int) -> _Bounds:
     return (lo, hi) if 0 <= lo and hi <= full[1] else full
 
 
-def _bounds(e: Expr, env: Mapping[Sym, _Bounds], seen: Dict[int, _Bounds]
+def _bounds(e: Expr, env: Mapping[Sym, _Bounds], seen: dict[int, _Bounds]
             ) -> _Bounds:
     """Unsigned bounds of `e` at its width, given narrowed symbols `env`.
     A MemRead may read anything at its width from any snapshot; `seen`
@@ -336,11 +336,11 @@ def _bounds(e: Expr, env: Mapping[Sym, _Bounds], seen: Dict[int, _Bounds]
     return r
 
 
-def _narrowed(exprs: Sequence[Expr]) -> Optional[Dict[Sym, _Bounds]]:
+def _narrowed(exprs: Sequence[Expr]) -> dict[Sym, _Bounds] | None:
     """Bounds that every satisfying assignment keeps each narrowed symbol
     within, or None if interval bounds show that no assignment satisfies
     every constraint.  Sound but incomplete: bounds decide nothing."""
-    env: Dict[Sym, _Bounds] = {}
+    env: dict[Sym, _Bounds] = {}
     for c in exprs:
         fact = _fact(c)
         if fact is None:
@@ -350,14 +350,14 @@ def _narrowed(exprs: Sequence[Expr]) -> Optional[Dict[Sym, _Bounds]]:
         if lo > hi:
             return None
         env[s] = (lo, hi)
-    seen: Dict[int, _Bounds] = {}
+    seen: dict[int, _Bounds] = {}
     if any(_bounds(c, env, seen) == (0, 0) for c in exprs):
         return None
     return env
 
 
-def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], session: Session
-           ) -> Optional[Dict[str, int]]:
+def _solve(exprs: Sequence[Expr], syms: dict[str, Sym], session: Session
+           ) -> dict[str, int] | None:
     """First satisfying assignment of one slice in enumeration order, or
     None.  It assigns every symbol its evaluation touched; symbols
     discovered mid-enumeration default to 0.  A slice that interval
@@ -366,7 +366,7 @@ def _solve(exprs: Sequence[Expr], syms: Dict[str, Sym], session: Session
     if bounds is None:
         return None
     while True:
-        seen: Dict[str, Sym] = {}
+        seen: dict[str, Sym] = {}
         for assignment in _assignments(syms, bounds, session.bit_budget):
             probe = _ProbeModel(assignment, seen)
             if _truthy(exprs, probe):
@@ -399,15 +399,15 @@ def _memoized(memo: dict, key: tuple, compute, *args):
 
 
 def _solve_all(slices: Sequence[_Slice], session: Session
-               ) -> Optional[Dict[str, int]]:
+               ) -> dict[str, int] | None:
     """Union of the slices' witnesses, or None if any slice is unsat.  Each
     slice keeps its answer, so a query skips the memo key's hash for the
     slices its path already answered.
 
     An unsat slice decides the query even when another slice overran the
     budget; the overrun is raised only if every other slice is sat."""
-    witness: Dict[str, int] = {}
-    overrun: Optional[BudgetExceeded] = None
+    witness: dict[str, int] = {}
+    overrun: BudgetExceeded | None = None
     for sl in slices:
         part = sl.answer
         if part is _MISS:
@@ -428,7 +428,7 @@ def _solve_all(slices: Sequence[_Slice], session: Session
     return witness
 
 
-def is_sat(path: PathCondition) -> Optional[Model]:
+def is_sat(path: PathCondition) -> Model | None:
     """Return the first satisfying Model of `path` in enumeration order, or
     None.
 
@@ -443,7 +443,7 @@ def is_sat(path: PathCondition) -> Optional[Model]:
 
 
 def find_leak_pair(path: PathCondition, observable: Expr
-                   ) -> Optional[Tuple[Model, Model]]:
+                   ) -> tuple[Model, Model] | None:
     """Find two models satisfying `path` that agree on all non-secret
     symbols, differ in secret assignments, and give distinct values of
     `observable`.
@@ -457,7 +457,7 @@ def find_leak_pair(path: PathCondition, observable: Expr
     full = path.extend(observable)
     (own,) = [sl for sl in full.slices
               if sl.members[-1] == len(path.constraints)]
-    overrun: Optional[BudgetExceeded] = None
+    overrun: BudgetExceeded | None = None
     try:
         shared = _solve_all([sl for sl in full.slices if sl is not own],
                             path.session)
@@ -477,12 +477,12 @@ def find_leak_pair(path: PathCondition, observable: Expr
     return Model({**shared, **m1.assignment}), Model({**shared, **m2.assignment})
 
 
-def _secret_runs(snap: Snapshot) -> Tuple[_Bounds, ...]:
+def _secret_runs(snap: Snapshot) -> tuple[_Bounds, ...]:
     """The maximal runs [lo, end) of addresses of the bytes of `snap` that
     reach a secret symbol, nested reads included, in address order; built
     byte by byte, so a public byte between two secret ones stays out."""
     mem = snap.mem
-    runs: List[_Bounds] = []
+    runs: list[_Bounds] = []
     for addr in sorted(mem):
         syms, snaps = references((mem[addr],))
         syms.update(_reach(snaps))
@@ -495,10 +495,10 @@ def _secret_runs(snap: Snapshot) -> Tuple[_Bounds, ...]:
     return tuple(runs)
 
 
-def _widened(spans: Sequence[_Bounds], n: int) -> List[_Bounds]:
+def _widened(spans: Sequence[_Bounds], n: int) -> list[_Bounds]:
     """The addresses [lo, end) at which an n-byte read covers a byte of
     some span: each span widened down by n - 1, merged where they meet."""
-    out: List[_Bounds] = []
+    out: list[_Bounds] = []
     for lo, end in sorted(spans):
         lo = max(lo - (n - 1), 0)
         if out and lo <= out[-1][1]:
@@ -508,7 +508,7 @@ def _widened(spans: Sequence[_Bounds], n: int) -> List[_Bounds]:
     return out
 
 
-def secret_spans(snap: Snapshot, n: int) -> List[_Bounds]:
+def secret_spans(snap: Snapshot, n: int) -> list[_Bounds]:
     """The addresses [lo, end), in order, at which an n-byte read of
     `snap` covers a secret byte: of a declared secret region, or one that
     reaches a secret symbol (`_secret_runs`); made once per snapshot
@@ -520,15 +520,15 @@ def secret_spans(snap: Snapshot, n: int) -> List[_Bounds]:
     return f[2][n]
 
 
-def _hull_facts(constraints: Tuple[Expr, ...], observable: Expr,
-                known: Dict[str, Sym]) -> Tuple[Expr, ...]:
+def _hull_facts(constraints: tuple[Expr, ...], observable: Expr,
+                known: dict[str, Sym]) -> tuple[Expr, ...]:
     """Facts that every public assignment giving a leak pair satisfies: a
     read's address lies in the hull of its snapshot's `secret_spans` (see
     the module docstring); a false fact if there are none; no facts where
     the hull does not apply."""
     if any(s.taint.secret for s in known.values()):
         return ()
-    reads: List[MemRead] = []
+    reads: list[MemRead] = []
     references(constraints + (observable,), reads)
     if len(set(reads)) != 1:
         return ()
@@ -542,9 +542,9 @@ def _hull_facts(constraints: Tuple[Expr, ...], observable: Expr,
             mk_binop("le", r.addr, const(hi, w)))
 
 
-def _slice_leak_pair(constraints: Tuple[Expr, ...], observable: Expr,
-                     known: Dict[str, Sym], session: Session
-                     ) -> Optional[Tuple[Model, Model]]:
+def _slice_leak_pair(constraints: tuple[Expr, ...], observable: Expr,
+                     known: dict[str, Sym], session: Session
+                     ) -> tuple[Model, Model] | None:
     """find_leak_pair within one slice whose syntactic symbols are `known`."""
     budget = session.bit_budget
     public = {n: s for n, s in known.items() if not s.taint.secret}
@@ -556,7 +556,7 @@ def _slice_leak_pair(constraints: Tuple[Expr, ...], observable: Expr,
         return None
 
     while True:
-        new_public: Dict[str, Sym] = {}
+        new_public: dict[str, Sym] = {}
         for pub_assignment in _assignments(public, bounds, budget):
             pair = _leak_pair_for_public(constraints, observable,
                                          pub_assignment, dict(secret), public,
@@ -568,16 +568,16 @@ def _slice_leak_pair(constraints: Tuple[Expr, ...], observable: Expr,
         public = {**public, **new_public}
 
 
-def _leak_pair_for_public(constraints: Tuple[Expr, ...], observable: Expr,
-                          pub_assignment: Dict[str, int],
-                          secret: Dict[str, Sym], public: Dict[str, Sym],
-                          new_public: Dict[str, Sym],
+def _leak_pair_for_public(constraints: tuple[Expr, ...], observable: Expr,
+                          pub_assignment: dict[str, int],
+                          secret: dict[str, Sym], public: dict[str, Sym],
+                          new_public: dict[str, Sym],
                           bounds: Mapping[Sym, _Bounds], session: Session):
     """Inner enumeration over secret symbols for one fixed public assignment."""
     pub_bits = sum(s.width for s in public.values())
     while True:
-        seen: Dict[str, Sym] = {}
-        first: Optional[Tuple[int, Dict[str, int]]] = None
+        seen: dict[str, Sym] = {}
+        first: tuple[int, dict[str, int]] | None = None
         for sec_assignment in _assignments(secret, bounds, session.bit_budget,
                                            pub_bits):
             probe = _ProbeModel({**pub_assignment, **sec_assignment}, seen)

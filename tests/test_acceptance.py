@@ -3,7 +3,6 @@
 Each test prints "ACCEPTANCE <n> <label>: PASS/FAIL" (visible with -s or in
 captured output on failure)."""
 
-import dataclasses
 import random
 import time
 from collections import Counter
@@ -140,7 +139,7 @@ def test_6_rollback_exactness_and_window_zero_differential():
 
             # end to end: every path finishes in the same state, under the
             # same path condition, as without any speculation
-            a = Engine(program, dataclasses.replace(cfg, window=0),
+            a = Engine(program, cfg._replace(window=0),
                        bit_budget=12).run()
             assert a.stats.spec_traces == 0
             assert r.stats.path_summaries == a.stats.path_summaries

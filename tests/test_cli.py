@@ -112,6 +112,16 @@ class TestExitCodes:
         assert run([V01, *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--preset", "cortex-a7", "--btb-sets", "3"],
+         "btb_sets must be a positive power of two"),
+        (["--preset", "pentium4", "--window", "-1"], "window must be >= 0"),
+    ])
+    def test_bad_value_over_a_preset_is_three(self, flags, error, capsys):
+        # a flag replaces a field of the preset's config, which checks it
+        assert run([V01, *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("flag", ["--bit-budget", "--step-limit"])
     def test_negative_limit_is_three_before_reading(self, flag, tmp_path,
                                                     capsys):

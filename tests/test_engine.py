@@ -1,7 +1,6 @@
 """Exploration engine: architectural semantics, forking, speculation
 sandboxing, taint-aware events, the baseline mode, and per-run state."""
 
-import dataclasses
 import importlib.util
 import itertools
 import json
@@ -210,7 +209,7 @@ class TestSpeculation:
         assert r.stats.spec_traces > 0  # it mispredicts
         assert counts["predictor"] == counts["path"] + r.stats.spec_traces
         counts.clear()
-        Engine(load_fixture(name), dataclasses.replace(cfg, window=0)).run()
+        Engine(load_fixture(name), cfg._replace(window=0)).run()
         assert counts["predictor"] == counts["path"]
 
     def test_window_bounds_trace_length(self):
@@ -225,7 +224,7 @@ class TestSpeculation:
         for name in ("v01.sir", "v02.sir", "v09.sir", "v2.sir"):
             spec = Engine(load_fixture(name), self.CFG).run()
             nospec = Engine(load_fixture(name),
-                            dataclasses.replace(self.CFG, window=0)).run()
+                            self.CFG._replace(window=0)).run()
             assert spec.stats.path_summaries == nospec.stats.path_summaries
 
     def test_rollback_check_active_on_fixture_runs(self):
