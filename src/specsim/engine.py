@@ -22,8 +22,11 @@ trace down the not-actual direction, indirect calls spawn none.
 
 Everything one `Engine.run` learns -- findings, statistics, symbols --
 lives in the `RunResult` it returns, so runs of one engine are
-independent.  Its solver state is one `solver.Session`: one memo and the
-engine's bit budget; every path of the run is bound to it.  A path's
+independent.  Its solver state is one `solver.Session` with the engine's
+bit budget; every path of the run is bound to it.  The session's answers
+over the initial image alone go to the program's store for that budget,
+which every run over the program shares; they are functions of their
+keys, so no run's outputs depend on the runs before it.  A path's
 memory holds only the bytes stored on it; loads fall back to the
 program's initial image.  A symbolic load holds the `expr.Snapshot` it
 reads (`_freeze`): on a frame that stored nothing, the image itself as
@@ -35,14 +38,15 @@ A symbolic load is secret if some model of the path may land one of its
 bytes on a secret byte: of a secret region, or of its snapshot, where a
 secret may have been stored (`_may_touch_secret`, over the snapshot's
 `solver.secret_spans`).  Interval bounds of the address settle most of
-these without a solver query, and the session's memo settles repeats;
-neither counts in `Stats.solver_queries`.
+these without a solver query, and the run's own memo (`Session.local`)
+settles repeats; neither counts in `Stats.solver_queries`.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
 per pc (its handler, operands, branch targets and concrete events), the
 initial image snapshot and its secret symbols, a memo of mapped
-addresses, and per pattern set the monitor plans of each step.
+addresses, per pattern set the monitor plans of each step, and per bit
+budget the store of solver answers over the image.
 """
 
 from __future__ import annotations
@@ -336,6 +340,7 @@ class Engine:
         self._symbols = code.symbols
         self._mapped = code.mapped
         self._step_plans = code.step_plans(self._plan)  # [speculative][pc]
+        self._memo = code.memos.setdefault(bit_budget, solver.Store())
 
     # ------------------------------------------------------------------ run
 
@@ -374,7 +379,7 @@ class Engine:
         """Per-run state, its symbol table seeded with the secret bytes of
         the initial memory."""
         return RunResult(baseline=baseline, symbols=dict(self._symbols),
-                         session=solver.Session(self.bit_budget))
+                         session=solver.Session(self.bit_budget, self._memo))
 
     # ----------------------------------------------------------- single step
 
@@ -746,7 +751,7 @@ class Engine:
 
         A span of secret bytes is asked about only when the interval bounds
         of the address, under the path slices sharing a name with it, may
-        meet it.  The session's memo keeps each asked span's answer under
+        meet it.  The run's own memo keeps each asked span's answer under
         the address, those slices' constraints and the span: the rest of a
         live path is satisfiable, so that key decides what `is_sat` answers
         on the extended path.  An overrun is not kept, so a repeat asks,
@@ -764,7 +769,7 @@ class Engine:
             return False
         for start, end in _met(solver._bounds(addr, env, {}), spans):
             key = ("may-touch", addr, own, start, end)
-            hit = run.session.memo.get(key)
+            hit = run.session.local.get(key)
             if hit is None:
                 run.stats.solver_queries += 1
                 inside = path.extend(
@@ -775,7 +780,7 @@ class Engine:
                 except solver.BudgetExceeded as e:
                     run.overrun(pc, "may-touch", e)
                     return True  # conservative
-                hit = run.session.memo[key] = m is not None
+                hit = run.session.local[key] = m is not None
             if hit:
                 return True
         return False
@@ -957,10 +962,11 @@ class _Decoded:
     step table; the initial image (read-only) as snapshot version 0, whose
     solver facts hold in every run as its bytes read no snapshot, and its
     secret symbols; `mapped(base, n)`: whether bytes base..base+n-1 all lie
-    in regions; and per pattern set, `step_plans(plan)[speculative][pc]`:
-    the plan of a step's concrete events."""
+    in regions; per pattern set, `step_plans(plan)[speculative][pc]`:
+    the plan of a step's concrete events; and per bit budget, the
+    `solver.Store` of answers over the image alone that every run shares."""
 
-    __slots__ = ("steps", "image", "symbols", "mapped", "step_plans")
+    __slots__ = ("steps", "image", "symbols", "mapped", "step_plans", "memos")
 
     def __init__(self, program: Program):
         self.steps = _step_table(program)
@@ -975,6 +981,7 @@ class _Decoded:
         self.step_plans = functools.lru_cache(maxsize=64)(lambda plan: tuple(
             tuple(plan((op, speculative, False, False)) for op in ops)
             for speculative in (False, True)))
+        self.memos: dict[int, solver.Store] = {}  # per bit budget
 
 
 def _met(bounds: tuple[int, int], spans: Sequence[tuple[int, int]]

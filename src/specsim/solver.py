@@ -13,7 +13,7 @@ independence, as in KLEE), groups that share no symbol, counting every
 symbol a `MemRead` can reach through its snapshot's bytes.  Slices are
 enumerated one at a time, so k unrelated 8-bit checks cost k * 2^8
 probes rather than 2^(8k).  Each path is bound to one `Session`, the
-solver state of one run: one memo and one bit budget.  The budget applies
+solver state of one run: its memos and one bit budget.  The budget applies
 to each slice and each enumeration stage within it; exceeding it raises,
 it is never truncated silently.
 
@@ -36,7 +36,12 @@ Two steps run in front of a slice's enumeration:
   unchanged initial image version 0, so sibling paths' equal reads are
   equal keys.  Each path slice also keeps its own answer, so a query
   skips the memo for the slices its path already answered.  A stored
-  overrun is raised again on every hit.
+  overrun is raised again on every hit.  A key that reads no snapshot but
+  version 0 goes to `Session.memo`, which sessions over one image and
+  budget may share (the engine keeps one `Store` per program and budget);
+  every other key goes to the run's own `Session.local`, as other runs
+  give the same versions other bytes.  An answer is a function of its key
+  alone, so sharing changes which questions enumerate, never an answer.
 
 Leak-pair search narrows its public loop further.  When the observable's
 slice has no syntactic secret and one distinct MemRead, only bytes that
@@ -103,16 +108,32 @@ def _truthy(exprs: Sequence[Expr], model: Model) -> bool:
 _MISS = object()
 
 
+class Store(dict):
+    """A memo that keeps its newest `LIMIT` answers: past that, the oldest
+    goes first."""
+
+    __slots__ = ()
+    LIMIT = 4096
+
+    def __setitem__(self, key, value) -> None:
+        if key not in self and len(self) >= self.LIMIT:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
+
 class Session:
-    """The solver state of one run: the memo and the bit budget of every
-    query.  A snapshot's bytes never change once a path reads it, which is
-    what makes the memo valid for the session."""
+    """The solver state of one run: its bit budget, and two memos.  `memo`
+    keeps the answers whose constraints read no snapshot but the initial
+    image (version 0), which hold for every run over that image and budget,
+    so runs may share it; `local` keeps the rest, as other runs number
+    their own snapshots with the same versions."""
 
-    __slots__ = ("bit_budget", "memo")
+    __slots__ = ("bit_budget", "memo", "local")
 
-    def __init__(self, bit_budget: int = 20):
+    def __init__(self, bit_budget: int = 20, memo: dict | None = None):
         self.bit_budget = bit_budget
-        self.memo: dict = {}
+        self.memo: dict = Store() if memo is None else memo
+        self.local: dict = {}
 
 
 def _facts(snap: Snapshot) -> list:
@@ -144,13 +165,19 @@ def _reach(snaps: set[Snapshot]) -> dict[str, Sym]:
 class _Slice:
     """Independent constraints of a path: their indices, the constraints
     themselves (the memo key), their syntactic symbols, every name they
-    also reach through snapshots, and their answer, `_MISS` until asked."""
+    also reach through snapshots, whether they read no snapshot but the
+    image (so `Session.memo` may keep their answers), and their answer,
+    `_MISS` until asked."""
 
-    __slots__ = ("members", "exprs", "syms", "names", "answer")
+    __slots__ = ("members", "exprs", "syms", "names", "image_only", "answer")
 
-    def __init__(self, members, exprs, syms, names):
+    def __init__(self, members, exprs, syms, names, image_only):
         self.members, self.exprs, self.syms = members, exprs, syms
-        self.names, self.answer = names, _MISS
+        self.names, self.image_only, self.answer = names, image_only, _MISS
+
+    def memo(self, session: Session) -> dict:
+        """The memo of `session` that keeps this slice's answers."""
+        return session.memo if self.image_only else session.local
 
 
 class PathCondition:
@@ -181,11 +208,11 @@ class PathCondition:
             p._text, p._parent = f"{text} & {last}" if text else last, None
         return self._text or "true"
 
-    def _names(self, e: Expr) -> tuple[dict[str, Sym], set[str]]:
-        """The symbols of `e` and the names of every symbol it reaches,
-        through snapshots included."""
+    def _names(self, e: Expr) -> tuple[dict[str, Sym], set[str], set]:
+        """The symbols of `e`, the names of every symbol it reaches,
+        through snapshots included, and the snapshots it reads."""
         syms, snaps = references((e,))
-        return syms, set(syms).union(_reach(snaps))
+        return syms, set(syms).union(_reach(snaps)), snaps
 
     def reached(self, e: Expr) -> tuple[Expr, ...]:
         """The constraints, in path order, of the slices that share a name
@@ -196,7 +223,7 @@ class PathCondition:
             for i in sl.members))
 
     def extend(self, c: Expr) -> "PathCondition":
-        syms, key = self._names(c)
+        syms, key, snaps = self._names(c)
         kept, touched = [], []
         for sl in self.slices:
             (kept if key.isdisjoint(sl.names) else touched).append(sl)
@@ -206,13 +233,15 @@ class PathCondition:
         members = sorted([len(self.constraints)]
                          + [i for sl in touched for i in sl.members])
         merged, names = {}, key
+        image_only = all(snap.version == 0 for snap in snaps)
         for sl in touched:
             merged.update(sl.syms)
             names |= sl.names
+            image_only = image_only and sl.image_only
         merged.update(syms)
         kept.append(_Slice(tuple(members),
                            tuple(out.constraints[i] for i in members),
-                           merged, names))
+                           merged, names, image_only))
         out.slices = tuple(sorted(kept, key=lambda sl: sl.members[0]))
         return out
 
@@ -412,8 +441,8 @@ def _solve_all(slices: Sequence[_Slice], session: Session
         part = sl.answer
         if part is _MISS:
             try:
-                part = _memoized(session.memo, sl.exprs, _solve, sl.exprs,
-                                 sl.syms, session)
+                part = _memoized(sl.memo(session), sl.exprs, _solve,
+                                 sl.exprs, sl.syms, session)
             except BudgetExceeded as e:
                 part = BudgetExceeded(*e.args)
             sl.answer = part
@@ -467,8 +496,9 @@ def find_leak_pair(path: PathCondition, observable: Expr
         return None
     # the observable is the slice's last constraint; "pair" keeps the key
     # apart from the slice keys
-    pair = _memoized(path.session.memo, ("pair", own.exprs), _slice_leak_pair,
-                     own.exprs[:-1], observable, own.syms, path.session)
+    pair = _memoized(own.memo(path.session), ("pair", own.exprs),
+                     _slice_leak_pair, own.exprs[:-1], observable, own.syms,
+                     path.session)
     if pair is None:
         return None
     if overrun is not None:

@@ -256,6 +256,26 @@ class TestOutputs:
         assert stats["spec_traces_nopl"] == 2
         assert stats["common"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        [V01, "--pht-bits", "1"],
+        [V02, "--preset", "cortex-a53", "--bit-budget", "4"],
+        [str(FIXTURES / "v2.sir"), "--preset", "pentium4"]])
+    def test_mode_both_gives_each_modes_own_outputs(self, argv, tmp_path,
+                                                    capsys):
+        # the two engines of --mode both share the program's solver store
+        patterns = [arg for name in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")
+                    for arg in ("--pattern", str(PATTERNS / f"{name}.json"))]
+
+        def outputs(mode):
+            report, stats = tmp_path / "report.json", tmp_path / "stats.json"
+            run(argv + patterns + ["--mode", mode, "--report", str(report),
+                                   "--stats", str(stats)])
+            return json.loads(report.read_text()), json.loads(stats.read_text())
+
+        report, stats = outputs("both")
+        for mode in ("prediction-aware", "baseline"):
+            assert (report[mode], stats[mode]) == outputs(mode)
+
     def test_outputs_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = [V01, "--pht-bits", "4", "--pattern", BRLDLD]

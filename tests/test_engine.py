@@ -805,21 +805,52 @@ class TestSolverMemo:
         assert outputs() == with_memo
         assert memo_solves < len(solves) - memo_solves  # the memo did hit
 
-    def test_runs_do_not_share_a_memo(self, monkeypatch):
+    def test_engines_over_one_program_share_its_image_answers(
+            self, monkeypatch):
+        # the overrunning slice reads only x: enumerated by the first run,
+        # raised again from the program's store by every later one, and
+        # still counted and noted in each
         solves = []
         solve = solver._solve
         monkeypatch.setattr(solver, "_solve",
                             lambda *a: solves.append(a) or solve(*a))
         e = self._same_overrun_twice()
-        for runs in (1, 2):
-            assert e.run().stats.budget_exceeded == 2
-            assert len(solves) == runs  # one enumeration per run
+        other = Engine(e.program, PredictorConfig(pht_bits=2, window=4),
+                       bit_budget=4)
+        for r in (e.run(), e.run(), e.run(baseline=True), other.run(),
+                  other.run(baseline=True)):
+            assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
+            assert len(solves) == 1
+        # a freshly parsed equal program has a store of its own
+        assert self._same_overrun_twice().run().stats.budget_exceeded == 2
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("budgets", [(4, 20), (20, 4)])
+    def test_each_bit_budget_keeps_its_own_answers(self, monkeypatch,
+                                                   budgets):
+        solves = []
+        solve = solver._solve
+        monkeypatch.setattr(solver, "_solve",
+                            lambda *a: solves.append(a) or solve(*a))
+        program = self._same_overrun_twice().program
+        for n, budget in enumerate(budgets, start=1):
+            r = Engine(program, bit_budget=budget).run()
+            assert len(solves) == n  # the other budget's answer is not read
+            if budget == 4:
+                assert r.stats.budget_exceeded == 2 and r.unknown
+            else:
+                assert r.stats.budget_exceeded == 0 and not r.unknown
+                # both loads may reach the secret region past pub
+                assert all(v.taint.secret for name, v in final_regs(r).items()
+                           if name in ("r1", "r2"))
+        assert sorted(program.decoded.memos) == [4, 20]
 
 
 class TestPerRunState:
     @pytest.mark.parametrize("name", ["v01.sir", "v02.sir", "v09.sir"])
     def test_second_run_of_one_engine_is_identical(self, name):
-        # symbols, snapshot versions and the memo start afresh
+        # symbols and snapshot versions start afresh; the second run reads
+        # the answers over the image that the first one left
         e = Engine(load_fixture(name), PredictorConfig(pht_bits=1, window=16),
                    patterns=[load_pattern_fixture("br-ld-ld.json")])
 
@@ -839,6 +870,88 @@ class TestPerRunState:
         assert first.snapshot == second.snapshot
         assert first.snapshot.version == 1
         assert first == second and hash(first) == hash(second)
+
+
+def _tool(name):
+    """`tools/<name>.py`, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"_tool_{name}", ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_PATTERNS = ("br-ld-ld.json", "icall-ld-ld.json", "ld-br-ld.json")
+
+
+class TestSharedStore:
+    """Cells over one parsed program share its store, yet each gives what
+    it gives over a freshly parsed program, in any order."""
+
+    @staticmethod
+    def _cells():
+        """(source, config, baseline, bit budget) of every litmus cell and
+        chain k <= 3 of the benchmark, at budgets 4 and 20, and of random
+        programs at budgets 4 and 12."""
+        cell_outputs = _tool("cell_outputs")
+        wls = cell_outputs._load_workloads()
+        texts = {fx: (ROOT / "fixtures" / f"{fx}.sir").read_text()
+                 for fx in wls.FIXTURES}
+        cells = []
+        for name in ("litmus", "chain"):
+            wl = wls.build(name, 101, texts)
+            for a in wl.analyses:
+                if a.program.startswith("chain-k") and int(a.program[7:]) > 3:
+                    continue
+                spec = wls.CONFIGS[a.config]
+                cfg = (specsim.preset(spec) if isinstance(spec, str)
+                       else PredictorConfig(**spec))
+                cells += [(wl.programs[a.program], cfg, a.mode == wls.BL, b)
+                          for b in (4, 20)]
+        rng = random.Random(2020)
+        for i in range(150):
+            text = random_program(rng, always_secret_r2=i % 2 == 1)
+            for cfg in (random_predictor_config(rng),
+                        random_predictor_config(rng)):
+                cells += [(text, cfg, baseline, budget)
+                          for baseline in (False, True) for budget in (4, 12)]
+        return cells, cell_outputs._components
+
+    def test_cells_answer_alike_in_any_order(self):
+        cells, components = self._cells()
+        patterns = [load_pattern_fixture(n) for n in _PATTERNS]
+
+        def outputs(program, cfg, baseline, budget):
+            r = Engine(program, cfg, patterns=patterns,
+                       bit_budget=budget).run(baseline)
+            return components(r, ex.to_str)
+
+        shared = {}
+        random.Random(7).shuffle(cells)
+        for text, cfg, baseline, budget in cells:
+            if text not in shared:
+                shared[text] = layout_regions(parse_program(text))
+            fresh = layout_regions(parse_program(text))
+            assert (outputs(shared[text], cfg, baseline, budget)
+                    == outputs(fresh, cfg, baseline, budget))
+        stores = [m for p in shared.values() for m in p.decoded.memos.values()]
+        assert sum(map(len, stores)) > len(stores)  # the stores were used
+
+    def test_a_full_store_drops_its_oldest_answers(self, monkeypatch):
+        # chained checks ask more image-only questions than a store of
+        # two keeps: evicted answers are asked again and come out alike
+        text, sites = chained_v01([5, 16, 9])
+        patterns = [load_pattern_fixture(n) for n in _PATTERNS]
+        cfg = PredictorConfig(pht_bits=2, window=16)
+        program = layout_regions(parse_program(text))
+        expected = [Engine(program, cfg, patterns=patterns).run(baseline)
+                    for baseline in (False, True)]
+        monkeypatch.setattr(solver.Store, "LIMIT", 2)
+        program = layout_regions(parse_program(text))
+        for _ in range(2):
+            assert [Engine(program, cfg, patterns=patterns).run(baseline)
+                    for baseline in (False, True)] == expected
+            assert len(program.decoded.memos[20]) == 2
 
 
 class TestMemoryOverlay:

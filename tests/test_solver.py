@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import path_of
 from specsim import solver
 from specsim.expr import (MemRead, Model, Snapshot, Sym, coerce, const,
-                          evaluate, mask, mk_binop, mk_memread, sym)
+                          evaluate, mask, mk_binop, mk_memread, references,
+                          sym)
 from specsim.solver import (BudgetExceeded, PathCondition, Session,
                             _binop_bounds, _bounds, _fact, _narrow, _narrowed,
                             find_leak_pair, is_sat)
@@ -724,6 +725,61 @@ class TestMemo:
         (stored,) = session.memo.values()
         assert isinstance(stored, BudgetExceeded)
         assert stored.__traceback__ is None
+
+
+def _versions(key):
+    """The versions of the snapshots a memo key reads."""
+    exprs = key[1] if key[0] == "pair" else key
+    return {snap.version for snap in references(exprs)[1]}
+
+
+class TestSharedMemo:
+    """Sessions that share `memo` share only answers over the image."""
+
+    @staticmethod
+    def _read(byte):
+        # version 1 with other bytes in each run, as the engine numbers
+        # every run's first snapshot after a store
+        snap = Snapshot(1, {a: const(byte, 8) for a in range(100, 104)})
+        return mk_memread(snap, add(const(100, 32), zx(sym("x", 8))), 8,
+                          False)
+
+    def test_equal_versions_of_two_runs_are_not_shared(self):
+        memo = {}
+        y = sym("y", 8)
+        for byte, sat in ((0, False), (5, True)):
+            path = path_of((eq(self._read(byte), const(5, 8)),
+                            lt(const(2, 32), zx(y))),
+                           session=Session(20, memo))
+            assert (is_sat(path) is not None) is sat
+        assert list(memo) == [(lt(const(2, 32), zx(y)),)]  # image-only
+
+    def test_equal_versions_of_two_runs_share_no_leak_pair(self):
+        memo = {}
+        k = sym("k", 8, secret=True)
+        for byte, sat in ((0, False), (5, True)):
+            path = path_of((eq(self._read(byte), const(5, 8)),),
+                           session=Session(20, memo))
+            observable = add(zx(k), zx(sym("x", 8)))
+            assert (find_leak_pair(path, observable) is not None) is sat
+            # the image-only pair search over k alone is shared
+            assert find_leak_pair(PathCondition(Session(20, memo)),
+                                  zx(k)) is not None
+        assert memo and all(_versions(key) <= {0} for key in memo)
+        assert ("pair", (zx(k),)) in memo
+
+    def test_the_store_keeps_its_newest_answers(self, monkeypatch):
+        monkeypatch.setattr(solver.Store, "LIMIT", 3)
+        solves = _counting(monkeypatch, "_solve")
+        x, session = sym("x", 8), Session()
+        asked = [lt(const(v, 32), zx(x)) for v in range(6)]
+        first = [is_sat(path_of((c,), session=session)) for c in asked]
+        assert len(session.memo) == 3 and len(solves) == 6
+        assert list(session.memo) == [(c,) for c in asked[3:]]
+        # evicted, asked again and answered alike; still three kept
+        assert is_sat(path_of(asked[:1], session=session)) == first[0]
+        assert len(solves) == 7 and len(session.memo) == 3
+        assert list(session.memo)[-1] == (asked[0],)
 
 
 # ---------------------------------------------------------------------------
