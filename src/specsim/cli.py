@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import sir
 from .cache import CacheConfig
@@ -89,11 +90,13 @@ def _stats_dict(result: RunResult) -> dict:
             if f not in ("trace_identities", "path_summaries")}
 
 
-def _common_traces(a: list[tuple], b: list[tuple]) -> int:
-    """Multiset intersection size of two trace-identity lists."""
-    from collections import Counter
-    ca, cb = Counter(a), Counter(b)
-    return sum(min(n, cb[k]) for k, n in ca.items())
+def _trace_overlap(results: dict[str, RunResult]) -> dict[str, int]:
+    """Each mode's wrong-path trace count under `--mode both`, and the
+    size of the multiset intersection of their trace identities."""
+    pl, nopl = (Counter(results[mode].stats.trace_identities)
+                for mode in ("prediction-aware", "baseline"))
+    return {"spec_traces_pl": pl.total(), "spec_traces_nopl": nopl.total(),
+            "common": (pl & nopl).total()}
 
 
 def _write_json(path: str, data) -> bool:
@@ -177,6 +180,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"{label}verdict: {result.verdict} "
               f"({len(result.findings)} finding(s), "
               f"{result.stats.spec_traces} speculative trace(s))")
+    if args.mode == "both":
+        print("traces: " + " ".join(f"{k}={v}" for k, v
+                                    in _trace_overlap(results).items()))
 
     if args.report:
         report = {
@@ -196,11 +202,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.stats:
         stats = {mode: _stats_dict(result) for mode, result in results.items()}
         if args.mode == "both":
-            pl = results["prediction-aware"].stats.trace_identities
-            nopl = results["baseline"].stats.trace_identities
-            stats["spec_traces_pl"] = len(pl)
-            stats["spec_traces_nopl"] = len(nopl)
-            stats["common"] = _common_traces(pl, nopl)
+            stats.update(_trace_overlap(results))
         elif len(stats) == 1:
             stats = next(iter(stats.values()))
         if not _write_json(args.stats, stats):

@@ -6,19 +6,22 @@ indirect call, and runs a bounded wrong-path trace whenever the
 prediction disagrees with the architectural outcome.
 
 One step function executes both kinds of path; only conditional branches
-and indirect calls follow a policy.  Architecturally a branch forks on
-every satisfiable direction and an indirect call trains the predictor.
-On a wrong path a branch follows the shadow predictor (or falls through,
-in baseline mode) and adds no path constraint.  A wrong path runs in a
-sandbox: registers, memory, and the return stack are copied, stores go
-to the sandbox only (with store-to-load forwarding), and the
-architectural state is untouched afterwards -- checked against a copy
-taken before every trace -- while cache state, monitor tokens,
-statistics, and findings deliberately persist.
+and indirect calls ask the path's predictor, which trains on each one
+resolved architecturally.  There a branch forks on every satisfiable
+direction; on a wrong path it follows a shadow copy of the predictor and
+adds no path constraint.  A wrong path runs in a sandbox: registers,
+memory, and the return stack are copied, stores go to the sandbox only
+(with store-to-load forwarding), and the architectural state is
+untouched afterwards -- checked against a copy taken before every trace
+-- while cache state, monitor tokens, statistics, and findings
+deliberately persist.
 
-The baseline mode reproduces the history-agnostic model of
-prediction-less tools: every conditional branch spawns a wrong-path
-trace down the not-actual direction, indirect calls spawn none.
+The modes differ only in the predictor `run` starts with.  Baseline
+mode's `predictor.Baseline`, the always-mispredict model, answers
+"either" at every conditional branch: the other direction runs as a
+wrong path architecturally, and a wrong path falls through.  It predicts
+an indirect call's resolved target, so only a wrong-path call follows it
+(a concrete one), and it never trains.
 
 Everything one `Engine.run` learns -- findings, statistics, symbols --
 lives in the `RunResult` it returns, so runs of one engine are
@@ -60,7 +63,7 @@ from . import expr as ex
 from . import solver
 from .cache import CacheConfig, CacheState, LeakResult
 from .monitor import MonitorInstance, MonitorSpec, event_class, plans
-from .predictor import PredictorConfig, PredictorState
+from .predictor import Baseline, PredictorConfig, PredictorState
 from .sir import Program, Record, Reg
 
 
@@ -235,12 +238,12 @@ class ExecState:
                  "predictor", "cache", "monitors", "ret_stack", "event_log")
 
     def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
-                 monitors: list[MonitorInstance]):
+                 monitors: list[MonitorInstance], path: solver.PathCondition):
         self.pc = pc
         self.regs: dict[str, ex.Expr] = {}
         self.mem: dict[int, ex.Expr] = {}  # stored bytes over Engine._init_mem
         self.frozen: ex.Snapshot | None = None  # see Engine._freeze
-        self.path = solver.PathCondition(solver.Session())  # run() rebinds
+        self.path = path
         self.path_key = PathKey()
         self.predictor = predictor
         self.cache = cache
@@ -286,12 +289,12 @@ class ExecState:
 class _Sandbox:
     """Wrong-path frame of one speculative trace: copies of a path's
     registers, memory and return stack, plus the shadow predictor that
-    steers it (None in baseline mode)."""
+    steers it, the path predictor's `clone()` (a `Baseline` is its own)."""
 
     __slots__ = ("pc", "regs", "mem", "frozen", "ret_stack", "shadow")
 
     def __init__(self, state: ExecState, start_pc: int,
-                 shadow: PredictorState | None):
+                 shadow: PredictorState):
         self.pc = start_pc
         self.regs = dict(state.regs)
         self.mem = dict(state.mem)  # buffered stores land here only
@@ -345,12 +348,15 @@ class Engine:
     # ------------------------------------------------------------------ run
 
     def run(self, baseline: bool = False) -> RunResult:
-        run = self._new_run(baseline)
-        init = ExecState(self.program.entry,
-                         PredictorState(self.predictor_cfg),
+        """Explore the program from its entry, every path with a trained
+        `PredictorState`, or in baseline mode with the one `Baseline`."""
+        run = RunResult(baseline, dict(self._symbols),
+                        solver.Session(self.bit_budget, self._memo))
+        policy = Baseline if baseline else PredictorState
+        init = ExecState(self.program.entry, policy(self.predictor_cfg),
                          CacheState(self.cache_cfg),
-                         [MonitorInstance(p) for p in self.patterns])
-        init.path = solver.PathCondition(run.session)
+                         [MonitorInstance(p) for p in self.patterns],
+                         solver.PathCondition(run.session))
         worklist: list[ExecState] = [init]
         table, stats, steps = self._steps, run.stats, 0
         while worklist and not stats.step_limit_hit:
@@ -374,37 +380,6 @@ class Engine:
         stats.arch_instructions += steps
         run.findings.sort(key=Finding.sort_key)
         return run
-
-    def _new_run(self, baseline: bool) -> RunResult:
-        """Per-run state, its symbol table seeded with the secret bytes of
-        the initial memory."""
-        return RunResult(baseline=baseline, symbols=dict(self._symbols),
-                         session=solver.Session(self.bit_budget, self._memo))
-
-    # ----------------------------------------------------------- single step
-
-    def step(self, state: ExecState,
-             run: RunResult | None = None) -> list[ExecState]:
-        """Execute one instruction of a copy of `state`; return the live
-        successors.  Each successor's event_log extends the input's, so the
-        caller can diff logs to see what the step emitted.  Symbols,
-        findings and the solver's memo go to `run`; pass the same one to
-        every step of an exploration (a fresh one is made when it is
-        None)."""
-        s = state.clone()
-        run = run or self._new_run(False)
-        if run.session.bit_budget != self.bit_budget:
-            raise EngineError("the run's session has another bit budget")
-        if not s.path.constraints and s.path.session is not run.session:
-            # bind a fresh path to the run's session, as `run` does, so its
-            # slices group the constraints that share reached symbols
-            s.path = solver.PathCondition(run.session)
-        run.stats.arch_instructions += 1
-        step = self._steps[s.pc]
-        successors: list[ExecState] = []
-        if step.handler(self, run, s, s, step, successors) == "run":
-            successors.append(s)
-        return successors
 
     def _error(self, run: RunResult, s: ExecState, op: str, message: str) -> None:
         """The architectural path ends at an instruction it cannot execute."""
@@ -554,30 +529,24 @@ class Engine:
     def _take_branch(self, run: RunResult, s: ExecState, step: "_Step",
                      direction: bool, event: Event) -> None:
         """Go down one direction of an architectural branch, after the wrong
-        path the predictor (or, in baseline mode, the other direction)
-        would run."""
+        path the predictor steers into; "either" (None) runs the other
+        direction."""
         pc = step.pc
         t_pc, f_pc = step.target
         s.path_key = PathKey(s.path_key, (pc, direction))
         self._emit(run, s, event, None)
         actual_pc = t_pc if direction else f_pc
-
-        if run.baseline:
-            wrong_pc = f_pc if direction else t_pc
-            self._run_speculative(run, s, wrong_pc, (pc, wrong_pc))
-        else:
-            pred_taken, pred_pc = s.predictor.predict_conditional(
-                pc, t_pc, f_pc)
-            if pred_pc != actual_pc:
-                self._run_speculative(run, s, pred_pc, (pc, pred_pc),
-                                      noted=pred_taken)
-            s.predictor.update(pc, direction, t_pc if direction else None)
-            run.stats.predictor_updates += 1
+        pred = s.predictor.predict_conditional(pc, t_pc, f_pc)
+        taken, pred_pc = pred or (not direction, f_pc if direction else t_pc)
+        if pred is None or pred_pc != actual_pc:
+            self._run_speculative(run, s, pred_pc, (pc, pred_pc), noted=taken)
+        s.predictor.update(pc, direction, t_pc if direction else None)
+        run.stats.predictor_updates += s.predictor.trains
         s.pc = actual_pc
 
     def _exec_icall(self, run, s, frame, step, worklist) -> str:
-        """Call the concrete target, after the wrong path the BTB predicts
-        (none in baseline mode); `_follow_indirect` on a wrong path."""
+        """Call the concrete target, after the wrong path the predictor
+        steers into; `_follow_indirect` on a wrong path."""
         if frame is not s:
             return self._follow_indirect(run, s, frame, step)
         pc = s.pc
@@ -593,13 +562,11 @@ class Engine:
             return "end"
         self._emit(run, s, Event("icall", pc, False, False,
                                  target.taint.secret), None)
-        if not run.baseline:
-            pred = s.predictor.predict_target(pc)
-            if pred is not None and pred != actual:
-                self._run_speculative(run, s, pred, (pc, pred),
-                                      push_return=pc + 1)
-            s.predictor.update(pc, True, actual, conditional=False)
-            run.stats.predictor_updates += 1
+        pred = s.predictor.predict_target(pc, actual)
+        if pred is not None and pred != actual:
+            self._run_speculative(run, s, pred, (pc, pred), push_return=pc + 1)
+        s.predictor.update(pc, True, actual, conditional=False)
+        run.stats.predictor_updates += s.predictor.trains
         s.ret_stack.append(pc + 1)
         s.pc = actual
         return "run"
@@ -608,30 +575,25 @@ class Engine:
 
     def _follow_prediction(self, run: RunResult, s: ExecState, box: _Sandbox,
                            step: "_Step", cond: ex.Expr) -> None:
-        """No forking, no path constraint: follow the shadow prediction, or
-        fall through in baseline mode (history-agnostic)."""
+        """No forking, no path constraint: follow the shadow prediction, and
+        fall through on "either"."""
         t_pc, f_pc = step.target
         self._emit(run, s, Event("br", box.pc, True, cond.taint.symbolic,
                                  cond.taint.secret), None)
-        if box.shadow is None:
-            box.pc = f_pc
-            return
-        taken, box.pc = box.shadow.predict_conditional(box.pc, t_pc, f_pc)
+        taken, box.pc = (box.shadow.predict_conditional(box.pc, t_pc, f_pc)
+                         or (False, f_pc))
         box.shadow.spec_note_direction(taken)
 
     def _follow_indirect(self, run: RunResult, s: ExecState, box: _Sandbox,
                          step: "_Step") -> str:
-        """Call the shadow BTB's target (the concrete target in baseline
-        mode); without a usable target the trace stalls out."""
+        """Call the shadow predictor's target, given the concrete target
+        if the register holds one; without a usable target the trace
+        stalls out."""
         tgt = _read(box.regs, step.a, step.ia)
         self._emit(run, s, Event("icall", box.pc, True, tgt.taint.symbolic,
                                  tgt.taint.secret), None)
-        if box.shadow is not None:
-            pred = box.shadow.predict_target(box.pc)
-        elif isinstance(tgt, ex.Const):
-            pred = tgt.value
-        else:
-            pred = None
+        pred = box.shadow.predict_target(
+            box.pc, tgt.value if type(tgt) is ex.Const else None)
         if pred is None or pred >= len(self._steps):
             return "end"
         box.ret_stack.append(box.pc + 1)
@@ -645,8 +607,8 @@ class Engine:
                          noted: bool | None = None,
                          push_return: int | None = None) -> None:
         """Run one wrong-path trace of at most `window` instructions, steered
-        by a copy of the path's predictor (its BHR shifted by the `noted`
-        predicted direction) outside baseline mode.
+        by a copy of the path's predictor, its BHR shifted by the `noted`
+        predicted direction.
 
         Cache and monitor effects persist on `s`; everything architectural
         is untouched, which a copy taken before checks.
@@ -658,7 +620,7 @@ class Engine:
         run.stats.spec_traces += 1
         run.stats.trace_identities.append((s.path_key,) + identity_tail)
 
-        shadow = None if run.baseline else s.predictor.clone()
+        shadow = s.predictor.clone()
         if noted is not None:
             shadow.spec_note_direction(noted)
         box = _Sandbox(s, start_pc, shadow)

@@ -157,7 +157,10 @@ class Btb:
 
 
 class PredictorState:
-    """Composite predictor owned by exactly one execution path."""
+    """Composite predictor owned by exactly one execution path; `trains`
+    says whether `update` trains it."""
+
+    trains = True
 
     def __init__(self, cfg: PredictorConfig):
         self.cfg = cfg
@@ -173,8 +176,9 @@ class PredictorState:
         return False, fallthrough
 
     def predict_conditional(self, pc: int, taken_target: int,
-                            fallthrough: int) -> tuple[bool, int]:
-        """Predicted (direction, next pc) for the conditional branch at pc.
+                            fallthrough: int) -> tuple[bool, int] | None:
+        """Predicted (direction, next pc) for the conditional branch at pc,
+        or None for "either".
 
         With a two-level predictor the direction comes from the counters;
         the target of a predicted-taken branch comes from the BTB when it
@@ -194,8 +198,11 @@ class PredictorState:
                 return True, stored
         return self._static_fallback(pc, taken_target, fallthrough)
 
-    def predict_target(self, pc: int) -> int | None:
-        """Predicted target for an indirect call site; None means no prediction."""
+    def predict_target(self, pc: int, resolved: int | None = None
+                       ) -> int | None:
+        """Predicted target for an indirect call site whose register holds
+        the concrete target `resolved` (None if symbolic); None means no
+        prediction."""
         if self.btb is None:
             return None
         return self.btb.lookup(pc)
@@ -224,3 +231,27 @@ class PredictorState:
     def __eq__(self, other) -> bool:
         return (isinstance(other, PredictorState) and self.cfg == other.cfg
                 and self.two_level == other.two_level and self.btb == other.btb)
+
+
+class Baseline(PredictorState):
+    """The always-mispredict model of prediction-agnostic tools: "either"
+    at every conditional branch, the resolved target at an indirect call,
+    and no training.  Its tables stay at reset, so one instance serves
+    every path and `clone` returns it."""
+
+    trains = False
+
+    def predict_conditional(self, pc, taken_target, fallthrough):
+        return None
+
+    def predict_target(self, pc, resolved=None):
+        return resolved
+
+    def update(self, pc, taken, target, conditional=True) -> None:
+        pass
+
+    def spec_note_direction(self, taken) -> None:
+        pass
+
+    def clone(self) -> "Baseline":
+        return self

@@ -256,6 +256,20 @@ class TestOutputs:
         assert stats["spec_traces_nopl"] == 2
         assert stats["common"] == 1
 
+    def test_mode_both_prints_the_trace_overlap(self, tmp_path, capsys):
+        # the text line reads what --stats writes
+        out = tmp_path / "stats.json"
+        run([V01, "--pht-bits", "1", "--mode", "both", "--quiet",
+             "--stats", str(out)])
+        stats = json.loads(out.read_text())
+        line = "traces: spec_traces_pl=1 spec_traces_nopl=2 common=1"
+        assert capsys.readouterr().out.splitlines()[-1] == line
+        assert line == "traces: " + " ".join(
+            f"{k}={stats[k]}" for k in ("spec_traces_pl", "spec_traces_nopl",
+                                        "common"))
+        run([V01, "--pht-bits", "1", "--mode", "baseline"])
+        assert "traces:" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         [V01, "--pht-bits", "1"],
         [V02, "--preset", "cortex-a53", "--bit-budget", "4"],

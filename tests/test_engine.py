@@ -17,10 +17,11 @@ from specsim import cache, layout_regions, parse_program, solver
 from specsim import engine as engine_mod
 from specsim import expr as ex
 from specsim.cache import CacheConfig
-from specsim.engine import Engine, EngineError, Event, ExecState, PathKey
+from specsim.engine import (Engine, EngineError, Event, ExecState, PathKey,
+                            RunResult)
 from specsim.expr import Const
 from specsim.monitor import MonitorInstance, event_class, load_pattern
-from specsim.predictor import PredictorConfig, PredictorState
+from specsim.predictor import PredictorConfig, PredictorState, preset
 
 
 def build(src, **kwargs):
@@ -51,6 +52,28 @@ def record_fact_work(monkeypatch):
     monkeypatch.setattr(solver, "_secret_runs",
                         lambda snap: runs.append(snap) or secret_runs(snap))
     return walks, runs
+
+
+def start(engine):
+    """A fresh run of `engine` and the prediction-aware state at its
+    entry, as `Engine.run` makes them."""
+    run = RunResult(False, dict(engine._symbols),
+                    solver.Session(engine.bit_budget, engine._memo))
+    return run, ExecState(engine.program.entry,
+                          PredictorState(engine.predictor_cfg),
+                          cache.CacheState(engine.cache_cfg), [],
+                          solver.PathCondition(run.session))
+
+
+def step(engine, run, state):
+    """Execute the instruction at `state.pc` in place, as `Engine.run`
+    does; return the live successors."""
+    decoded = engine._steps[state.pc]
+    successors = []
+    if decoded.handler(engine, run, state, state, decoded,
+                       successors) == "run":
+        successors.append(state)
+    return successors
 
 
 def final_regs(result, index=0):
@@ -198,19 +221,23 @@ class TestSpeculation:
         ("v2.sir", PredictorConfig(btb_sets=4))])
     def test_window_zero_clones_predictor_only_for_forks(self, monkeypatch,
                                                           name, cfg):
-        # a misprediction needs a shadow predictor only to run a trace
+        # a misprediction needs a shadow predictor only to run a trace; the
+        # baseline's one predictor is never trained, so it is never copied
         counts = Counter()
         pclone, sclone = PredictorState.clone, ExecState.clone
         monkeypatch.setattr(PredictorState, "clone", lambda p: counts.update(
             ["predictor"]) or pclone(p))
         monkeypatch.setattr(ExecState, "clone", lambda s: counts.update(
             ["path"]) or sclone(s))
-        r = Engine(load_fixture(name), cfg).run()
-        assert r.stats.spec_traces > 0  # it mispredicts
-        assert counts["predictor"] == counts["path"] + r.stats.spec_traces
-        counts.clear()
-        Engine(load_fixture(name), cfg._replace(window=0)).run()
-        assert counts["predictor"] == counts["path"]
+        for baseline in (False, True):
+            counts.clear()
+            r = Engine(load_fixture(name), cfg).run(baseline)
+            assert r.stats.spec_traces > 0  # it mispredicts
+            assert counts["predictor"] == (
+                0 if baseline else counts["path"] + r.stats.spec_traces)
+            counts.clear()
+            Engine(load_fixture(name), cfg._replace(window=0)).run(baseline)
+            assert counts["predictor"] == (0 if baseline else counts["path"])
 
     def test_window_bounds_trace_length(self):
         e = Engine(load_fixture("v01.sir"),
@@ -398,12 +425,10 @@ class TestConcreteLane:
     def test_concrete_binop_is_mk_binop(self, op, width, x, y, wx, wy):
         # the decoded step's concrete lane computes what mk_binop does
         a, b = ex.const(x, wx), ex.const(y, wy)
-        e = build(f"  {op}{'' if width == 32 else '.8'} r3, r1, r2\n  halt\n")
-        state = ExecState(0, PredictorState(e.predictor_cfg),
-                          cache.CacheState(e.cache_cfg), [])
-        state.regs.update(r1=a, r2=b)
-        (state,) = e.step(state)
-        assert state.regs["r3"] == ex.mk_binop(
+        suffix = {8: ".8", 32: ""}
+        r = build(f"  const{suffix[wx]} r1, {x}\n  const{suffix[wy]} r2, {y}\n"
+                  f"  {op}{suffix[width]} r3, r1, r2\n  halt\n").run()
+        assert final_regs(r)["r3"] == ex.mk_binop(
             op, ex.coerce(a, width), ex.coerce(b, width))
 
     def test_reused_event_equals_a_fresh_one(self):
@@ -411,11 +436,9 @@ class TestConcreteLane:
         e = build("  const r1, 1\n  const r2, 2\n  const r3, 0\n"
                   "top:\n  add r4, r1, r2\n  sym r1, s\n  add r3, r3, 1\n"
                   "  lt r5, r3, 2\n  br r5, top, out\nout:\n  halt\n")
-        state = ExecState(e.program.entry, PredictorState(e.predictor_cfg),
-                          cache.CacheState(e.cache_cfg), [])
-        run = e._new_run(False)
+        run, state = start(e)
         for _ in range(13):  # up to the halt
-            (state,) = e.step(state, run)
+            (state,) = step(e, run, state)
         log = [event for event, _leak in state.event_log]
         adds = [event for event in log if event.pc == 3]
         assert adds[0] == Event("add", 3, False, False, False)
@@ -537,13 +560,11 @@ class TestStepLimitPoint:
         e = build(TestObserveCount.LOOP,
                   predictor_cfg=PredictorConfig(pht_bits=1, window=16))
         r = Engine(e.program, e.predictor_cfg, step_limit=limit).run()
-        state = ExecState(e.program.entry, PredictorState(e.predictor_cfg),
-                          cache.CacheState(e.cache_cfg), [])
-        run = e._new_run(False)
+        run, state = start(e)
         for _ in range(limit):
-            (state,) = e.step(state, run)
+            (state,) = step(e, run, state)
         assert r.stats.step_limit_hit and r.stats.paths == 0
-        assert r.stats.arch_instructions == run.stats.arch_instructions == limit
+        assert r.stats.arch_instructions == limit
         assert r.stats.spec_instructions == run.stats.spec_instructions
         assert r.stats.trace_identities == run.stats.trace_identities
 
@@ -567,6 +588,90 @@ class TestBaseline:
         assert e.run(baseline=True).stats.spec_traces == 1  # just the br
         assert e.run().stats.spec_traces == 2
 
+    # a branch never taken architecturally; its taken edge calls `invoke`,
+    # whose icall (pc 10) holds gadget's pc, so only a wrong path reaches
+    # it.  {train} (pc 2) either calls `invoke` architecturally with
+    # {target} in rt, which installs the BTB entry of pc 10, or does
+    # nothing.  Second loads are at pc 19 (gadget) and 28 (copy, the same
+    # code).
+    WRONG_PATH_ICALL = """region array1 16 init=000102030405060708090a0b0c0d0e0f
+region secret 64 secret
+region array2 16384
+  const ri, 1
+  addrof rt, {target}
+  {train}
+  sym.8 rs, idx
+  add ri, rs, 0
+  addrof rt, gadget
+  const rc, 0
+  br rc, spec, done
+spec:
+  call invoke
+done:
+  halt
+invoke:
+  icall rt
+  ret
+gadget:
+  addrof ra1, array1
+  add ra, ra1, ri
+  load.8 rv, ra
+  const r64, 64
+  mul rm, rv, r64
+  addrof ra2, array2
+  add rb2, ra2, rm
+  load.8 rw, rb2
+  ret
+copy:
+  addrof ra1, array1
+  add ra, ra1, ri
+  load.8 rv, ra
+  const r64, 64
+  mul rm, rv, r64
+  addrof ra2, array2
+  add rb2, ra2, rm
+  load.8 rw, rb2
+  ret
+safe:
+  ret
+"""
+
+    @pytest.mark.parametrize("train, target, aware_leaks_at", [
+        ("const rz, 0", "safe", set()),  # an empty BTB: the trace stalls
+        ("call invoke", "safe", set()),  # the BTB steers into `safe`
+        ("call invoke", "copy", {28})])  # the BTB steers into `copy`
+    def test_wrong_path_icall(self, train, target, aware_leaks_at):
+        # the baseline follows the call's resolved target, `gadget`; the
+        # prediction-aware mode follows its shadow BTB, and only that
+        program = self.WRONG_PATH_ICALL.format(train=train, target=target)
+        e = build(program, predictor_cfg=PredictorConfig(
+            pht_bits=1, btb_sets=4, window=16),
+            patterns=[load_pattern_fixture("icall-ld-ld.json")])
+        assert e.program.labels["invoke"] == 10
+        aware, base = e.run(), e.run(baseline=True)
+        assert aware.stats.spec_traces == base.stats.spec_traces == 1
+        assert {f.chain[-1][0] for f in aware.findings} == aware_leaks_at
+        assert {f.chain[-1][0] for f in base.findings} == {19}
+        assert base.verdict == "leak"
+
+    @pytest.mark.parametrize("name", ["v01.sir", "v02.sir", "v09.sir",
+                                      "v11.sir", "v2.sir"])
+    @pytest.mark.parametrize("cfg", [PredictorConfig(pht_bits=1),
+                                     *(preset(p) for p in ("cortex-a53",
+                                                           "cortex-a7",
+                                                           "pentium4"))])
+    def test_baseline_ignores_the_initial_counters(self, name, cfg):
+        patterns = [load_pattern_fixture(f"{p}.json")
+                    for p in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")]
+        program = load_fixture(name)
+        outputs = set()
+        for init in range(4):
+            r = Engine(program, cfg._replace(init_counter=init),
+                       patterns=patterns).run(baseline=True)
+            outputs.add((repr([f.to_dict() for f in r.findings]),
+                         repr(r.diagnostics), repr(r.stats)))
+        assert len(outputs) == 1
+
     def test_baseline_detects_fall_through_gadget(self):
         pattern = load_pattern_fixture("br-ld-ld.json")
         cfg = PredictorConfig(pht_bits=1, window=16)
@@ -589,48 +694,20 @@ class TestDeterminism:
 
         assert one() == one()
 
-    def test_step_api_matches_run(self):
+    def test_final_registers_of_a_run(self):
         e = build("  const r1, 2\n  const r2, 3\n  add r3, r1, r2\n  halt\n")
-        from specsim.cache import CacheState
-        from specsim.engine import ExecState
-        from specsim.predictor import PredictorState
-        s = ExecState(0, PredictorState(e.predictor_cfg),
-                      CacheState(e.cache_cfg), [])
-        states = [s]
-        while states:
-            s = states[0]
-            states = e.step(s)
-        assert s.regs["r3"].value == 5
+        assert final_regs(e.run())["r3"].value == 5
 
-    def test_step_api_keeps_snapshots_in_the_run(self):
+    def test_loads_of_a_run_read_the_image_snapshot(self):
         # the branch's feasibility queries read the load's snapshot, which
         # the loaded value carries: the program's image
         e = build("region m 16\n  sym.8 r1, x\n  addrof r2, m\n"
                   "  add r3, r2, r1\n  load.8 r4, r3\n  br r4, a, a\n"
                   "a:\n  halt\n")
-        from specsim.cache import CacheState
-        from specsim.engine import ExecState, RunResult
-        from specsim.predictor import PredictorState
-        run = RunResult()
-        states = [ExecState(0, PredictorState(e.predictor_cfg),
-                            CacheState(e.cache_cfg), [])]
-        for _ in range(5):
-            states = e.step(states[0], run)
-        assert len(states) == 1
-        assert states[0].regs["r4"].snapshot is e._image
+        r = e.run()
+        assert r.stats.paths == 1  # m is all zero bytes: r4 is never taken
+        assert final_regs(r)["r4"].snapshot is e._image
         assert e._image.version == 0 and e._image.mem is e._init_mem
-
-    def test_step_api_asks_with_the_engines_budget(self):
-        # a run's session holds the one bit budget of every query in it
-        from specsim.cache import CacheState
-        from specsim.engine import RunResult
-        from specsim.predictor import PredictorState
-        e = build("  sym.8 r1, x\n  halt\n", bit_budget=4)
-        state = ExecState(0, PredictorState(e.predictor_cfg),
-                          CacheState(e.cache_cfg), [])
-        assert e._new_run(False).session.bit_budget == 4
-        with pytest.raises(EngineError, match="bit budget"):
-            e.step(state, RunResult())  # a session with the default 20
 
 
 # v01's gadget without its bounds check: the first load's address is

@@ -1,5 +1,6 @@
-"""Smoke test of `tools/cell_outputs.py`, the byte-identity check that
-compares every benchmark cell's outputs across two checkouts."""
+"""Smoke tests of `tools/cell_outputs.py`, the byte-identity check that
+compares every benchmark cell's outputs across two checkouts, and of
+`tools/src_lines.py`, the package's line count."""
 
 import re
 import subprocess
@@ -26,3 +27,17 @@ def test_cell_outputs_hashes_every_component_of_every_cell():
                                                         "loop"}
     for components in cells.values():
         assert sorted(components) == sorted(COMPONENTS)
+
+
+def test_src_lines_counts_code_without_docstrings_and_comments(tmp_path):
+    # 9 lines: a module docstring (2), a blank, a comment, code (3, one
+    # statement spread over 2), a function docstring, a trailing blank
+    (tmp_path / "m.py").write_text(
+        '"""Module\n   docstring."""\n\n# a comment\nx = ("a"\n     "b")\n'
+        'def f():\n    """Docstring."""\n\n', encoding="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "tools/src_lines.py"),
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (f"{tmp_path.name}: 9 lines, 3 without docstrings, "
+                           "comments and blank lines\n")
