@@ -13,8 +13,12 @@ adds no path constraint.  A wrong path runs in a sandbox: registers,
 memory, and the return stack are copied, stores go to the sandbox only
 (with store-to-load forwarding), and the architectural state is
 untouched afterwards -- checked against a copy taken before every trace
--- while cache state, monitor tokens, statistics, and findings
-deliberately persist.
+that runs -- while cache state, monitor tokens, statistics, and findings
+deliberately persist.  A trace that repeats one recorded earlier in the
+run -- the same start, predictor state and noted direction, and the same
+values of the registers, bytes and return stack it reads -- is not run
+again: its recorded events are replayed into the path's cache and
+monitors, so every output reads as if it ran.
 
 The modes differ only in the predictor `run` starts with.  Baseline
 mode's `predictor.Baseline`, the always-mispredict model, answers
@@ -182,7 +186,7 @@ class RunResult(Record):
 
     __slots__ = ("findings", "stats", "diagnostics", "unknown", "baseline",
                  "symbols", "session", "next_version", "next_spec_version",
-                 "seen", "noted")
+                 "seen", "noted", "traces")
     _fields, _compared = __slots__[:5], 6
 
     def __init__(self, baseline: bool = False,
@@ -203,6 +207,9 @@ class RunResult(Record):
         self.seen: set[tuple] = set()
         # (pc, kind) of every note already written
         self.noted: set[tuple[int, str]] = set()
+        # per wrong-path trace key: None from its first arrival, then its
+        # recording (see Engine._run_speculative)
+        self.traces: dict[tuple, tuple | None] = {}
 
     @property
     def verdict(self) -> str:
@@ -278,12 +285,9 @@ class ExecState:
 
     def fingerprint(self) -> tuple:
         """`architecture()`, canonical: a finished path's summary."""
-        pc, regs, mem, ret_stack, tl, btb = self.architecture()
-        return (pc, tuple(sorted(regs.items())),  # keys are unique
-                tuple(sorted(mem.items())), tuple(ret_stack),
-                tl[0] if tl else None,
-                tuple(sorted(btb.items())) if btb is not None else None,
-                tuple(sorted(tl[1].items())) if tl else None)
+        return (self.pc, tuple(sorted(self.regs.items())),  # keys are unique
+                tuple(sorted(self.mem.items())),
+                tuple(self.ret_stack)) + self.predictor.key()
 
 
 class _Sandbox:
@@ -612,13 +616,31 @@ class Engine:
 
         Cache and monitor effects persist on `s`; everything architectural
         is untouched, which a copy taken before checks.
+
+        A trace is a function of its key -- `start_pc`, `noted`,
+        `push_return` and the path predictor's `key()` -- and of what it
+        reads of the path.  The run's memo (`RunResult.traces`) marks a key
+        on its first arrival and records the trace on its second (`_record`);
+        a later arrival whose path holds the values the recording read
+        replays its events through `_emit` (`_replay`).  Nothing runs then,
+        so the rollback check is skipped.
         """
         window = self.predictor_cfg.window
         if window == 0:
             return
+        stats = run.stats
+        stats.spec_traces += 1
+        stats.trace_identities.append((s.path_key,) + identity_tail)
+        key = (start_pc, noted, push_return, s.predictor.key())
+        traces, arrived = run.traces, len(run.traces)
+        known = traces.setdefault(key, None)  # marks its first arrival
+        if known and self._replay(run, s, known):
+            return
+        marks = None
+        if known is None and len(traces) == arrived:  # a later arrival
+            marks = (len(s.event_log), stats.solver_queries,
+                     len(run.diagnostics), len(run.symbols))
         before = s.architecture()
-        run.stats.spec_traces += 1
-        run.stats.trace_identities.append((s.path_key,) + identity_tail)
 
         shadow = s.predictor.clone()
         if noted is not None:
@@ -626,7 +648,7 @@ class Engine:
         box = _Sandbox(s, start_pc, shadow)
         if push_return is not None:
             box.ret_stack.append(push_return)
-        table, stats = self._steps, run.stats
+        table = self._steps
         try:
             for _ in range(window):
                 if not 0 <= box.pc < len(table):
@@ -639,9 +661,57 @@ class Engine:
             # the rest of this wrong path was never run, so it may leak
             run.unknown = True
             run.note(box.pc, "wrong-path error", f"wrong path ended: {e}")
+            marks = None  # its events stop short of what it read
 
         if s.architecture() != before:
             raise EngineError("speculation leaked into architectural state")
+        if marks is not None:
+            traces[key] = self._record(run, s, marks)
+
+    def _record(self, run: RunResult, s: ExecState, marks: tuple
+                ) -> tuple | None:
+        """The memo entry of the trace just run on `s`, given the `marks`
+        (event clock, solver queries, diagnostics, symbols) from before it:
+        the registers it read before writing them, the stored bytes its
+        loads read before it wrote them, the return stack if it ran a
+        `ret`, each with its value on `s`, and its events, one per step it
+        ran.  None unless those decide the trace: after a solver query, a
+        new diagnostic or symbol, or an access at a symbolic address."""
+        events = tuple(s.event_log[marks[0]:])
+        if (run.stats.solver_queries, len(run.diagnostics),
+                len(run.symbols)) != marks[1:]:
+            return None
+        regs, addrs, written, stored, ret = set(), set(), {None}, set(), None
+        for event, _leak in events:
+            step = self._steps[event.pc]
+            regs |= {step.a, step.b} - written
+            written.add(step.rd)
+            if step.op == "ret":
+                ret = tuple(s.ret_stack)
+            elif step.op in ("load", "store"):
+                if event.addr is None:
+                    return None
+                span = set(range(event.addr, event.addr + step.width // 8))
+                if step.op == "store":
+                    stored |= span
+                else:
+                    addrs |= span - stored
+        regs, addrs = tuple(regs), tuple(addrs)
+        return (regs, tuple(map(s.regs.get, regs)), addrs,
+                tuple(map(s.mem.get, addrs)), ret, events)
+
+    def _replay(self, run: RunResult, s: ExecState, entry: tuple) -> bool:
+        """Emit the events of the recorded trace `entry` on `s` if `s`
+        holds the values it read; False, and nothing done, if not."""
+        regs, reg_values, addrs, byte_values, ret, events = entry
+        if (tuple(map(s.regs.get, regs)) != reg_values
+                or tuple(map(s.mem.get, addrs)) != byte_values
+                or ret is not None and tuple(s.ret_stack) != ret):
+            return False
+        for event, leak in events:
+            self._emit(run, s, event, leak)
+        run.stats.spec_instructions += len(events)
+        return True
 
     # -------------------------------------------------------- data movement
 

@@ -221,6 +221,14 @@ class PredictorState:
         if self.two_level is not None:
             self.two_level.shift(taken)
 
+    def key(self) -> tuple:
+        """The canonical state: (BHR, sorted BTB sets, sorted PHT), None
+        for an absent table; a `Baseline` reads as its reset tables."""
+        tl, btb = self.two_level, self.btb
+        return (tl.bhr if tl else None,
+                tuple(sorted(btb.sets.items())) if btb else None,
+                tuple(sorted(tl.pht.items())) if tl else None)
+
     def clone(self) -> "PredictorState":
         c = PredictorState.__new__(PredictorState)
         c.cfg = self.cfg

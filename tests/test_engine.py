@@ -1407,3 +1407,169 @@ class TestDecodedProgram:
         before, inside = traced(True), traced(False)
         assert before == inside
         assert all(inside[name] > 0 for name in counters)
+
+
+def replay_outputs(engine, baseline=False, store=True):
+    """The outputs of `engine.run(baseline)` -- verdict, findings with
+    their event logs, diagnostics, `unknown`, `repr(Stats)`, and the event
+    log of every finished path -- and how many wrong-path traces it
+    replayed.  With `store` False its trace memo never records, so every
+    trace runs.  A leak check's error compares by its text."""
+    logs, replays = [], []
+
+    def plain(log):
+        return tuple((event, leak and leak._replace(error=str(leak.error)))
+                     for event, leak in log)
+
+    fingerprint, replay = ExecState.fingerprint, Engine._replay
+
+    def replaying(self, run, s, entry):
+        done = replay(self, run, s, entry)
+        replays.append(done)
+        return done
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExecState, "fingerprint", lambda s: logs.append(
+            plain(s.event_log)) or fingerprint(s))
+        mp.setattr(Engine, "_replay", replaying)
+        if not store:
+            mp.setattr(Engine, "_record", lambda *a: None)
+        r = engine.run(baseline)
+    return ((r.verdict, r.unknown, r.diagnostics, repr(r.stats),
+             [f.to_dict() for f in r.findings],
+             [plain(f.event_log) for f in r.findings], logs), sum(replays))
+
+
+def counted_loop_program(rng: random.Random, passes: int = 5) -> str:
+    """`random_program` behind a concrete loop of `passes` passes that adds
+    its counter into one byte of arr.  Each pass's loop branch speculates
+    into the program's prologue, its first `sym` included, and on."""
+    head, body = random_program(rng).split("  sym.8 r0, x\n")
+    return (head + "  addrof rq, arr\n  add rq, rq, %d\n  const rk, 0\n"
+            "CL:\n  load.8 rv, rq\n  add rv, rv, rk\n  store.8 rq, rv\n"
+            "  add rk, rk, 1\n  lt rc, rk, %d\n  br rc, CL, CX\nCX:\n"
+            "  sym.8 r0, x\n" % (rng.randrange(16), passes) + body)
+
+
+class TestTraceReplay:
+    """A wrong-path trace whose key and reads match a recorded one replays
+    its events; every output is as if it ran.  Each `must not replay`
+    program repeats one trace key while one thing the trace reads
+    changes, which a key or match without that thing would replay."""
+
+    PATTERNS = [load_pattern_fixture(name) for name in _PATTERNS]
+    CFG = PredictorConfig(pht_bits=1, window=8)
+
+    def check(self, src, baseline=True, cfg=CFG, bit_budget=20):
+        """Outputs with the memo equal those without; the replay count."""
+        e = build(src, predictor_cfg=cfg, patterns=self.PATTERNS,
+                  bit_budget=bit_budget)
+        (outputs, replays), (unmemoized, none) = (
+            replay_outputs(e, baseline), replay_outputs(e, baseline, False))
+        assert outputs == unmemoized and none == 0
+        return replays, e.run(baseline)
+
+    def test_a_repeated_trace_replays(self):
+        # the benchmark's loop shape: every pass speculates into `halt`
+        replays, r = self.check(TestObserveCount.LOOP)
+        assert r.stats.spec_traces == 20 and replays == 17
+
+    def test_must_not_replay_a_changed_register(self):
+        # each pass's trace at `done` reads ri before writing it; its load
+        # address, and so its event, follow ri
+        replays, r = self.check(
+            "region buf 16\n  const ri, 0\n  addrof rb, buf\nloop:\n"
+            "  add ri, ri, 1\n  lt rc, ri, 6\n  br rc, loop, done\ndone:\n"
+            "  add ra, rb, ri\n  load.8 rv, ra\n  halt\n")
+        assert r.stats.spec_traces == 6 and replays == 0
+
+    def test_must_not_replay_a_stored_byte(self):
+        # each pass stores its counter into buf[0]; the trace at `done`
+        # loads it and then arr[buf[0]], whose address shows the byte
+        replays, r = self.check(
+            "region buf 16\nregion arr 16\n  const ri, 0\n  addrof rb, buf\n"
+            "  addrof rr, arr\nloop:\n  store.8 rb, ri\n  add ri, ri, 1\n"
+            "  lt rc, ri, 6\n  br rc, loop, done\ndone:\n  load.8 rv, rb\n"
+            "  add ra, rr, rv\n  load.8 rw, ra\n  halt\n")
+        assert r.stats.spec_traces == 6 and replays == 0
+
+    def test_must_not_replay_another_return_stack(self):
+        # f's loop speculates into its `ret`, which returns to the second
+        # call (pc 1) from the first call and to `halt` from the second
+        replays, r = self.check(
+            "  call f\n  call f\n  halt\nf:\n  const ri, 0\nfloop:\n"
+            "  add ri, ri, 1\n  lt rc, ri, 4\n  br rc, floop, out\nout:\n"
+            "  ret\n")
+        assert r.stats.spec_traces == 8
+        assert replays == 1  # the first call's third pass
+
+    def test_must_not_replay_another_predictor_state(self):
+        # br rb (pc 5) mispredicts taken into S at i = 1, 3, 6, 9 and 11;
+        # the trace's first step, br rz, is predicted taken (to X) by
+        # PHT[3] at i = 1 and 3, and not taken (to Y) from i = 6 on, after
+        # br rz resolved not taken architecturally; i = 11 replays i = 9
+        replays, r = self.check(
+            "region tbl 12 init=010001000101000101000100\n  const ri, 0\n"
+            "  const rz, 0\n  addrof rt, tbl\nloop:\n  add ra, rt, ri\n"
+            "  load.8 rb, ra\n  br rb, S, next\nS:\n  br rz, X, Y\nX:\n"
+            "  const rx, 1\n  jmp next\nY:\n  const ry, 2\nnext:\n"
+            "  add ri, ri, 1\n  lt rc, ri, 12\n  br rc, loop, done\ndone:\n"
+            "  halt\n", baseline=False,
+            cfg=PredictorConfig(pht_bits=2, window=2, init_counter=3))
+        assert r.stats.spec_traces == 11 and replays == 1
+
+    def test_must_not_record_a_wrong_path_error(self):
+        # the trace at `done` reads ru, unset before i = 4: its first three
+        # arrivals end in an error, and the second and third of them find
+        # the note written and the verdict unknown already; from i = 4 on
+        # it runs to `halt`
+        replays, r = self.check(
+            "region buf 16\n  const ri, 0\n  addrof rb, buf\nloop:\n"
+            "  add ri, ri, 1\n  lt rs, ri, 4\n  br rs, skip, set\nset:\n"
+            "  const ru, 3\nskip:\n  lt rc, ri, 8\n  br rc, loop, done\n"
+            "done:\n  add ra, rb, ru\n  load.8 rv, ra\n  halt\n")
+        assert r.unknown and r.diagnostics == [
+            "pc 8: wrong path ended: read of unset register 'ru'"]
+        assert r.stats.spec_traces == 16
+        assert replays == 3  # the traces at done from i = 5 on
+
+    def test_must_not_replay_a_path_dependent_load(self):
+        # pub[x] may read sec only on the path where x >= 16: the traces at
+        # `done` load public on the x < 16 path, secret on the other
+        src = ("region pub 16\nregion sec 16 secret\n  sym.8 rx, x\n"
+               "  addrof rp, pub\n  lt rl, rx, 16\n  br rl, go, go\ngo:\n"
+               "  const ri, 0\nloop:\n  add ri, ri, 1\n  lt rc, ri, 4\n"
+               "  br rc, loop, done\ndone:\n  add ra, rp, rx\n"
+               "  load.8 rv, ra\n  halt\n")
+        replays, r = self.check(src)
+        assert r.stats.paths == 2 and replays == 0
+        e = build(src, predictor_cfg=self.CFG)
+        logs = replay_outputs(e, baseline=True)[0][-1]
+        assert [{event.secret_access for event, _ in log
+                 if event.name == "load" and event.speculation}
+                for log in logs] == [{False}, {True}]
+
+    def test_a_first_wrong_path_sym_declares_its_symbol(self):
+        # the trace at `done` declares y on its first arrival, before the
+        # architectural `sym` does; later arrivals replay it
+        replays, r = self.check(
+            "  const ri, 0\nloop:\n  add ri, ri, 1\n  lt rc, ri, 5\n"
+            "  br rc, loop, done\ndone:\n  sym.8 ry, y\n  add rz, ry, 1\n"
+            "  halt\n")
+        assert r.symbols["y"] == ex.sym("y", 8)
+        assert r.stats.spec_traces == 5 and replays == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+    def test_replay_changes_no_output(self, rng, looped, baseline):
+        text = counted_loop_program(rng) if looped else random_program(rng)
+        cfg = random_predictor_config(rng)
+        self.check(text, baseline, cfg, bit_budget=12)
+
+    def test_counted_loops_replay(self):
+        # the loop variant of the differential above replays traces
+        rng = random.Random(7)
+        replays = [self.check(counted_loop_program(rng), True,
+                              random_predictor_config(rng), 12)[0]
+                   for _ in range(10)]
+        assert sum(replays) >= 10
