@@ -8,17 +8,18 @@ prediction disagrees with the architectural outcome.
 One step function executes both kinds of path; only conditional branches
 and indirect calls ask the path's predictor, which trains on each one
 resolved architecturally.  There a branch forks on every satisfiable
-direction; on a wrong path it follows a shadow copy of the predictor and
-adds no path constraint.  A wrong path runs in a sandbox: registers,
-memory, and the return stack are copied, stores go to the sandbox only
-(with store-to-load forwarding), and the architectural state is
-untouched afterwards -- checked against a copy taken before every trace
-that runs -- while cache state, monitor tokens, statistics, and findings
-deliberately persist.  A trace that repeats one recorded earlier in the
-run -- the same start, predictor state and noted direction, and the same
-values of the registers, bytes and return stack it reads -- is not run
-again: its recorded events are replayed into the path's cache and
-monitors, so every output reads as if it ran.
+direction, cloning the path once for two: the first direction takes the
+clone, the last the path itself.  On a wrong path it follows a shadow
+copy of the predictor and adds no path constraint.  A wrong path runs in
+a sandbox: registers, memory, and the return stack are copied, stores go
+to the sandbox only (with store-to-load forwarding), and the
+architectural state is untouched afterwards -- checked against a copy
+taken before every trace that runs -- while cache state, monitor tokens,
+statistics, and findings deliberately persist.  A trace that repeats
+one recorded earlier in the run -- the same start, predictor state and
+noted direction, and the same values of the registers, bytes and return
+stack it reads -- is not run again: its recorded events are replayed
+into the path's cache and monitors, so every output reads as if it ran.
 
 The modes differ only in the predictor `run` starts with.  Baseline
 mode's `predictor.Baseline`, the always-mispredict model, answers
@@ -46,7 +47,8 @@ bytes on a secret byte: of a secret region, or of its snapshot, where a
 secret may have been stored (`_may_touch_secret`, over the snapshot's
 `solver.secret_spans`).  Interval bounds of the address settle most of
 these without a solver query, and the run's own memo (`Session.local`)
-settles repeats; neither counts in `Stats.solver_queries`.
+settles repeats, of a span's query or of the whole decision; neither
+counts in `Stats.solver_queries`.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
@@ -499,13 +501,16 @@ class Engine:
 
     def _fork_on_branch(self, run: RunResult, s: ExecState, step: "_Step",
                         cond: ex.Expr, worklist: list[ExecState]) -> None:
+        """Queue a successor for each satisfiable direction of `cond`: a
+        clone of `s` for the first of two, `s` itself for the last one."""
         pc = step.pc
         feasible: list[bool] = []
         paths = {}  # each queried direction's path condition
         overran = False
+        names = s.path.names(cond)  # both directions' constraints share them
         for want in (True, False):
             paths[want] = s.path.extend(ex.mk_binop(
-                "ne" if want else "eq", cond, ex.const(0, cond.width)))
+                "ne" if want else "eq", cond, ex.const(0, cond.width)), names)
             run.stats.solver_queries += 1
             try:
                 m = solver.is_sat(paths[want])
@@ -524,8 +529,8 @@ class Engine:
 
         event = Event("br", pc, False, cond.taint.symbolic, cond.taint.secret)
         # DFS taken-edge first: push not-taken first so taken pops first
-        for direction in sorted(feasible):  # False before True
-            succ = s if len(feasible) == 1 else s.clone()
+        for i, direction in enumerate(sorted(feasible)):  # False before True
+            succ = s if i == len(feasible) - 1 else s.clone()
             succ.path = paths[direction]
             self._take_branch(run, succ, step, direction, event)
             worklist.append(succ)
@@ -786,8 +791,11 @@ class Engine:
         meet it.  The run's own memo keeps each asked span's answer under
         the address, those slices' constraints and the span: the rest of a
         live path is satisfiable, so that key decides what `is_sat` answers
-        on the extended path.  An overrun is not kept, so a repeat asks,
-        counts and notes it again."""
+        on the extended path.  It also keeps the whole decision under the
+        address, those constraints, the snapshot and the width, which
+        decide the spans, so a repeat narrows and bounds nothing.  An
+        overrun is kept under neither, so a repeat asks, counts and notes it
+        again."""
         if addr.taint.secret:
             return True
         # the spans the address's bounds may meet, first over every model
@@ -795,27 +803,34 @@ class Engine:
                      solver.secret_spans(snap, width // 8))
         if not spans:
             return False
-        own = path.reached(addr)
-        env = solver._narrowed(own)
-        if env is None:  # no model satisfies the path
-            return False
-        for start, end in _met(solver._bounds(addr, env, {}), spans):
+        names = path.names(addr)  # and of the constraints bounding it
+        own = path.reached(addr, names)
+        local = run.session.local
+        decision = ("may-touch?", addr, own, snap, width)
+        hit = local.get(decision)
+        if hit is not None:
+            return hit
+        env = solver._narrowed(own)  # None: no model satisfies the path
+        met = () if env is None else _met(solver._bounds(addr, env, {}), spans)
+        hit = False
+        for start, end in met:
             key = ("may-touch", addr, own, start, end)
-            hit = run.session.local.get(key)
+            hit = local.get(key)
             if hit is None:
                 run.stats.solver_queries += 1
                 inside = path.extend(
-                    ex.mk_binop("le", ex.const(start, 32), addr)).extend(
-                    ex.mk_binop("lt", addr, ex.const(end, 32)))
+                    ex.mk_binop("le", ex.const(start, 32), addr), names
+                    ).extend(ex.mk_binop("lt", addr, ex.const(end, 32)), names)
                 try:
                     m = solver.is_sat(inside)
                 except solver.BudgetExceeded as e:
                     run.overrun(pc, "may-touch", e)
                     return True  # conservative
-                hit = run.session.local[key] = m is not None
+                hit = local[key] = m is not None
             if hit:
-                return True
-        return False
+                break
+        local[decision] = hit
+        return hit
 
     def _freeze(self, run: RunResult, frame, speculative: bool
                 ) -> ex.Snapshot:

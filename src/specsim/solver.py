@@ -62,7 +62,15 @@ from .expr import (CMP_OPS, BinOp, Const, Expr, MemRead, Model, Snapshot, Sym,
 
 
 class BudgetExceeded(Exception):
-    """A query needed more symbolic bits than the configured budget."""
+    """A query needed more symbolic bits than the configured budget.
+    Equal, and hashed alike, when of one type and message, so results that
+    keep one compare by what they print."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.args == self.args
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.args))
 
 
 class _ProbeModel(Model):
@@ -208,42 +216,56 @@ class PathCondition:
             p._text, p._parent = f"{text} & {last}" if text else last, None
         return self._text or "true"
 
-    def _names(self, e: Expr) -> tuple[dict[str, Sym], set[str], set]:
+    @staticmethod
+    def names(e: Expr) -> tuple[dict[str, Sym], set[str], set]:
         """The symbols of `e`, the names of every symbol it reaches,
-        through snapshots included, and the snapshots it reads."""
+        through snapshots included, and the snapshots it reads: the same for
+        every constraint over the same symbols and reads.  `reached` and
+        `extend` take them to skip the walk."""
         syms, snaps = references((e,))
         return syms, set(syms).union(_reach(snaps)), snaps
 
-    def reached(self, e: Expr) -> tuple[Expr, ...]:
+    def reached(self, e: Expr, names: tuple | None = None
+                ) -> tuple[Expr, ...]:
         """The constraints, in path order, of the slices that share a name
-        with `e`."""
-        names = self._names(e)[1]
+        with `e`, whose `names(e)` the caller may pass."""
+        key = (names or self.names(e))[1]
         return tuple(self.constraints[i] for i in sorted(
-            i for sl in self.slices if not names.isdisjoint(sl.names)
+            i for sl in self.slices if not key.isdisjoint(sl.names)
             for i in sl.members))
 
-    def extend(self, c: Expr) -> "PathCondition":
-        syms, key, snaps = self._names(c)
-        kept, touched = [], []
-        for sl in self.slices:
-            (kept if key.isdisjoint(sl.names) else touched).append(sl)
+    def extend(self, c: Expr, names: tuple | None = None) -> "PathCondition":
+        """This path and `c`, whose `names(c)` the caller may pass."""
         out = PathCondition(self.session)
         out.constraints = self.constraints + (c,)
         out._parent, out._text = self, None
-        members = sorted([len(self.constraints)]
-                         + [i for sl in touched for i in sl.members])
-        merged, names = {}, key
-        image_only = all(snap.version == 0 for snap in snaps)
-        for sl in touched:
-            merged.update(sl.syms)
-            names |= sl.names
-            image_only = image_only and sl.image_only
-        merged.update(syms)
-        kept.append(_Slice(tuple(members),
-                           tuple(out.constraints[i] for i in members),
-                           merged, names, image_only))
+        kept, own = _merged(self.slices, out.constraints,
+                            names or self.names(c))
+        kept.append(own)
         out.slices = tuple(sorted(kept, key=lambda sl: sl.members[0]))
         return out
+
+
+def _merged(slices: Sequence[_Slice], constraints: tuple[Expr, ...],
+            names: tuple) -> tuple[list[_Slice], _Slice]:
+    """The `slices` that share no name with the last of `constraints`, in
+    order, and the slice of that last one merged with the others; `names`
+    is the last one's `PathCondition.names`, left as it is."""
+    syms, key, snaps = names
+    kept, touched = [], []
+    for sl in slices:
+        (kept if key.isdisjoint(sl.names) else touched).append(sl)
+    members = sorted([len(constraints) - 1]
+                     + [i for sl in touched for i in sl.members])
+    merged = {}
+    for sl in touched:
+        merged.update(sl.syms)
+    merged.update(syms)
+    image_only = (all(snap.version == 0 for snap in snaps)
+                  and all(sl.image_only for sl in touched))
+    return kept, _Slice(tuple(members),
+                        tuple(constraints[i] for i in members), merged,
+                        key.union(*(sl.names for sl in touched)), image_only)
 
 
 _Bounds = tuple[int, int]
@@ -483,13 +505,11 @@ def find_leak_pair(path: PathCondition, observable: Expr
     observable reveals nothing about the secrets within the enumerated
     space.
     """
-    full = path.extend(observable)
-    (own,) = [sl for sl in full.slices
-              if sl.members[-1] == len(path.constraints)]
+    kept, own = _merged(path.slices, path.constraints + (observable,),
+                        PathCondition.names(observable))
     overrun: BudgetExceeded | None = None
     try:
-        shared = _solve_all([sl for sl in full.slices if sl is not own],
-                            path.session)
+        shared = _solve_all(kept, path.session)
     except BudgetExceeded as e:
         shared, overrun = {}, e
     if shared is None:

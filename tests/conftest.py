@@ -1,4 +1,4 @@
-"""Shared helpers: fixture loading, a small random-program generator, the
+"""Shared helpers: fixture loading, small random-program generators, the
 nodes of a pattern that admit an event class, and solver paths."""
 
 from __future__ import annotations
@@ -99,6 +99,38 @@ def random_program(rng: random.Random, max_branches: int = 2,
     if rng.random() < 0.5 or always_secret_r2:
         lines.insert(lines.index("  addrof r5, arr") + 1, "  load.8 r2, r4")
     return "\n".join(lines) + "\n"
+
+
+def counted_loop_program(rng: random.Random, passes: int = 5) -> str:
+    """`random_program` behind a concrete loop of `passes` passes that adds
+    its counter into one byte of arr.  Each pass's loop branch speculates
+    into the program's prologue, its first `sym` included, and on."""
+    head, body = random_program(rng).split("  sym.8 r0, x\n")
+    return (head + "  addrof rq, arr\n  add rq, rq, %d\n  const rk, 0\n"
+            "CL:\n  load.8 rv, rq\n  add rv, rv, rk\n  store.8 rq, rv\n"
+            "  add rk, rk, 1\n  lt rc, rk, %d\n  br rc, CL, CX\nCX:\n"
+            "  sym.8 r0, x\n" % (rng.randrange(16), passes) + body)
+
+
+def chained_v01(bounds):
+    """len(bounds) v01 gadgets in a row, each on its own 8-bit public
+    symbol.  Returns the SIR text and the pcs of the transmitting loads."""
+    lines = ["region array1 16 init=000102030405060708090a0b0c0d0e0f",
+             "region secret 64 secret",
+             "region array2 16384"]
+    sites, pc = [], 0
+    for j, bound in enumerate(bounds):
+        head = [f"sym.8 rx, x{j}", "addrof ra1, array1", f"const rsz, {bound}",
+                "lt rc, rx, rsz", f"br rc, body{j}, end{j}"]
+        body = ["add ra, ra1, rx", "load.8 rv, ra", "const r64, 64",
+                "mul rm, rv, r64", "addrof ra2, array2", "add rb, ra2, rm",
+                "load.8 rw, rb"]
+        lines += [f"  {i}" for i in head] + [f"body{j}:"]
+        lines += [f"  {i}" for i in body] + [f"end{j}:"]
+        pc += len(head) + len(body)
+        sites.append(pc - 1)
+    lines.append("  halt")
+    return "\n".join(lines) + "\n", sites
 
 
 def random_predictor_config(rng: random.Random):

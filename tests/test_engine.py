@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specsim
-from conftest import (ROOT, admitted, load_fixture, load_pattern_fixture,
-                      random_program, random_predictor_config)
+from conftest import (ROOT, admitted, chained_v01, counted_loop_program,
+                      load_fixture, load_pattern_fixture, random_program,
+                      random_predictor_config)
 from specsim import cache, layout_regions, parse_program, solver
 from specsim import engine as engine_mod
 from specsim import expr as ex
@@ -739,26 +740,40 @@ class TestBudgetAccounting:
         r = build(_UNGUARDED, patterns=[pattern]).run()
         assert not r.unknown and r.stats.budget_exceeded == 0
 
+    def test_runs_with_an_overrun_leak_check_compare_equal(self):
+        # the leak check of array2[64 * secret[(y + z) & 63]] needs 24 bits;
+        # the v01 gadget after it leaks, and its finding's event log holds
+        # that check's overrun
+        e = build(_OVERRUN_THEN_V01,
+                  predictor_cfg=PredictorConfig(pht_bits=1, window=16),
+                  patterns=[load_pattern_fixture("br-ld-ld.json")])
+        first, second = e.run(), e.run()
+        assert first.verdict == "leak" and first.stats.budget_exceeded == 1
+        (finding,) = first.findings
+        assert [leak.error for _event, leak in finding.event_log
+                if leak is not None and leak.error is not None] == [
+            solver.BudgetExceeded("24 symbolic bits exceed budget 20")]
+        assert first == second
 
-def chained_v01(bounds):
-    """len(bounds) v01 gadgets in a row, each on its own 8-bit public
-    symbol.  Returns the SIR text and the pcs of the transmitting loads."""
-    lines = ["region array1 16 init=000102030405060708090a0b0c0d0e0f",
-             "region secret 64 secret",
-             "region array2 16384"]
-    sites, pc = [], 0
-    for j, bound in enumerate(bounds):
-        head = [f"sym.8 rx, x{j}", "addrof ra1, array1", f"const rsz, {bound}",
-                "lt rc, rx, rsz", f"br rc, body{j}, end{j}"]
-        body = ["add ra, ra1, rx", "load.8 rv, ra", "const r64, 64",
-                "mul rm, rv, r64", "addrof ra2, array2", "add rb, ra2, rm",
-                "load.8 rw, rb"]
-        lines += [f"  {i}" for i in head] + [f"body{j}:"]
-        lines += [f"  {i}" for i in body] + [f"end{j}:"]
-        pc += len(head) + len(body)
-        sites.append(pc - 1)
-    lines.append("  halt")
-    return "\n".join(lines) + "\n", sites
+
+_OVERRUN_THEN_V01 = _UNGUARDED.replace("  sym.8 rx, x\n", """\
+  sym.8 ry, y
+  sym.8 rz, z
+  add rt, ry, rz
+  and rt, rt, 63
+  addrof rs, secret
+  add rq, rs, rt
+  load.8 rv, rq
+  mul rm, rv, 64
+  addrof ra2, array2
+  add rb, ra2, rm
+  load.8 rw, rb
+  sym.8 rx, x
+  const rsz, 16
+  lt rc, rx, rsz
+  br rc, body, end
+body:
+""").replace("  halt\n", "end:\n  halt\n")
 
 
 class TestChainedChecks:
@@ -1414,13 +1429,8 @@ def replay_outputs(engine, baseline=False, store=True):
     their event logs, diagnostics, `unknown`, `repr(Stats)`, and the event
     log of every finished path -- and how many wrong-path traces it
     replayed.  With `store` False its trace memo never records, so every
-    trace runs.  A leak check's error compares by its text."""
+    trace runs."""
     logs, replays = [], []
-
-    def plain(log):
-        return tuple((event, leak and leak._replace(error=str(leak.error)))
-                     for event, leak in log)
-
     fingerprint, replay = ExecState.fingerprint, Engine._replay
 
     def replaying(self, run, s, entry):
@@ -1430,25 +1440,14 @@ def replay_outputs(engine, baseline=False, store=True):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExecState, "fingerprint", lambda s: logs.append(
-            plain(s.event_log)) or fingerprint(s))
+            tuple(s.event_log)) or fingerprint(s))
         mp.setattr(Engine, "_replay", replaying)
         if not store:
             mp.setattr(Engine, "_record", lambda *a: None)
         r = engine.run(baseline)
     return ((r.verdict, r.unknown, r.diagnostics, repr(r.stats),
              [f.to_dict() for f in r.findings],
-             [plain(f.event_log) for f in r.findings], logs), sum(replays))
-
-
-def counted_loop_program(rng: random.Random, passes: int = 5) -> str:
-    """`random_program` behind a concrete loop of `passes` passes that adds
-    its counter into one byte of arr.  Each pass's loop branch speculates
-    into the program's prologue, its first `sym` included, and on."""
-    head, body = random_program(rng).split("  sym.8 r0, x\n")
-    return (head + "  addrof rq, arr\n  add rq, rq, %d\n  const rk, 0\n"
-            "CL:\n  load.8 rv, rq\n  add rv, rv, rk\n  store.8 rq, rv\n"
-            "  add rk, rk, 1\n  lt rc, rk, %d\n  br rc, CL, CX\nCX:\n"
-            "  sym.8 r0, x\n" % (rng.randrange(16), passes) + body)
+             [f.event_log for f in r.findings], logs), sum(replays))
 
 
 class TestTraceReplay:

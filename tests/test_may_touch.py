@@ -6,18 +6,21 @@ most loads by interval bounds and repeats by the run's memo; these tests
 hold it to plain `is_sat` queries, to hand-written fixture keys, and to
 the number of queries it asks."""
 
+import importlib.util
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (load_fixture, load_pattern_fixture, path_of,
+from conftest import (ROOT, chained_v01, counted_loop_program, load_fixture,
+                      load_pattern_fixture, path_of, random_predictor_config,
                       random_program)
 from specsim import expr as ex
 from specsim import layout_regions, parse_program, solver
-from specsim.engine import Engine
+from specsim.engine import Engine, ExecState
 from specsim.predictor import PredictorConfig
 
 # fixture -> (leak sites in both modes at PHT:1 with br-ld-ld, why)
@@ -66,6 +69,31 @@ def may_touch_queries(monkeypatch):
 
     monkeypatch.setattr(solver, "is_sat", counted)
     return calls
+
+
+def decision_hits(monkeypatch, answer=True):
+    """A list that gets one entry per may-touch decision a run's memo
+    answers; with `answer` False the memo answers none, so every decision
+    is worked out again."""
+    hits = []
+
+    class Local(dict):
+        def get(self, key, default=None):
+            if type(key) is not tuple or key[:1] != ("may-touch?",):
+                return super().get(key, default)
+            found = super().get(key, default) if answer else default
+            if found is not default:
+                hits.append(key)
+            return found
+
+    init = solver.Session.__init__
+
+    def session(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.local = Local()
+
+    monkeypatch.setattr(solver.Session, "__init__", session)
+    return hits
 
 
 def loaded(result, reg="r1"):
@@ -160,6 +188,142 @@ class TestMemo:
         assert [v.taint.secret for v in loaded(r)] == [True, True]
         assert len(calls) == 2
         assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
+
+
+# one path loads pub + x twice, in two passes of a concrete loop
+_TWICE = """region pub 16
+region sec 16 secret
+  sym{xw} rx, x
+  addrof rp, pub
+  add ra, rp, rx
+  const ri, 0
+loop:
+  load.8 r1, ra
+  add ri, ri, 1
+  lt rc, ri, 2
+  br rc, loop, done
+done:
+  halt
+"""
+
+
+class TestDecisionMemo:
+    """The run's memo of whole may-touch decisions, keyed by the address,
+    the path slices it reaches, the snapshot and the width."""
+
+    def test_a_repeat_on_one_path_is_answered_whole(self, monkeypatch):
+        calls = may_touch_queries(monkeypatch)
+        hits = decision_hits(monkeypatch)
+        narrowed, narrow = [], solver._narrowed
+
+        def counted(exprs):
+            if sys._getframe(1).f_code.co_name == "_may_touch_secret":
+                narrowed.append(exprs)
+            return narrow(exprs)
+
+        monkeypatch.setattr(solver, "_narrowed", counted)
+        r = build(_TWICE.format(xw=".8"),
+                  predictor_cfg=PredictorConfig(window=0)).run()
+        assert [v.taint.secret for v in loaded(r)] == [True]
+        # the first arrival narrows and asks; the second is a hit
+        assert len(calls) == len(hits) == len(narrowed) == 1
+        assert r.stats.solver_queries == 1
+
+    def test_an_overrun_is_never_answered(self, monkeypatch):
+        # the 32-bit x overruns the budget of 20 at both arrivals: counted
+        # twice, noted once
+        calls = may_touch_queries(monkeypatch)
+        hits = decision_hits(monkeypatch)
+        r = build(_TWICE.format(xw=""),
+                  predictor_cfg=PredictorConfig(window=0)).run()
+        assert len(calls) == 2 and hits == []
+        assert r.stats.budget_exceeded == 2 and r.verdict == "unknown"
+        assert r.diagnostics == ["pc 4: may-touch query over the bit budget: "
+                                 "32 symbolic bits exceed budget 20"]
+
+    def test_a_store_between_equal_reads_decides_again(self):
+        # x < 16 keeps arr + x off sec, so the first read is public; the
+        # store of sec[0] into arr[3] makes the equal second read, of the
+        # next snapshot, secret
+        r = build("region arr 16\nregion sec 16 secret\n  sym.8 rx, x\n"
+                  "  lt rc, rx, 16\n  br rc, in, out\nin:\n"
+                  "  addrof ra, arr\n  add rp, ra, rx\n  load.8 r1, rp\n"
+                  "  addrof rs, sec\n  load.8 rv, rs\n  add rq, ra, 3\n"
+                  "  store.8 rq, rv\n  load.8 r2, rp\n  halt\nout:\n"
+                  "  halt\n", predictor_cfg=PredictorConfig(window=0)).run()
+        taken = dict(r.stats.path_summaries[0][2][1])  # it ends first
+        first, second = taken["r1"], taken["r2"]
+        assert first.addr == second.addr and first.snapshot != second.snapshot
+        assert not first.taint.secret and second.taint.secret
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+    def test_decisions_change_no_output(self, rng, looped, baseline):
+        text = counted_loop_program(rng) if looped else random_program(rng)
+        cfg = random_predictor_config(rng)
+        with_memo = decided(text, cfg, baseline, True)[0]
+        assert decided(text, cfg, baseline, False) == (with_memo, 0)
+
+    def test_chained_checks_repeat_decisions(self):
+        # random programs rarely repeat a decision; chained checks always
+        # do: each wrong path reloads array1[x_j] on every path through the
+        # other checks
+        rng = random.Random(11)
+        for k in (2, 3, 4):
+            text = chained_v01([rng.randint(1, 16) for _ in range(k)])[0]
+            cfg = PredictorConfig(pht_bits=2, window=16)
+            for baseline in (False, True):
+                with_memo, hits = decided(text, cfg, baseline, True)
+                assert hits > 0
+                assert decided(text, cfg, baseline, False) == (with_memo, 0)
+
+    def test_chain_k6_counts(self, monkeypatch):
+        # one cold run of the benchmark's chain-k6 at seed 101: one clone
+        # per two-way fork, and repeated decisions narrow nothing
+        wls = _bench_workloads()
+        workload = wls.chain(101)
+        program = layout_regions(parse_program(workload.programs["chain-k6"]))
+        counts = Counter()
+        clone, narrow = ExecState.clone, solver._narrowed
+        monkeypatch.setattr(ExecState, "clone", lambda s: counts.update(
+            ["clone"]) or clone(s))
+        monkeypatch.setattr(solver, "_narrowed", lambda exprs: counts.update(
+            ["narrowed"]) or narrow(exprs))
+        r = Engine(program, PredictorConfig(**wls.CONFIGS["PHT:2"]),
+                   patterns=[load_pattern_fixture(f"{name}.json")
+                             for name in wls.PATTERNS]).run()
+        assert r.stats.paths == 64
+        assert counts == {"clone": 63, "narrowed": 48}
+        assert r.stats.solver_queries == 185
+
+
+def decided(text, cfg, baseline, answer):
+    """The outputs of a run of `text` on a fresh program -- verdict,
+    findings with their event logs, diagnostics, `unknown`, `repr(Stats)`
+    -- and how many may-touch decisions its memo answered, none unless
+    `answer`."""
+    engine = Engine(layout_regions(parse_program(text)), cfg,
+                    patterns=_PATTERNS, bit_budget=12)
+    with pytest.MonkeyPatch.context() as mp:
+        hits = decision_hits(mp, answer)
+        r = engine.run(baseline)
+    return ((r.verdict, [f.to_dict() for f in r.findings],
+             [f.event_log for f in r.findings], r.diagnostics, r.unknown,
+             repr(r.stats)), len(hits))
+
+
+_PATTERNS = [load_pattern_fixture(f"{name}.json")
+             for name in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")]
+
+
+def _bench_workloads():
+    """perfbench's workloads module, loaded from its file, read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 # ------------------------------------------------------------ differential

@@ -58,6 +58,13 @@ class TestIsSat:
             is_sat(path_of(cons, bit_budget=20))
         assert is_sat(path_of(cons, bit_budget=24)) is not None
 
+    def test_overruns_compare_by_type_and_message(self):
+        a, b = (BudgetExceeded("24 symbolic bits exceed budget 20")
+                for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != BudgetExceeded("9 symbolic bits exceed budget 8")
+        assert a != Exception(*a.args)
+
     def test_budget_applies_per_independent_slice(self):
         syms = [sym(f"s{i}", 8) for i in range(3)]
         cons = tuple(eq(s, const(1, 8)) for s in syms)
@@ -395,6 +402,24 @@ class TestPathCondition:
         (group,) = [g for g in _closure(constraints + (obs,))
                     if len(constraints) in g]
         assert path.reached(obs) == tuple(constraints[i] for i in group[:-1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_queries())
+    def test_handed_names_slice_alike_and_stay_as_they_are(self, case):
+        # as a may-touch query bounds an address twice: both constraints
+        # share the names of `obs`, walked once
+        constraints, obs = case
+        path = path_of(constraints)
+        names = PathCondition.names(obs)
+        before = (dict(names[0]), set(names[1]), set(names[2]))
+        assert path.reached(obs, names) == path.reached(obs)
+        handed = path.extend(obs, names).extend(obs, names)
+        walked = path.extend(obs).extend(obs)
+        assert [(sl.members, sl.syms, sl.names, sl.image_only)
+                for sl in handed.slices] == [
+            (sl.members, sl.syms, sl.names, sl.image_only)
+            for sl in walked.slices]
+        assert names == before
 
     @settings(max_examples=80, deadline=None)
     @given(_queries(), st.integers(0, 4))

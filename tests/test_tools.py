@@ -1,7 +1,16 @@
 """Smoke tests of `tools/cell_outputs.py`, the byte-identity check that
 compares every benchmark cell's outputs across two checkouts, and of
-`tools/src_lines.py`, the package's line count."""
+`tools/src_lines.py`, the package's line count.
 
+`tests/data/cell_outputs_101.txt` pins the output of
+`python3 tools/cell_outputs.py 101`: a regression pin, not an answer key.
+A change that moves an output on purpose regenerates it with
+
+    python3 tools/cell_outputs.py 101 > tests/data/cell_outputs_101.txt
+
+and says in CHANGES.md why the outputs moved."""
+
+import difflib
 import re
 import subprocess
 import sys
@@ -27,6 +36,11 @@ def test_cell_outputs_hashes_every_component_of_every_cell():
                                                         "loop"}
     for components in cells.values():
         assert sorted(components) == sorted(COMPONENTS)
+    pinned = (ROOT / "tests/data/cell_outputs_101.txt").read_text(
+        encoding="utf-8")
+    diff = difflib.unified_diff(pinned.splitlines(), done.stdout.splitlines(),
+                                "pinned", "now", lineterm="")
+    assert done.stdout == pinned, "\n".join(diff)
 
 
 def test_src_lines_counts_code_without_docstrings_and_comments(tmp_path):
