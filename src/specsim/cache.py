@@ -1,9 +1,11 @@
-"""Set-associative LRU cache model and the solver-backed leak check.
+"""The cache configuration and the solver-backed leak check.
 
-Speculative accesses update the model and are never rolled back; the
-lingering footprint is exactly what a cache-timing adversary observes.
-Leakage is judged at cache-line granularity (Flush+Reload) by default,
-or at set granularity (Prime+Probe) via the config flag.
+An access leaks if two secrets, equal on public inputs, can put it on
+different cache lines: the footprint a cache-timing adversary observes,
+which a wrong path leaves behind.  Leakage is judged at cache-line
+granularity (Flush+Reload) by default, or at set granularity
+(Prime+Probe) via the config flag.  The engine simulates no concrete
+cache state.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ AccessResult = namedtuple("AccessResult", "hit evicted")
 
 
 class CacheState:
-    """Per-set resident line ids, most recently used first."""
+    """Per-set resident line ids, most recently used first.  Nothing in
+    the package runs it; the benchmark tracer wraps `access`, so the
+    benchmark change of ROADMAP item 2 deletes this class and
+    `AccessResult` together with that wrapper."""
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg

@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache = p.add_argument_group("cache")
     cache.add_argument("--cache-line", type=int, default=64)
     cache.add_argument("--cache-sets", type=int, default=64)
-    cache.add_argument("--cache-ways", type=int, default=4)
     cache.add_argument("--granularity", choices=("line", "set"), default="line")
 
     p.add_argument("--bit-budget", type=int, default=20,
@@ -122,7 +121,6 @@ def run(argv: list[str] | None = None) -> int:
     try:  # before layout, which aligns regions to the cache line size
         predictor_cfg = predictor_config(args)
         cache_cfg = CacheConfig(line_size=args.cache_line, sets=args.cache_sets,
-                                ways=args.cache_ways,
                                 granularity=args.granularity)
         check_limits(args.bit_budget, args.step_limit)
     except ValueError as e:

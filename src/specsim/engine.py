@@ -14,12 +14,14 @@ copy of the predictor and adds no path constraint.  A wrong path runs in
 a sandbox: registers, memory, and the return stack are copied, stores go
 to the sandbox only (with store-to-load forwarding), and the
 architectural state is untouched afterwards -- checked against a copy
-taken before every trace that runs -- while cache state, monitor tokens,
-statistics, and findings deliberately persist.  A trace that repeats
-one recorded earlier in the run -- the same start, predictor state and
-noted direction, and the same values of the registers, bytes and return
-stack it reads -- is not run again: its recorded events are replayed
-into the path's cache and monitors, so every output reads as if it ran.
+taken before every trace that runs -- while the event log, monitor
+tokens, statistics, and findings deliberately persist.  No concrete cache
+is simulated: an access's footprint is judged by its symbolic leak check
+(`cache.leak_check`).  A trace that repeats one recorded earlier in the
+run -- the same start, predictor state and noted direction, and the same
+values of the registers, bytes and return stack it reads -- is not run
+again: its recorded events are replayed into the path's event log and
+monitors, so every output reads as if it ran.
 
 The modes differ only in the predictor `run` starts with.  Baseline
 mode's `predictor.Baseline`, the always-mispredict model, answers
@@ -67,7 +69,7 @@ from collections.abc import Sequence
 from . import cache as cache_mod
 from . import expr as ex
 from . import solver
-from .cache import CacheConfig, CacheState, LeakResult
+from .cache import CacheConfig, LeakResult
 from .monitor import MonitorInstance, MonitorSpec, event_class, plans
 from .predictor import Baseline, PredictorConfig, PredictorState
 from .sir import Program, Record, Reg
@@ -241,12 +243,12 @@ class RunResult(Record):
 
 class ExecState:
     """One symbolic path: registers, memory, path condition, predictor,
-    cache, monitors, return stack, speculation context."""
+    monitors, return stack, and the log of its events."""
 
     __slots__ = ("pc", "regs", "mem", "frozen", "path", "path_key",
-                 "predictor", "cache", "monitors", "ret_stack", "event_log")
+                 "predictor", "monitors", "ret_stack", "event_log")
 
-    def __init__(self, pc: int, predictor: PredictorState, cache: CacheState,
+    def __init__(self, pc: int, predictor: PredictorState,
                  monitors: list[MonitorInstance], path: solver.PathCondition):
         self.pc = pc
         self.regs: dict[str, ex.Expr] = {}
@@ -255,7 +257,6 @@ class ExecState:
         self.path = path
         self.path_key = PathKey()
         self.predictor = predictor
-        self.cache = cache
         self.monitors = monitors
         self.ret_stack: list[int] = []
         # each event of the path and its wrong paths with its leak-check
@@ -271,7 +272,6 @@ class ExecState:
         c.path = self.path
         c.path_key = self.path_key
         c.predictor = self.predictor.clone()
-        c.cache = self.cache.clone()
         c.monitors = [m.clone() for m in self.monitors]
         c.ret_stack = list(self.ret_stack)
         c.event_log = list(self.event_log)
@@ -360,7 +360,6 @@ class Engine:
                         solver.Session(self.bit_budget, self._memo))
         policy = Baseline if baseline else PredictorState
         init = ExecState(self.program.entry, policy(self.predictor_cfg),
-                         CacheState(self.cache_cfg),
                          [MonitorInstance(p) for p in self.patterns],
                          solver.PathCondition(run.session))
         worklist: list[ExecState] = [init]
@@ -396,8 +395,8 @@ class Engine:
     # ------------------------------------------------- straight-line handlers
     # handler(engine, run, s, frame, step, worklist) -> status executes the
     # instruction at frame.pc in place.  `frame` is `s` itself on the
-    # architectural path, or a `_Sandbox` of `s` on a wrong path; events, the
-    # cache and the monitors are always those of `s`.  The status is "run"
+    # architectural path, or a `_Sandbox` of `s` on a wrong path; the event
+    # log and the monitors are always those of `s`.  The status is "run"
     # when the frame continues, "fork" when successors went onto `worklist`
     # (architectural branches on a symbolic condition), or "end" when the
     # path or the trace ends.
@@ -619,16 +618,16 @@ class Engine:
         by a copy of the path's predictor, its BHR shifted by the `noted`
         predicted direction.
 
-        Cache and monitor effects persist on `s`; everything architectural
-        is untouched, which a copy taken before checks.
+        Its events and monitor tokens persist on `s`; everything
+        architectural is untouched, which a copy taken before checks.
 
         A trace is a function of its key -- `start_pc`, `noted`,
         `push_return` and the path predictor's `key()` -- and of what it
         reads of the path.  The run's memo (`RunResult.traces`) marks a key
         on its first arrival and records the trace on its second (`_record`);
         a later arrival whose path holds the values the recording read
-        replays its events through `_emit` (`_replay`).  Nothing runs then,
-        so the rollback check is skipped.
+        replays its events into the path's log and monitors (`_replay`).
+        Nothing runs then, so the rollback check is skipped.
         """
         window = self.predictor_cfg.window
         if window == 0:
@@ -679,9 +678,11 @@ class Engine:
         (event clock, solver queries, diagnostics, symbols) from before it:
         the registers it read before writing them, the stored bytes its
         loads read before it wrote them, the return stack if it ran a
-        `ret`, each with its value on `s`, and its events, one per step it
-        ran.  None unless those decide the trace: after a solver query, a
-        new diagnostic or symbol, or an access at a symbolic address."""
+        `ret`, each with its value on `s`, its events, one per step it ran,
+        and the (index, plan) of each event whose plan reaches a monitor
+        (`_plan_of`).  None unless those decide the trace: after a solver
+        query, a new diagnostic or symbol, or an access at a symbolic
+        address."""
         events = tuple(s.event_log[marks[0]:])
         if (run.stats.solver_queries, len(run.diagnostics),
                 len(run.symbols)) != marks[1:]:
@@ -702,19 +703,33 @@ class Engine:
                 else:
                     addrs |= span - stored
         regs, addrs = tuple(regs), tuple(addrs)
+        observed = tuple((i, plan) for i, plan in enumerate(
+            self._plan_of(event) for event, _leak in events) if plan)
         return (regs, tuple(map(s.regs.get, regs)), addrs,
-                tuple(map(s.mem.get, addrs)), ret, events)
+                tuple(map(s.mem.get, addrs)), ret, events, observed)
 
     def _replay(self, run: RunResult, s: ExecState, entry: tuple) -> bool:
-        """Emit the events of the recorded trace `entry` on `s` if `s`
-        holds the values it read; False, and nothing done, if not."""
-        regs, reg_values, addrs, byte_values, ret, events = entry
+        """Replay the recorded trace `entry` on `s` if `s` holds the values
+        it read; False, and nothing done, if not.  Its events go onto the
+        path's log in runs; only those with a recorded plan reach the
+        monitors, each at its own clock and once the log holds it, since a
+        match copies the log."""
+        regs, reg_values, addrs, byte_values, ret, events, observed = entry
         if (tuple(map(s.regs.get, regs)) != reg_values
                 or tuple(map(s.mem.get, addrs)) != byte_values
                 or ret is not None and tuple(s.ret_stack) != ret):
             return False
-        for event, leak in events:
-            self._emit(run, s, event, leak)
+        log = s.event_log
+        start, done = len(log), 0
+        for i, plan in observed:
+            log.extend(events[done:i + 1])  # a match copies the log so far
+            done = i + 1
+            event, leak = events[i]
+            for k, nodes in plan:
+                for match in s.monitors[k].observe(event, leak, start + i,
+                                                   nodes):
+                    self._record_match(run, s, match, leak)
+        log.extend(events[done:])
         run.stats.spec_instructions += len(events)
         return True
 
@@ -867,17 +882,19 @@ class Engine:
             run.overrun(pc, "leak-pair", leak.error)
         return leak
 
+    def _plan_of(self, event: Event) -> tuple:
+        """The event's plan: the monitors with nodes that admit its class,
+        and those nodes."""
+        if event.symbolic_access or event.secret_access:
+            return self._plan(event_class(event))
+        # the class of its step's concrete events: a decoded plan
+        return self._step_plans[event.speculation][event.pc]
+
     def _emit(self, run: RunResult, s: ExecState, event: Event,
               leak: LeakResult | None) -> None:
-        if event.addr is not None:
-            s.cache.access(event.addr)
         now = len(s.event_log)  # the path's event clock
         s.event_log.append((event, leak))
-        if event.symbolic_access or event.secret_access:
-            plan = self._plan(event_class(event))
-        else:  # the class of its step's concrete events: a decoded plan
-            plan = self._step_plans[event.speculation][event.pc]
-        for k, nodes in plan:  # the monitors with nodes that admit the event
+        for k, nodes in self._plan_of(event):
             for match in s.monitors[k].observe(event, leak, now, nodes):
                 self._record_match(run, s, match, leak)
 

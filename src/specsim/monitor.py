@@ -18,7 +18,9 @@ Events reach monitors by class, (name, speculative, symbolic, secret),
 which decides every node property but checkCacheState: a class's plan
 names the monitors it reaches and, for each, the nodes that admit it.
 TTLs run on the path's event clock, which counts every event, routed or
-not; monitors keep none of their own, so each observe is given it.
+not; monitors keep none of their own, so each observe is given it.  A
+token with a deadline is queued by deadline when it is made and leaves its
+node's list once, when the clock passes the deadline.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Callable
+from heapq import heappop, heappush
 
 from .sir import OPCODES
 
@@ -161,15 +164,25 @@ class MonitorInstance:
 
     TTLs are deadlines on the path's event clock, its count of events, which
     the caller keeps: a `startTTL` node sets `now + startTTL`, a `stopTTL`
-    node none, and any other node keeps the source token's deadline.
+    node none, and any other node keeps the source token's deadline.  Each
+    token with a deadline is also queued, once, in `_deadlines`: a heap of
+    (deadline, seq, node index, token), where seq numbers the pushes so
+    that no two entries tie.  `_expire` pops the due entries and takes
+    each one's token out of its node's list.
     """
 
     def __init__(self, spec: MonitorSpec):
         self.spec = spec
-        self._earliest: float = math.inf  # earliest live deadline
+        self._deadlines: list[tuple[int, int, int, Token]] = []
+        self._seq = 0  # tokens pushed so far: the heap's tie-break
         # index 0 is Start; it always holds the initial token
         self.node_tokens: list[list[Token]] = [[] for _ in range(len(spec.nodes) + 1)]
         self.node_tokens[0].append(Token(None, None, None))
+
+    @property
+    def _earliest(self) -> float:
+        """The earliest live deadline; inf if no token has one."""
+        return self._deadlines[0][0] if self._deadlines else math.inf
 
     def observe(self, event, leak, now: int,
                 nodes: tuple[int, ...]) -> list[Match]:
@@ -180,14 +193,15 @@ class MonitorInstance:
         node; a TTL counts the event that created the token.  Afterwards
         `node_tokens` holds the tokens live at `now + 1`.
         """
-        if self._earliest <= now:
+        queue = self._deadlines
+        if queue and queue[0][0] <= now:
             self._expire(now)
         node_tokens = self.node_tokens
         for i in nodes:
             if node_tokens[i]:
                 break
         else:  # no token to advance
-            if self._earliest <= now + 1:
+            if queue and queue[0][0] <= now + 1:
                 self._expire(now + 1)
             return []
         spec = self.spec
@@ -201,32 +215,26 @@ class MonitorInstance:
                     or np.check_cache_state not in (None, positive)):
                 continue
             inherit = np.start_ttl is None and not np.stop_ttl
-            deadline = None
-            if np.start_ttl is not None:
-                deadline = now + np.start_ttl
-                if deadline < self._earliest:
-                    self._earliest = deadline
+            deadline = None if np.start_ttl is None else now + np.start_ttl
             for src in node_tokens[i]:
                 tok = Token(src, inst, src.deadline if inherit else deadline)
                 node_tokens[i + 1].append(tok)
+                if tok.deadline is not None:
+                    self._seq += 1
+                    heappush(queue, (tok.deadline, self._seq, i + 1, tok))
                 if i + 1 == n:
                     matches.append(Match(spec.name, self._chain(tok)))
-        if self._earliest <= now + 1:
+        if queue and queue[0][0] <= now + 1:
             self._expire(now + 1)
         return matches
 
     def _expire(self, now: int) -> None:
-        """Drop the tokens whose deadline is `now` or earlier, in one pass."""
-        earliest = math.inf
-        for k, node in enumerate(self.node_tokens):
-            live = []
-            for t in node:
-                if t.deadline is None or t.deadline > now:
-                    live.append(t)
-                    if t.deadline is not None and t.deadline < earliest:
-                        earliest = t.deadline
-            self.node_tokens[k] = live
-        self._earliest = earliest
+        """Take each token whose deadline is `now` or earlier out of its
+        node's list, which keeps the order of the rest."""
+        queue, node_tokens = self._deadlines, self.node_tokens
+        while queue and queue[0][0] <= now:
+            _deadline, _seq, i, tok = heappop(queue)
+            node_tokens[i].remove(tok)
 
     def _chain(self, tok: Token) -> tuple[tuple[int, str, bool], ...]:
         chain = []
@@ -238,6 +246,6 @@ class MonitorInstance:
     def clone(self) -> "MonitorInstance":
         c = MonitorInstance.__new__(MonitorInstance)
         c.spec = self.spec
-        c._earliest = self._earliest
+        c._deadlines, c._seq = list(self._deadlines), self._seq
         c.node_tokens = [list(node) for node in self.node_tokens]
         return c

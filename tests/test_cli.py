@@ -103,6 +103,11 @@ class TestExitCodes:
     def test_bad_flag_value_is_three(self, capsys):
         assert run([V01, "--pht-bits", "99"]) == EXIT_USAGE
 
+    def test_cache_ways_is_gone(self, capsys):
+        # no cache state is simulated, so associativity sizes nothing
+        assert run([V01, "--cache-ways", "4"]) == EXIT_USAGE
+        assert "--cache-ways" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--btb-sets", "0"],
         ["--btb-sets", "4", "--btb-tag-bits", "-1"],

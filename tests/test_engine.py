@@ -61,8 +61,7 @@ def start(engine):
     run = RunResult(False, dict(engine._symbols),
                     solver.Session(engine.bit_budget, engine._memo))
     return run, ExecState(engine.program.entry,
-                          PredictorState(engine.predictor_cfg),
-                          cache.CacheState(engine.cache_cfg), [],
+                          PredictorState(engine.predictor_cfg), [],
                           solver.PathCondition(run.session))
 
 
@@ -1401,8 +1400,7 @@ class TestDecodedProgram:
     def test_counters_do_not_depend_on_where_the_table_was_built(self):
         # the benchmark decodes its programs while warming up, before it
         # installs the tracer; calls the tracer wraps must still reach it
-        counters = ("cache.accesses", "predictor.lookups", "predictor.updates",
-                    "monitor.observes")
+        counters = ("predictor.lookups", "predictor.updates", "monitor.observes")
         patterns = [load_pattern_fixture(f"{p}.json")
                     for p in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")]
 
@@ -1557,6 +1555,45 @@ class TestTraceReplay:
             "  halt\n")
         assert r.symbols["y"] == ex.sym("y", 8)
         assert r.stats.spec_traces == 5 and replays == 2
+
+    def test_a_replayed_match_reads_the_log_up_to_its_event(self):
+        # f's icall alternates between g and h, so the BTB steers each call
+        # into the other: the traces at g of the second and fourth calls
+        # share a key, and the fourth, whose match the second reported on
+        # the same path key, is recorded.  The constant br (predicted
+        # right, and the BTB untrained) starts a new path key, so the sixth
+        # call's replay reports the match again, at g's add, with its mul
+        # still to replay.
+        pattern = load_pattern(json.dumps({"name": "ld-add", "nodes": [
+            {"instruction": "load", "isSpeculative": True, "startTTL": 4},
+            {"instruction": "add", "isSpeculative": True}]}))
+        src = ("region buf 4\n  addrof rb, buf\n  const rz, 0\n"
+               + "  addrof rt, g\n  call f\n  addrof rt, h\n  call f\n" * 2
+               + "  br rz, end, next\nnext:\n"
+               + "  addrof rt, g\n  call f\n  addrof rt, h\n  call f\n"
+               + "end:\n  halt\nf:\n  icall rt\n  ret\ng:\n"
+               "  load.8 rw, rb\n  add rw, rw, 1\n  mul rx, rw, 2\n  ret\n"
+               "h:\n  ret\n")
+        cfg = PredictorConfig(btb_sets=4, window=3)
+
+        def traced(store):
+            e = build(src, predictor_cfg=cfg, patterns=[pattern])
+            tracer = _tracer_class()(specsim)
+            with tracer.installed():
+                outputs, replays = replay_outputs(e, store=store)
+            return outputs, replays, tracer.counters()["monitor.observes"]
+
+        (outputs, replays, observes), (unmemoized, none, all_observes) = (
+            traced(True), traced(False))
+        assert replays == 1 and none == 0
+        assert outputs == unmemoized and observes == all_observes
+        findings, (path_log,) = outputs[-2], outputs[-1]
+        g = 18  # pc of g's load
+        assert [log[-1][0] for log in findings] == [
+            Event("add", g + 1, True, False, False)] * 2
+        replayed = findings[1]  # on the br's path key
+        assert path_log[len(replayed)][0] == Event("mul", g + 2, True,
+                                                   False, False)
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())

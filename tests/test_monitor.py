@@ -2,6 +2,7 @@
 differential test of monitors on one path clock, reached by event class,
 against per-event TTL countdowns that see every event."""
 
+import heapq
 import json
 import math
 
@@ -357,9 +358,9 @@ class TestDifferential:
 def full_observe(m, event, leak, now):
     """`MonitorInstance.observe` without its early return: the loop over
     the nodes that admit the event's class runs even when none holds a
-    token."""
-    if m._earliest <= now:
-        m._expire(now)
+    token, and the deadline queue is drained at `now` and at `now + 1`
+    whatever its head."""
+    m._expire(now)
     matches = []
     n = len(m.spec.nodes)
     inst = (event.pc, event.name, event.speculation)
@@ -369,24 +370,34 @@ def full_observe(m, event, leak, now):
         if (not m.node_tokens[i]
                 or np.check_cache_state not in (None, positive)):
             continue
-        deadline = None
-        if np.start_ttl is not None:
-            deadline = now + np.start_ttl
-            m._earliest = min(m._earliest, deadline)
+        deadline = None if np.start_ttl is None else now + np.start_ttl
         for src in m.node_tokens[i]:
             tok = Token(src, inst, deadline if np.start_ttl is not None
                         or np.stop_ttl else src.deadline)
             m.node_tokens[i + 1].append(tok)
+            if tok.deadline is not None:
+                m._seq += 1
+                heapq.heappush(m._deadlines, (tok.deadline, m._seq, i + 1, tok))
             if i + 1 == n:
                 matches.append(Match(m.spec.name, m._chain(tok)))
-    if m._earliest <= now + 1:
-        m._expire(now + 1)
+    m._expire(now + 1)
     return matches
 
 
 def tokens(m):
     """Every token of `m`, node by node, as (chain, deadline)."""
     return [[(m._chain(t), t.deadline) for t in node] for node in m.node_tokens]
+
+
+def queued(m):
+    """Each queued token as (node index, chain, deadline), in queue order;
+    the queue must hold exactly the tokens with a deadline."""
+    entries = sorted(m._deadlines)
+    listed = sorted((i, id(t)) for i, node in enumerate(m.node_tokens)
+                    for t in node if t.deadline is not None)
+    assert sorted((i, id(t)) for _d, _s, i, t in entries) == listed
+    assert all(d == t.deadline for d, _s, _i, t in entries)
+    return [(i, m._chain(t), d) for d, _s, i, t in entries]
 
 
 class TestEarlyReturn:
@@ -402,5 +413,63 @@ class TestEarlyReturn:
             assert (at(fast, now, event, leak)
                     == full_observe(full, event, leak, now))
             assert tokens(fast) == tokens(full)
+            assert queued(fast) == queued(full)
             assert fast._earliest == full._earliest
             now += 1
+
+
+class TestDeadlineQueue:
+    """Each token with a deadline is queued once and leaves its node's
+    list, and the queue, when the deadline passes."""
+
+    def test_long_paths_keep_only_live_tokens(self):
+        # every br starts a token at node 1 that lives 32 events, the br's
+        # own included: after each observe, those of the last 31 are live
+        m = MonitorInstance(pat({"instruction": "br", "startTTL": 32},
+                                {"instruction": "load"}))
+        peak = 0
+        for now in range(10_000):
+            at(m, now, ev("br", pc=now))
+            peak = max(peak, len(m.node_tokens[1]), len(m._deadlines))
+        assert peak == 31
+        assert [t.deadline for t in m.node_tokens[1]] == list(
+            range(10_001, 10_032))
+        assert len(m._deadlines) == 31 and m._earliest == 10_001
+
+    def test_a_clone_expires_without_touching_the_original(self):
+        m = MonitorInstance(pat({"instruction": "br", "startTTL": 3},
+                                {"instruction": "load"},
+                                {"instruction": "load"}))
+        at(m, 0, ev("br", pc=1))
+        at(m, 1, ev("load", pc=2))
+        before = (tokens(m), queued(m))
+        c = m.clone()
+        assert at(c, 5, ev("load", pc=3)) == []  # both deadlines passed
+        assert tokens(c) == [[((), None)], [], [], []]
+        assert c._deadlines == [] and c._earliest == math.inf
+        assert (tokens(m), queued(m)) == before
+        assert at(m, 2, ev("load", pc=3)) == [
+            Match("p", ((1, "br", False), (2, "load", False),
+                        (3, "load", False)))]
+
+    def test_equal_deadlines_at_different_nodes_both_go(self):
+        # brs at clocks 0 and 1 start A (deadline 4) and B (5) at node 1;
+        # loads at clocks 2 and 3 copy both to node 2, which so holds
+        # deadlines 4, 5, 4, 5
+        m = MonitorInstance(pat({"instruction": "br", "startTTL": 4},
+                                {"instruction": "load"},
+                                {"instruction": "add"}))
+        for now, event in enumerate((ev("br", pc=10), ev("br", pc=11),
+                                     ev("load", pc=12))):
+            at(m, now, event)
+        a, b = ((10, "br", False),), ((11, "br", False),)
+        assert tokens(m)[1:3] == [[(a, 4), (b, 5)],
+                                  [(a + ((12, "load", False),), 4),
+                                   (b + ((12, "load", False),), 5)]]
+        at(m, 3, ev("load", pc=13))  # then every deadline-4 token goes
+        assert tokens(m) == [
+            [((), None)], [(b, 5)],
+            [(b + ((12, "load", False),), 5), (b + ((13, "load", False),), 5)],
+            []]
+        assert [(i, d) for i, _chain, d in queued(m)] == [(1, 5), (2, 5),
+                                                          (2, 5)]
