@@ -54,10 +54,17 @@ counts in `Stats.solver_queries`.
 
 The first engine over a laid-out program decodes it once for all engines
 over it (`_Decoded`, kept on the program): a step table with one record
-per pc (its handler, operands, branch targets and concrete events), the
-initial image snapshot and its secret symbols, a memo of mapped
-addresses, per pattern set the monitor plans of each step, and per bit
-budget the store of solver answers over the image.
+per pc (its handler, operands, branch targets and the log entries of its
+concrete events), the initial image snapshot and its secret symbols, a
+memo of mapped addresses, per pattern set the monitor plans of each step,
+and per bit budget the store of solver answers over the image.
+
+An instruction whose operands are all constants takes the concrete lane:
+its handler computes the result in place and logs its event as a shared
+entry, prebuilt on the step or, for an access at a constant address,
+interned.  Where the engine's plan for the step is empty, no monitor
+watches the event, and appending the entry is all the event costs; only
+watched events go through `_emit`.
 """
 
 from __future__ import annotations
@@ -91,6 +98,11 @@ _lane = functools.lru_cache(maxsize=64)(lambda op, width: (
 # addr: the concrete address of a load or store
 Event = namedtuple("Event", "name pc speculation symbolic_access "
                    "secret_access addr", defaults=(None,))
+
+# the log entry (Event, None) of a load or store at a concrete address; an
+# entry is immutable, so a loop's repeated accesses share one
+_access_entry = functools.lru_cache(maxsize=1024)(
+    lambda *fields: (Event(*fields), None))
 
 
 class PathKey:
@@ -285,6 +297,14 @@ class ExecState:
                 (tl.bhr, dict(tl.pht)) if tl else None,
                 dict(btb.sets) if btb else None)
 
+    def unchanged_since(self, before: tuple) -> bool:
+        """Whether the state still equals `before`, an `architecture()`,
+        compared with the live registers, bytes and tables, not copies."""
+        tl, btb = self.predictor.two_level, self.predictor.btb
+        return before == (self.pc, self.regs, self.mem, self.ret_stack,
+                          (tl.bhr, tl.pht) if tl else None,
+                          btb.sets if btb else None)
+
     def fingerprint(self) -> tuple:
         """`architecture()`, canonical: a finished path's summary."""
         return (self.pc, tuple(sorted(self.regs.items())),  # keys are unique
@@ -401,10 +421,17 @@ class Engine:
     # (architectural branches on a symbolic condition), or "end" when the
     # path or the trace ends.
 
+    # A concrete event is a prebuilt log entry; where the step's plan is
+    # empty no monitor watches it, and the handler only appends it.
+
     def _exec_const(self, run, s, frame, step, worklist) -> str:
         """const and addrof: the decoded Const."""
         frame.regs[step.rd] = step.value
-        self._emit(run, s, step.events[frame is not s], None)
+        spec = frame is not s
+        if self._step_plans[spec][step.pc]:
+            self._emit(run, s, step.entries[spec])
+        else:
+            s.event_log.append(step.entries[spec])
         frame.pc += 1
         return "run"
 
@@ -418,60 +445,126 @@ class Engine:
             if not speculative:
                 self._error(run, s, "sym", f"symbol {name!r} redeclared "
                             "with different shape")
-            self._emit(run, s, event, None)
+            self._emit(run, s, (event, None))
             return "end"
         value = known if known is not None else ex.sym(name, step.width, secret)
         run.symbols[name] = value
         frame.regs[step.rd] = value
-        self._emit(run, s, event, None)
+        self._emit(run, s, (event, None))
         frame.pc += 1
         return "run"
 
     def _exec_binop(self, run, s, frame, step, worklist) -> str:
-        regs = frame.regs
-        a = _read(regs, step.a, step.ia)
-        b = _read(regs, step.b, step.ib)
+        regs, spec = frame.regs, frame is not s
+        a, b = regs.get(step.a, step.ia), regs.get(step.b, step.ib)
         if type(a) is ex.Const and type(b) is ex.Const:  # the concrete lane
             fn, m, out = step.value
             regs[step.rd] = _const(fn(a.value & m, b.value & m, step.width), out)
-            event = step.events[frame is not s]
+            if self._step_plans[spec][step.pc]:
+                self._emit(run, s, step.entries[spec])
+            else:
+                s.event_log.append(step.entries[spec])
         else:
-            a, b = ex.coerce(a, step.width), ex.coerce(b, step.width)
+            a = ex.coerce(_read(regs, step.a, step.ia), step.width)
+            b = ex.coerce(_read(regs, step.b, step.ib), step.width)
             regs[step.rd] = ex.mk_binop(step.op, a, b)
             taint = a.taint.join(b.taint)
-            event = Event(step.op, step.pc, frame is not s, taint.symbolic,
-                          taint.secret)
-        self._emit(run, s, event, None)
+            self._emit(run, s, (Event(step.op, step.pc, spec, taint.symbolic,
+                                      taint.secret), None))
         frame.pc += 1
         return "run"
 
     def _exec_access(self, run, s, frame, step, worklist) -> str:
-        """load and store, then the access's leak check and event."""
-        regs = frame.regs
+        """load and store.  At a concrete address the bytes move here and
+        the event is an interned entry; a symbolic one is
+        `_symbolic_access`'s."""
+        regs, op, pc, width = frame.regs, step.op, step.pc, step.width
+        addr = regs.get(step.a, step.ia)
+        if type(addr) is not ex.Const:
+            return self._symbolic_access(run, s, frame, step)
+        base, mem = addr.value, frame.mem
+        if op == "load":
+            if not self._mapped(base, width // 8):
+                run.note(pc, "unmapped load",
+                         f"load from unmapped address {base:#x}")
+            image = self._init_mem
+            if width == 8:
+                value = mem.get(base) or image.get(base, _ZERO_BYTE)
+            else:
+                parts = [mem.get(a) or image.get(a, _ZERO_BYTE)
+                         for a in range(base, base + 4)]
+                if all(type(byte) is ex.Const for byte in parts):
+                    value = _const(sum(byte.value << 8 * i
+                                       for i, byte in enumerate(parts)), 32)
+                else:
+                    value = ex.coerce(parts[0], 32)
+                    for i, byte in enumerate(parts[1:], start=1):
+                        value = ex.mk_binop(
+                            "or", value,
+                            ex.mk_binop("shl", ex.coerce(byte, 32),
+                                        ex.const(8 * i, 32)))
+            regs[step.rd] = value
+        else:
+            value = regs.get(step.b, step.ib)
+            if type(value) is not ex.Const:
+                value = ex.coerce(_read(regs, step.b, step.ib), width)
+            if not self._mapped(base, width // 8):
+                run.note(pc, "unmapped store",
+                         f"store to unmapped address {base:#x}")
+            frame.frozen = None  # the next symbolic load freezes anew
+            if type(value) is ex.Const:  # of any width: bytes by arithmetic
+                for i in range(width // 8):
+                    mem[base + i] = _const(value.value >> 8 * i & 0xFF, 8)
+            elif width == 8:
+                mem[base] = value
+            else:
+                for i in range(4):
+                    mem[base + i] = ex.coerce(
+                        ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
+        spec, taint = frame is not s, value.taint
+        entry = _access_entry(op, pc, spec, taint.symbolic, taint.secret, base)
+        if taint.symbolic or taint.secret or self._step_plans[spec][pc]:
+            self._emit(run, s, entry)
+        else:
+            s.event_log.append(entry)
+        frame.pc += 1
+        return "run"
+
+    def _symbolic_access(self, run, s, frame, step) -> str:
+        """A load or store at a symbolic address: a load reads its frame's
+        snapshot (`_freeze`), tainted secret if it may touch a secret byte;
+        a store is skipped.  Then the access's leak check and event."""
+        regs, pc, speculative = frame.regs, step.pc, frame is not s
         addr = ex.coerce(_read(regs, step.a, step.ia), 32)
         if step.op == "load":
-            value = self._do_load(run, addr, step.width, frame, s.path,
-                                  step.pc, frame is not s)
-            regs[step.rd] = value
+            snap = self._freeze(run, frame, speculative)
+            secret = self._may_touch_secret(run, addr, step.width, snap,
+                                            s.path, pc)
+            value = regs[step.rd] = ex.mk_memread(snap, addr, step.width,
+                                                  secret)
         else:
             value = _read(regs, step.b, step.ib)
             if type(value) is not ex.Const:
                 value = ex.coerce(value, step.width)
-            self._do_store(run, addr, value, step.width, frame, step.pc)
-        if type(addr) is ex.Const:
-            taint, leak, concrete = value.taint, None, addr.value
-        else:
-            taint = addr.taint.join(value.taint)
-            leak = self._cache_route(run, addr, s.path, step.pc)
-            concrete = None
-        self._emit(run, s, Event(step.op, step.pc, frame is not s,
-                                 taint.symbolic, taint.secret, concrete), leak)
+            # later loads and store-to-load forwarding cannot see the store,
+            # so nothing after it is sound to call leakage-free
+            run.note(pc, "symbolic store", "symbolic store address "
+                     "unsupported; store skipped")
+            run.unknown = True
+        taint = addr.taint.join(value.taint)
+        leak = self._cache_route(run, addr, s.path, pc)
+        self._emit(run, s, (Event(step.op, pc, speculative, taint.symbolic,
+                                  taint.secret), leak))
         frame.pc += 1
         return "run"
 
     def _exec_control(self, run, s, frame, step, worklist) -> str:
         """halt, ret, jmp and call."""
-        self._emit(run, s, step.events[frame is not s], None)
+        spec = frame is not s
+        if self._step_plans[spec][step.pc]:
+            self._emit(run, s, step.entries[spec])
+        else:
+            s.event_log.append(step.entries[spec])
         op = step.op
         if op == "halt" or (op == "ret" and not frame.ret_stack):
             return "end"
@@ -493,7 +586,7 @@ class Engine:
             self._follow_prediction(run, s, frame, step, cond)
             return "run"
         if type(cond) is ex.Const:  # one direction, no query: go on in place
-            self._take_branch(run, s, step, cond.value != 0, step.events[0])
+            self._take_branch(run, s, step, cond.value != 0, step.entries[0])
             return "run"
         self._fork_on_branch(run, s, step, cond, worklist)
         return "fork"
@@ -526,23 +619,24 @@ class Engine:
                 run.note(pc, "dropped", "path dropped: no branch direction "
                          "fits the bit budget")
 
-        event = Event("br", pc, False, cond.taint.symbolic, cond.taint.secret)
+        entry = (Event("br", pc, False, cond.taint.symbolic,
+                       cond.taint.secret), None)
         # DFS taken-edge first: push not-taken first so taken pops first
         for i, direction in enumerate(sorted(feasible)):  # False before True
             succ = s if i == len(feasible) - 1 else s.clone()
             succ.path = paths[direction]
-            self._take_branch(run, succ, step, direction, event)
+            self._take_branch(run, succ, step, direction, entry)
             worklist.append(succ)
 
     def _take_branch(self, run: RunResult, s: ExecState, step: "_Step",
-                     direction: bool, event: Event) -> None:
-        """Go down one direction of an architectural branch, after the wrong
-        path the predictor steers into; "either" (None) runs the other
-        direction."""
+                     direction: bool, entry: tuple) -> None:
+        """Go down one direction of an architectural branch, its log `entry`
+        first, after the wrong path the predictor steers into; "either"
+        (None) runs the other direction."""
         pc = step.pc
         t_pc, f_pc = step.target
         s.path_key = PathKey(s.path_key, (pc, direction))
-        self._emit(run, s, event, None)
+        self._emit(run, s, entry)
         actual_pc = t_pc if direction else f_pc
         pred = s.predictor.predict_conditional(pc, t_pc, f_pc)
         taken, pred_pc = pred or (not direction, f_pc if direction else t_pc)
@@ -561,15 +655,15 @@ class Engine:
         target = _read(s.regs, step.a, step.ia)
         if not isinstance(target, ex.Const):
             self._error(run, s, "icall", "unsupported symbolic indirect target")
-            self._emit(run, s, Event("icall", pc, False, True,
-                                     target.taint.secret), None)
+            self._emit(run, s, (Event("icall", pc, False, True,
+                                      target.taint.secret), None))
             return "end"
         actual = target.value
         if actual >= len(self._steps):
             self._error(run, s, "icall", f"icall target {actual} out of range")
             return "end"
-        self._emit(run, s, Event("icall", pc, False, False,
-                                 target.taint.secret), None)
+        self._emit(run, s, (Event("icall", pc, False, False,
+                                  target.taint.secret), None))
         pred = s.predictor.predict_target(pc, actual)
         if pred is not None and pred != actual:
             self._run_speculative(run, s, pred, (pc, pred), push_return=pc + 1)
@@ -586,8 +680,8 @@ class Engine:
         """No forking, no path constraint: follow the shadow prediction, and
         fall through on "either"."""
         t_pc, f_pc = step.target
-        self._emit(run, s, Event("br", box.pc, True, cond.taint.symbolic,
-                                 cond.taint.secret), None)
+        self._emit(run, s, (Event("br", box.pc, True, cond.taint.symbolic,
+                                  cond.taint.secret), None))
         taken, box.pc = (box.shadow.predict_conditional(box.pc, t_pc, f_pc)
                          or (False, f_pc))
         box.shadow.spec_note_direction(taken)
@@ -598,8 +692,8 @@ class Engine:
         if the register holds one; without a usable target the trace
         stalls out."""
         tgt = _read(box.regs, step.a, step.ia)
-        self._emit(run, s, Event("icall", box.pc, True, tgt.taint.symbolic,
-                                 tgt.taint.secret), None)
+        self._emit(run, s, (Event("icall", box.pc, True, tgt.taint.symbolic,
+                                  tgt.taint.secret), None))
         pred = box.shadow.predict_target(
             box.pc, tgt.value if type(tgt) is ex.Const else None)
         if pred is None or pred >= len(self._steps):
@@ -667,7 +761,7 @@ class Engine:
             run.note(box.pc, "wrong-path error", f"wrong path ended: {e}")
             marks = None  # its events stop short of what it read
 
-        if s.architecture() != before:
+        if not s.unchanged_since(before):
             raise EngineError("speculation leaked into architectural state")
         if marks is not None:
             traces[key] = self._record(run, s, marks)
@@ -734,63 +828,6 @@ class Engine:
         return True
 
     # -------------------------------------------------------- data movement
-
-    def _do_load(self, run: RunResult, addr: ex.Expr, width: int, frame,
-                 path: solver.PathCondition, pc: int, speculative: bool
-                 ) -> ex.Expr:
-        """Read `width` bits at `addr` from `frame` (an ExecState or a
-        _Sandbox)."""
-        mem = frame.mem
-        if type(addr) is ex.Const:
-            base = addr.value
-            if not self._mapped(base, width // 8):
-                run.note(pc, "unmapped load",
-                         f"load from unmapped address {base:#x}")
-            image = self._init_mem
-            if width == 8:
-                return mem.get(base) or image.get(base, _ZERO_BYTE)
-            parts = [mem.get(a) or image.get(a, _ZERO_BYTE)
-                     for a in range(base, base + 4)]
-            if all(type(byte) is ex.Const for byte in parts):
-                return _const(sum(byte.value << 8 * i
-                                  for i, byte in enumerate(parts)), 32)
-            value = ex.coerce(parts[0], 32)
-            for i, byte in enumerate(parts[1:], start=1):
-                value = ex.mk_binop(
-                    "or", value,
-                    ex.mk_binop("shl", ex.coerce(byte, 32),
-                                ex.const(8 * i, 32)))
-            return value
-        # symbolic address: freeze the memory snapshot it reads from
-        snap = self._freeze(run, frame, speculative)
-        secret = self._may_touch_secret(run, addr, width, snap, path, pc)
-        return ex.mk_memread(snap, addr, width, secret)
-
-    def _do_store(self, run: RunResult, addr: ex.Expr, value: ex.Expr,
-                  width: int, frame, pc: int) -> None:
-        """Store the low `width` bits of `value`, an expression of `width`
-        bits or a Const of any width, into `frame`'s memory."""
-        if type(addr) is not ex.Const:
-            # later loads and store-to-load forwarding cannot see the store,
-            # so nothing after it is sound to call leakage-free
-            run.note(pc, "symbolic store", "symbolic store address "
-                     "unsupported; store skipped")
-            run.unknown = True
-            return
-        base = addr.value
-        if not self._mapped(base, width // 8):
-            run.note(pc, "unmapped store",
-                     f"store to unmapped address {base:#x}")
-        mem, frame.frozen = frame.mem, None  # the next load freezes anew
-        if type(value) is ex.Const:  # of any width: bytes by arithmetic
-            for i in range(width // 8):
-                mem[base + i] = _const(value.value >> 8 * i & 0xFF, 8)
-        elif width == 8:
-            mem[base] = value
-        else:
-            for i in range(4):
-                mem[base + i] = ex.coerce(
-                    ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
 
     def _may_touch_secret(self, run: RunResult, addr: ex.Expr, width: int,
                           snap: ex.Snapshot, path: solver.PathCondition,
@@ -890,10 +927,13 @@ class Engine:
         # the class of its step's concrete events: a decoded plan
         return self._step_plans[event.speculation][event.pc]
 
-    def _emit(self, run: RunResult, s: ExecState, event: Event,
-              leak: LeakResult | None) -> None:
+    def _emit(self, run: RunResult, s: ExecState,
+              entry: tuple[Event, LeakResult | None]) -> None:
+        """Append a log entry, an event and its leak check, and show the
+        event to the monitors its plan names."""
         now = len(s.event_log)  # the path's event clock
-        s.event_log.append((event, leak))
+        s.event_log.append(entry)
+        event, leak = entry
         for k, nodes in self._plan_of(event):
             for match in s.monitors[k].observe(event, leak, now, nodes):
                 self._record_match(run, s, match, leak)
@@ -948,18 +988,21 @@ class _Step:
     `regs.get(a, ia)` reads either.  `value` is the Const of a const or
     addrof, (name, secret) of a sym, or (function, operand mask, result
     width) of a binop; `target` is the pc of a jmp or call, or (taken,
-    fall-through) of a br; `events` are its concrete events, architectural
-    and speculative, or None for the ops that build their own."""
+    fall-through) of a br.  `entries` are the event-log entries (event,
+    None) of its concrete events, architectural and speculative, built
+    here once: a handler whose step plan is empty appends one and calls
+    nothing else.  They are None for the ops that build their own."""
 
     __slots__ = ("handler", "op", "pc", "width", "rd", "a", "ia", "b", "ib",
-                 "value", "target", "events")
+                 "value", "target", "entries")
 
     def __init__(self, handler, op: str, pc: int, width: int):
         self.handler, self.op, self.pc, self.width = handler, op, pc, width
         self.rd = self.a = self.ia = self.b = self.ib = None
         self.value = self.target = None
-        self.events = None if op in ("load", "store", "sym", "icall") else (
-            Event(op, pc, False, False, False), Event(op, pc, True, False, False))
+        self.entries = None if op in ("load", "store", "sym", "icall") else tuple(
+            (Event(op, pc, speculative, False, False), None)
+            for speculative in (False, True))
 
 
 _HANDLERS = dict.fromkeys(ex.BIN_OPS, Engine._exec_binop)

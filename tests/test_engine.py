@@ -1609,3 +1609,100 @@ class TestTraceReplay:
                               random_predictor_config(rng), 12)[0]
                    for _ in range(10)]
         assert sum(replays) >= 10
+
+
+def lane_off(engine):
+    """`engine` with the concrete lane off: every step plan reads as
+    watched, so each event goes through `_emit`, and `_plan_of` works each
+    plan out from the event's class."""
+    n = len(engine._steps)
+    engine._step_plans = (((None,),) * n,) * 2
+    engine._plan_of = lambda event: engine._plan(event_class(event))
+    return engine
+
+
+class TestQuietLane:
+    """An unwatched concrete event is only its prebuilt log entry; every
+    output reads as if each event went through `_emit`."""
+
+    PATTERNS = [load_pattern_fixture(name) for name in _PATTERNS]
+    # an `add` anywhere, and a speculative `const`: classes the shipped
+    # patterns leave unwatched
+    WATCHERS = [load_pattern(json.dumps({"name": name, "nodes": [node]}))
+                for name, node in (
+                    ("adds", {"instruction": "add"}),
+                    ("spec-consts", {"instruction": "const",
+                                     "isSpeculative": True}))]
+    CFG = PredictorConfig(pht_bits=1, window=8)
+    LOOP = ("region buf 1\n  const ri, 0\n  addrof rb, buf\nloop:\n"
+            "  const rk, 3\n  add ri, ri, 1\n  store.8 rb, ri\n"
+            "  lt rc, ri, 20\n  br rc, loop, done\ndone:\n  const rz, 9\n"
+            "  add rz, rz, ri\n  jmp out\nout:\n  halt\n")
+
+    def same_outputs(self, text, cfg, patterns, baseline):
+        program = layout_regions(parse_program(text))
+        on, off = (Engine(program, cfg, patterns=patterns, bit_budget=12)
+                   for _ in range(2))
+        outputs = replay_outputs(on, baseline)[0]
+        assert outputs == replay_outputs(lane_off(off), baseline)[0]
+        return outputs
+
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_lane_changes_no_output(self, watched):
+        patterns = self.PATTERNS + self.WATCHERS * watched
+        rng = random.Random(2525)
+        texts = [chained_v01((4, 8))[0]]
+        for _ in range(20):
+            texts += [random_program(rng), counted_loop_program(rng)]
+        findings = 0
+        for text in texts:
+            cfg = random_predictor_config(rng)
+            for baseline in (False, True):
+                findings += len(self.same_outputs(text, cfg, patterns,
+                                                  baseline)[4])
+        assert findings > 0
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_a_watched_quiet_class_sees_every_event(self, baseline,
+                                                    monkeypatch):
+        seen = []
+        observe = MonitorInstance.observe
+
+        def watched(self, event, *a):
+            seen.append((self.spec.name, event))
+            return observe(self, event, *a)
+
+        monkeypatch.setattr(MonitorInstance, "observe", watched)
+        (log,) = replay_outputs(build(self.LOOP, predictor_cfg=self.CFG,
+                                      patterns=self.WATCHERS), baseline)[0][-1]
+        events = [event for event, _leak in log]
+        adds = [e for e in events if e.name == "add"]
+        consts = [e for e in events if e.name == "const" and e.speculation]
+        assert len(adds) > 20 and consts
+        assert [e for name, e in seen if name == "adds"] == adds
+        assert [e for name, e in seen if name == "spec-consts"] == consts
+
+    def test_engines_over_one_program_keep_their_own_plans(self):
+        program = layout_regions(parse_program(self.LOOP))
+        quiet = Engine(program, self.CFG, patterns=self.PATTERNS)
+        adds = Engine(program, self.CFG, patterns=self.WATCHERS[:1])
+        for engine, pcs in ((quiet, set()), (adds, {3, 8}), (quiet, set()),
+                            (adds, {3, 8})):  # {3, 8}: the adds
+            chains = {f.chain for f in engine.run(baseline=True).findings}
+            assert {pc for ((pc, _name, _spec),) in chains} == pcs
+
+    def test_more_accesses_than_the_intern_holds(self):
+        maxsize = engine_mod._access_entry.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 4096  # bounded memory
+        n = maxsize + 100
+        text = (f"region buf {n}\n  addrof rp, buf\n  const ri, 0\nloop:\n"
+                "  store.8 rp, ri\n  load.8 rv, rp\n  add rp, rp, 1\n"
+                f"  add ri, ri, 1\n  lt rc, ri, {n}\n  br rc, loop, done\n"
+                "done:\n  halt\n")
+        for baseline in (False, True):
+            (log,) = self.same_outputs(text, self.CFG, self.PATTERNS,
+                                       baseline)[-1]
+            stores = [event.addr for event, _leak in log
+                      if event.name == "store" and not event.speculation]
+            assert stores == [0x1000 + i for i in range(n)]
+        assert engine_mod._access_entry.cache_info().currsize <= maxsize

@@ -1,6 +1,7 @@
 """Smoke tests of `tools/cell_outputs.py`, the byte-identity check that
-compares every benchmark cell's outputs across two checkouts, and of
-`tools/src_lines.py`, the package's line count.
+compares every benchmark cell's outputs across two checkouts, of
+`tools/pass_times.py`, the in-process time and call count of each cell, and
+of `tools/src_lines.py`, the package's line count.
 
 `tests/data/cell_outputs_101.txt` pins the output of
 `python3 tools/cell_outputs.py 101`: a regression pin, not an answer key.
@@ -55,3 +56,20 @@ def test_src_lines_counts_code_without_docstrings_and_comments(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == (f"{tmp_path.name}: 9 lines, 3 without docstrings, "
                            "comments and blank lines\n")
+
+
+def test_pass_times_prints_each_cell_and_the_pass():
+    done = subprocess.run([sys.executable, str(ROOT / "tools/pass_times.py"),
+                           "loop", "--seed", "101", "--runs", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split(" ") for line in done.stdout.splitlines()]
+    assert [row[1] for row in rows] == [
+        f"loop-n902/{cfg}/{mode}" for cfg in ("PHT:1", "cortex-a53")
+        for mode in ("prediction-aware", "baseline")] + ["pass"]
+    assert {row[0] for row in rows} == {"loop"}
+    times = [float(row[2]) for row in rows]
+    calls = [int(row[3]) for row in rows]
+    assert all(t > 0 for t in times) and all(n > 1000 for n in calls)
+    assert calls[-1] == sum(calls[:-1])
+    assert abs(times[-1] - sum(times[:-1])) < 0.05  # printed to 0.01 ms

@@ -27,6 +27,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def import_specsim():
+    """`specsim` from this checkout's `src/`."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import specsim
+    return specsim
+
+
 def _load_workloads():
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
@@ -34,6 +41,33 @@ def _load_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def cells(specsim, wls, name: str, seed: int) -> list:
+    """(label, run) for each analysis of workload `name` at `seed`, where
+    `run()` builds a fresh `Engine` over the parsed program with the
+    shipped patterns and returns its `run`, as the benchmark does."""
+    fixtures = ROOT / "fixtures"
+    texts = {fx: (fixtures / f"{fx}.sir").read_text(encoding="utf-8")
+             for fx in wls.FIXTURES}
+    patterns = [specsim.load_pattern_file(str(fixtures / "patterns"
+                                              / f"{p}.json"))
+                for p in wls.PATTERNS]
+    wl = wls.build(name, seed, texts)
+    programs = {n: specsim.layout_regions(specsim.parse_program(t))
+                for n, t in wl.programs.items()}
+    out = []
+    for a in wl.analyses:
+        spec = wls.CONFIGS[a.config]
+        cfg = (specsim.preset(spec) if isinstance(spec, str)
+               else specsim.PredictorConfig(**spec))
+
+        def run(program=programs[a.program], cfg=cfg,
+                baseline=a.mode == wls.BL):
+            return specsim.Engine(program, cfg, patterns=patterns
+                                  ).run(baseline=baseline)
+        out.append((a.label, run))
+    return out
 
 
 def _components(result, to_str) -> dict:
@@ -65,32 +99,15 @@ def main() -> int:
     p.add_argument("seeds", type=int, nargs="+")
     args = p.parse_args()
 
-    sys.path.insert(0, str(ROOT / "src"))
-    import specsim
+    specsim = import_specsim()
     from specsim.expr import to_str
     wls = _load_workloads()
-
-    fixtures = ROOT / "fixtures"
-    texts = {fx: (fixtures / f"{fx}.sir").read_text(encoding="utf-8")
-             for fx in wls.FIXTURES}
-    patterns = [specsim.load_pattern_file(str(fixtures / "patterns"
-                                              / f"{name}.json"))
-                for name in wls.PATTERNS]
     for seed in args.seeds:
         for name in wls.NAMES:
-            wl = wls.build(name, seed, texts)
-            programs = {n: specsim.layout_regions(specsim.parse_program(t))
-                        for n, t in wl.programs.items()}
-            for a in wl.analyses:
-                spec = wls.CONFIGS[a.config]
-                cfg = (specsim.preset(spec) if isinstance(spec, str)
-                       else specsim.PredictorConfig(**spec))
-                result = specsim.Engine(programs[a.program], cfg,
-                                        patterns=patterns
-                                        ).run(baseline=a.mode == wls.BL)
-                for part, value in _components(result, to_str).items():
+            for label, run in cells(specsim, wls, name, seed):
+                for part, value in _components(run(), to_str).items():
                     digest = hashlib.sha256(repr(value).encode()).hexdigest()
-                    print(seed, name, a.label, part, digest)
+                    print(seed, name, label, part, digest)
     return 0
 
 
