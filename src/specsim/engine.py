@@ -18,10 +18,12 @@ taken before every trace that runs -- while the event log, monitor
 tokens, statistics, and findings deliberately persist.  No concrete cache
 is simulated: an access's footprint is judged by its symbolic leak check
 (`cache.leak_check`).  A trace that repeats one recorded earlier in the
-run -- the same start, predictor state and noted direction, and the same
-values of the registers, bytes and return stack it reads -- is not run
-again: its recorded events are replayed into the path's event log and
-monitors, so every output reads as if it ran.
+run -- the same start, noted direction and pushed return, and the same
+values of what it reads: registers, bytes, return stack, the shadow
+predictor's answers and the path slices its may-touch decisions read --
+is not run again: its recorded events are replayed into the path's event
+log and monitors, its leak checks and match witnesses asked again of the
+path, so every output reads as if it ran.
 
 The modes differ only in the predictor `run` starts with.  Baseline
 mode's `predictor.Baseline`, the always-mispredict model, answers
@@ -315,9 +317,17 @@ class ExecState:
 class _Sandbox:
     """Wrong-path frame of one speculative trace: copies of a path's
     registers, memory and return stack, plus the shadow predictor that
-    steers it, the path predictor's `clone()` (a `Baseline` is its own)."""
+    steers it, the path predictor's `clone()` (a `Baseline` is its own).
 
-    __slots__ = ("pc", "regs", "mem", "frozen", "ret_stack", "shadow")
+    It also logs what the trace reads beyond its registers and bytes, for
+    `Engine._record`: `asks`, each shadow-predictor answer as (pc,
+    resolved target or None, answer); `reads`, the (address, its
+    `PathCondition.names`, reached constraints) of each may-touch decision
+    that read the path condition, or None for a read no replay can check;
+    and `checks`, the address of each leak check, in order."""
+
+    __slots__ = ("pc", "regs", "mem", "frozen", "ret_stack", "shadow",
+                 "asks", "reads", "checks")
 
     def __init__(self, state: ExecState, start_pc: int,
                  shadow: PredictorState):
@@ -327,6 +337,7 @@ class _Sandbox:
         self.frozen = state.frozen
         self.ret_stack = list(state.ret_stack)
         self.shadow = shadow
+        self.asks, self.reads, self.checks = [], [], []
 
 
 def check_limits(bit_budget: int, step_limit: int) -> None:
@@ -361,6 +372,7 @@ class Engine:
         self.step_limit = step_limit
         self._needs_cache_check = any(p.uses_cache_state for p in self.patterns)
         self._plan = plans(tuple(self.patterns))
+        self._config = self._config_str()  # each finding's `config`
 
         code = _decoded(program)
         self._steps = code.steps
@@ -409,7 +421,7 @@ class Engine:
     def _error(self, run: RunResult, s: ExecState, op: str, message: str) -> None:
         """The architectural path ends at an instruction it cannot execute."""
         run.findings.append(Finding("error", None, ((s.pc, op, False),),
-                                    s.path.text, self._config_str(), None))
+                                    s.path.text, self._config, None))
         run.diagnostics.append(f"pc {s.pc}: {message}")
 
     # ------------------------------------------------- straight-line handlers
@@ -484,9 +496,6 @@ class Engine:
             return self._symbolic_access(run, s, frame, step)
         base, mem = addr.value, frame.mem
         if op == "load":
-            if not self._mapped(base, width // 8):
-                run.note(pc, "unmapped load",
-                         f"load from unmapped address {base:#x}")
             image = self._init_mem
             if width == 8:
                 value = mem.get(base) or image.get(base, _ZERO_BYTE)
@@ -508,9 +517,6 @@ class Engine:
             value = regs.get(step.b, step.ib)
             if type(value) is not ex.Const:
                 value = ex.coerce(_read(regs, step.b, step.ib), width)
-            if not self._mapped(base, width // 8):
-                run.note(pc, "unmapped store",
-                         f"store to unmapped address {base:#x}")
             frame.frozen = None  # the next symbolic load freezes anew
             if type(value) is ex.Const:  # of any width: bytes by arithmetic
                 for i in range(width // 8):
@@ -521,6 +527,8 @@ class Engine:
                 for i in range(4):
                     mem[base + i] = ex.coerce(
                         ex.mk_binop("lshr", value, ex.const(8 * i, 32)), 8)
+        if not self._mapped(base, width // 8):
+            self._unmapped(run, s, frame, op, base)
         spec, taint = frame is not s, value.taint
         entry = _access_entry(op, pc, spec, taint.symbolic, taint.secret, base)
         if taint.symbolic or taint.secret or self._step_plans[spec][pc]:
@@ -530,16 +538,29 @@ class Engine:
         frame.pc += 1
         return "run"
 
+    def _unmapped(self, run: RunResult, s: ExecState, frame, op: str,
+                  addr: int) -> None:
+        """Note an access at the unmapped address `addr`, once per site; a
+        wrong path that writes the note is not recorded."""
+        kind = f"unmapped {op}"
+        if frame is not s and (frame.pc, kind) not in run.noted:
+            frame.reads.append(None)
+        run.note(frame.pc, kind, f"{op} {'from' if op == 'load' else 'to'} "
+                 f"unmapped address {addr:#x}")
+
     def _symbolic_access(self, run, s, frame, step) -> str:
         """A load or store at a symbolic address: a load reads its frame's
         snapshot (`_freeze`), tainted secret if it may touch a secret byte;
         a store is skipped.  Then the access's leak check and event."""
         regs, pc, speculative = frame.regs, step.pc, frame is not s
         addr = ex.coerce(_read(regs, step.a, step.ia), 32)
+        reads = frame.reads if speculative else None
         if step.op == "load":
             snap = self._freeze(run, frame, speculative)
+            if snap.version and reads is not None:
+                reads.append(None)  # a replay checks no stored-to snapshot
             secret = self._may_touch_secret(run, addr, step.width, snap,
-                                            s.path, pc)
+                                            s.path, pc, reads)
             value = regs[step.rd] = ex.mk_memread(snap, addr, step.width,
                                                   secret)
         else:
@@ -551,8 +572,12 @@ class Engine:
             run.note(pc, "symbolic store", "symbolic store address "
                      "unsupported; store skipped")
             run.unknown = True
+            if reads is not None:
+                reads.append(None)
         taint = addr.taint.join(value.taint)
         leak = self._cache_route(run, addr, s.path, pc)
+        if leak is not None and speculative:
+            frame.checks.append(addr)
         self._emit(run, s, (Event(step.op, pc, speculative, taint.symbolic,
                                   taint.secret), leak))
         frame.pc += 1
@@ -614,7 +639,7 @@ class Engine:
                 feasible.append(want)
         if overran:
             run.findings.append(Finding("unknown", None, ((pc, "br", False),),
-                                        s.path.text, self._config_str(), None))
+                                        s.path.text, self._config, None))
             if not feasible:
                 run.note(pc, "dropped", "path dropped: no branch direction "
                          "fits the bit budget")
@@ -682,8 +707,9 @@ class Engine:
         t_pc, f_pc = step.target
         self._emit(run, s, (Event("br", box.pc, True, cond.taint.symbolic,
                                   cond.taint.secret), None))
-        taken, box.pc = (box.shadow.predict_conditional(box.pc, t_pc, f_pc)
-                         or (False, f_pc))
+        pred = box.shadow.predict_conditional(box.pc, t_pc, f_pc)
+        box.asks.append((box.pc, None, pred))
+        taken, box.pc = pred or (False, f_pc)
         box.shadow.spec_note_direction(taken)
 
     def _follow_indirect(self, run: RunResult, s: ExecState, box: _Sandbox,
@@ -694,8 +720,9 @@ class Engine:
         tgt = _read(box.regs, step.a, step.ia)
         self._emit(run, s, (Event("icall", box.pc, True, tgt.taint.symbolic,
                                   tgt.taint.secret), None))
-        pred = box.shadow.predict_target(
-            box.pc, tgt.value if type(tgt) is ex.Const else None)
+        resolved = tgt.value if type(tgt) is ex.Const else None
+        pred = box.shadow.predict_target(box.pc, resolved)
+        box.asks.append((box.pc, resolved, pred))
         if pred is None or pred >= len(self._steps):
             return "end"
         box.ret_stack.append(box.pc + 1)
@@ -715,13 +742,14 @@ class Engine:
         Its events and monitor tokens persist on `s`; everything
         architectural is untouched, which a copy taken before checks.
 
-        A trace is a function of its key -- `start_pc`, `noted`,
-        `push_return` and the path predictor's `key()` -- and of what it
-        reads of the path.  The run's memo (`RunResult.traces`) marks a key
-        on its first arrival and records the trace on its second (`_record`);
-        a later arrival whose path holds the values the recording read
-        replays its events into the path's log and monitors (`_replay`).
-        Nothing runs then, so the rollback check is skipped.
+        A trace is a function of its key -- `start_pc`, `noted` and
+        `push_return` -- and of what it reads: registers, stored bytes, the
+        return stack, the shadow predictor's answers, and the path slices
+        its may-touch decisions read.  The run's memo (`RunResult.traces`)
+        keeps up to `RECORDINGS` recordings per key (`_record`), made from
+        the key's second arrival on; an arrival whose path reads as one of
+        them replays it (`_replay`).  Nothing runs then, so the rollback
+        check is skipped.
         """
         window = self.predictor_cfg.window
         if window == 0:
@@ -729,15 +757,17 @@ class Engine:
         stats = run.stats
         stats.spec_traces += 1
         stats.trace_identities.append((s.path_key,) + identity_tail)
-        key = (start_pc, noted, push_return, s.predictor.key())
-        traces, arrived = run.traces, len(run.traces)
-        known = traces.setdefault(key, None)  # marks its first arrival
-        if known and self._replay(run, s, known):
-            return
+        key = (start_pc, noted, push_return)
+        recorded = run.traces.get(key)
         marks = None
-        if known is None and len(traces) == arrived:  # a later arrival
-            marks = (len(s.event_log), stats.solver_queries,
-                     len(run.diagnostics), len(run.symbols))
+        if recorded is None:  # its first arrival
+            run.traces[key] = []
+        else:
+            for entry in recorded:
+                if self._replay(run, s, entry, noted):
+                    return
+            if len(recorded) < self.RECORDINGS:
+                marks = (len(s.event_log), len(run.symbols))
         before = s.architecture()
 
         shadow = s.predictor.clone()
@@ -764,24 +794,30 @@ class Engine:
         if not s.unchanged_since(before):
             raise EngineError("speculation leaked into architectural state")
         if marks is not None:
-            traces[key] = self._record(run, s, marks)
+            entry = self._record(run, s, box, marks)
+            if entry is not None:
+                recorded.append(entry)
 
-    def _record(self, run: RunResult, s: ExecState, marks: tuple
-                ) -> tuple | None:
-        """The memo entry of the trace just run on `s`, given the `marks`
-        (event clock, solver queries, diagnostics, symbols) from before it:
-        the registers it read before writing them, the stored bytes its
-        loads read before it wrote them, the return stack if it ran a
-        `ret`, each with its value on `s`, its events, one per step it ran,
-        and the (index, plan) of each event whose plan reaches a monitor
-        (`_plan_of`).  None unless those decide the trace: after a solver
-        query, a new diagnostic or symbol, or an access at a symbolic
-        address."""
-        events = tuple(s.event_log[marks[0]:])
-        if (run.stats.solver_queries, len(run.diagnostics),
-                len(run.symbols)) != marks[1:]:
+    RECORDINGS = 4  # per key: chain's sites each have two variants
+
+    def _record(self, run: RunResult, s: ExecState, box: _Sandbox,
+                marks: tuple) -> tuple | None:
+        """The memo entry of the trace just run on `s` in `box`, given the
+        `marks` (event clock, symbols) from before it: the registers it read
+        before writing them, the stored bytes its concrete loads read
+        before it wrote them, the return stack if it ran a `ret`, each with
+        its value on `s`; whether it loaded the initial image at a symbolic
+        address; the box's `reads`, and its `asks` unless the path's
+        predictor never trains (its answers are then functions of what it
+        is asked); its events, one per step it ran; and the (index, plan,
+        leak-check address or None) of each event that a monitor watches
+        (`_plan_of`) or that was leak-checked.  None unless those decide the
+        trace: after a new symbol, or a read the box could not log."""
+        if None in box.reads or len(run.symbols) != marks[1]:
             return None
-        regs, addrs, written, stored, ret = set(), set(), {None}, set(), None
+        events = tuple(s.event_log[marks[0]:])
+        regs, addrs, written, stored = set(), set(), {None}, set()
+        ret, image = None, False
         for event, _leak in events:
             step = self._steps[event.pc]
             regs |= {step.a, step.b} - written
@@ -789,36 +825,61 @@ class Engine:
             if step.op == "ret":
                 ret = tuple(s.ret_stack)
             elif step.op in ("load", "store"):
-                if event.addr is None:
-                    return None
+                if event.addr is None:  # a load of the image: see `reads`
+                    image = True
+                    continue
                 span = set(range(event.addr, event.addr + step.width // 8))
                 if step.op == "store":
                     stored |= span
                 else:
                     addrs |= span - stored
+        checks, work = iter(box.checks), []
+        for i, (event, leak) in enumerate(events):
+            plan = self._plan_of(event)
+            if plan or leak is not None:
+                work.append((i, plan, leak and next(checks)))
         regs, addrs = tuple(regs), tuple(addrs)
-        observed = tuple((i, plan) for i, plan in enumerate(
-            self._plan_of(event) for event, _leak in events) if plan)
         return (regs, tuple(map(s.regs.get, regs)), addrs,
-                tuple(map(s.mem.get, addrs)), ret, events, observed)
+                tuple(map(s.mem.get, addrs)), ret, image, tuple(box.reads),
+                tuple(box.asks) if s.predictor.trains else (), events,
+                tuple(work))
 
-    def _replay(self, run: RunResult, s: ExecState, entry: tuple) -> bool:
-        """Replay the recorded trace `entry` on `s` if `s` holds the values
-        it read; False, and nothing done, if not.  Its events go onto the
-        path's log in runs; only those with a recorded plan reach the
-        monitors, each at its own clock and once the log holds it, since a
-        match copies the log."""
-        regs, reg_values, addrs, byte_values, ret, events, observed = entry
+    def _replay(self, run: RunResult, s: ExecState, entry: tuple,
+                noted: bool | None) -> bool:
+        """Replay the recorded trace `entry` on `s` if `s` reads as it did;
+        False, and nothing done, if not.  The path must hold the values it
+        read, no stored byte if it loaded the image, the same slices for
+        each of its `reads`, and a clone of its predictor, shifted by
+        `noted`, must give each of its answers in turn.
+
+        Its events go onto the path's log in runs; a leak-checked one gets
+        its check run again on `s`, and only those with a recorded plan
+        reach the monitors, each at its own clock and once the log holds
+        it, since a match copies the log and asks its witness of `s`."""
+        (regs, reg_values, addrs, byte_values, ret, image, reads, asks,
+         events, work) = entry
         if (tuple(map(s.regs.get, regs)) != reg_values
                 or tuple(map(s.mem.get, addrs)) != byte_values
-                or ret is not None and tuple(s.ret_stack) != ret):
+                or ret is not None and tuple(s.ret_stack) != ret
+                or image and s.mem):
+            return False
+        path = s.path
+        for addr, names, own in reads:
+            if path.reached(addr, names) != own:
+                return False
+        if asks and not self._answers_agree(s.predictor, noted, asks):
             return False
         log = s.event_log
         start, done = len(log), 0
-        for i, plan in observed:
-            log.extend(events[done:i + 1])  # a match copies the log so far
+        for i, plan, addr in work:
+            log.extend(events[done:i])
             done = i + 1
-            event, leak = events[i]
+            entry = events[i]
+            if addr is not None:
+                entry = (entry[0], self._cache_route(run, addr, path,
+                                                     entry[0].pc))
+            log.append(entry)  # a match copies the log so far
+            event, leak = entry
             for k, nodes in plan:
                 for match in s.monitors[k].observe(event, leak, start + i,
                                                    nodes):
@@ -827,11 +888,30 @@ class Engine:
         run.stats.spec_instructions += len(events)
         return True
 
+    def _answers_agree(self, predictor: PredictorState, noted: bool | None,
+                       asks: tuple) -> bool:
+        """Whether a shadow copy of `predictor`, shifted by `noted`, gives
+        each recorded (pc, resolved target, answer) in turn, shifting its
+        BHR as `_follow_prediction` does."""
+        shadow = predictor.clone()
+        if noted is not None:
+            shadow.spec_note_direction(noted)
+        table = self._steps
+        for pc, resolved, answer in asks:
+            step = table[pc]
+            if step.op == "br":
+                if shadow.predict_conditional(pc, *step.target) != answer:
+                    return False
+                shadow.spec_note_direction(bool(answer and answer[0]))
+            elif shadow.predict_target(pc, resolved) != answer:
+                return False
+        return True
+
     # -------------------------------------------------------- data movement
 
     def _may_touch_secret(self, run: RunResult, addr: ex.Expr, width: int,
                           snap: ex.Snapshot, path: solver.PathCondition,
-                          pc: int) -> bool:
+                          pc: int, reads: list | None = None) -> bool:
         """May-analysis lift of the load taint rule: a `width`-bit read at a
         symbolic address of `snap` is secret-reaching if some model
         consistent with the path condition lands one of its bytes on a
@@ -847,7 +927,11 @@ class Engine:
         address, those constraints, the snapshot and the width, which
         decide the spans, so a repeat narrows and bounds nothing.  An
         overrun is kept under neither, so a repeat asks, counts and notes it
-        again."""
+        again.
+
+        A wrong path passes its sandbox's `reads`, which get the address,
+        its names and those slices' constraints when the decision reads the
+        path, or None when it overruns."""
         if addr.taint.secret:
             return True
         # the spans the address's bounds may meet, first over every model
@@ -857,6 +941,8 @@ class Engine:
             return False
         names = path.names(addr)  # and of the constraints bounding it
         own = path.reached(addr, names)
+        if reads is not None:
+            reads.append((addr, names, own))
         local = run.session.local
         decision = ("may-touch?", addr, own, snap, width)
         hit = local.get(decision)
@@ -877,6 +963,8 @@ class Engine:
                     m = solver.is_sat(inside)
                 except solver.BudgetExceeded as e:
                     run.overrun(pc, "may-touch", e)
+                    if reads is not None:
+                        reads.append(None)  # a repeat overruns again
                     return True  # conservative
                 hit = local[key] = m is not None
             if hit:
@@ -958,7 +1046,7 @@ class Engine:
                 run.overrun(match.chain[-1][0], "witness", e)
                 kind = "unknown"
         run.findings.append(Finding(kind, match.pattern, match.chain,
-                                    s.path.text, self._config_str(), witness,
+                                    s.path.text, self._config, witness,
                                     event_log=tuple(s.event_log),
                                     observable=observable,
                                     constraints=s.path.constraints))
@@ -966,6 +1054,7 @@ class Engine:
     # -------------------------------------------------------------- helpers
 
     def _config_str(self) -> str:
+        """The predictor configuration as findings print it."""
         cfg = self.predictor_cfg
         parts = []
         if cfg.pht_bits is not None:

@@ -1431,8 +1431,8 @@ def replay_outputs(engine, baseline=False, store=True):
     logs, replays = [], []
     fingerprint, replay = ExecState.fingerprint, Engine._replay
 
-    def replaying(self, run, s, entry):
-        done = replay(self, run, s, entry)
+    def replaying(self, *args):
+        done = replay(self, *args)
         replays.append(done)
         return done
 
@@ -1498,13 +1498,19 @@ class TestTraceReplay:
             "  add ri, ri, 1\n  lt rc, ri, 4\n  br rc, floop, out\nout:\n"
             "  ret\n")
         assert r.stats.spec_traces == 8
-        assert replays == 1  # the first call's third pass
+        # each call's third pass replays its second, and the second call's
+        # second pass its first: a key keeps one recording per call
+        assert replays == 3
 
     def test_must_not_replay_another_predictor_state(self):
         # br rb (pc 5) mispredicts taken into S at i = 1, 3, 6, 9 and 11;
         # the trace's first step, br rz, is predicted taken (to X) by
         # PHT[3] at i = 1 and 3, and not taken (to Y) from i = 6 on, after
-        # br rz resolved not taken architecturally; i = 11 replays i = 9
+        # br rz resolved not taken architecturally.  Keyed by the answers,
+        # i = 3's recording (taken) does not replay at i = 6, whose own
+        # recording replays at i = 9 and 11; and the trace into X that br
+        # rb's misprediction runs at i = 4 asks nothing, so it replays the
+        # one at i = 2 although the PHT changed in between
         replays, r = self.check(
             "region tbl 12 init=010001000101000101000100\n  const ri, 0\n"
             "  const rz, 0\n  addrof rt, tbl\nloop:\n  add ra, rt, ri\n"
@@ -1513,7 +1519,7 @@ class TestTraceReplay:
             "  add ri, ri, 1\n  lt rc, ri, 12\n  br rc, loop, done\ndone:\n"
             "  halt\n", baseline=False,
             cfg=PredictorConfig(pht_bits=2, window=2, init_counter=3))
-        assert r.stats.spec_traces == 11 and replays == 1
+        assert r.stats.spec_traces == 11 and replays == 3
 
     def test_must_not_record_a_wrong_path_error(self):
         # the trace at `done` reads ru, unset before i = 4: its first three
@@ -1532,19 +1538,95 @@ class TestTraceReplay:
 
     def test_must_not_replay_a_path_dependent_load(self):
         # pub[x] may read sec only on the path where x >= 16: the traces at
-        # `done` load public on the x < 16 path, secret on the other
+        # `done` load public on the x < 16 path, secret on the other.  The
+        # load's may-touch decision reads x's slice: each path replays its
+        # own recording (the first path's third trace, the second path's
+        # second and third), never the other path's
         src = ("region pub 16\nregion sec 16 secret\n  sym.8 rx, x\n"
                "  addrof rp, pub\n  lt rl, rx, 16\n  br rl, go, go\ngo:\n"
                "  const ri, 0\nloop:\n  add ri, ri, 1\n  lt rc, ri, 4\n"
                "  br rc, loop, done\ndone:\n  add ra, rp, rx\n"
                "  load.8 rv, ra\n  halt\n")
         replays, r = self.check(src)
-        assert r.stats.paths == 2 and replays == 0
+        assert r.stats.paths == 2 and replays == 3
         e = build(src, predictor_cfg=self.CFG)
         logs = replay_outputs(e, baseline=True)[0][-1]
         assert [{event.secret_access for event, _ in log
                  if event.name == "load" and event.speculation}
                 for log in logs] == [{False}, {True}]
+
+    def test_must_not_replay_a_stored_to_snapshot(self):
+        # the loop stores 7, 7, then sec[0] into arr[0], one pass behind
+        # another; each trace at `done` loads arr[x & 1] from the path's
+        # snapshot, which finds it secret from the third pass on
+        src = ("region sec 16 secret\nregion arr 16\n  sym.8 rx, x\n"
+               "  addrof rs, sec\n  load.8 rk, rs\n  addrof rp, arr\n"
+               "  and rj, rx, 1\n  add ra, rp, rj\n  const rv, 7\n"
+               "  const rw, 7\n  const ri, 0\nloop:\n  store.8 rp, rv\n"
+               "  add rv, rw, 0\n  add rw, rk, 0\n  add ri, ri, 1\n"
+               "  lt rc, ri, 4\n  br rc, loop, done\ndone:\n"
+               "  load.8 ru, ra\n  halt\n")
+        replays, r = self.check(src)
+        assert replays == 0
+        e = build(src, predictor_cfg=self.CFG)
+        (log,) = replay_outputs(e, baseline=True)[0][-1]
+        assert [event.secret_access for event, _ in log
+                if event.name == "load" and event.speculation
+                and event.addr is None] == [False, False, True, True]
+
+    def test_must_not_replay_a_may_touch_overrun(self):
+        # pub[x] may touch sec, and the query over x's 8 bits overruns a
+        # budget of 4 on every arrival, each counted again
+        src = ("region pub 16\nregion sec 16 secret\n  sym.8 rx, x\n"
+               "  addrof rp, pub\n  add ra, rp, rx\n  const ri, 0\nloop:\n"
+               "  add ri, ri, 1\n  lt rc, ri, 5\n  br rc, loop, done\n"
+               "done:\n  load.8 rv, ra\n  halt\n")
+        replays, r = self.check(src, bit_budget=4)
+        assert replays == 0 and r.stats.spec_traces == 5
+        assert r.stats.budget_exceeded == 6  # every trace and the path
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_chained_checks_replay_as_they_run(self, k, baseline):
+        # witnesses and leak pairs hold every path symbol, so a replay that
+        # reused a recorded one would print another path's models
+        src, _sites = chained_v01([16] * k)
+        self.check(src, baseline, PredictorConfig(pht_bits=2, window=16))
+
+    def test_chain_k6_replays(self):
+        src, _sites = chained_v01([16] * 6)
+        replays, r = self.check(src, False,
+                                PredictorConfig(pht_bits=2, window=16))
+        assert r.stats.spec_traces == 63 and replays == 41
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    @pytest.mark.parametrize("cfg", [PredictorConfig(pht_bits=1),
+                                     preset("cortex-a53"),
+                                     preset("pentium4")])
+    @pytest.mark.parametrize("name", ["v01", "v02", "v09", "v11", "v2",
+                                      "stored-public", "stored-secret",
+                                      "stored-secret-spec", "wide-read"])
+    def test_fixtures_replay_as_they_run(self, name, cfg, baseline):
+        text = (ROOT / "fixtures" / f"{name}.sir").read_text(encoding="utf-8")
+        self.check(text, baseline, cfg)
+
+    def test_a_replayed_match_asks_its_witness_of_the_path(self):
+        # both paths' traces at `done` read the same and replay one
+        # recording; each loop pass starts a new path key, so each match
+        # is new and its witness, x = 0 or x = 16, is the replaying path's
+        pattern = load_pattern(json.dumps({"name": "ld-add", "nodes": [
+            {"instruction": "load", "isSpeculative": True, "startTTL": 4},
+            {"instruction": "add", "isSpeculative": True}]}))
+        e = build("region buf 4\n  sym.8 rx, x\n  addrof rb, buf\n"
+                  "  lt rl, rx, 16\n  br rl, go, go\ngo:\n  const ri, 0\n"
+                  "loop:\n  add ri, ri, 1\n  lt rc, ri, 4\n"
+                  "  br rc, loop, done\ndone:\n  load.8 rw, rb\n"
+                  "  add rw, rw, 1\n  halt\n", predictor_cfg=self.CFG,
+                  patterns=[pattern])
+        (outputs, replays), (unmemoized, _none) = (
+            replay_outputs(e, True), replay_outputs(e, True, False))
+        assert outputs == unmemoized and replays == 4
+        assert {f["witness"]["model"]["x"] for f in outputs[-3]} == {0, 16}
 
     def test_a_first_wrong_path_sym_declares_its_symbol(self):
         # the trace at `done` declares y on its first arrival, before the

@@ -384,8 +384,8 @@ def compare_loads(seed, wide, budget, baseline, index_mask=15):
     answers = []
     may_touch = Engine._may_touch_secret
 
-    def compared(self, run, addr, width, snap, path, pc):
-        got = may_touch(self, run, addr, width, snap, path, pc)
+    def compared(self, run, addr, width, snap, path, pc, reads=None):
+        got = may_touch(self, run, addr, width, snap, path, pc, reads)
         args = (self.program, addr, width, snap, path, budget)
         assert got == reference_may_touch(*args)
         answers.append((got, reference_may_touch(*args, stored=False)))
