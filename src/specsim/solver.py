@@ -601,7 +601,11 @@ def _slice_leak_pair(constraints: tuple[Expr, ...], observable: Expr,
     secret = {n: s for n, s in known.items() if s.taint.secret}
     bounds = _narrowed(constraints
                        + _hull_facts(constraints, observable, known))
-    if bounds is None:  # no public assignment gives a pair; overruns still raise
+    if bounds is not None:
+        lo, hi = _bounds(observable, bounds, {})
+    # no public assignment gives a pair, or every model gives the observable
+    # one value; overruns still raise
+    if bounds is None or lo == hi:
         _checked_bits(secret, budget, _checked_bits(public, budget))
         return None
 

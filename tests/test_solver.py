@@ -5,8 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import path_of
-from specsim import solver
+from conftest import load_pattern_fixture, path_of
+from specsim import Engine, layout_regions, parse_program, preset, solver
 from specsim.expr import (MemRead, Model, Snapshot, Sym, coerce, const,
                           evaluate, mask, mk_binop, mk_memread, references,
                           sym)
@@ -918,3 +918,39 @@ class TestNarrowedEnumeration:
         cons = (eq(read, const(7, 8)), lt(const(1, 32), zx(x)))
         m = is_sat(path_of(cons))
         assert m == Model({"x": 2})
+
+
+def _xor_indexed_v01(masked: bool) -> str:
+    """v01 indexed by `x ^ secret[0]`; `masked` keeps the second load in
+    one 64-byte line of array2, so no secret moves its cache line."""
+    second = "  and rm, rv, 63\n" if masked else (
+        "  const r64, 64\n  mul rm, rv, r64\n")
+    return ("region array1 16 init=000102030405060708090a0b0c0d0e0f\n"
+            "region secret 64 secret\nregion array2 16384\n"
+            "  sym.8 rx, x\n  addrof rs, secret\n  load.8 rk, rs\n"
+            "  xor ri, rx, rk\n  addrof ra1, array1\n  const rsz, 16\n"
+            "  lt rc, rx, rsz\n  br rc, body, end\nbody:\n"
+            "  add ra, ra1, ri\n  load.8 rv, ra\n" + second
+            + "  addrof ra2, array2\n  add rb, ra2, rm\n  load.8 rw, rb\n"
+            "end:\n  halt\n")
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+@pytest.mark.parametrize("budget", [16, 20])
+@pytest.mark.parametrize("masked, verdict", [(True, "leakage-free"),
+                                             (False, "leak")])
+def test_a_constant_observable_has_no_leak_pair(masked, verdict, budget,
+                                                baseline, monkeypatch):
+    # the masked kernel's observable has one value under interval bounds,
+    # so its leak-pair search neither enumerates nor overruns: the search
+    # used to overrun twice, reading `unknown`
+    probes = []
+    monkeypatch.setattr(solver, "evaluate", lambda *a: probes.append(1)
+                        or evaluate(*a))
+    patterns = [load_pattern_fixture(f"{name}.json")
+                for name in ("br-ld-ld", "icall-ld-ld", "ld-br-ld")]
+    program = layout_regions(parse_program(_xor_indexed_v01(masked)))
+    r = Engine(program, preset("cortex-a53"), patterns=patterns,
+               bit_budget=budget).run(baseline)
+    assert r.verdict == verdict and r.stats.budget_exceeded == 0
+    assert len(probes) < 400  # 266 masked, 310 leaky

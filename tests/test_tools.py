@@ -1,7 +1,7 @@
 """Smoke tests of `tools/cell_outputs.py`, the byte-identity check that
 compares every benchmark cell's outputs across two checkouts, of
-`tools/pass_times.py`, the in-process time and call count of each cell, and
-of `tools/src_lines.py`, the package's line count.
+`tools/pass_times.py`, the in-process time, call count and wrong-path
+traces of each cell, and of `tools/src_lines.py`, the package's line count.
 
 `tests/data/cell_outputs_101.txt` pins the output of
 `python3 tools/cell_outputs.py 101`: a regression pin, not an answer key.
@@ -69,7 +69,9 @@ def test_pass_times_prints_each_cell_and_the_pass():
         for mode in ("prediction-aware", "baseline")] + ["pass"]
     assert {row[0] for row in rows} == {"loop"}
     times = [float(row[2]) for row in rows]
-    calls = [int(row[3]) for row in rows]
+    calls, ran, replayed = ([int(row[i]) for row in rows] for i in (3, 4, 5))
     assert all(t > 0 for t in times) and all(n > 1000 for n in calls)
-    assert calls[-1] == sum(calls[:-1])
+    for column in (calls, ran, replayed):
+        assert column[-1] == sum(column[:-1])
+    assert replayed[-1] > 10 * ran[-1]  # loop replays nearly every trace
     assert abs(times[-1] - sum(times[:-1])) < 0.05  # printed to 0.01 ms

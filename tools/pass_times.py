@@ -1,17 +1,19 @@
 """Time each cell of one benchmark workload in process.
 
 For each analysis of the workload at the seed, print its best warm time
-over `--runs` passes and the Python calls that one warm run of it makes
-under cProfile; the last line sums both over the pass:
+over `--runs` passes, the Python calls that one warm run of it makes
+under cProfile, and that run's wrong-path traces, run and replayed; the
+last line sums them over the pass:
 
-    <workload> <program/config/mode> <best ms> <calls>
-    <workload> pass <sum of the best ms> <calls>
+    <workload> <program/config/mode> <best ms> <calls> <run> <replayed>
+    <workload> pass <sum of the best ms> <calls> <run> <replayed>
 
 Warm means after one untimed pass over the same parsed programs, which
 fills their solver stores, as in the benchmark's timed passes.  The passes
 run the cells in turn, so a drifting host slows every cell alike; the
 garbage collector stays on.  cProfile counts each Python function call
-and each call of a builtin:
+and each call of a builtin.  The profiled run counts its replays through a
+wrapper on `Engine._replay`, whose own calls are left out of the count:
 
     python3 tools/pass_times.py loop --seed 101 --runs 12
 
@@ -40,7 +42,8 @@ def main() -> int:
     if args.runs < 1:
         p.error("--runs must be at least 1")
 
-    todo = cells(import_specsim(), _load_workloads(), args.workload, args.seed)
+    specsim = import_specsim()
+    todo = cells(specsim, _load_workloads(), args.workload, args.seed)
     for _label, run in todo:  # the warm-up pass
         run()
     best = [float("inf")] * len(todo)
@@ -49,14 +52,30 @@ def main() -> int:
             t0 = perf_counter()
             run()
             best[i] = min(best[i], perf_counter() - t0)
-    calls = []
-    for _label, run in todo:
-        prof = cProfile.Profile()
-        prof.runcall(run)
-        calls.append(pstats.Stats(prof).total_calls)
-    for (label, _run), t, n in zip(todo, best, calls):
-        print(args.workload, label, f"{t * 1e3:.2f}", n)
-    print(args.workload, "pass", f"{sum(best) * 1e3:.2f}", sum(calls))
+    engine, rows = specsim.Engine, []
+    replay = engine._replay
+
+    def replayed(*a):  # counts the trace replays of the profiled run
+        done = replay(*a)
+        replays[0] += done
+        return done
+
+    engine._replay = replayed
+    try:
+        for _label, run in todo:
+            replays, prof = [0], cProfile.Profile()
+            traces = prof.runcall(run).stats.spec_traces
+            stats = pstats.Stats(prof)
+            wrapped = sum(n for (_f, _l, name), (_c, n, *_r)
+                          in stats.stats.items() if name == "replayed")
+            rows.append((stats.total_calls - wrapped,
+                         traces - replays[0], replays[0]))
+    finally:
+        engine._replay = replay
+    for (label, _run), t, row in zip(todo, best, rows):
+        print(args.workload, label, f"{t * 1e3:.2f}", *row)
+    print(args.workload, "pass", f"{sum(best) * 1e3:.2f}",
+          *map(sum, zip(*rows)))
     return 0
 
 
