@@ -225,9 +225,9 @@ class RunResult(Record):
         self.seen: set[tuple] = set()
         # (pc, kind) of every note already written
         self.noted: set[tuple[int, str]] = set()
-        # per wrong-path trace key: None from its first arrival, then its
-        # recording (see Engine._run_speculative)
-        self.traces: dict[tuple, tuple | None] = {}
+        # per wrong-path trace key, from its first arrival: its recordings
+        # (see Engine._run_speculative)
+        self.traces: dict[tuple, list[tuple]] = {}
 
     @property
     def verdict(self) -> str:
